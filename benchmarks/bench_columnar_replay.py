@@ -5,17 +5,16 @@ Not a paper experiment — this bench guards the columnar replay engine
 12 configurations: C1/C2/C3 x {no-spec, spec} x {16, 64} slots):
 
 - every cell must be *bit-identical* across all three replay paths —
-  per-cell event-driven :func:`evaluate_trace`, the memoized event
-  replay of :func:`replay_workload`, and the vectorised columnar
-  engine;
+  per-cell event-driven :func:`evaluate_trace`, memoized event replay
+  (:func:`evaluate_trace` with one shared ``TranslationMemo`` per
+  workload), and the vectorised columnar engine;
 - the columnar engine must be at least 10x faster than per-cell
   event-driven replay (it is also ~5x faster than the memoized event
   path; both comparisons are recorded).
 
 All wall-clocks and speedups are written to ``BENCH_columnar.json``
 next to this file, so the trajectory is tracked PR-over-PR in
-machine-readable form.  Skipped cleanly when numpy is unavailable (the
-columnar engine then never runs in production either).
+machine-readable form.
 """
 
 import dataclasses
@@ -25,12 +24,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.dim.memo import TranslationMemo
 from repro.system import paper_system
-from repro.system.colreplay import (
-    columnar_available,
-    replay_trace_columnar,
-)
-from repro.system.sweep import replay_workload
+from repro.system.colreplay import replay_trace_columnar
 from repro.system.traceeval import evaluate_trace
 
 #: 3 arrays x {no-spec, spec} x {16, 64} slots = 12 configurations.
@@ -42,9 +38,6 @@ CONFIGS = [paper_system(array, slots, spec)
 #: wall-clocks and speedups recorded below; dumped to BENCH_columnar.json.
 RESULTS = {}
 
-needs_numpy = pytest.mark.skipif(not columnar_available(),
-                                 reason="columnar engine needs numpy")
-
 
 @pytest.fixture(scope="module", autouse=True)
 def _emit_results_json():
@@ -55,7 +48,6 @@ def _emit_results_json():
                         + "\n")
 
 
-@needs_numpy
 def test_columnar_bit_identical_and_10x(traces, capsys):
     """216 bit-identical cells; columnar >=10x per-cell event replay."""
     # 1. per-cell event-driven replay: one evaluate_trace per cell,
@@ -70,15 +62,15 @@ def test_columnar_bit_identical_and_10x(traces, capsys):
     event_seconds = time.perf_counter() - start
 
     # 2. memoized event replay: all configurations of a workload share
-    #    one probe-validated TranslationMemo (the sweep engine's event
-    #    path).
+    #    one probe-validated TranslationMemo (the event path of an
+    #    observing sweep).
     start = time.perf_counter()
     memo_cells = {}
     for name, trace in traces.items():
-        for index, metrics in enumerate(
-                replay_workload(trace, CONFIGS, name=name,
-                                engine="event")):
-            memo_cells[(name, index)] = metrics
+        memo = TranslationMemo()
+        for index, config in enumerate(CONFIGS):
+            memo_cells[(name, index)] = evaluate_trace(
+                trace, config, name=name, memo=memo)
     event_memo_seconds = time.perf_counter() - start
 
     # 3. columnar replay: one lowering + one shared ColumnarContext per

@@ -49,11 +49,7 @@ from repro.dse import (
 )
 from repro.dse.space import Axis, ParameterSpace
 from repro.system import paper_system
-from repro.system.colreplay import (
-    ColumnarContext,
-    columnar_available,
-    evaluate_trace_columnar,
-)
+from repro.system.colreplay import ColumnarContext, evaluate_trace_columnar
 from repro.system.traceeval import baseline_metrics, evaluate_trace
 from repro.workloads import run_workload
 
@@ -75,9 +71,6 @@ CORPUS_KERNELS = 8
 
 #: everything measured below; dumped to BENCH_dynflow.json.
 RESULTS = {}
-
-needs_numpy = pytest.mark.skipif(not columnar_available(),
-                                 reason="columnar engine needs numpy")
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -269,7 +262,6 @@ def test_dynflow_frontier_dominates_modeless_frontier(loopy_names,
     assert dyn.best("speedup").candidate.get("dynflow_mode") != "off"
 
 
-@needs_numpy
 def test_bench_cells_bit_identical_event_vs_columnar(loopy_names,
                                                      divergent_names):
     """Every bench cell agrees field-for-field across both engines."""

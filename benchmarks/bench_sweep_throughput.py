@@ -4,8 +4,8 @@ Not a paper experiment — this bench guards the PR's acceptance bars for
 the trace-once / replay-many sweep engine (:mod:`repro.system.sweep`):
 
 - the full 18-workload x 12-configuration matrix must evaluate at least
-  3x faster through :func:`evaluate_matrix` than by looping
-  :func:`evaluate_suite` over the configurations;
+  3x faster through :func:`evaluate_matrix` than by looping the
+  event-driven :func:`evaluate_trace` over every cell;
 - a warm-disk-cache re-run of the matrix must be at least 10x faster
   than the cold run that populated the cache;
 - both comparisons double as transparency checks: every path must
@@ -23,11 +23,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.dim.memo import TranslationMemo
 from repro.system import paper_system
 from repro.system.artifacts import ArtifactCache
-from repro.system.sweep import evaluate_matrix
+from repro.system.energy import EnergyParams
+from repro.system.sweep import MatrixResult, evaluate_matrix
+from repro.system.traceeval import baseline_metrics, evaluate_trace
 from repro.workloads import collect_runs, workload_names
-from repro.workloads.suite import evaluate_suite
+from repro.workloads.suite import SuiteResult, result_from_metrics
 
 #: 3 arrays x {no-spec, spec} x {16, 64} slots = 12 configurations.
 CONFIGS = [paper_system(array, slots, spec)
@@ -56,33 +59,48 @@ def warm_runs():
     return collect_runs(workload_names(), jobs=jobs, fast=True)
 
 
+def event_suites(runs, memoized):
+    """The event-engine reference: one :func:`evaluate_trace` per cell,
+    per-configuration suites in the matrix's order.  ``memoized``
+    shares one ``TranslationMemo`` per workload across configurations
+    (the event path of an observing sweep)."""
+    memos = {name: TranslationMemo() for name in runs}
+    suites = []
+    for config in CONFIGS:
+        results = []
+        for name, run in runs.items():
+            memo = memos[name] if memoized else None
+            results.append(result_from_metrics(
+                name, config, baseline_metrics(run.trace, config.timing),
+                evaluate_trace(run.trace, config, name=name, memo=memo),
+                EnergyParams()))
+        suites.append(SuiteResult(config.name, results))
+    return MatrixResult(names=list(runs), suites=suites)
+
+
 def test_matrix_vs_looped_suite(warm_runs, capsys):
-    """Acceptance bar #1: the matrix is >=3x the per-config loop.
+    """Acceptance bar #1: the matrix is >=3x the per-cell event loop.
 
-    Both replay engines are timed: the memoized event path and (when
-    numpy is present) the default columnar path; every path's JSON is
-    byte-identical.
+    Both event references are timed: the per-cell loop and the
+    memoized event path; every path's JSON is byte-identical.
     """
-    from repro.system.colreplay import columnar_available
-
     start = time.perf_counter()
-    looped = [evaluate_suite(config, fast=True) for config in CONFIGS]
+    looped = event_suites(warm_runs, memoized=False)
     looped_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    event_matrix = evaluate_matrix(CONFIGS, fast=True, engine="event")
+    event_matrix = event_suites(warm_runs, memoized=True)
     event_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     matrix = evaluate_matrix(CONFIGS, fast=True)
     matrix_seconds = time.perf_counter() - start
 
-    for config, suite in zip(CONFIGS, looped):
-        assert matrix.suite(config.name).to_json() == suite.to_json()
+    assert looped.results_json() == matrix.results_json()
     assert event_matrix.results_json() == matrix.results_json()
 
     inst = matrix.instrumentation
-    engine = "columnar" if columnar_available() else "event"
+    engine = "columnar"
     speedup = looped_seconds / matrix_seconds
     RESULTS["matrix_workloads"] = inst.workloads
     RESULTS["matrix_systems"] = inst.systems
@@ -96,8 +114,8 @@ def test_matrix_vs_looped_suite(warm_runs, capsys):
         looped_seconds / event_seconds
     RESULTS["matrix_alloc_hit_rate"] = inst.alloc_hit_rate
     with capsys.disabled():
-        print(f"\nlooped evaluate_suite: {looped_seconds:.2f}s, "
-              f"evaluate_matrix[event]: {event_seconds:.2f}s, "
+        print(f"\nlooped evaluate_trace: {looped_seconds:.2f}s, "
+              f"memoized evaluate_trace: {event_seconds:.2f}s, "
               f"evaluate_matrix[{engine}]: {matrix_seconds:.2f}s -> "
               f"{speedup:.2f}x (alloc memo {inst.alloc_hit_rate:.1%})")
     assert inst.workloads == 18 and inst.systems >= 12

@@ -62,11 +62,7 @@ from repro.system.config import SystemConfig, SystemSpec
 from repro.system.coupled import CoupledRunResult, run_coupled
 from repro.system.energy import EnergyParams, energy_ratio
 from repro.system.sweep import MatrixResult, evaluate_matrix, paper_matrix
-from repro.system.traceeval import (
-    SystemMetrics,
-    baseline_metrics,
-    evaluate_trace,
-)
+from repro.system.traceeval import SystemMetrics
 from repro.workloads import load_workload, workload_names
 from repro.workloads.suite import SuiteResult, evaluate_suite
 
@@ -136,22 +132,23 @@ def run(target: Target, config: Optional[SystemConfig] = None,
     """Run ``target`` on the plain MIPS and on the coupled system.
 
     The two runs are asserted bit-exact (same program output); the
-    returned comparison carries both raw results plus the trace-driven
-    baseline/accelerated metrics used for energy accounting.
+    returned comparison carries both raw results plus the baseline and
+    accelerated metrics used for energy accounting, read straight off
+    the two runs' counters.  ``telemetry`` observes both runs.
     """
     program = load_target(target)
     config = config if config is not None \
         else SystemSpec(array="C3").build()
-    plain = run_program(program, collect_trace=True, fast=fast,
+    plain = run_program(program, timing=config.timing, fast=fast,
                         telemetry=telemetry)
-    accelerated = run_coupled(program, config, fast=fast)
+    accelerated = run_coupled(program, config, fast=fast,
+                              telemetry=telemetry)
     assert accelerated.output == plain.output, \
         "accelerated run diverged from the plain run"
-    baseline = baseline_metrics(plain.trace, config.timing)
-    metrics = evaluate_trace(plain.trace, config, telemetry=telemetry)
+    baseline = SystemMetrics.from_stats("mips", plain.stats)
     return RunComparison(config=config, plain=plain,
                          accelerated=accelerated, baseline=baseline,
-                         metrics=metrics)
+                         metrics=accelerated.metrics)
 
 
 def evaluate(config: Optional[SystemConfig] = None,
@@ -171,20 +168,20 @@ def sweep(configs: Optional[Sequence[SystemConfig]] = None,
           cache: Optional[ArtifactCache] = None,
           cache_dir: Optional[Path] = None,
           telemetry: Optional[Telemetry] = None,
-          energy_params: EnergyParams = EnergyParams(),
-          engine: str = "auto") -> MatrixResult:
+          energy_params: EnergyParams = EnergyParams()) -> MatrixResult:
     """Evaluate a workloads x configurations matrix.
 
     Defaults to the paper's full Table 2 matrix
-    (:func:`repro.system.sweep.paper_matrix`).  ``engine`` picks the
-    replay implementation (``auto``/``event``/``columnar``); results
-    are identical whichever one runs.
+    (:func:`repro.system.sweep.paper_matrix`).  Cells replay on the
+    columnar engine, or on the event engine when an enabled
+    ``telemetry`` sink asks for its per-event stream; results are
+    identical either way.
     """
     configs = list(configs) if configs is not None else paper_matrix()
     return evaluate_matrix(configs, names=names, jobs=jobs, fast=fast,
                            cache=cache, cache_dir=cache_dir,
                            telemetry=telemetry,
-                           energy_params=energy_params, engine=engine)
+                           energy_params=energy_params)
 
 
 def connect(url: str = "http://127.0.0.1:8350", timeout: float = 60.0):

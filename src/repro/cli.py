@@ -113,18 +113,14 @@ import sys
 from typing import List, Optional
 
 from repro.analysis import blocks_for_coverage, instructions_per_branch
-from repro.api import SystemSpec, load_target
+from repro.api import SystemSpec, load_target, run
 from repro.asm.program import Program
 from repro.cgra.render import render_configuration
 from repro.dim import BimodalPredictor, Translator
 from repro.dim.params import DYNFLOW_MODES
 from repro.obs import Telemetry
 from repro.sim import Simulator, run_program
-from repro.system import evaluate_trace
 from repro.system.config import PAPER_SHAPES, SystemConfig
-from repro.system.coupled import run_coupled
-from repro.system.energy import energy_ratio
-from repro.system.traceeval import baseline_metrics
 from repro.workloads import all_workloads, workload_names
 
 _SPEC_VALUES = {"off": (False,), "on": (True,), "both": (False, True)}
@@ -320,20 +316,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _activate_corpus(getattr(args, "corpus", None))
     program = _load_target(args.target)
     config = _single_config(args)
-    plain = run_program(program, collect_trace=True, fast=args.fast)
+    comparison = run(program, config=config, fast=args.fast)
+    plain, accel = comparison.plain, comparison.accelerated
     print(f"plain MIPS : {plain.stats.cycles:,} cycles, "
           f"{plain.stats.instructions:,} instructions, "
           f"exit={plain.exit_code}")
     if plain.output:
         print(f"output     : {plain.output.strip()}")
-    accel = run_coupled(program, config, fast=args.fast)
-    assert accel.output == plain.output
     dim = accel.dim_stats
-    base = baseline_metrics(plain.trace, config.timing)
-    metrics = evaluate_trace(plain.trace, config)
     print(f"\n{config.name}: {accel.stats.cycles:,} cycles "
-          f"-> {plain.stats.cycles / accel.stats.cycles:.2f}x speedup, "
-          f"{energy_ratio(base, metrics):.2f}x less energy")
+          f"-> {comparison.speedup:.2f}x speedup, "
+          f"{comparison.energy_ratio:.2f}x less energy")
     print(f"DIM        : {dim.translations} translations, "
           f"{dim.extensions} extensions, {dim.flushes} flushes, "
           f"{dim.misspeculations} mis-speculations")
@@ -447,7 +440,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     telemetry = Telemetry() if args.telemetry else None
     matrix = evaluate_matrix(configs, names=names, jobs=args.jobs,
                              fast=args.fast, cache=cache,
-                             telemetry=telemetry, engine=args.engine)
+                             telemetry=telemetry)
 
     print(f"{'system':16s} {'geomean speedup':>16s} "
           f"{'geomean energy':>15s}")
@@ -465,10 +458,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"cells      : {inst.cells_replayed} replayed "
           f"({inst.cells_columnar} columnar), "
           f"{inst.cells_from_disk} from disk artifacts")
-    if inst.columnar_fallback:
-        print(f"engine     : columnar unavailable (numpy missing); "
-              f"{inst.columnar_fallback} workload rows fell back to "
-              f"the event engine")
     print(f"alloc memo : {inst.alloc_hit_rate:.1%} hit rate "
           f"({inst.alloc_hits:,} hits)")
     if cache is not None:
@@ -1062,12 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "$REPRO_CACHE_DIR or ~/.cache/repro)")
     sweep_p.add_argument("--no-cache", action="store_true",
                          help="disable the persistent artifact cache")
-    sweep_p.add_argument("--engine", default="auto",
-                         choices=("auto", "event", "columnar"),
-                         help="replay engine: the vectorised columnar "
-                              "evaluator or the event-driven loop "
-                              "(auto picks columnar when numpy is "
-                              "available; results are identical)")
     sweep_p.set_defaults(func=_cmd_sweep)
 
     explore_p = sub.add_parser(

@@ -6,10 +6,10 @@ workload-set) so strategies may re-request points for free:
 
 - :class:`MatrixRunner` — the production path.  Batches go through the
   trace-once / replay-many engine
-  (:func:`repro.system.sweep.evaluate_matrix` with its
-  ``TranslationMemo`` and :class:`~repro.system.artifacts.ArtifactCache`
-  layers), serially or with ``jobs`` processes, or are dispatched as
-  ``sweep`` jobs to a running ``repro serve`` instance via
+  (:func:`repro.system.sweep.evaluate_matrix` with its columnar replay
+  and :class:`~repro.system.artifacts.ArtifactCache` layers), serially
+  or with ``jobs`` processes, or are dispatched as ``sweep`` jobs to a
+  running ``repro serve`` instance via
   :class:`~repro.serve.client.ServeClient`.  All three modes return
   bit-identical floats (JSON round-trips floats exactly), which is what
   makes the frontier byte-identical across them.
@@ -32,7 +32,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.dim.memo import TranslationMemo
 from repro.dim.params import DimParams
 from repro.obs import Telemetry
 from repro.obs.schema import dse_counters, dse_timers
@@ -42,13 +41,11 @@ from repro.system.artifacts import ArtifactCache
 from repro.system.colreplay import (
     ColumnarContext,
     baseline_metrics_columnar,
-    columnar_available,
     evaluate_trace_columnar,
 )
 from repro.system.config import SystemConfig, SystemSpec
 from repro.system.energy import EnergyParams, energy_ratio
 from repro.system.sweep import evaluate_matrix
-from repro.system.traceeval import baseline_metrics, evaluate_trace
 from repro.workloads import workload_names
 
 from repro.dse.space import Candidate, ParameterSpace
@@ -266,12 +263,9 @@ class TraceRunner(_RunnerBase):
     wrapper, so it deliberately replays that function's exact float
     arithmetic: per-workload speedups multiplied in trace-dict order,
     then one ``** (1/n)`` — same operations, same order, same bits.
-    With numpy present each workload keeps one shared
-    :class:`~repro.system.colreplay.ColumnarContext`; otherwise one
-    :class:`~repro.dim.memo.TranslationMemo` per workload is shared
-    across every candidate, exactly as the old grid loop shared it.
-    Both engines compute bit-identical metrics, so the scores (and any
-    frontier built from them) do not depend on which one ran.
+    Each workload keeps one shared
+    :class:`~repro.system.colreplay.ColumnarContext` across every
+    candidate.
     """
 
     def __init__(self, space: ParameterSpace,
@@ -289,21 +283,11 @@ class TraceRunner(_RunnerBase):
             else DimParams(cache_slots=64, speculation=True)
         self.timing = timing if timing is not None else TimingModel()
         self.energy_params = energy_params
-        # columnar when numpy is importable, event-driven otherwise;
-        # both produce bit-identical metrics, so the frontier is the
-        # same either way.
-        self.contexts: Optional[Dict[str, ColumnarContext]] = None
-        self.memos: Optional[Dict[str, TranslationMemo]] = None
-        if columnar_available():
-            self.contexts = {name: ColumnarContext(trace, name=name)
-                             for name, trace in self.traces.items()}
-            self.baselines = {
-                name: baseline_metrics_columnar(context, self.timing)
-                for name, context in self.contexts.items()}
-        else:
-            self.baselines = {name: baseline_metrics(trace, self.timing)
-                              for name, trace in self.traces.items()}
-            self.memos = {name: TranslationMemo() for name in self.traces}
+        self.contexts = {name: ColumnarContext(trace, name=name)
+                         for name, trace in self.traces.items()}
+        self.baselines = {
+            name: baseline_metrics_columnar(context, self.timing)
+            for name, context in self.contexts.items()}
 
     def _score_batch(self, batch, names):
         wanted = set(names)
@@ -318,13 +302,8 @@ class TraceRunner(_RunnerBase):
             for name, trace in self.traces.items():
                 if name not in wanted:
                     continue
-                if self.contexts is not None:
-                    metrics = evaluate_trace_columnar(
-                        trace, config, name=name,
-                        context=self.contexts[name])
-                else:
-                    metrics = evaluate_trace(trace, config,
-                                             memo=self.memos[name])
+                metrics = evaluate_trace_columnar(
+                    trace, config, name=name, context=self.contexts[name])
                 base = self.baselines[name]
                 speed_product *= base.cycles / metrics.cycles
                 energy_product *= energy_ratio(base, metrics,

@@ -99,7 +99,6 @@ def explore_mix(spec: Optional[MpsocSpec] = None, *,
                 fast: bool = False,
                 cache=None, cache_dir=None, client=None,
                 energy_params=None, telemetry=None,
-                engine: str = "auto",
                 **spec_kwargs) -> MpsocExploration:
     """Explore one MPSoC scenario; return frontier + dispatch tables.
 
@@ -129,7 +128,7 @@ def explore_mix(spec: Optional[MpsocSpec] = None, *,
         energy_params=(energy_params if energy_params is not None
                        else EnergyParams()),
         jobs=jobs, fast=fast, cache=cache, cache_dir=cache_dir,
-        client=client, telemetry=telemetry, engine=engine)
+        client=client, telemetry=telemetry)
     feasible = len(space.candidates())
     runner.stats.feasible_allocations = feasible
     runner.stats.pruned_allocations = space.size - feasible

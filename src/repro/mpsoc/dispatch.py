@@ -126,8 +126,7 @@ class MpsocRunner(_RunnerBase):
                  jobs: int = 1, fast: bool = False,
                  cache: Optional[ArtifactCache] = None,
                  cache_dir=None, client=None,
-                 telemetry: Optional[Telemetry] = None,
-                 engine: str = "auto"):
+                 telemetry: Optional[Telemetry] = None):
         super().__init__(spec.workloads, telemetry)
         if cache is None and cache_dir is not None:
             cache = ArtifactCache(cache_dir)
@@ -138,7 +137,6 @@ class MpsocRunner(_RunnerBase):
         self.fast = fast
         self.cache = cache
         self.client = client
-        self.engine = engine
         self.stats = MpsocStats()
         #: canonical config name per catalog entry.
         self.systems: Dict[str, str] = {
@@ -175,8 +173,7 @@ class MpsocRunner(_RunnerBase):
                                  energy_params=self.energy_params,
                                  jobs=self.jobs, fast=self.fast,
                                  cache=self.cache,
-                                 telemetry=self.telemetry,
-                                 engine=self.engine)
+                                 telemetry=self.telemetry)
         scores: Dict[Tuple[str, str], Tuple[float, float]] = {}
         for (catalog_name, _), config in zip(self.spec.catalog, configs):
             suite = matrix.suite(config.name)

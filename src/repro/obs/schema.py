@@ -89,7 +89,6 @@ SWEEP_COUNTERS = {
     "sweep.cells_replayed": "cells_replayed",
     "sweep.cells_from_disk": "cells_from_disk",
     "sweep.cells_columnar": "cells_columnar",
-    "sweep.columnar_fallback": "columnar_fallback",
     "sweep.baselines_computed": "baselines_computed",
     "sweep.baselines_from_disk": "baselines_from_disk",
     "sweep.alloc_hits": "alloc_hits",

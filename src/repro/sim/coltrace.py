@@ -30,14 +30,13 @@ start PCs discovered by event boundary ``t`` is exactly the blocks of
 ``events[0..t)`` for every configuration.  ``repro.system.colreplay``
 builds on both invariants.
 
-numpy is optional (``pip install repro[fast]``): :func:`numpy_or_none`
-gates every entry point, honouring ``REPRO_NO_NUMPY=1`` for forcing the
-pure-Python event engine in tests and CI.
+numpy is a hard dependency, imported inside the functions that use it
+so that importing the package (and the CLI's single-run path) never
+loads it.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
@@ -55,35 +54,6 @@ CLASS_TAKEN = 1
 
 #: an "end of trace" sentinel larger than any event boundary.
 NO_BOUND = 1 << 62
-
-_NUMPY = None
-_NUMPY_CHECKED = False
-
-
-def numpy_or_none():
-    """The numpy module, or None when unavailable (or disabled).
-
-    The import is attempted once per process; the ``REPRO_NO_NUMPY``
-    environment switch is honoured on every call so tests can toggle
-    the fallback path without reloading modules.
-    """
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    global _NUMPY, _NUMPY_CHECKED
-    if not _NUMPY_CHECKED:
-        _NUMPY_CHECKED = True
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - depends on environment
-            numpy = None
-        _NUMPY = numpy
-    return _NUMPY
-
-
-def numpy_available() -> bool:
-    """True when the columnar engine can run in this process."""
-    return numpy_or_none() is not None
-
 
 def _class_of(counter: int) -> int:
     if counter == 3:
@@ -136,10 +106,9 @@ class PredictorTimeline:
         """
         if entries & (entries - 1):
             raise ValueError("predictor entries must be a power of two")
-        np = numpy_or_none()
-        if np is not None and len(positions) >= 4096:
-            return cls._build_grouped(np, positions, pcs, takens,
-                                      entries, initial)
+        if len(positions) >= 4096:
+            return cls._build_grouped(positions, pcs, takens, entries,
+                                      initial)
         mask = entries - 1
         initial_class = _class_of(initial)
         bounds: Dict[int, List[int]] = {}
@@ -170,7 +139,7 @@ class PredictorTimeline:
                    initial_class)
 
     @classmethod
-    def _build_grouped(cls, np, positions: List[int], pcs: List[int],
+    def _build_grouped(cls, positions: List[int], pcs: List[int],
                        takens: List[int], entries: int,
                        initial: int) -> "PredictorTimeline":
         """Group updates by counter index, then walk each group tight.
@@ -179,6 +148,8 @@ class PredictorTimeline:
         chronological order within each group, so the per-index walk
         reproduces the scalar loop exactly — without a dict lookup per
         event."""
+        import numpy as np
+
         mask = entries - 1
         initial_class = _class_of(initial)
         idx = (np.asarray(pcs, dtype=np.int64) >> 2) & mask
@@ -251,7 +222,8 @@ class PredictorTimeline:
 
     def class_for_many(self, pc: int, ts):
         """Vectorized :meth:`class_at` over a numpy array of boundaries."""
-        np = numpy_or_none()
+        import numpy as np
+
         index_key = (pc >> 2) & self._mask
         cached = self._np_cache.get(index_key)
         if cached is None:
@@ -306,10 +278,8 @@ class ColumnarTrace:
     """
 
     def __init__(self, trace: Trace):
-        np = numpy_or_none()
-        if np is None:
-            raise RuntimeError("columnar lowering requires numpy "
-                               "(pip install repro[fast])")
+        import numpy as np
+
         self.trace = trace
         self.table = trace.table
         ids, taken = trace.event_arrays()
@@ -383,7 +353,8 @@ class ColumnarTrace:
         — the config-independent predictor update sequence."""
         cached = self._branch_events
         if cached is None:
-            np = numpy_or_none()
+            import numpy as np
+
             positions = np.flatnonzero(self.blk_is_cond[self.ev])
             cached = (positions.tolist(),
                       self.blk_branch_pc[self.ev[positions]].tolist(),
@@ -408,8 +379,8 @@ class ColumnarTrace:
         return len(self._timelines)
 
     # ------------------------------------------------------------------
-    # Artifact persistence.  The payload is numpy-free so it can be
-    # loaded (and judged stale) in processes without numpy installed.
+    # Artifact persistence.  The payload holds no numpy objects, so a
+    # stored artifact does not depend on the numpy version.
     # ------------------------------------------------------------------
     def to_payload(self) -> dict:
         ids, taken = self.trace.event_arrays()

@@ -1,14 +1,20 @@
 """The coupled MIPS + DIM + array system and its evaluation harnesses.
 
-Two execution paths produce identical cycle counts:
+Three execution paths produce identical cycle counts, one per job:
 
 - :class:`repro.system.coupled.CoupledSimulator` runs the program
   functionally with the array in the loop — bit-exact architectural
-  state, used to *validate* the mechanism.
+  state; single runs (``repro run``, ``repro report``) read their
+  metrics off it.
+- :mod:`repro.system.colreplay` replays a trace lowered to columns
+  under many configurations at once — every matrix job
+  (:func:`repro.system.sweep.evaluate_matrix` and what builds on it)
+  runs it.
 - :func:`repro.system.traceeval.evaluate_trace` replays a basic-block
-  trace through the same :class:`repro.dim.engine.DimEngine`, without
-  re-executing instructions — used by the benchmark harnesses to sweep
-  the paper's 18 workloads x 18+2 system configurations quickly.
+  trace event by event through the same
+  :class:`repro.dim.engine.DimEngine` — the reference the other two
+  are tested against, and the engine of a sweep observed by a
+  telemetry sink.
 
 :mod:`repro.system.config` holds Table 1's array shapes,
 :mod:`repro.system.energy` the event-based power/energy model
@@ -32,7 +38,6 @@ from repro.system.traceeval import (
     SystemMetrics,
     baseline_metrics,
     evaluate_trace,
-    speedup,
 )
 from repro.system.energy import (
     EnergyParams,
@@ -69,7 +74,6 @@ __all__ = [
     "SystemMetrics",
     "baseline_metrics",
     "evaluate_trace",
-    "speedup",
     "EnergyParams",
     "EnergyBreakdown",
     "energy_of",

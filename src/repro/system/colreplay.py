@@ -66,8 +66,6 @@ from repro.sim.coltrace import (
     ColumnarTrace,
     NO_BOUND,
     PredictorTimeline,
-    numpy_available,
-    numpy_or_none,
 )
 from repro.sim.stats import TimingModel
 from repro.sim.trace import BasicBlock, Trace
@@ -81,7 +79,6 @@ _ABSENT = object()
 __all__ = [
     "ColumnarContext",
     "baseline_metrics_columnar",
-    "columnar_available",
     "evaluate_trace_columnar",
     "replay_trace_columnar",
 ]
@@ -92,12 +89,6 @@ __all__ = [
 #: committed-instruction count (``DimStats.array_instructions``).
 CYC, INS, FET, LDS, STS, BRA, TAK, LUS, HILO, SYS, COM, MIS = range(12)
 NFIELDS = 12
-
-
-def columnar_available() -> bool:
-    """True when the columnar engine can run (numpy importable and not
-    disabled via ``REPRO_NO_NUMPY``)."""
-    return numpy_available()
 
 
 class _PhasePredictor:
@@ -149,7 +140,8 @@ class _Template:
                  "back_expected_bit", "back_opp", "_merged_cond")
 
     def __init__(self, ctx: "ColumnarContext", config: Configuration):
-        np = numpy_or_none()
+        import numpy as np
+
         self._ctx = ctx
         self.config = config
         self.blocks = config.blocks
@@ -596,7 +588,8 @@ class _Template:
                         cfg_block.block.branch_pc,
                         position + m + 1) == opposite
             else:
-                np = numpy_or_none()
+                import numpy as np
+
                 codes = np.asarray(self.code_list, dtype=np.int64)
                 verdict = np.zeros(len(positions), dtype=bool)
                 for m in range(self.K - 1):
@@ -854,7 +847,8 @@ class ColumnarContext:
         the whole block normally (traceeval's ``_account_normal``)."""
         table = self._miss_tables.get(timing)
         if table is None:
-            np = numpy_or_none()
+            import numpy as np
+
             model = shared_cost_model(timing)
             blocks = self.coltrace.table.blocks
             table = np.zeros((2 * len(blocks), NFIELDS), dtype=np.int64)
@@ -883,7 +877,8 @@ class ColumnarContext:
 
     def event_totals(self, timing: TimingModel):
         """Whole-trace normal-execution totals (the MIPS baseline)."""
-        np = numpy_or_none()
+        import numpy as np
+
         coltrace = self.coltrace
         counts = np.bincount(coltrace.key2,
                              minlength=2 * coltrace.nblocks)
@@ -903,7 +898,8 @@ class ColumnarContext:
         key = (config.shape, policy_key(config.dim))
         tables = self._nospec.get(key)
         if tables is None:
-            np = numpy_or_none()
+            import numpy as np
+
             blocks = self.coltrace.table.blocks
             nblocks = len(blocks)
             translator = Translator(config.shape, config.dim, None, None)
@@ -947,7 +943,8 @@ class ColumnarContext:
         key = (config.shape, policy_key(config.dim), config.timing)
         table = self._nospec_exec.get(key)
         if table is None:
-            np = numpy_or_none()
+            import numpy as np
+
             model = shared_cost_model(config.timing)
             blocks = self.coltrace.table.blocks
             table = np.zeros((2 * len(blocks), NFIELDS), dtype=np.int64)
@@ -1057,7 +1054,8 @@ def _finish_metrics(name: str, config: SystemConfig, fields,
 def _replay_nospec(context: ColumnarContext, config: SystemConfig,
                    name: str) -> SystemMetrics:
     """Tier A: fully-vectorized replay of a no-speculation system."""
-    np = numpy_or_none()
+    import numpy as np
+
     coltrace = context.coltrace
     n = coltrace.n
     tables = context.nospec_tables(config)
@@ -1182,7 +1180,8 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
     per-execution trip count, and loop exits are walked on demand
     (``_Template.loop_exit``) rather than precomputed per rank.
     """
-    np = numpy_or_none()
+    import numpy as np
+
     coltrace = context.coltrace
     params = config.dim
     timeline = coltrace.timeline(params.predictor_entries)

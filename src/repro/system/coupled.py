@@ -25,6 +25,7 @@ from repro.sim.cpu import Simulator, _load, _store
 from repro.sim.stats import RunStats
 from repro.sim.trace import BasicBlock
 from repro.system.config import SystemConfig
+from repro.system.traceeval import SystemMetrics
 
 
 @dataclass
@@ -34,16 +35,32 @@ class CoupledRunResult:
     exit_code: int
     output: str
     stats: RunStats
-    dim_stats: DimStats
     registers: List[int]
     memory: object
-    cache_lookups: int
-    cache_hits: int
-    predictor_accuracy: float
+    #: the run's totals, field for field what
+    #: :func:`~repro.system.traceeval.evaluate_trace` computes from the
+    #: plain run's trace.
+    metrics: SystemMetrics
 
     @property
     def cycles(self) -> int:
         return self.stats.cycles
+
+    @property
+    def dim_stats(self) -> DimStats:
+        return self.metrics.dim
+
+    @property
+    def cache_lookups(self) -> int:
+        return self.metrics.cache_lookups
+
+    @property
+    def cache_hits(self) -> int:
+        return self.metrics.cache_hits
+
+    @property
+    def predictor_accuracy(self) -> float:
+        return self.metrics.predictor_accuracy
 
 
 class CoupledSimulator:
@@ -104,16 +121,20 @@ class CoupledSimulator:
         cache = engine.cache
         if engine.telemetry.enabled:
             engine.telemetry.count_many(engine_counters(engine))
+        metrics = SystemMetrics.from_stats(
+            self.config.name, sim.stats, dim=engine.stats,
+            cache_lookups=cache.lookups, cache_hits=cache.hits,
+            cache_insertions=cache.insertions,
+            cache_evictions=cache.evictions,
+            cache_invalidations=cache.invalidations,
+            predictor_accuracy=engine.predictor.accuracy)
         return CoupledRunResult(
             exit_code=sim.exit_code,
             output="".join(sim.output_parts),
             stats=sim.stats,
-            dim_stats=engine.stats,
             registers=sim.regs,
             memory=sim.memory,
-            cache_lookups=cache.lookups,
-            cache_hits=cache.hits,
-            predictor_accuracy=engine.predictor.accuracy,
+            metrics=metrics,
         )
 
     # ------------------------------------------------------------------

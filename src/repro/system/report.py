@@ -20,7 +20,7 @@ from repro.sim.cpu import run_program
 from repro.system.config import SystemConfig, paper_system
 from repro.system.coupled import CoupledSimulator
 from repro.system.energy import EnergyParams, energy_of, energy_ratio
-from repro.system.traceeval import baseline_metrics, evaluate_trace
+from repro.system.traceeval import SystemMetrics
 
 
 @dataclass
@@ -92,12 +92,16 @@ def build_report(program: Program,
     """Measure ``program`` and produce an :class:`AccelerationReport`.
 
     An injected ``telemetry`` sink (:mod:`repro.obs`) observes the
-    functional run and the trace replay; it never changes the report.
+    plain and the coupled run; it never changes the report.
     """
     config = config or paper_system("C2", 64, True)
-    plain = run_program(program, collect_trace=True, telemetry=telemetry)
-    base = baseline_metrics(plain.trace, config.timing)
-    metrics = evaluate_trace(plain.trace, config, telemetry=telemetry)
+    plain = run_program(program, collect_trace=True, timing=config.timing,
+                        telemetry=telemetry)
+    base = SystemMetrics.from_stats("mips", plain.stats)
+    # the coupled system gives the accelerated metrics and the real
+    # cached configurations
+    sim = CoupledSimulator(program, config, telemetry=telemetry)
+    metrics = sim.run().metrics
     profile = block_profile(plain.trace)
     coverage = blocks_for_coverage(profile, fractions=(0.8,))
     breakdown = energy_of(metrics, energy_params)
@@ -105,9 +109,6 @@ def build_report(program: Program,
     shares = {component: power / total_power
               for component, power in breakdown.component_power().items()}
 
-    # run the coupled system to harvest real cached configurations
-    sim = CoupledSimulator(program, config)
-    sim.run()
     ranked = sorted(sim.engine.cache._entries.values(),
                     key=lambda c: -(c.hits * c.covered_instructions))
     rendered = [render_configuration(cfg)

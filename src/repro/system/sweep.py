@@ -13,10 +13,11 @@ layers:
 1. **Trace once per run** — each workload is simulated at most once per
    sweep no matter how many configurations replay it; cells fan out over
    a per-workload work unit (serial or across a process pool).
-2. **Translation memo** — all configurations of one workload share a
-   probe-validated :class:`~repro.dim.memo.TranslationMemo`, so
-   configurations differing only in cache slots (or timing) reuse
-   DIM translation + CGRA line allocation instead of recomputing it.
+2. **Columnar replay** — all configurations of one workload share one
+   :class:`~repro.system.colreplay.ColumnarContext`: the trace is
+   lowered to arrays once, and configurations differing only in cache
+   slots (or timing) reuse DIM translation + CGRA line allocation
+   instead of recomputing it.
 3. **Persistent artifacts** — traces, baselines and per-cell metrics are
    stored in a content-addressed on-disk cache
    (:mod:`repro.system.artifacts`) keyed by workload source, timing
@@ -24,9 +25,11 @@ layers:
    repeated bench runs and CI skip tracing (and replaying) entirely.
 
 All three layers are transparent: :func:`evaluate_matrix` output is
-byte-identical to looping :func:`repro.workloads.suite.evaluate_suite`
-over the same configurations, serial or parallel, cold or warm cache —
-the test suite asserts this.
+byte-identical to looping the event-driven reference
+:func:`repro.system.traceeval.evaluate_trace` over the same cells,
+serial or parallel, cold or warm cache — the test suite asserts this.
+A sweep with an enabled telemetry sink replays on that event engine,
+because only it emits the per-event engine telemetry stream.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from repro.system.artifacts import ArtifactCache
 from repro.system.colreplay import (
     ColumnarContext,
     baseline_metrics_columnar,
-    columnar_available,
     evaluate_trace_columnar,
     replay_trace_columnar,
 )
@@ -83,35 +85,6 @@ _DISK_TRACES: Dict[str, Trace] = {}
 #: in-process columnar contexts, one per workload; reused across sweeps
 #: (and across service batches) as long as the trace object is the same.
 _COL_CONTEXTS: Dict[str, ColumnarContext] = {}
-
-#: the engine choices accepted by every replay entry point.
-ENGINES = ("auto", "event", "columnar")
-
-
-def _resolve_engine(engine: str, observing: bool = False
-                    ) -> Tuple[str, bool]:
-    """(resolved engine, fell_back): which replay engine to run.
-
-    ``auto`` selects the columnar engine whenever numpy is importable
-    and no event-level telemetry sink is attached — the columnar engine
-    computes bit-identical metrics but does not emit the per-event
-    engine telemetry stream, so an observing sweep keeps the event
-    engine.  ``fell_back`` is True when the columnar engine was wanted
-    (explicitly or by default) but numpy is unavailable; callers count
-    it under ``sweep.columnar_fallback``.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown replay engine {engine!r}; "
-                         f"expected one of {ENGINES}")
-    if engine == "event":
-        return "event", False
-    available = columnar_available()
-    if engine == "columnar":
-        return ("columnar", False) if available else ("event", True)
-    if observing:
-        return "event", False
-    return ("columnar", False) if available else ("event", True)
-
 
 def paper_matrix() -> List[SystemConfig]:
     """Table 2's system list: C1-C3 x {no-spec, spec} x {16, 64, 256}
@@ -142,7 +115,8 @@ class SweepInstrumentation:
     #: Phase seconds are summed over pool workers, so with ``jobs > 1``
     #: they can exceed ``total_seconds``.
     trace_seconds: float = 0.0
-    #: time spent replaying cells (baselines + accelerated metrics).
+    #: time spent replaying cells (baselines + accelerated metrics),
+    #: excluding obtaining the trace and lowering it to columns.
     replay_seconds: float = 0.0
     #: how each workload's trace was obtained.
     traces_simulated: int = 0
@@ -153,9 +127,6 @@ class SweepInstrumentation:
     cells_from_disk: int = 0
     #: of the replayed cells, how many ran on the columnar engine.
     cells_columnar: int = 0
-    #: workload rows that wanted the columnar engine but fell back to
-    #: the event engine because numpy is unavailable.
-    columnar_fallback: int = 0
     baselines_computed: int = 0
     baselines_from_disk: int = 0
     #: translation-memo totals across all workloads.
@@ -198,7 +169,7 @@ class SweepInstrumentation:
                      "traces_simulated", "traces_from_disk",
                      "traces_in_memory", "cells_replayed",
                      "cells_from_disk", "cells_columnar",
-                     "columnar_fallback", "baselines_computed",
+                     "baselines_computed",
                      "baselines_from_disk", "alloc_hits", "alloc_misses",
                      "artifact_hits", "artifact_misses",
                      "artifact_stores"):
@@ -276,24 +247,16 @@ def _obtain_trace(name: str, fast: bool, cache: Optional[ArtifactCache],
 # Replay (layer 2 + layer 3).
 # ----------------------------------------------------------------------
 def replay_workload(trace: Trace, configs: Sequence[SystemConfig],
-                    memo: Optional[TranslationMemo] = None,
-                    name: str = "",
-                    engine: str = "auto") -> List[SystemMetrics]:
+                    name: str = "") -> List[SystemMetrics]:
     """Replay one trace under many configurations with shared
     translations.  Results are identical to independent
-    :func:`evaluate_trace` calls, whichever engine runs."""
-    resolved, _ = _resolve_engine(engine)
-    if resolved == "columnar":
-        return replay_trace_columnar(trace, configs, name=name)
-    memo = memo if memo is not None else TranslationMemo()
-    return [evaluate_trace(trace, config, name=name, memo=memo)
-            for config in configs]
+    :func:`evaluate_trace` calls."""
+    return replay_trace_columnar(trace, configs, name=name)
 
 
 def replay_matrix(traces: Mapping[str, Trace],
                   configs: Sequence[SystemConfig],
-                  cache: Optional[ArtifactCache] = None,
-                  engine: str = "auto"
+                  cache: Optional[ArtifactCache] = None
                   ) -> Dict[Tuple[str, int], SystemMetrics]:
     """Metrics for every (workload, configuration index) cell.
 
@@ -303,28 +266,19 @@ def replay_matrix(traces: Mapping[str, Trace],
     disk cache when the trace belongs to a named workload.
     """
     known = set(workload_names())
-    resolved, _ = _resolve_engine(engine)
     results: Dict[Tuple[str, int], SystemMetrics] = {}
     for name, trace in traces.items():
         cacheable = cache is not None and name in known
         keys = [metrics_artifact_key(cache, name, config)
                 if cacheable else None for config in configs]
-        memo: Optional[TranslationMemo] = None
         context: Optional[ColumnarContext] = None
         for index, config in enumerate(configs):
             metrics = cache.load(keys[index]) if cacheable else None
             if metrics is None:
-                if resolved == "columnar":
-                    if context is None:
-                        context = ColumnarContext(trace, name=name)
-                    metrics = evaluate_trace_columnar(trace, config,
-                                                      name=name,
-                                                      context=context)
-                else:
-                    if memo is None:
-                        memo = TranslationMemo()
-                    metrics = evaluate_trace(trace, config, name=name,
-                                             memo=memo)
+                if context is None:
+                    context = ColumnarContext(trace, name=name)
+                metrics = evaluate_trace_columnar(trace, config, name=name,
+                                                  context=context)
                 if cacheable:
                     cache.store(keys[index], metrics)
             results[(name, index)] = metrics
@@ -333,23 +287,21 @@ def replay_matrix(traces: Mapping[str, Trace],
 
 def _sweep_workload(name: str, configs: Sequence[SystemConfig],
                     fast: bool, cache: Optional[ArtifactCache],
-                    telemetry=None, engine: str = "auto"
+                    telemetry=None
                     ) -> Tuple[Dict[TimingModel, SystemMetrics],
                                List[SystemMetrics], SweepInstrumentation]:
     """All cells of one workload row, with maximal sharing.
 
     Returns the per-timing baselines, one accelerated metrics per
-    configuration, and the row's instrumentation counters.  An injected
+    configuration, and the row's instrumentation counters.  An enabled
     ``telemetry`` sink receives one ``sweep.cell_replayed`` event per
-    live cell plus (on the event engine) the engine-level event stream
-    of each replay; it never changes the metrics.
+    live cell plus the engine-level event stream of each replay, which
+    only the event engine emits, so an observing row replays there; it
+    never changes the metrics.
     """
     inst = SweepInstrumentation()
     trace: Optional[Trace] = None
     observing = telemetry is not None and telemetry.enabled
-    resolved, fell_back = _resolve_engine(engine, observing)
-    if fell_back:
-        inst.columnar_fallback += 1
 
     def ensure_trace() -> Trace:
         nonlocal trace
@@ -398,18 +350,19 @@ def _sweep_workload(name: str, configs: Sequence[SystemConfig],
     for index, config in enumerate(configs):
         if cell_metrics[index] is not None:
             continue
-        replay_start = time.perf_counter()
-        if resolved == "columnar":
-            ctx = ensure_context()
-            metrics = evaluate_trace_columnar(ctx.trace, config,
-                                              name=name, context=ctx)
-            inst.cells_columnar += 1
-        else:
+        if observing:
             body = ensure_trace()
             if memo is None:
                 memo = TranslationMemo()
+            replay_start = time.perf_counter()
             metrics = evaluate_trace(body, config, name=name, memo=memo,
                                      telemetry=telemetry)
+        else:
+            ctx = ensure_context()
+            replay_start = time.perf_counter()
+            metrics = evaluate_trace_columnar(ctx.trace, config,
+                                              name=name, context=ctx)
+            inst.cells_columnar += 1
         inst.replay_seconds += time.perf_counter() - replay_start
         inst.cells_replayed += 1
         if observing:
@@ -430,12 +383,14 @@ def _sweep_workload(name: str, configs: Sequence[SystemConfig],
             base = cache.load(
                 baseline_artifact_key(cache, name, config.timing))
         if base is None:
-            replay_start = time.perf_counter()
-            if resolved == "columnar":
-                base = baseline_metrics_columnar(ensure_context(),
-                                                 config.timing)
+            if observing:
+                body = ensure_trace()
+                replay_start = time.perf_counter()
+                base = baseline_metrics(body, config.timing)
             else:
-                base = baseline_metrics(ensure_trace(), config.timing)
+                ctx = ensure_context()
+                replay_start = time.perf_counter()
+                base = baseline_metrics_columnar(ctx, config.timing)
             inst.replay_seconds += time.perf_counter() - replay_start
             inst.baselines_computed += 1
             if cache is not None:
@@ -474,12 +429,11 @@ def _matrix_worker(args):
     the parent re-emits in task order, so the merged stream is
     deterministic regardless of worker scheduling.
     """
-    name, configs, fast, cache_root, events_max, engine = args
+    name, configs, fast, cache_root, events_max = args
     cache = ArtifactCache(cache_root) if cache_root is not None else None
     telemetry = Telemetry(events_max) if events_max is not None else None
     baselines, cell_metrics, inst = _sweep_workload(name, configs, fast,
-                                                    cache, telemetry,
-                                                    engine=engine)
+                                                    cache, telemetry)
     payload = telemetry.export_payload() if telemetry is not None else None
     return name, baselines, cell_metrics, inst, payload
 
@@ -550,8 +504,8 @@ def matrix_slice(matrix: MatrixResult,
     Because :func:`evaluate_matrix` cells are independent of which
     other configurations share the matrix, the slice's
     :meth:`MatrixResult.results_json` is byte-identical to evaluating
-    only ``configs`` (or to looping :func:`evaluate_suite`) — the
-    differential tests in ``tests/test_serve.py`` enforce this.
+    only ``configs`` — the differential tests in
+    ``tests/test_serve.py`` enforce this.
 
     Raises :class:`KeyError` if a requested configuration was not part
     of ``matrix``.  Instrumentation is shared with the parent matrix
@@ -570,27 +524,23 @@ def evaluate_matrix(configs: Sequence[SystemConfig],
                     fast: bool = False,
                     cache: Optional[ArtifactCache] = None,
                     cache_dir: Optional[Path] = None,
-                    telemetry: Optional[Telemetry] = None,
-                    engine: str = "auto") -> MatrixResult:
+                    telemetry: Optional[Telemetry] = None
+                    ) -> MatrixResult:
     """Evaluate the full workloads x configurations matrix.
 
-    Per-configuration rows of the result are byte-identical (as JSON) to
-    ``evaluate_suite(config, names)`` — the sharing layers never change
-    numbers, only wall-clock.  ``jobs > 1`` fans workload rows across a
-    process pool.  Pass ``cache`` (or ``cache_dir``) to persist and
-    reuse trace/baseline/metrics artifacts across processes.  Pass
+    Every cell is byte-identical (as JSON) to evaluating it alone with
+    the event-driven :func:`evaluate_trace` — the sharing layers never
+    change numbers, only wall-clock.  ``jobs > 1`` fans workload rows
+    across a process pool.  Pass ``cache`` (or ``cache_dir``) to persist
+    and reuse trace/baseline/metrics artifacts across processes.  Pass
     ``telemetry`` to collect the unified event stream and counters
     (:mod:`repro.obs`); results are identical with or without it, for
-    any ``jobs``.  ``engine`` selects the replay implementation (see
-    :func:`_resolve_engine`); every engine produces identical results.
+    any ``jobs``.
     """
     # deferred to dodge the repro.workloads.suite <-> repro.system cycle
     from repro.workloads.suite import SuiteResult, result_from_metrics
 
     start = time.perf_counter()
-    if engine not in ENGINES:
-        raise ValueError(f"unknown replay engine {engine!r}; "
-                         f"expected one of {ENGINES}")
     if cache is None and cache_dir is not None:
         cache = ArtifactCache(cache_dir)
     configs = list(configs)
@@ -610,8 +560,7 @@ def evaluate_matrix(configs: Sequence[SystemConfig],
             events_max = (telemetry.events.max_events
                           if telemetry.events is not None else 0)
         tasks = [(name, configs, fast,
-                  cache.root if cache is not None else None, events_max,
-                  engine)
+                  cache.root if cache is not None else None, events_max)
                  for name in names]
         with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
             for name, baselines, cells, row_inst, payload in pool.map(
@@ -623,7 +572,7 @@ def evaluate_matrix(configs: Sequence[SystemConfig],
     else:
         for name in names:
             baselines, cells, row_inst = _sweep_workload(
-                name, configs, fast, cache, telemetry, engine=engine)
+                name, configs, fast, cache, telemetry)
             rows[name] = (baselines, cells)
             inst.merge_counters(row_inst)
 

@@ -5,9 +5,10 @@ same :class:`~repro.dim.engine.DimEngine` the coupled simulator uses.
 Because block costs are static (see :mod:`repro.system.costmodel`) and
 DIM's state machine depends only on block identities and branch
 outcomes, the replay is cycle-exact with respect to the coupled
-simulator — the test suite asserts this — while being orders of
-magnitude faster, which is what makes the paper's 18-workload x
-18-configuration sweep tractable in pure Python.
+simulator — the test suite asserts this.  It is the event-by-event
+reference that the columnar engine (:mod:`repro.system.colreplay`) is
+tested against, and the engine an observing sweep runs, since only it
+emits the per-event engine telemetry stream.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.dim.engine import DimEngine, DimStats
 from repro.dim.memo import TranslationMemo
 from repro.isa.opcodes import InstrClass
 from repro.obs.schema import engine_counters
-from repro.sim.stats import TimingModel
+from repro.sim.stats import RunStats, TimingModel
 from repro.sim.trace import BasicBlock, Trace
 from repro.system.config import SystemConfig
 from repro.system.costmodel import BlockCostModel, shared_cost_model
@@ -52,6 +53,24 @@ class SystemMetrics:
     @property
     def cpi(self) -> float:
         return self.cycles / self.instructions if self.instructions else 0.0
+
+    @classmethod
+    def from_stats(cls, name: str, stats: RunStats,
+                   **dim_fields) -> "SystemMetrics":
+        """The core counters of a simulator run, plus any DIM fields.
+
+        A plain run's stats give exactly :func:`baseline_metrics` of its
+        trace; a coupled run's stats plus its DIM and cache counters
+        give exactly :func:`evaluate_trace` (asserted by the tests).
+        """
+        return cls(name=name, cycles=stats.cycles,
+                   instructions=stats.instructions, fetches=stats.fetches,
+                   loads=stats.loads, stores=stats.stores,
+                   branches=stats.branches,
+                   taken_transfers=stats.taken_transfers,
+                   load_use_stalls=stats.load_use_stalls,
+                   hilo_stalls=stats.hilo_stalls, syscalls=stats.syscalls,
+                   **dim_fields)
 
 
 def baseline_metrics(trace: Trace,
@@ -350,10 +369,3 @@ def evaluate_trace(trace: Trace, config: SystemConfig,
     if telemetry is not None and telemetry.enabled:
         telemetry.count_many(engine_counters(engine))
     return metrics
-
-
-def speedup(trace: Trace, config: SystemConfig) -> float:
-    """Baseline cycles divided by accelerated cycles for one trace."""
-    base = baseline_metrics(trace, config.timing)
-    accel = evaluate_trace(trace, config)
-    return base.cycles / accel.cycles if accel.cycles else 0.0

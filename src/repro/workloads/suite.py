@@ -13,12 +13,8 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.system.config import SystemConfig, paper_system
 from repro.system.energy import EnergyParams, energy_ratio
-from repro.system.traceeval import (
-    SystemMetrics,
-    baseline_metrics,
-    evaluate_trace,
-)
-from repro.workloads import run_workload, workload_names
+from repro.system.traceeval import SystemMetrics
+from repro.workloads import workload_names
 
 
 @dataclass(frozen=True)
@@ -77,9 +73,9 @@ def result_from_metrics(name: str, config: SystemConfig,
     """Fold (baseline, accelerated) metrics into one result row.
 
     This is the single place a :class:`WorkloadResult` is derived from
-    metrics: :func:`evaluate_suite` and the matrix sweep engine
-    (:mod:`repro.system.sweep`) both route through it, which is what
-    guarantees their JSON outputs agree byte for byte.
+    metrics: the matrix sweep engine (:mod:`repro.system.sweep`) and the
+    event-engine oracles of the tests both route through it, which is
+    what lets their JSON outputs be compared byte for byte.
     """
     return WorkloadResult(
         workload=name,
@@ -98,21 +94,6 @@ def result_from_metrics(name: str, config: SystemConfig,
     )
 
 
-def _evaluate_one(name: str, config: SystemConfig,
-                  energy_params: EnergyParams,
-                  fast: bool) -> WorkloadResult:
-    """Trace and evaluate a single workload (also the pool entry point)."""
-    plain = run_workload(name, fast=fast)
-    base = baseline_metrics(plain.trace, config.timing)
-    metrics = evaluate_trace(plain.trace, config, name=name)
-    return result_from_metrics(name, config, base, metrics, energy_params)
-
-
-def _suite_worker(args) -> WorkloadResult:
-    name, config, energy_params, fast = args
-    return _evaluate_one(name, config, energy_params, fast)
-
-
 def evaluate_suite(config: Optional[SystemConfig] = None,
                    names: Optional[Iterable[str]] = None,
                    energy_params: EnergyParams = EnergyParams(),
@@ -120,28 +101,21 @@ def evaluate_suite(config: Optional[SystemConfig] = None,
                    fast: bool = False) -> SuiteResult:
     """Evaluate workloads against ``config`` (default: C#2/64/spec).
 
-    Traces are computed once per process and cached by
-    :mod:`repro.workloads`, so repeated calls with different
-    configurations are cheap.  ``jobs > 1`` fans the per-workload
-    trace+evaluate work across a process pool; results are returned in
-    the same (requested) order and are numerically identical to the
-    serial path — both run :func:`_evaluate_one` — so the JSON output is
-    byte-identical regardless of ``jobs``.  ``fast`` traces workloads
-    through the block-compiled simulator (bit-identical by invariant).
+    The one-configuration column of
+    :func:`repro.system.sweep.evaluate_matrix`, so it shares that
+    engine, its in-process trace cache and its ``jobs`` process pool;
+    the JSON output is byte-identical for any ``jobs``.  ``fast``
+    traces workloads through the block-compiled simulator
+    (bit-identical by invariant).
     """
+    # deferred to dodge the repro.system.sweep <-> suite import cycle
+    from repro.system.sweep import evaluate_matrix
+
     config = config or paper_system("C2", 64, True)
     names = list(names) if names is not None else workload_names()
-    if jobs > 1 and len(names) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
-            results = list(pool.map(
-                _suite_worker,
-                [(name, config, energy_params, fast) for name in names]))
-    else:
-        results = [_evaluate_one(name, config, energy_params, fast)
-                   for name in names]
-    return SuiteResult(config.name, results)
+    return evaluate_matrix([config], names=names,
+                           energy_params=energy_params, jobs=jobs,
+                           fast=fast).suites[0]
 
 
 def format_suite(result: SuiteResult) -> str:

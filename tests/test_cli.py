@@ -1,5 +1,10 @@
 """The command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -111,3 +116,21 @@ def test_unknown_target():
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_cli_start_up_and_single_run_never_load_numpy():
+    """numpy is only imported by the columnar (matrix) engine, so the
+    CLI's start-up and a single ``repro run`` stay free of it."""
+    script = (
+        "import sys\n"
+        "import repro.cli\n"
+        "assert 'numpy' not in sys.modules, 'loaded by import'\n"
+        "code = repro.cli.main(['run', 'crc', '--array', 'C1',\n"
+        "                       '--slots', '16', '--fast'])\n"
+        "assert code == 0\n"
+        "assert 'numpy' not in sys.modules, 'loaded by run'\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

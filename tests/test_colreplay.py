@@ -4,12 +4,9 @@ The contract is the strongest one the sweep layer makes: for every
 workload and every system configuration, :func:`evaluate_trace_columnar`
 must return a :class:`SystemMetrics` *bit-identical* to the event-driven
 :func:`evaluate_trace` — same cycle counts, same DIM statistics, same
-energy inputs — and the engine-selection layer must fall back to the
-event engine (with identical results) whenever numpy is unavailable.
-
-The columnar tests skip cleanly on interpreters without numpy; the
-fallback tests run everywhere (``REPRO_NO_NUMPY=1`` disables numpy even
-when it is installed, so the pure-Python path is exercised either way).
+energy inputs — and every matrix entry point built on it (the sweep
+API and the ``repro sweep`` CLI) must match the event-engine oracle of
+``tests/oracle.py`` byte for byte.
 """
 
 import dataclasses
@@ -26,29 +23,20 @@ from repro.sim.coltrace import COLTRACE_FORMAT, ColumnarTrace
 from repro.system.colreplay import (
     ColumnarContext,
     baseline_metrics_columnar,
-    columnar_available,
     evaluate_trace_columnar,
     replay_trace_columnar,
 )
 from repro.system.config import PAPER_SHAPES, custom_system, paper_system
-from repro.system.sweep import (
-    ENGINES,
-    _resolve_engine,
-    evaluate_matrix,
-    replay_workload,
-)
+from repro.system.sweep import replay_workload
 from repro.system.traceeval import baseline_metrics, evaluate_trace
 from repro.workloads import run_workload, workload_names
+from tests.oracle import event_matrix
 
 try:
     from hypothesis import given, settings, strategies as st
     HAVE_HYPOTHESIS = True
 except ImportError:
     HAVE_HYPOTHESIS = False
-
-HAVE_NUMPY = columnar_available()
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="columnar engine needs numpy")
 
 
 def grid_configs():
@@ -74,7 +62,6 @@ def assert_same_metrics(columnar, event):
 # ----------------------------------------------------------------------
 # The core bit-identity bar: every workload x a representative grid.
 # ----------------------------------------------------------------------
-@needs_numpy
 @pytest.mark.parametrize("name", workload_names())
 def test_columnar_matches_event_engine(name):
     trace = run_workload(name, fast=True).trace
@@ -93,19 +80,17 @@ def test_columnar_matches_event_engine(name):
                 baseline_metrics(trace, config.timing))
 
 
-@needs_numpy
 def test_replay_workload_engines_identical():
     trace = run_workload("crc", fast=True).trace
     configs = grid_configs()
-    event = replay_workload(trace, configs, name="crc", engine="event")
-    columnar = replay_workload(trace, configs, name="crc",
-                               engine="columnar")
+    event = [evaluate_trace(trace, config, name="crc")
+             for config in configs]
+    columnar = replay_workload(trace, configs, name="crc")
     assert len(event) == len(columnar) == len(configs)
     for col, ev in zip(columnar, event):
         assert_same_metrics(col, ev)
 
 
-@needs_numpy
 def test_replay_trace_columnar_shares_one_context():
     trace = run_workload("quicksort", fast=True).trace
     configs = grid_configs()
@@ -118,7 +103,6 @@ def test_replay_trace_columnar_shares_one_context():
             metrics)
 
 
-@needs_numpy
 def test_columnar_metrics_json_serialisable():
     """Every metric must be a plain int/float — numpy scalars would
     break the deterministic JSON reports."""
@@ -131,7 +115,6 @@ def test_columnar_metrics_json_serialisable():
 # ----------------------------------------------------------------------
 # The persisted columnar lowering.
 # ----------------------------------------------------------------------
-@needs_numpy
 def test_coltrace_payload_roundtrip():
     trace = run_workload("crc", fast=True).trace
     lowered = ColumnarTrace(trace)
@@ -151,7 +134,6 @@ def test_coltrace_payload_roundtrip():
         evaluate_trace(trace, config, name="crc"))
 
 
-@needs_numpy
 def test_coltrace_payload_stale_detection():
     trace = run_workload("crc", fast=True).trace
     good = ColumnarTrace(trace).to_payload()
@@ -164,69 +146,23 @@ def test_coltrace_payload_stale_detection():
     assert good["version"] == COLTRACE_FORMAT
 
 
-# ----------------------------------------------------------------------
-# Engine selection and the pure-Python fallback.
-# ----------------------------------------------------------------------
-def test_resolve_engine_rules():
-    assert ENGINES == ("auto", "event", "columnar")
-    with pytest.raises(ValueError):
-        _resolve_engine("vector")
-    assert _resolve_engine("event") == ("event", False)
-    # an observing sweep needs the event-level telemetry stream
-    assert _resolve_engine("auto", observing=True) == ("event", False)
-
-
-def test_evaluate_matrix_rejects_unknown_engine():
-    with pytest.raises(ValueError):
-        evaluate_matrix([paper_system("C1", 16, False)], names=["crc"],
-                        engine="vector")
-
-
-def test_engine_fallback_without_numpy(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    assert not columnar_available()
-    assert _resolve_engine("columnar") == ("event", True)
-    configs = [paper_system("C1", 16, False)]
-    auto = evaluate_matrix(configs, names=["crc"], fast=True)
-    forced = evaluate_matrix(configs, names=["crc"], fast=True,
-                             engine="columnar")
-    assert forced.results_json() == auto.results_json()
-    assert forced.instrumentation.columnar_fallback >= 1
-    assert forced.instrumentation.cells_columnar == 0
-    assert forced.instrumentation.counters()["sweep.columnar_fallback"] >= 1
-
-
-@needs_numpy
-def test_results_identical_with_and_without_numpy(monkeypatch):
-    configs = [paper_system("C1", 16, False),
-               paper_system("C3", 64, True)]
-    with_numpy = evaluate_matrix(configs, names=["crc"], fast=True)
-    assert with_numpy.instrumentation.cells_columnar == len(configs)
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    without_numpy = evaluate_matrix(configs, names=["crc"], fast=True)
-    assert without_numpy.instrumentation.cells_columnar == 0
-    assert with_numpy.results_json() == without_numpy.results_json()
-
-
 def test_columnar_counters_in_schema():
     assert SWEEP_COUNTERS["sweep.cells_columnar"] == "cells_columnar"
-    assert SWEEP_COUNTERS["sweep.columnar_fallback"] == "columnar_fallback"
 
 
 # ----------------------------------------------------------------------
-# CLI engine flag.
+# The CLI sweep against the event-engine oracle.
 # ----------------------------------------------------------------------
-@needs_numpy
-def test_cli_engine_flag_byte_identical(tmp_path):
-    reports = {}
-    for engine in ("event", "columnar"):
-        out = tmp_path / f"{engine}.json"
-        code = main(["sweep", "--only", "crc", "--arrays", "C1",
-                     "--slots", "16", "--fast", "--no-cache",
-                     "--engine", engine, "--json", str(out)])
-        assert code == 0
-        reports[engine] = out.read_bytes()
-    assert reports["event"] == reports["columnar"]
+def test_cli_sweep_matches_event_oracle(tmp_path):
+    out = tmp_path / "sweep.json"
+    code = main(["sweep", "--only", "crc", "--arrays", "C1,C3",
+                 "--slots", "16", "--spec", "both", "--fast",
+                 "--no-cache", "--json", str(out)])
+    assert code == 0
+    configs = [paper_system(array, 16, spec)
+               for array in ("C1", "C3") for spec in (False, True)]
+    oracle = event_matrix(configs, ["crc"], fast=True)
+    assert out.read_text() == oracle.results_json()
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +204,6 @@ int main() {{
 }}
 """
 
-    @needs_numpy
     @settings(max_examples=10, deadline=None)
     @given(_branchy_programs(),
            st.sampled_from(["C1/4/spec", "C2/16/spec", "C3/64/nospec",

@@ -29,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro import api
+from tests.oracle import event_matrix
 from repro.corpus import (
     Corpus,
     CorpusKnobs,
@@ -320,9 +321,8 @@ def test_corpus_byte_identical_across_engines_serve_and_fleet(corpus24):
     config = api.SystemSpec(array="C2", slots=64,
                             speculation=True).build()
 
-    event = api.sweep([config], names=names, fast=True, engine="event")
-    columnar = api.sweep([config], names=names, fast=True,
-                         engine="columnar")
+    event = event_matrix([config], names, fast=True)
+    columnar = api.sweep([config], names=names, fast=True)
     assert event.results_json() == columnar.results_json()
 
     # Inline serve: one sweep job over the whole corpus.

@@ -37,21 +37,15 @@ from repro.obs import EVENT_TYPES, Telemetry, engine_counters
 from repro.obs.schema import DYNFLOW_COUNTERS
 from repro.sim import Simulator, run_program
 from repro.system import evaluate_trace, paper_system
-from repro.system.colreplay import (
-    ColumnarContext,
-    columnar_available,
-    evaluate_trace_columnar,
-)
+from repro.system.colreplay import ColumnarContext, evaluate_trace_columnar
 from repro.system.coupled import run_coupled
+from tests.oracle import event_matrix
 
 try:
     from hypothesis import given, settings, strategies as st
     HAVE_HYPOTHESIS = True
 except ImportError:
     HAVE_HYPOTHESIS = False
-
-needs_numpy = pytest.mark.skipif(not columnar_available(),
-                                 reason="columnar engine needs numpy")
 
 MODES = ("off", "loop", "dual", "both")
 
@@ -391,7 +385,6 @@ def test_dual_retires_once_the_branch_saturates():
 # ----------------------------------------------------------------------
 # 4. Columnar byte-identity.
 # ----------------------------------------------------------------------
-@needs_numpy
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_columnar_matches_event_engine_per_mode(plain_runs, name):
     _, plain = plain_runs[name]
@@ -411,7 +404,6 @@ def test_columnar_matches_event_engine_per_mode(plain_runs, name):
                 == dataclasses.asdict(event), (base.name, mode)
 
 
-@needs_numpy
 def test_columnar_matches_event_engine_nondefault_knobs(plain_runs):
     _, plain = plain_runs["loops"]
     context = ColumnarContext(plain.trace, name="loops")
@@ -445,7 +437,6 @@ def dynflow_corpus_names():
     unregister_generated()  # keep the registry clean for later modules
 
 
-@needs_numpy
 def test_dynflow_profiles_byte_identical_across_engines(
         dynflow_corpus_names):
     shape = ArrayShape(rows=16, alus_per_row=4, mults_per_row=2,
@@ -455,10 +446,8 @@ def test_dynflow_profiles_byte_identical_across_engines(
             cache_slots=16, speculation=True,
             dynflow_mode=mode)).build()
         for mode in MODES]
-    event = api.sweep(configs, names=dynflow_corpus_names, fast=True,
-                      engine="event")
-    columnar = api.sweep(configs, names=dynflow_corpus_names, fast=True,
-                         engine="columnar")
+    event = event_matrix(configs, dynflow_corpus_names, fast=True)
+    columnar = api.sweep(configs, names=dynflow_corpus_names, fast=True)
     assert event.results_json() == columnar.results_json()
 
 
@@ -588,7 +577,6 @@ int main() {{
         assert metrics.dim.loop_configs >= metrics.dim.loop_retired
         assert metrics.dim.dual_configs >= metrics.dim.dual_retired
 
-    @needs_numpy
     @settings(max_examples=8, deadline=None)
     @given(_looping_programs(), st.sampled_from(MODES[1:]))
     def test_random_trace_columnar_differential(source, mode):

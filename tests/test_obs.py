@@ -254,6 +254,10 @@ def test_sweep_json_identical_with_and_without_telemetry():
     observed = evaluate_matrix(configs, names=names, fast=True,
                                telemetry=Telemetry())
     assert bare.results_json() == observed.results_json()
+    # only the event engine emits the per-event stream an enabled sink
+    # asks for
+    assert bare.instrumentation.cells_columnar == 4
+    assert observed.instrumentation.cells_columnar == 0
 
 
 def test_parallel_telemetry_matches_serial():

@@ -1,9 +1,10 @@
 """The matrix sweep engine: transparency of all three sharing layers.
 
 The contract under test is strong: :func:`evaluate_matrix` must produce
-JSON *byte-identical* to looping :func:`evaluate_suite` over the same
-configurations — serial or parallel, cold or warm artifact cache — and
-the memoization layers must never change a single metric.
+JSON *byte-identical* to evaluating every cell alone on the event
+engine (``tests/oracle.py``) and to looping :func:`evaluate_suite` over
+the same configurations — serial or parallel, cold or warm artifact
+cache — and the memoization layers must never change a single metric.
 """
 
 import pickle
@@ -24,6 +25,7 @@ from repro.system.sweep import (
 from repro.system.traceeval import evaluate_trace
 from repro.workloads import run_workload
 from repro.workloads.suite import evaluate_suite
+from tests.oracle import event_matrix
 
 WORKLOADS = ("crc", "sha", "quicksort")
 
@@ -46,6 +48,27 @@ def test_matrix_matches_looped_suite():
     for config in configs:
         suite = evaluate_suite(config, names=WORKLOADS, fast=True)
         assert matrix.suite(config.name).to_json() == suite.to_json()
+    oracle = event_matrix(configs, WORKLOADS, fast=True)
+    assert matrix.results_json() == oracle.results_json()
+
+
+def test_serial_cold_sweep_phases_fit_in_total(monkeypatch):
+    """A silent sweep replays columnar, and trace time is not also
+    counted as replay time."""
+    import repro.system.sweep as sweep
+    import repro.workloads as workloads
+
+    monkeypatch.setattr(workloads, "_RUNS", {})
+    monkeypatch.setattr(sweep, "_DISK_TRACES", {})
+    monkeypatch.setattr(sweep, "_COL_CONTEXTS", {})
+    configs = [paper_system(array, slots, spec)
+               for array in ("C1", "C3") for spec in (False, True)
+               for slots in (16, 64)]
+    inst = evaluate_matrix(configs, names=["crc", "sha", "bitcount"],
+                           fast=True).instrumentation
+    assert inst.traces_simulated == 3
+    assert inst.cells_columnar == inst.cells_replayed == 24
+    assert inst.trace_seconds + inst.replay_seconds <= inst.total_seconds
 
 
 def test_parallel_matches_serial():

@@ -4,18 +4,27 @@
    architectural state and program output to the plain MIPS core.
 2. The trace-driven evaluator produces *cycle-identical* results to the
    coupled simulator, for every array shape and DIM policy.
+3. ``repro.api.run``, which reads its metrics off the plain and the
+   coupled run, returns exactly the metrics the event-driven oracles
+   (``baseline_metrics``/``evaluate_trace``) compute from the trace.
 """
+
+import dataclasses
 
 import pytest
 
+from repro import api
+from repro.dim.params import DimParams
 from repro.minic import compile_to_program
 from repro.sim import run_program
 from repro.system import (
+    PAPER_SHAPES,
     CoupledSimulator,
     baseline_metrics,
     evaluate_trace,
     paper_system,
 )
+from repro.system.config import SystemSpec
 from repro.system.coupled import run_coupled
 
 # A program mix designed to stress every DIM mechanism: biased loops
@@ -100,6 +109,8 @@ CONFIGS = [
     paper_system("C3", 64, False),
     paper_system("C3", 256, True),
     paper_system("ideal", speculation=True),
+    SystemSpec.of(PAPER_SHAPES["C2"], DimParams(
+        cache_slots=16, speculation=True, dynflow_mode="both")).build(),
 ]
 
 
@@ -146,6 +157,19 @@ def test_coupled_is_bit_exact_and_trace_is_cycle_exact(plain_runs, name,
     assert dim_t.translations == dim_c.translations
     assert metrics.cache_hits == coupled.cache_hits
     assert metrics.cache_lookups == coupled.cache_lookups
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+@pytest.mark.parametrize("config_idx", range(len(CONFIGS)))
+def test_run_metrics_match_the_event_oracles(plain_runs, name,
+                                             config_idx):
+    config = CONFIGS[config_idx]
+    program, plain = plain_runs[name]
+    comparison = api.run(program, config=config, fast=True)
+    assert dataclasses.asdict(comparison.metrics) \
+        == dataclasses.asdict(evaluate_trace(plain.trace, config))
+    assert dataclasses.asdict(comparison.baseline) \
+        == dataclasses.asdict(baseline_metrics(plain.trace, config.timing))
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))

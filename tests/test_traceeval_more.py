@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro import api
 from repro.minic import compile_to_program
 from repro.sim import run_program
 from repro.system import (
     baseline_metrics,
     evaluate_trace,
     paper_system,
-    speedup,
 )
 from repro.system.coupled import run_coupled
 from repro.workloads import load_workload, run_workload
@@ -33,9 +33,9 @@ def small_run():
 
 
 def test_speedup_helper(small_run):
-    _, plain = small_run
-    value = speedup(plain.trace, paper_system("C3", 64, True))
-    assert value > 1.0
+    program, _ = small_run
+    comparison = api.run(program, config=paper_system("C3", 64, True))
+    assert comparison.speedup > 1.0
 
 
 def test_single_slot_cache_thrashes_but_stays_correct(small_run):
