@@ -156,8 +156,9 @@ def test_fleet_throughput_and_byte_identity(tmp_path, capsys):
         cfg = spec["configs"][0]
         cell = (name, cfg["array"], cfg["slots"], cfg["speculation"])
         if cell not in offline:
-            config = api.build_config(cfg["array"], cfg["slots"],
-                                      cfg["speculation"])
+            config = api.SystemSpec(
+                array=cfg["array"], slots=cfg["slots"],
+                speculation=cfg["speculation"]).build()
             offline[cell] = api.evaluate(config, names=[name],
                                          fast=True).to_json()
 

@@ -67,9 +67,9 @@ def test_service_burst_vs_cold_calls(capsys):
     offline = []
     for array, slots, spec in CONFIG_SPECS:
         _evict_workload_caches()
-        offline.append(api.evaluate(api.build_config(array, slots,
-                                                     spec),
-                                    names=NAMES, fast=True))
+        config = api.SystemSpec(array=array, slots=slots,
+                                speculation=spec).build()
+        offline.append(api.evaluate(config, names=NAMES, fast=True))
     sequential_seconds = time.perf_counter() - start
 
     # -- the service: one burst over HTTP ------------------------------

@@ -31,9 +31,6 @@ the advertised entry points:
   connected serve/fleet endpoint (:mod:`repro.traffic`) and report
   latency percentiles, coalescing and shed rates.
 
-:func:`build_config` remains as a deprecated shim over
-``SystemSpec(array=...).build()``.
-
 All verbs accept an optional :class:`repro.obs.Telemetry` sink where
 observation makes sense; telemetry never changes any returned number.
 
@@ -68,22 +65,6 @@ from repro.workloads.suite import SuiteResult, evaluate_suite
 
 #: a target: workload name, ``.s``/``.asm``/``.c`` path, or a Program.
 Target = Union[str, Program]
-
-
-def build_config(array: str = "C3", slots: int = 64,
-                 speculation: bool = False) -> SystemConfig:
-    """Build a system configuration from Table 1's array names.
-
-    .. deprecated:: 1.2
-        A thin back-compat shim over the canonical
-        :class:`repro.system.config.SystemSpec`; new code should write
-        ``SystemSpec(array=array, slots=slots,
-        speculation=speculation).build()``, which also covers arbitrary
-        geometries (the shape form).  Raises :class:`ValueError` naming
-        the valid arrays on an unknown ``array``.
-    """
-    return SystemSpec(array=array, slots=slots,
-                      speculation=speculation).build()
 
 
 def load_target(target: Target) -> Program:
@@ -173,9 +154,9 @@ def sweep(configs: Optional[Sequence[SystemConfig]] = None,
 
     Defaults to the paper's full Table 2 matrix
     (:func:`repro.system.sweep.paper_matrix`).  Cells replay on the
-    columnar engine, or on the event engine when an enabled
-    ``telemetry`` sink asks for its per-event stream; results are
-    identical either way.
+    columnar engine, observed or not; an enabled ``telemetry`` sink
+    collects each live cell's engine counters and never changes a
+    result.
     """
     configs = list(configs) if configs is not None else paper_matrix()
     return evaluate_matrix(configs, names=names, jobs=jobs, fast=fast,
@@ -300,7 +281,6 @@ __all__ = [
     "DimParams",
     "RunComparison",
     "SystemSpec",
-    "build_config",
     "connect",
     "corpus",
     "explore",

@@ -66,10 +66,9 @@ def default_immediate_slots(rows: int) -> int:
 
     Two slots per line, so lines — not immediates — are the binding
     resource (the paper never reports immediate-table saturation).
-    This is the single home of that convention: the shape-search grid
-    (:mod:`repro.analysis.shape_search`) and the DSE parameter space
-    (:mod:`repro.dse.space`) both derive unpinned immediate tables
-    through it.
+    This is the single home of that convention: the DSE parameter space
+    (:mod:`repro.dse.space`) and the shape-search benchmark grid both
+    derive unpinned immediate tables through it.
     """
     return 2 * rows
 

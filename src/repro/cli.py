@@ -455,8 +455,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"traces     : {inst.traces_simulated} simulated, "
           f"{inst.traces_from_disk} from disk, "
           f"{inst.traces_in_memory} in memory")
-    print(f"cells      : {inst.cells_replayed} replayed "
-          f"({inst.cells_columnar} columnar), "
+    print(f"cells      : {inst.cells_replayed} replayed, "
           f"{inst.cells_from_disk} from disk artifacts")
     print(f"alloc memo : {inst.alloc_hit_rate:.1%} hit rate "
           f"({inst.alloc_hits:,} hits)")

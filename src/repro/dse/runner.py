@@ -14,9 +14,10 @@ workload-set) so strategies may re-request points for free:
   bit-identical floats (JSON round-trips floats exactly), which is what
   makes the frontier byte-identical across them.
 - :class:`TraceRunner` — evaluates against caller-supplied traces with
-  the exact float-operation sequence the historical
-  ``analysis.shape_search.search_shapes`` used, so its back-compat
-  wrapper reproduces pre-``repro.dse`` outputs to the last bit.
+  the exact float-operation sequence of the original exhaustive shape
+  search (per-workload speedups multiplied in trace order, then one
+  root), so it reproduces pre-``repro.dse`` shape rankings to the last
+  bit.
 
 Everything either runner observes flows through the ``dse.*`` namespace
 of :mod:`repro.obs` (counters via :class:`DseStats`, events via the
@@ -258,11 +259,10 @@ class MatrixRunner(_RunnerBase):
 class TraceRunner(_RunnerBase):
     """Evaluate candidates against pre-simulated traces.
 
-    This is the engine behind the
-    :func:`repro.analysis.shape_search.search_shapes` back-compat
-    wrapper, so it deliberately replays that function's exact float
-    arithmetic: per-workload speedups multiplied in trace-dict order,
-    then one ``** (1/n)`` — same operations, same order, same bits.
+    It deliberately replays the original exhaustive shape search's
+    exact float arithmetic: per-workload speedups multiplied in
+    trace-dict order, then one ``** (1/n)`` — same operations, same
+    order, same bits.
     Each workload keeps one shared
     :class:`~repro.system.colreplay.ColumnarContext` across every
     candidate.

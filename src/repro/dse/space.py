@@ -12,8 +12,8 @@ point, price a point with the Table 3 area model, and build the
 
 Constraints (currently: a total-gate area budget) are part of the space,
 not of the strategies — every enumeration/sampling/neighbourhood call
-returns only feasible points, so a tight budget makes any search cheap,
-exactly like the old ``analysis.shape_search`` pre-simulation pruning.
+returns only feasible points, so a tight budget makes any search cheap:
+infeasible points are pruned before any simulation happens.
 
 Spaces are declarative data: :meth:`ParameterSpace.to_dict` /
 :meth:`ParameterSpace.from_dict` round-trip through JSON, which is what
@@ -148,9 +148,9 @@ class ParameterSpace:
     """The joint search space plus its feasibility constraints.
 
     Either ``axes`` (a cartesian grid) or ``explicit`` (a fixed candidate
-    list, used by the :mod:`repro.analysis.shape_search` back-compat
-    wrapper) describes the raw points; ``area_budget_gates`` prunes the
-    infeasible ones before any evaluation happens.
+    list, see :meth:`for_shapes`) describes the raw points;
+    ``area_budget_gates`` prunes the infeasible ones before any
+    evaluation happens.
     """
 
     axes: Tuple[Axis, ...] = ()
@@ -310,9 +310,9 @@ class ParameterSpace:
                    area_budget_gates: Optional[int] = None,
                    area_params: AreaParams = AreaParams()
                    ) -> "ParameterSpace":
-        """An explicit space over a fixed shape list (no dim axes) —
-        the form :func:`repro.analysis.shape_search.search_shapes`
-        wraps."""
+        """An explicit space over a fixed shape list (no dim axes), in
+        list order — the form a plain shape search scores with a
+        :class:`~repro.dse.runner.TraceRunner`."""
         explicit = tuple(
             Candidate.of({name: getattr(shape, name)
                           for name in SHAPE_AXES})

@@ -44,6 +44,7 @@ from repro.obs.schema import (
     dse_timers,
     dynflow_counters,
     engine_counters,
+    metrics_counters,
     mpsoc_counters,
     mpsoc_timers,
     predictor_counters,
@@ -70,6 +71,7 @@ __all__ = [
     "dse_timers",
     "dynflow_counters",
     "engine_counters",
+    "metrics_counters",
     "mpsoc_counters",
     "mpsoc_timers",
     "predictor_counters",

@@ -88,7 +88,6 @@ SWEEP_COUNTERS = {
     "sweep.traces_in_memory": "traces_in_memory",
     "sweep.cells_replayed": "cells_replayed",
     "sweep.cells_from_disk": "cells_from_disk",
-    "sweep.cells_columnar": "cells_columnar",
     "sweep.baselines_computed": "baselines_computed",
     "sweep.baselines_from_disk": "baselines_from_disk",
     "sweep.alloc_hits": "alloc_hits",
@@ -249,6 +248,20 @@ def engine_counters(engine) -> Dict[str, int]:
     counters.update(dynflow_counters(engine.stats))
     counters.update(rcache_counters(engine.cache))
     counters.update(predictor_counters(engine.predictor))
+    return counters
+
+
+def metrics_counters(metrics, predictor) -> Dict[str, int]:
+    """The :func:`engine_counters` of the engine that produced one cell,
+    read back from its :class:`~repro.system.traceeval.SystemMetrics`
+    (``dim`` and the ``cache_*`` fields) and a predictor-like
+    ``updates``/``hits`` carrier, such as the workload's
+    :class:`~repro.sim.coltrace.PredictorTimeline`."""
+    counters = dim_counters(metrics.dim)
+    counters.update(dynflow_counters(metrics.dim))
+    counters.update({name: getattr(metrics, "cache_" + attr)
+                     for name, attr in RCACHE_COUNTERS.items()})
+    counters.update(predictor_counters(predictor))
     return counters
 
 

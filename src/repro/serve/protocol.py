@@ -346,19 +346,6 @@ def system_spec(spec: ConfigSpec):
                       dim_extras=tuple(extras))
 
 
-def config_from_spec(spec: ConfigSpec):
-    """Build the :class:`~repro.system.config.SystemConfig` one
-    normalised spec denotes.
-
-    .. deprecated:: 1.2
-        A thin back-compat shim: new code should write
-        ``system_spec(spec).build()`` (or construct a
-        :class:`~repro.system.config.SystemSpec` directly from the wire
-        dict with ``SystemSpec.from_dict``).
-    """
-    return system_spec(spec).build()
-
-
 def _validate_names(raw: object) -> Optional[Tuple[str, ...]]:
     if raw is None:
         return None

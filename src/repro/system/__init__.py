@@ -13,8 +13,7 @@ Three execution paths produce identical cycle counts, one per job:
 - :func:`repro.system.traceeval.evaluate_trace` replays a basic-block
   trace event by event through the same
   :class:`repro.dim.engine.DimEngine` — the reference the other two
-  are tested against, and the engine of a sweep observed by a
-  telemetry sink.
+  are tested against.
 
 :mod:`repro.system.config` holds Table 1's array shapes,
 :mod:`repro.system.energy` the event-based power/energy model

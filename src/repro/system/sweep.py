@@ -27,9 +27,9 @@ layers:
 All three layers are transparent: :func:`evaluate_matrix` output is
 byte-identical to looping the event-driven reference
 :func:`repro.system.traceeval.evaluate_trace` over the same cells,
-serial or parallel, cold or warm cache — the test suite asserts this.
-A sweep with an enabled telemetry sink replays on that event engine,
-because only it emits the per-event engine telemetry stream.
+serial or parallel, cold or warm cache, observed or silent — the test
+suite asserts this.  An observed sweep runs the same columnar code and
+reads each live cell's engine counters off its metrics.
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ from typing import (
     Tuple,
 )
 
-from repro.dim.memo import TranslationMemo
 from repro.obs import Telemetry
-from repro.obs.schema import sweep_counters, sweep_timers
+from repro.obs.schema import metrics_counters, sweep_counters, sweep_timers
 from repro.sim.coltrace import ColumnarTrace
 from repro.sim.stats import TimingModel
 from repro.sim.trace import Trace
@@ -68,11 +67,7 @@ from repro.system.config import (
     paper_system,
 )
 from repro.system.energy import EnergyParams
-from repro.system.traceeval import (
-    SystemMetrics,
-    baseline_metrics,
-    evaluate_trace,
-)
+from repro.system.traceeval import SystemMetrics
 from repro.workloads import get_workload, run_workload, workload_names
 
 if TYPE_CHECKING:
@@ -125,11 +120,10 @@ class SweepInstrumentation:
     #: per-cell outcome: replayed live vs served from disk artifacts.
     cells_replayed: int = 0
     cells_from_disk: int = 0
-    #: of the replayed cells, how many ran on the columnar engine.
-    cells_columnar: int = 0
     baselines_computed: int = 0
     baselines_from_disk: int = 0
-    #: translation-memo totals across all workloads.
+    #: columnar translation-reuse totals across all workloads
+    #: (:attr:`ColumnarContext.alloc_hits` / ``alloc_misses``).
     alloc_hits: int = 0
     alloc_misses: int = 0
     #: artifact-cache totals (trace + baseline + metrics lookups).
@@ -168,8 +162,7 @@ class SweepInstrumentation:
         for name in ("trace_seconds", "replay_seconds",
                      "traces_simulated", "traces_from_disk",
                      "traces_in_memory", "cells_replayed",
-                     "cells_from_disk", "cells_columnar",
-                     "baselines_computed",
+                     "cells_from_disk", "baselines_computed",
                      "baselines_from_disk", "alloc_hits", "alloc_misses",
                      "artifact_hits", "artifact_misses",
                      "artifact_stores"):
@@ -295,19 +288,12 @@ def _sweep_workload(name: str, configs: Sequence[SystemConfig],
     Returns the per-timing baselines, one accelerated metrics per
     configuration, and the row's instrumentation counters.  An enabled
     ``telemetry`` sink receives one ``sweep.cell_replayed`` event per
-    live cell plus the engine-level event stream of each replay, which
-    only the event engine emits, so an observing row replays there; it
-    never changes the metrics.
+    live cell and that cell's ``dim.*``/``dynflow.*``/``rcache.*``/
+    ``predictor.*`` counters, read off its metrics and the workload's
+    predictor timeline; it never changes the metrics.
     """
     inst = SweepInstrumentation()
-    trace: Optional[Trace] = None
     observing = telemetry is not None and telemetry.enabled
-
-    def ensure_trace() -> Trace:
-        nonlocal trace
-        if trace is None:
-            trace = _obtain_trace(name, fast, cache, inst)
-        return trace
 
     # shared columnar state: one lowered trace + translation caches per
     # workload, reused across sweeps while the trace object persists,
@@ -319,7 +305,7 @@ def _sweep_workload(name: str, configs: Sequence[SystemConfig],
     def ensure_context() -> ColumnarContext:
         nonlocal context, coltrace_loaded, timelines_loaded
         if context is None:
-            body = ensure_trace()
+            body = _obtain_trace(name, fast, cache, inst)
             cached_context = _COL_CONTEXTS.get(name)
             if cached_context is not None and cached_context.trace is body:
                 context = cached_context
@@ -339,7 +325,6 @@ def _sweep_workload(name: str, configs: Sequence[SystemConfig],
 
     # accelerated metrics, one per configuration, disk-cached per cell
     cell_metrics: List[Optional[SystemMetrics]] = []
-    memo: Optional[TranslationMemo] = None
     for config in configs:
         metrics = None
         if cache is not None:
@@ -350,24 +335,18 @@ def _sweep_workload(name: str, configs: Sequence[SystemConfig],
     for index, config in enumerate(configs):
         if cell_metrics[index] is not None:
             continue
-        if observing:
-            body = ensure_trace()
-            if memo is None:
-                memo = TranslationMemo()
-            replay_start = time.perf_counter()
-            metrics = evaluate_trace(body, config, name=name, memo=memo,
-                                     telemetry=telemetry)
-        else:
-            ctx = ensure_context()
-            replay_start = time.perf_counter()
-            metrics = evaluate_trace_columnar(ctx.trace, config,
-                                              name=name, context=ctx)
-            inst.cells_columnar += 1
+        ctx = ensure_context()
+        replay_start = time.perf_counter()
+        metrics = evaluate_trace_columnar(ctx.trace, config, name=name,
+                                          context=ctx)
         inst.replay_seconds += time.perf_counter() - replay_start
         inst.cells_replayed += 1
         if observing:
             telemetry.emit("sweep.cell_replayed", workload=name,
                            system=config.name, cycles=metrics.cycles)
+            telemetry.count_many(metrics_counters(
+                metrics,
+                ctx.coltrace.timeline(config.dim.predictor_entries)))
         if cache is not None:
             cache.store(metrics_artifact_key(cache, name, config),
                         metrics)
@@ -383,14 +362,9 @@ def _sweep_workload(name: str, configs: Sequence[SystemConfig],
             base = cache.load(
                 baseline_artifact_key(cache, name, config.timing))
         if base is None:
-            if observing:
-                body = ensure_trace()
-                replay_start = time.perf_counter()
-                base = baseline_metrics(body, config.timing)
-            else:
-                ctx = ensure_context()
-                replay_start = time.perf_counter()
-                base = baseline_metrics_columnar(ctx, config.timing)
+            ctx = ensure_context()
+            replay_start = time.perf_counter()
+            base = baseline_metrics_columnar(ctx, config.timing)
             inst.replay_seconds += time.perf_counter() - replay_start
             inst.baselines_computed += 1
             if cache is not None:
@@ -401,9 +375,6 @@ def _sweep_workload(name: str, configs: Sequence[SystemConfig],
             inst.baselines_from_disk += 1
         baselines[config.timing] = base
 
-    if memo is not None:
-        inst.alloc_hits += memo.hits
-        inst.alloc_misses += memo.misses
     if context is not None:
         inst.alloc_hits += context.alloc_hits
         inst.alloc_misses += context.alloc_misses
@@ -533,9 +504,11 @@ def evaluate_matrix(configs: Sequence[SystemConfig],
     change numbers, only wall-clock.  ``jobs > 1`` fans workload rows
     across a process pool.  Pass ``cache`` (or ``cache_dir``) to persist
     and reuse trace/baseline/metrics artifacts across processes.  Pass
-    ``telemetry`` to collect the unified event stream and counters
-    (:mod:`repro.obs`); results are identical with or without it, for
-    any ``jobs``.
+    ``telemetry`` to collect one ``sweep.cell_replayed`` event and the
+    engine counters of every live cell plus the ``sweep.*`` counters and
+    timers (:mod:`repro.obs`); an observed matrix runs the same columnar
+    code as a silent one, so results are identical with or without it,
+    for any ``jobs``.
     """
     # deferred to dodge the repro.workloads.suite <-> repro.system cycle
     from repro.workloads.suite import SuiteResult, result_from_metrics

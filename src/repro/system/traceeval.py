@@ -7,8 +7,9 @@ DIM's state machine depends only on block identities and branch
 outcomes, the replay is cycle-exact with respect to the coupled
 simulator — the test suite asserts this.  It is the event-by-event
 reference that the columnar engine (:mod:`repro.system.colreplay`) is
-tested against, and the engine an observing sweep runs, since only it
-emits the per-event engine telemetry stream.
+tested against; no production path runs it.  With a ``telemetry``
+sink it emits the per-event engine stream and folds the engine
+counters an observed sweep reads off its columnar metrics.
 """
 
 from __future__ import annotations

@@ -18,7 +18,14 @@ import pytest
 from repro.cli import main
 from repro.dim.memo import TranslationMemo
 from repro.dim.params import DimParams
-from repro.obs.schema import SWEEP_COUNTERS
+from repro.obs.schema import (
+    DIM_COUNTERS,
+    DYNFLOW_COUNTERS,
+    PREDICTOR_COUNTERS,
+    RCACHE_COUNTERS,
+    SWEEP_COUNTERS,
+    metrics_counters,
+)
 from repro.sim.coltrace import COLTRACE_FORMAT, ColumnarTrace
 from repro.system.colreplay import (
     ColumnarContext,
@@ -147,7 +154,20 @@ def test_coltrace_payload_stale_detection():
 
 
 def test_columnar_counters_in_schema():
-    assert SWEEP_COUNTERS["sweep.cells_columnar"] == "cells_columnar"
+    """A columnar cell reports every engine counter under its schema
+    name; the sweep has no per-engine cell count since every live cell
+    is columnar."""
+    config = paper_system("C2", 16, True)
+    context = ColumnarContext(run_workload("crc", fast=True).trace)
+    metrics = evaluate_trace_columnar(context.trace, config,
+                                      context=context)
+    counters = metrics_counters(metrics, context.coltrace.timeline(
+        config.dim.predictor_entries))
+    assert set(counters) == (set(DIM_COUNTERS) | set(DYNFLOW_COUNTERS)
+                             | set(RCACHE_COUNTERS)
+                             | set(PREDICTOR_COUNTERS))
+    assert counters["rcache.hits"] == metrics.cache_hits
+    assert "sweep.cells_columnar" not in SWEEP_COUNTERS
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ Four families of guarantees:
    whether batches evaluate serially, with ``--jobs``, or dispatched to
    a running ``repro serve`` instance — and a seeded smoke exploration
    matches the committed golden frontier byte for byte.
-4. Back-compat: :func:`repro.analysis.search_shapes` reproduces its
+4. Back-compat: a :class:`TraceRunner` shape search reproduces the
    historical (pre-``repro.dse``) float arithmetic bit for bit, and the
    ``dse.*`` telemetry namespace stays closed and collector-mapped.
 """
@@ -23,8 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import search_shapes
-from repro.analysis.shape_search import default_grid
 from repro.cgra.shape import ArrayShape, default_immediate_slots
 from repro.dim.memo import TranslationMemo
 from repro.dim.params import DimParams
@@ -55,7 +53,7 @@ from repro.serve import (
     start_http,
     validate_submission,
 )
-from repro.serve.protocol import config_from_spec
+from repro.serve.protocol import system_spec
 from repro.sim.cpu import run_program
 from repro.sim.stats import TimingModel
 from repro.system.area import AreaParams, area_report
@@ -70,6 +68,16 @@ GOLDEN_FRONTIER = Path(__file__).parent / "data" \
 SMOKE_WORKLOADS = ("crc", "quicksort")
 
 SPEEDUP_AREA = resolve_objectives(("speedup", "area"))
+
+#: a coarse but representative shape grid around Table 1's designs.
+SHAPE_GRID = [
+    ArrayShape(rows=rows, alus_per_row=alus, mults_per_row=2,
+               ldsts_per_row=ldsts,
+               immediate_slots=default_immediate_slots(rows))
+    for rows in (16, 24, 48, 96, 150)
+    for alus in (4, 8, 12)
+    for ldsts in (2, 6)
+]
 
 
 @pytest.fixture(scope="module")
@@ -121,10 +129,10 @@ def test_space_neighbors_step_one_axis():
 
 def test_area_budget_prunes_before_evaluation():
     budget = 1_000_000
-    space = ParameterSpace.for_shapes(default_grid(),
+    space = ParameterSpace.for_shapes(SHAPE_GRID,
                                       area_budget_gates=budget)
     pool = space.candidates()
-    assert 0 < len(pool) < len(default_grid())
+    assert 0 < len(pool) < len(SHAPE_GRID)
     assert all(space.gates_of(c) <= budget for c in pool)
 
 
@@ -229,7 +237,7 @@ def test_build_frontier_counts_dominated():
 # Strategies on a real (trace-scored) space.
 # ----------------------------------------------------------------------
 def _shape_space(count=8, budget=None):
-    return ParameterSpace.for_shapes(default_grid()[:count],
+    return ParameterSpace.for_shapes(SHAPE_GRID[:count],
                                      area_budget_gates=budget)
 
 
@@ -261,15 +269,30 @@ def test_grid_exploration_matches_legacy_pareto(traces):
     space = _shape_space()
     result = explore(space=space, strategy="grid",
                      runner=TraceRunner(space, traces))
-    ranked = search_shapes(traces, shapes=default_grid()[:8])
+    shape, _, speedup, _ = _rank_shapes(traces, SHAPE_GRID[:8])[0]
     best = result.best("speedup")
-    assert best.geomean_speedup == ranked[0].geomean_speedup
-    assert space.shape_of(best.candidate) == ranked[0].shape
+    assert best.geomean_speedup == speedup
+    assert space.shape_of(best.candidate) == shape
 
 
 # ----------------------------------------------------------------------
-# search_shapes back-compat: bit-identical to the historical loop.
+# Shape search back-compat: bit-identical to the historical loop.
 # ----------------------------------------------------------------------
+def _rank_shapes(traces, shapes, area_budget_gates=None,
+                 rank_by="speedup"):
+    """An exhaustive shape search on :mod:`repro.dse`: every shape of an
+    explicit space scored by one :class:`TraceRunner`, ranked by
+    speedup or by speedup per million gates, as
+    ``(shape, gates, geomean, efficiency)`` rows."""
+    space = ParameterSpace.for_shapes(shapes,
+                                      area_budget_gates=area_budget_gates)
+    evaluations = TraceRunner(space, traces).evaluate(space.candidates())
+    rows = [(space.shape_of(e.candidate), e.gates, e.geomean_speedup,
+             e.geomean_speedup / (e.gates / 1e6)) for e in evaluations]
+    key = (lambda r: r[2]) if rank_by == "speedup" else (lambda r: r[3])
+    return sorted(rows, key=key, reverse=True)
+
+
 def _legacy_search_shapes(traces, shapes, area_budget_gates=None,
                           rank_by="speedup"):
     """The pre-``repro.dse`` implementation, replicated verbatim."""
@@ -299,17 +322,12 @@ def _legacy_search_shapes(traces, shapes, area_budget_gates=None,
 @pytest.mark.parametrize("budget", [None, 1_000_000])
 def test_search_shapes_is_bit_identical_to_legacy(traces, rank_by,
                                                   budget):
-    shapes = default_grid()[:8]
-    new = search_shapes(traces, shapes=shapes, rank_by=rank_by,
-                        area_budget_gates=budget)
+    shapes = SHAPE_GRID[:8]
+    new = _rank_shapes(traces, shapes, rank_by=rank_by,
+                       area_budget_gates=budget)
     old = _legacy_search_shapes(traces, shapes, rank_by=rank_by,
                                 area_budget_gates=budget)
-    assert len(new) == len(old)
-    for candidate, (shape, gates, geomean, efficiency) in zip(new, old):
-        assert candidate.shape == shape
-        assert candidate.gates == gates
-        assert candidate.geomean_speedup == geomean  # bit-exact
-        assert candidate.efficiency == efficiency
+    assert new == old  # floats compared bit-exact
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +346,7 @@ def test_wire_spec_round_trips_through_the_protocol():
         request = validate_submission({"kind": "sweep",
                                        "names": ["crc"],
                                        "configs": [spec]})
-        rebuilt = config_from_spec(request.configs[0])
+        rebuilt = system_spec(request.configs[0]).build()
         local = space.config_of(candidate, base_dim=base)
         assert rebuilt.name == local.name
         assert rebuilt.shape == local.shape

@@ -376,8 +376,9 @@ def test_worker_killed_mid_batch_redispatches_byte_identically():
             assert status["worker"] == survivor
             assert status["attempts"] >= 2
             payload = fleet.result(job_id)["result"]
-            offline = api.evaluate(api.build_config("C1", slots, False),
-                                   names=["crc"], fast=True)
+            offline = api.evaluate(
+                api.SystemSpec(array="C1", slots=slots).build(),
+                names=["crc"], fast=True)
             assert payload["suite_json"] == offline.to_json()
 
         assert fleet.stats.workers_lost == 1

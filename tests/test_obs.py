@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.dim.params import DimParams
 from repro.dim.predictor import BimodalPredictor
 from repro.dim.rcache import ReconfigurationCache
 from repro.obs import (
@@ -27,12 +28,17 @@ from repro.obs import (
     validate_jsonl,
 )
 from repro.system import paper_system
+from repro.system.config import PAPER_SHAPES, SystemSpec
 from repro.system.sweep import SweepInstrumentation, evaluate_matrix
 from repro.system.traceeval import evaluate_trace
 from repro.workloads import load_workload
 from repro.sim.cpu import run_program
 
 CONFIG = paper_system("C2", 16, True)
+DYNFLOW_CONFIG = SystemSpec.of(PAPER_SHAPES["C2"], DimParams(
+    cache_slots=16, speculation=True, dynflow_mode="both")).build()
+#: the namespaces of the counters one engine replay folds in.
+ENGINE_NAMESPACES = ("dim", "dynflow", "rcache", "predictor")
 
 
 def _trace(name="crc"):
@@ -247,21 +253,56 @@ def test_metrics_identical_with_and_without_telemetry():
     assert bare == observed
 
 
-def test_sweep_json_identical_with_and_without_telemetry():
+def _cold_matrix(monkeypatch, configs, names, **kwargs):
+    """``evaluate_matrix`` with empty in-process trace/context caches."""
+    import repro.system.sweep as sweep
+    import repro.workloads as workloads
+
+    monkeypatch.setattr(workloads, "_RUNS", {})
+    monkeypatch.setattr(sweep, "_DISK_TRACES", {})
+    monkeypatch.setattr(sweep, "_COL_CONTEXTS", {})
+    return evaluate_matrix(configs, names=names, fast=True, **kwargs)
+
+
+def test_sweep_json_identical_with_and_without_telemetry(monkeypatch):
     configs = [paper_system("C1", 16, False), CONFIG]
     names = ("crc", "quicksort")
-    bare = evaluate_matrix(configs, names=names, fast=True)
-    observed = evaluate_matrix(configs, names=names, fast=True,
-                               telemetry=Telemetry())
+    bare = _cold_matrix(monkeypatch, configs, names)
+    observed = _cold_matrix(monkeypatch, configs, names,
+                            telemetry=Telemetry())
     assert bare.results_json() == observed.results_json()
-    # only the event engine emits the per-event stream an enabled sink
-    # asks for
-    assert bare.instrumentation.cells_columnar == 4
-    assert observed.instrumentation.cells_columnar == 0
+    # an observed sweep runs the same engine: same cells, same reuse
+    assert bare.instrumentation.counters() \
+        == observed.instrumentation.counters()
+
+
+def _engine_counters_of(counters):
+    return {name: n for name, n in counters.items()
+            if name.split(".")[0] in ENGINE_NAMESPACES}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_engine_counters_match_event_oracle(jobs):
+    """The engine counters an observed matrix folds in are the sums of
+    what the event engine folds in replaying each cell alone."""
+    configs = [CONFIG, DYNFLOW_CONFIG]
+    names = ("crc", "quicksort")
+    oracle = Telemetry(max_events=None)
+    for name in names:
+        trace = _trace(name)
+        for config in configs:
+            evaluate_trace(trace, config, telemetry=oracle)
+    observed = Telemetry()
+    evaluate_matrix(configs, names=names, fast=True, jobs=jobs,
+                    telemetry=observed)
+    expected = _engine_counters_of(oracle.counters)
+    assert expected["dynflow.dual_configs"] > 0
+    assert expected["dim.misspeculations"] > 0
+    assert _engine_counters_of(observed.counters) == expected
 
 
 def test_parallel_telemetry_matches_serial():
-    configs = [paper_system("C1", 16, False), CONFIG]
+    configs = [paper_system("C1", 16, False), CONFIG, DYNFLOW_CONFIG]
     names = ("crc", "quicksort")
     serial_tel = Telemetry()
     serial = evaluate_matrix(configs, names=names, fast=True,

@@ -1,13 +1,13 @@
-"""Shape-space search and configuration rendering."""
+"""Shape-space search (on :mod:`repro.dse`) and configuration
+rendering."""
 
 import pytest
 
-from repro.analysis import pareto_front, search_shapes
-from repro.analysis.shape_search import ShapeCandidate, default_grid
 from repro.asm import assemble
 from repro.cgra.render import render_configuration
 from repro.cgra.shape import ArrayShape
 from repro.dim import BimodalPredictor, DimParams, Translator
+from repro.dse import ParameterSpace, TraceRunner, explore
 from repro.minic import compile_to_program
 from repro.sim import Simulator, run_program
 from repro.system import PAPER_SHAPES
@@ -44,65 +44,69 @@ def kernel_traces():
     return {"kernel": result.trace}
 
 
+def _search(traces, area_budget_gates=None):
+    space = ParameterSpace.for_shapes(GRID,
+                                      area_budget_gates=area_budget_gates)
+    runner = TraceRunner(space, traces)
+    return space, runner, runner.evaluate(space.candidates())
+
+
+def _efficiency(evaluation):
+    return evaluation.geomean_speedup / (evaluation.gates / 1e6)
+
+
 def test_search_ranks_by_speedup(kernel_traces):
-    ranked = search_shapes(kernel_traces, shapes=GRID)
+    _, _, evaluations = _search(kernel_traces)
+    ranked = sorted(evaluations, key=lambda e: -e.geomean_speedup)
     assert len(ranked) == 3
-    speeds = [c.geomean_speedup for c in ranked]
-    assert speeds == sorted(speeds, reverse=True)
-    assert all(c.geomean_speedup >= 1.0 for c in ranked)
-    assert all(c.gates > 0 for c in ranked)
+    assert all(e.geomean_speedup >= 1.0 for e in ranked)
+    assert all(e.gates > 0 for e in ranked)
+    # the biggest array wins on raw speedup
+    assert ranked[0].gates == max(e.gates for e in ranked)
 
 
 def test_search_efficiency_ranking_differs(kernel_traces):
-    by_eff = search_shapes(kernel_traces, shapes=GRID,
-                           rank_by="efficiency")
-    eff = [c.efficiency for c in by_eff]
-    assert eff == sorted(eff, reverse=True)
+    _, _, evaluations = _search(kernel_traces)
+    by_speed = sorted(evaluations, key=lambda e: -e.geomean_speedup)
+    by_eff = sorted(evaluations, key=lambda e: -_efficiency(e))
+    assert by_eff[0].gates == min(e.gates for e in evaluations)
+    assert [e.system for e in by_eff] != [e.system for e in by_speed]
 
 
 def test_search_budget_prunes(kernel_traces):
-    all_candidates = search_shapes(kernel_traces, shapes=GRID)
-    cheapest = min(c.gates for c in all_candidates)
-    limited = search_shapes(kernel_traces, shapes=GRID,
-                            area_budget_gates=cheapest)
+    _, _, evaluations = _search(kernel_traces)
+    cheapest = min(e.gates for e in evaluations)
+    space, runner, limited = _search(kernel_traces,
+                                     area_budget_gates=cheapest)
     assert len(limited) == 1
     assert limited[0].gates == cheapest
+    # pruned before any simulation happened
+    assert runner.stats.cells == len(kernel_traces)
 
 
 def test_search_rejects_bad_ranking(kernel_traces):
-    with pytest.raises(ValueError):
-        search_shapes(kernel_traces, shapes=GRID, rank_by="vibes")
-
-
-def test_default_grid_is_varied():
-    grid = default_grid()
-    assert len(grid) > 10
-    assert len({(s.rows, s.alus_per_row, s.ldsts_per_row)
-                for s in grid}) == len(grid)
+    space, runner, _ = _search(kernel_traces)
+    with pytest.raises(ValueError, match="speedup"):
+        explore(space=space, objectives=("vibes",), runner=runner)
 
 
 def test_pareto_front_properties(kernel_traces):
-    ranked = search_shapes(kernel_traces, shapes=GRID)
-    front = pareto_front(ranked)
+    space, runner, evaluations = _search(kernel_traces)
+    front = explore(space=space, objectives=("speedup", "area"),
+                    runner=runner).points
     assert front
-    gates = [c.gates for c in front]
-    speeds = [c.geomean_speedup for c in front]
+    front = sorted(front, key=lambda e: e.gates)
+    gates = [e.gates for e in front]
+    speeds = [e.geomean_speedup for e in front]
     assert gates == sorted(gates)
     assert speeds == sorted(speeds)
     # dominated points are excluded
-    for candidate in ranked:
-        if candidate not in front:
-            assert any(o.gates <= candidate.gates
-                       and o.geomean_speedup >= candidate.geomean_speedup
+    systems = {e.system for e in front}
+    for evaluation in evaluations:
+        if evaluation.system not in systems:
+            assert any(o.gates <= evaluation.gates
+                       and o.geomean_speedup >= evaluation.geomean_speedup
                        for o in front)
-
-
-def test_candidate_describe():
-    shape = GRID[0]
-    candidate = ShapeCandidate(shape, 12345, 2.5, 2.5 / 0.012345)
-    text = candidate.describe()
-    assert "8x(4a+1m+2ls)" in text
-    assert "2.50x" in text
 
 
 # --- rendering ---------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_matrix_matches_looped_suite():
 
 
 def test_serial_cold_sweep_phases_fit_in_total(monkeypatch):
-    """A silent sweep replays columnar, and trace time is not also
+    """A sweep replays every cell once, and trace time is not also
     counted as replay time."""
     import repro.system.sweep as sweep
     import repro.workloads as workloads
@@ -67,7 +67,7 @@ def test_serial_cold_sweep_phases_fit_in_total(monkeypatch):
     inst = evaluate_matrix(configs, names=["crc", "sha", "bitcount"],
                            fast=True).instrumentation
     assert inst.traces_simulated == 3
-    assert inst.cells_columnar == inst.cells_replayed == 24
+    assert inst.cells_replayed == 24
     assert inst.trace_seconds + inst.replay_seconds <= inst.total_seconds
 
 
