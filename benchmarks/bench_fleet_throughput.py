@@ -34,9 +34,8 @@ import pytest
 
 from repro import api
 from repro.fleet import FleetClient, FleetCoordinator, spawn_fleet
-from repro.fleet.coordinator import start_fleet_http
 from repro.fleet.local import spawn_worker
-from repro.serve import ServeClient
+from repro.serve import ServeClient, start_http
 
 #: moderate-cost workloads (the susan/patricia/rawaudio traces are an
 #: order of magnitude heavier and would drown the scheduling signal).
@@ -115,7 +114,7 @@ def run_fleet(burst, cache_root, shards):
                              heartbeat_interval=0.25)
     workers = spawn_fleet(fleet, shards, cache_root=str(cache_root))
     fleet.start()
-    server, thread = start_fleet_http(fleet)
+    server, thread = start_http(fleet)
     try:
         url = "http://%s:%s" % server.server_address[:2]
         wall, payloads = _drive(FleetClient(url, window=WINDOW,

@@ -6,10 +6,11 @@ byte-identical-results guarantee:
 
 - :mod:`repro.fleet.hashring` — consistent-hash assignment of workload
   fingerprints to worker shards.
-- :mod:`repro.fleet.coordinator` — the sharding front end: worker
+- :mod:`repro.fleet.coordinator` — the sharding coordinator: worker
   registration/heartbeat, health-based failover with automatic job
   re-dispatch, result caching, load shedding; protocol-compatible with
-  a single server so existing clients work unchanged.
+  a single server so existing clients work unchanged, and served over
+  HTTP by the same front end (:mod:`repro.serve.frontend`).
 - :mod:`repro.fleet.client` — the streaming client: bounded in-flight
   windows, shed-aware backoff, bulk completion polling, ordered
   delivery.
@@ -18,11 +19,7 @@ byte-identical-results guarantee:
 """
 
 from repro.fleet.client import FleetClient
-from repro.fleet.coordinator import (
-    FleetCoordinator,
-    FleetStats,
-    start_fleet_http,
-)
+from repro.fleet.coordinator import FleetCoordinator, FleetStats
 from repro.fleet.hashring import HashRing
 from repro.fleet.local import LocalWorker, fleet_forever, spawn_fleet
 
@@ -34,5 +31,4 @@ __all__ = [
     "LocalWorker",
     "fleet_forever",
     "spawn_fleet",
-    "start_fleet_http",
 ]

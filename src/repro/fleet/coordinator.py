@@ -5,7 +5,9 @@ One :class:`FleetCoordinator` fronts N worker ``repro serve`` instances
 same versioned JSON protocol as a single server — ``submit`` /
 ``status`` / ``result`` / ``cancel`` / ``jobs`` / ``metrics`` — so the
 blocking :class:`repro.serve.client.ServeClient` and every existing CLI
-verb work against a fleet unchanged.  What it adds:
+verb work against a fleet unchanged; over HTTP it sits behind the same
+front end as a single server (:mod:`repro.serve.frontend`).  What it
+adds:
 
 - **Fingerprint sharding.**  Every submission is validated once, its
   workload fingerprint computed, and the job forwarded to the worker a
@@ -42,22 +44,20 @@ from __future__ import annotations
 
 import http.client
 import itertools
-import json
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
-from repro.obs import SCHEMA_VERSION, Telemetry
+from repro.obs import Telemetry
 from repro.obs.schema import fleet_counters, fleet_timers
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     JobState,
     ProtocolError,
-    dumps,
-    loads,
+    metrics_document,
+    result_reply,
     validate_submission,
 )
 from repro.fleet.hashring import HashRing
@@ -209,6 +209,14 @@ class FleetCoordinator:
                     pass
         return {"drained": drain, "active": self.inflight,
                 "jobs": len(self.jobs), "workers_shutdown": downed}
+
+    def shutdown(self, options: Mapping[str, object]) -> Dict[str, object]:
+        """The ``shutdown`` route: :meth:`stop`, draining unless the
+        body says ``{"drain": false}`` and stopping the workers too when
+        it says ``{"workers": true}``."""
+        return self.stop(drain=bool(options.get("drain", True)),
+                         shutdown_workers=bool(options.get("workers",
+                                                           False)))
 
     # ------------------------------------------------------------------
     # Worker membership.
@@ -585,17 +593,7 @@ class FleetCoordinator:
             if time.monotonic() > deadline:
                 break
             time.sleep(0.02)
-        if job.state == JobState.DONE:
-            return {"job_id": job.id, "state": job.state,
-                    "result": job.result}
-        code = {JobState.FAILED: "job_failed",
-                JobState.CANCELLED: "job_cancelled",
-                JobState.TIMEOUT: "job_timeout"}.get(job.state,
-                                                     "not_finished")
-        status = 409 if code == "not_finished" else 410
-        message = (job.error or {}).get("message", job.state)
-        raise ProtocolError(code, f"job {job.id} is {job.state}: "
-                                  f"{message}", http_status=status)
+        return result_reply(job)
 
     def cancel(self, job_id: str) -> Dict[str, object]:
         job = self._job(job_id)
@@ -652,165 +650,28 @@ class FleetCoordinator:
 
     def metrics(self) -> Dict[str, object]:
         with self._lock:
-            counters = dict(self.telemetry.counters)
-            counters.update(fleet_counters(self.stats))
-            timers = dict(self.telemetry.timers)
-            timers.update(fleet_timers(self.stats))
-            return {
-                "schema_version": SCHEMA_VERSION,
-                "protocol": PROTOCOL_VERSION,
-                "counters": dict(sorted(counters.items())),
-                "timers": dict(sorted(timers.items())),
-                "events": self.telemetry.meta_record(),
-            }
+            return metrics_document(self.telemetry,
+                                    fleet_counters(self.stats),
+                                    fleet_timers(self.stats))
 
     def events_jsonl(self) -> str:
         with self._lock:
-            lines = [json.dumps(self.telemetry.meta_record(),
-                                sort_keys=True)]
-            if self.telemetry.events is not None:
-                lines.extend(json.dumps(record, sort_keys=True)
-                             for record in self.telemetry.events)
-        return "\n".join(lines) + "\n"
+            return self.telemetry.to_jsonl()
 
-
-# ----------------------------------------------------------------------
-# HTTP front end.
-# ----------------------------------------------------------------------
-class FleetHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer wired to one :class:`FleetCoordinator`."""
-
-    daemon_threads = True
-
-    def __init__(self, address, coordinator: FleetCoordinator):
-        super().__init__(address, _Handler)
-        self.coordinator = coordinator
-        #: set by the shutdown route; fleet_forever exits on it.
-        self.shutdown_requested = threading.Event()
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """The coordinator's wire protocol: a strict superset of a single
-    server's (submit/status/result/cancel/jobs/healthz/metrics/events/
-    shutdown behave identically, so :class:`ServeClient` needs no fleet
-    mode), plus ``register``/``heartbeat``/``workers`` for membership.
-    """
-
-    protocol_version = "HTTP/1.1"
-    # replies are one buffered write; Nagle would otherwise delay
-    # them behind the client's delayed ACK on keep-alive sockets.
-    disable_nagle_algorithm = True
-    server: FleetHTTPServer
-
-    def log_message(self, format, *args):  # noqa: A002
-        pass
-
-    def _reply(self, payload: Dict[str, object],
-               status: int = 200) -> None:
-        body = dumps(payload)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_text(self, text: str, status: int = 200) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _body(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
-        return loads(self.rfile.read(length) if length else b"")
-
-    def _route(self):
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
-        if parts and parts[0] == "v1":
-            parts = parts[1:]
-        if not parts:
-            raise ProtocolError("not_found", "no route", http_status=404)
-        return parts[0], (parts[1] if len(parts) > 1 else None)
-
-    def _query(self) -> str:
-        return (self.path.split("?") + [""])[1]
-
-    def do_GET(self) -> None:  # noqa: N802
-        fleet = self.server.coordinator
-        try:
-            head, arg = self._route()
-            if head == "healthz":
-                self._reply(fleet.healthz())
-            elif head == "metrics":
-                self._reply(fleet.metrics())
-            elif head == "events":
-                self._reply_text(fleet.events_jsonl())
-            elif head == "workers":
-                self._reply({"workers": fleet.worker_listing(),
-                             "protocol": PROTOCOL_VERSION})
-            elif head == "jobs" and arg is None:
-                active = "active=1" in self._query()
-                self._reply({"jobs": fleet.job_listing(active=active),
-                             "protocol": PROTOCOL_VERSION})
-            elif head == "status" and arg:
-                self._reply(fleet.status(arg))
-            elif head == "result" and arg:
-                wait = "wait=1" in self._query()
-                self._reply(fleet.result(arg, wait=wait))
-            else:
-                raise ProtocolError("not_found",
-                                    f"no route {self.path!r}",
-                                    http_status=404)
-        except ProtocolError as exc:
-            self._reply(exc.as_dict(), status=exc.http_status)
-
-    def do_POST(self) -> None:  # noqa: N802
-        fleet = self.server.coordinator
-        try:
-            head, arg = self._route()
-            if head == "submit":
-                self._reply(fleet.submit(self._body()), status=202)
-            elif head == "cancel" and arg:
-                self._reply(fleet.cancel(arg))
-            elif head == "register":
-                body = self._body()
-                if not isinstance(body, dict):
-                    raise ProtocolError("bad_json", "register body must "
-                                        "be a JSON object")
-                self._reply(fleet.register_worker(
-                    body.get("worker_id"), body.get("url")))
-            elif head == "heartbeat" and arg:
-                self._reply(fleet.heartbeat(arg))
-            elif head == "shutdown":
-                body = self._body() or {}
-                drain = bool(body.get("drain", True)) \
-                    if isinstance(body, dict) else True
-                workers = bool(body.get("workers", False)) \
-                    if isinstance(body, dict) else False
-                summary = fleet.stop(drain=drain,
-                                     shutdown_workers=workers)
-                summary["protocol"] = PROTOCOL_VERSION
-                self._reply(summary)
-                self.server.shutdown_requested.set()
-            else:
-                raise ProtocolError("not_found",
-                                    f"no route {self.path!r}",
-                                    http_status=404)
-        except ProtocolError as exc:
-            self._reply(exc.as_dict(), status=exc.http_status)
-
-
-def start_fleet_http(coordinator: FleetCoordinator,
-                     host: str = "127.0.0.1", port: int = 0):
-    """Start the coordinator's HTTP front end on a background thread.
-
-    Returns ``(server, thread)``; ``server.server_address`` carries the
-    bound port when ``port=0``.
-    """
-    server = FleetHTTPServer((host, port), coordinator)
-    thread = threading.Thread(target=server.serve_forever,
-                              name="repro-fleet-http", daemon=True)
-    thread.start()
-    return server, thread
+    def extra_route(self, method: str, head: str, arg: Optional[str],
+                    body) -> Optional[Dict[str, object]]:
+        """The coordinator's own routes: ``GET workers`` and the
+        membership calls ``POST register`` / ``POST heartbeat/<id>``."""
+        if method == "GET" and head == "workers":
+            return {"workers": self.worker_listing(),
+                    "protocol": PROTOCOL_VERSION}
+        if method == "POST" and head == "register":
+            payload = body()
+            if not isinstance(payload, dict):
+                raise ProtocolError("bad_json", "register body must be "
+                                    "a JSON object")
+            return self.register_worker(payload.get("worker_id"),
+                                        payload.get("url"))
+        if method == "POST" and head == "heartbeat" and arg:
+            return self.heartbeat(arg)
+        return None

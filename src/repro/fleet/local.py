@@ -23,7 +23,8 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.fleet.coordinator import FleetCoordinator, start_fleet_http
+from repro.fleet.coordinator import FleetCoordinator
+from repro.serve.frontend import start_http, wait_for_shutdown
 
 #: the worker's one-line banner carries the ephemeral bound port.
 _BANNER = re.compile(r"listening on (http://[\d.]+:\d+)")
@@ -147,20 +148,14 @@ def fleet_forever(host: str = "127.0.0.1", port: int = 8360,
               "--worker-url)", file=sys.stderr)
         return 1
     coordinator.start()
-    server, thread = start_fleet_http(coordinator, host, port)
+    server, thread = start_http(coordinator, host, port)
     bound_host, bound_port = server.server_address[:2]
     print(f"repro fleet: listening on http://{bound_host}:{bound_port} "
           f"({len(coordinator.live_workers())} workers, "
           f"cache={cache_root or 'disabled'})")
     for worker in spawned:
         print(f"repro fleet: worker {worker.id} at {worker.url}")
-    try:
-        server.shutdown_requested.wait()
-    except KeyboardInterrupt:
-        print("\nrepro fleet: draining ...")
-        coordinator.stop(drain=True, shutdown_workers=True)
-    server.shutdown()
-    thread.join(5.0)
+    wait_for_shutdown(server, thread, "fleet")
     for worker in spawned:
         worker.terminate()
     return 0

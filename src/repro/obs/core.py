@@ -214,18 +214,20 @@ class Telemetry:
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
-    def write_jsonl(self, path) -> int:
-        """Write the meta header plus every recorded event as JSONL.
-
-        Returns the number of lines written.
-        """
+    def to_jsonl(self) -> str:
+        """The meta header plus every recorded event, as JSONL text."""
         lines = [json.dumps(self.meta_record(), sort_keys=True)]
         if self.events is not None:
-            for record in self.events:
-                lines.append(json.dumps(record, sort_keys=True))
+            lines.extend(json.dumps(record, sort_keys=True)
+                         for record in self.events)
+        return "\n".join(lines) + "\n"
+
+    def write_jsonl(self, path) -> int:
+        """Write :meth:`to_jsonl` to ``path``; returns the line count."""
+        text = self.to_jsonl()
         with open(path, "w") as handle:
-            handle.write("\n".join(lines) + "\n")
-        return len(lines)
+            handle.write(text)
+        return text.count("\n")
 
 
 class NullTelemetry:

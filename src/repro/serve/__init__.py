@@ -12,9 +12,11 @@ throw away.  This package keeps them alive behind a long-lived service:
   that pin the persistent artifact cache.
 - :mod:`repro.serve.protocol` — the versioned JSON protocol with
   structured errors.
-- :mod:`repro.serve.server` — :class:`EvalService` plus a stdlib HTTP
-  front end (``submit``/``status``/``result``/``cancel``/``healthz``/
-  ``metrics``).
+- :mod:`repro.serve.server` — :class:`EvalService`, the service
+  backend.
+- :mod:`repro.serve.frontend` — the stdlib HTTP front end
+  (``submit``/``status``/``result``/``cancel``/``healthz``/
+  ``metrics``/...) shared by the service and the fleet coordinator.
 - :mod:`repro.serve.client` — the blocking :class:`ServeClient`.
 
 Service results are byte-identical to the offline :mod:`repro.api`
@@ -34,12 +36,8 @@ from repro.serve.protocol import (
 )
 from repro.serve.queue import Job, JobManager, ServeStats
 from repro.serve.scheduler import BatchScheduler, run_batch
-from repro.serve.server import (
-    EvalService,
-    ServeHTTPServer,
-    serve_forever,
-    start_http,
-)
+from repro.serve.frontend import ServeHTTPServer, start_http
+from repro.serve.server import EvalService, serve_forever
 
 __all__ = [
     "JOB_KINDS",

@@ -64,6 +64,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cgra.shape import ArrayShape, default_immediate_slots
 from repro.dim.params import DimParams
+from repro.obs import SCHEMA_VERSION
 from repro.system.config import PAPER_SHAPES
 from repro.workloads import workload_names
 
@@ -87,6 +88,7 @@ ERROR_CODES = frozenset({
     "job_cancelled",     # result requested for a cancelled job
     "job_timeout",       # result requested for a deadline-expired job
     "shutting_down",     # submission during drain
+    "worker_failure",    # a job's batch kept failing (a job status error)
     "not_found",         # unroutable path
     # fleet coordinator (repro.fleet) additions; same closed vocabulary
     # so ServeClient error dispatch works unchanged against a fleet.
@@ -451,6 +453,45 @@ def paper_matrix_specs() -> Tuple[ConfigSpec, ...]:
         for slots in PAPER_CACHE_SLOTS]
     specs += [("ideal", 64, spec) for spec in (False, True)]
     return tuple(specs)
+
+
+#: the ``result`` route's error code for a job in each terminal state
+#: other than done; any live state answers ``not_finished``.
+_RESULT_ERRORS = {JobState.FAILED: "job_failed",
+                  JobState.CANCELLED: "job_cancelled",
+                  JobState.TIMEOUT: "job_timeout"}
+
+
+def result_reply(job) -> Dict[str, object]:
+    """The ``result`` route's reply for a serve or fleet job.
+
+    A done job answers its result payload; any other job raises
+    ``not_finished`` (409) or, once terminal, ``job_failed`` /
+    ``job_cancelled`` / ``job_timeout`` (410).
+    """
+    if job.state == JobState.DONE:
+        return {"job_id": job.id, "state": job.state,
+                "result": job.result}
+    code = _RESULT_ERRORS.get(job.state, "not_finished")
+    message = (job.error or {}).get("message", job.state)
+    raise ProtocolError(code, f"job {job.id} is {job.state}: {message}",
+                        http_status=409 if code == "not_finished" else 410)
+
+
+def metrics_document(telemetry, counters: Mapping[str, int],
+                     timers: Mapping[str, float]) -> Dict[str, object]:
+    """The ``metrics`` route's reply: ``telemetry``'s counters and
+    timers overlaid with a backend's own (``serve.*`` / ``fleet.*``),
+    each sorted by name."""
+    merged_counters = {**telemetry.counters, **counters}
+    merged_timers = {**telemetry.timers, **timers}
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "protocol": PROTOCOL_VERSION,
+        "counters": dict(sorted(merged_counters.items())),
+        "timers": dict(sorted(merged_timers.items())),
+        "events": telemetry.meta_record(),
+    }
 
 
 def dumps(payload: Mapping[str, object]) -> bytes:

@@ -1,34 +1,29 @@
-"""The long-lived evaluation service and its stdlib HTTP front end.
+"""The long-lived evaluation service.
 
 :class:`EvalService` owns the event loop (run on a dedicated daemon
 thread), the :class:`~repro.serve.queue.JobManager`, the
 :class:`~repro.serve.scheduler.BatchScheduler` and the service
 telemetry; its public methods are thread-safe bridges that the HTTP
-handlers (and tests) call from any thread.
-
-:class:`ServeHTTPServer` is a plain
-:class:`http.server.ThreadingHTTPServer` — no third-party dependency —
-that maps the versioned JSON protocol (:mod:`repro.serve.protocol`)
-onto the service.  :func:`serve_forever` is the CLI entry point.
+front end (:mod:`repro.serve.frontend`, shared with the fleet) and
+tests call from any thread.  :func:`serve_forever` is the CLI entry
+point.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
-from repro.obs import SCHEMA_VERSION, Telemetry
+from repro.obs import Telemetry
 from repro.obs.schema import serve_counters, serve_timers
+from repro.serve.frontend import start_http, wait_for_shutdown
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     JobState,
-    ProtocolError,
-    dumps,
-    loads,
+    metrics_document,
+    result_reply,
     validate_submission,
 )
 from repro.serve.queue import JobManager, ServeStats
@@ -129,6 +124,11 @@ class EvalService:
             self._thread.join(timeout=5.0)
         self._stopped = True
 
+    def shutdown(self, options: Mapping[str, object]) -> Dict[str, object]:
+        """The ``shutdown`` route: :meth:`stop`, draining unless the
+        body says ``{"drain": false}``."""
+        return self.stop(drain=bool(options.get("drain", True)))
+
     async def _shutdown(self, drain: bool) -> Dict[str, object]:
         self.manager.stop_accepting()
         if drain:
@@ -169,18 +169,22 @@ class EvalService:
     async def _status(self, job_id: str) -> Dict[str, object]:
         return self.manager.job(job_id).status()
 
-    def jobs(self) -> List[Dict[str, object]]:
-        return self._call(self._jobs())
+    def job_listing(self, active: bool = False
+                    ) -> List[Dict[str, object]]:
+        """Every job's status by id; ``active`` drops terminal jobs."""
+        return self._call(self._job_listing(active))
 
-    async def _jobs(self) -> List[Dict[str, object]]:
+    async def _job_listing(self, active: bool
+                           ) -> List[Dict[str, object]]:
         return [job.status() for _, job in
-                sorted(self.manager.jobs.items())]
+                sorted(self.manager.jobs.items())
+                if not (active and job.state in JobState.TERMINAL)]
 
     def result(self, job_id: str, wait: bool = False,
                timeout: float = _BRIDGE_TIMEOUT) -> Dict[str, object]:
         """A finished job's result payload.
 
-        Raises :class:`ProtocolError` (``not_finished`` /
+        Raises :class:`~repro.serve.protocol.ProtocolError` (``not_finished`` /
         ``job_failed`` / ``job_cancelled`` / ``job_timeout``) when no
         result exists; ``wait`` blocks until the job is terminal.
         """
@@ -191,17 +195,7 @@ class EvalService:
         job = self.manager.job(job_id)
         if wait:
             await self.manager.wait_job(job)
-        if job.state == JobState.DONE:
-            return {"job_id": job.id, "state": job.state,
-                    "result": job.result}
-        code = {JobState.FAILED: "job_failed",
-                JobState.CANCELLED: "job_cancelled",
-                JobState.TIMEOUT: "job_timeout"}.get(job.state,
-                                                     "not_finished")
-        status = 409 if code == "not_finished" else 410
-        message = (job.error or {}).get("message", job.state)
-        raise ProtocolError(code, f"job {job.id} is {job.state}: "
-                                  f"{message}", http_status=status)
+        return result_reply(job)
 
     def cancel(self, job_id: str) -> Dict[str, object]:
         return self._call(self._cancel(job_id))
@@ -215,6 +209,15 @@ class EvalService:
 
     def resume(self) -> None:
         self._call(self.manager.resume())
+
+    def extra_route(self, method: str, head: str, arg: Optional[str],
+                    body) -> Optional[Dict[str, object]]:
+        """The service's own routes: ``POST pause`` / ``POST resume``
+        gate the scheduler and reply with :meth:`healthz`."""
+        if method == "POST" and head in ("pause", "resume"):
+            getattr(self, head)()
+            return self.healthz()
+        return None
 
     def wait_drained(self, timeout: float = _BRIDGE_TIMEOUT) -> None:
         self._call(self.manager.wait_drained(), timeout=timeout)
@@ -239,177 +242,26 @@ class EvalService:
         Routed through the event loop while the service runs so the
         export never races ongoing instrumentation.
         """
-        if self._loop is not None and not self._stopped:
-            return self._call(self._on_loop(self._build_metrics))
-        return self._build_metrics()
-
-    async def _on_loop(self, fn):
-        return fn()
+        return self._on_loop_if_running(self._build_metrics)
 
     def _build_metrics(self) -> Dict[str, object]:
-        counters = dict(self.telemetry.counters)
-        counters.update(serve_counters(self.stats))
-        timers = dict(self.telemetry.timers)
-        timers.update(serve_timers(self.stats))
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "protocol": PROTOCOL_VERSION,
-            "counters": dict(sorted(counters.items())),
-            "timers": dict(sorted(timers.items())),
-            "events": self.telemetry.meta_record(),
-            "mean_batch_width": self.stats.mean_batch_width,
-        }
+        document = metrics_document(self.telemetry,
+                                    serve_counters(self.stats),
+                                    serve_timers(self.stats))
+        document["mean_batch_width"] = self.stats.mean_batch_width
+        return document
 
     def events_jsonl(self) -> str:
         """The telemetry event stream as schema-valid JSONL text."""
+        return self._on_loop_if_running(self.telemetry.to_jsonl)
+
+    def _on_loop_if_running(self, fn):
         if self._loop is not None and not self._stopped:
-            return self._call(self._on_loop(self._build_events_jsonl))
-        return self._build_events_jsonl()
+            return self._call(self._on_loop(fn))
+        return fn()
 
-    def _build_events_jsonl(self) -> str:
-        lines = [json.dumps(self.telemetry.meta_record(),
-                            sort_keys=True)]
-        if self.telemetry.events is not None:
-            lines.extend(json.dumps(record, sort_keys=True)
-                         for record in self.telemetry.events)
-        return "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------------------
-# HTTP front end.
-# ----------------------------------------------------------------------
-class ServeHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer wired to one :class:`EvalService`."""
-
-    daemon_threads = True
-
-    def __init__(self, address: Tuple[str, int], service: EvalService):
-        super().__init__(address, _Handler)
-        self.service = service
-        #: set by the shutdown route; serve_forever exits on it.
-        self.shutdown_requested = threading.Event()
-
-
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    # replies are one buffered write; Nagle would otherwise delay
-    # them behind the client's delayed ACK on keep-alive sockets.
-    disable_nagle_algorithm = True
-    server: ServeHTTPServer
-
-    # quiet: the service has telemetry, stderr chatter is noise.
-    def log_message(self, format, *args):  # noqa: A002
-        pass
-
-    # ------------------------------------------------------------------
-    def _reply(self, payload: Dict[str, object],
-               status: int = 200) -> None:
-        body = dumps(payload)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_text(self, text: str, status: int = 200) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_error(self, exc: ProtocolError) -> None:
-        self._reply(exc.as_dict(), status=exc.http_status)
-
-    def _body(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
-        return loads(self.rfile.read(length) if length else b"")
-
-    def _route(self) -> Tuple[str, Optional[str]]:
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
-        if parts and parts[0] == "v1":
-            parts = parts[1:]
-        if not parts:
-            raise ProtocolError("not_found", "no route", http_status=404)
-        head = parts[0]
-        arg = parts[1] if len(parts) > 1 else None
-        return head, arg
-
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802
-        service = self.server.service
-        try:
-            head, arg = self._route()
-            if head == "healthz":
-                self._reply(service.healthz())
-            elif head == "metrics":
-                self._reply(service.metrics())
-            elif head == "events":
-                self._reply_text(service.events_jsonl())
-            elif head == "jobs" and arg is None:
-                query = (self.path.split("?") + [""])[1]
-                jobs = service.jobs()
-                if "active=1" in query:
-                    jobs = [job for job in jobs
-                            if job["state"] not in JobState.TERMINAL]
-                self._reply({"jobs": jobs,
-                             "protocol": PROTOCOL_VERSION})
-            elif head == "status" and arg:
-                self._reply(service.status(arg))
-            elif head == "result" and arg:
-                wait = "wait=1" in (self.path.split("?") + [""])[1]
-                self._reply(service.result(arg, wait=wait))
-            else:
-                raise ProtocolError("not_found",
-                                    f"no route {self.path!r}",
-                                    http_status=404)
-        except ProtocolError as exc:
-            self._reply_error(exc)
-
-    def do_POST(self) -> None:  # noqa: N802
-        service = self.server.service
-        try:
-            head, arg = self._route()
-            if head == "submit":
-                self._reply(service.submit(self._body()), status=202)
-            elif head == "cancel" and arg:
-                self._reply(service.cancel(arg))
-            elif head == "pause":
-                service.pause()
-                self._reply(service.healthz())
-            elif head == "resume":
-                service.resume()
-                self._reply(service.healthz())
-            elif head == "shutdown":
-                body = self._body()
-                drain = (isinstance(body, dict)
-                         and bool(body.get("drain", True))) or body == {}
-                summary = service.stop(drain=bool(drain))
-                summary["protocol"] = PROTOCOL_VERSION
-                self._reply(summary)
-                self.server.shutdown_requested.set()
-            else:
-                raise ProtocolError("not_found",
-                                    f"no route {self.path!r}",
-                                    http_status=404)
-        except ProtocolError as exc:
-            self._reply_error(exc)
-
-
-def start_http(service: EvalService, host: str = "127.0.0.1",
-               port: int = 0) -> Tuple[ServeHTTPServer, threading.Thread]:
-    """Start the HTTP front end on a background thread.
-
-    Returns the server (``server.server_address`` carries the bound
-    port when ``port=0``) and its thread; used by tests, benches and
-    the CLI's foreground loop.
-    """
-    server = ServeHTTPServer((host, port), service)
-    thread = threading.Thread(target=server.serve_forever,
-                              name="repro-serve-http", daemon=True)
-    thread.start()
-    return server, thread
+    async def _on_loop(self, fn):
+        return fn()
 
 
 def serve_forever(host: str = "127.0.0.1", port: int = 8350,
@@ -421,11 +273,5 @@ def serve_forever(host: str = "127.0.0.1", port: int = 8350,
     print(f"repro serve: listening on http://{bound_host}:{bound_port} "
           f"(workers={service.scheduler.workers}, "
           f"cache={service.cache_root or 'disabled'})")
-    try:
-        server.shutdown_requested.wait()
-    except KeyboardInterrupt:
-        print("\nrepro serve: draining ...")
-        service.stop(drain=True)
-    server.shutdown()
-    thread.join(5.0)
+    wait_for_shutdown(server, thread, "serve")
     return 0

@@ -57,7 +57,6 @@ from repro.system.sweep import (
     evaluate_matrix,
     paper_matrix,
     replay_matrix,
-    replay_workload,
 )
 
 __all__ = [
@@ -87,5 +86,4 @@ __all__ = [
     "evaluate_matrix",
     "paper_matrix",
     "replay_matrix",
-    "replay_workload",
 ]

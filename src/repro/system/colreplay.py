@@ -91,6 +91,25 @@ CYC, INS, FET, LDS, STS, BRA, TAK, LUS, HILO, SYS, COM, MIS = range(12)
 NFIELDS = 12
 
 
+def _add_tail_cost(row, cost, block, taken: bool) -> None:
+    """Add the normal-execution ``cost`` of ``block``'s tail, leaving
+    ``taken`` or not, to a 12-field ``row`` whose COM column already
+    counts the instructions committed ahead of the tail."""
+    row[CYC] += cost.cycles(taken)
+    row[INS] = row[COM] + cost.instructions
+    row[FET] += cost.fetches
+    row[LDS] += cost.loads
+    row[STS] += cost.stores
+    row[BRA] += cost.branches
+    row[LUS] += cost.load_use_stalls
+    row[HILO] += cost.hilo_stalls
+    row[SYS] += cost.syscalls
+    terminator = block.terminator
+    if terminator is not None and (
+            terminator.klass is InstrClass.JUMP or taken):
+        row[TAK] += 1
+
+
 class _PhasePredictor:
     """The predictor as seen at one event boundary of the timeline.
 
@@ -388,21 +407,9 @@ class _Template:
             rows[0] = row
         else:
             cost = model.cost(last.block, last.covered)
-            terminator = last.block.terminator
             for taken, code in ((False, 1), (True, 2)):
                 row = list(run)
-                row[CYC] += cost.cycles(taken)
-                row[INS] = row[COM] + cost.instructions
-                row[FET] += cost.fetches
-                row[LDS] += cost.loads
-                row[STS] += cost.stores
-                row[BRA] += cost.branches
-                row[LUS] += cost.load_use_stalls
-                row[HILO] += cost.hilo_stalls
-                row[SYS] += cost.syscalls
-                if terminator is not None and (
-                        terminator.klass is InstrClass.JUMP or taken):
-                    row[TAK] += 1
+                _add_tail_cost(row, cost, last.block, taken)
                 rows[code] = row
         return rows
 
@@ -521,23 +528,13 @@ class _Template:
             wblk = side.block
             wloads, wstores = _prefix_mem_ops(wblk, side.covered)
             cost = model.cost(wblk, side.covered)
-            terminator = wblk.terminator
             for succ in (0, 1):
                 row = list(run)
                 row[TAK] += actual
                 row[COM] += side.covered
-                row[CYC] += cost.cycles(succ == 1)
-                row[INS] = row[COM] + cost.instructions
-                row[FET] += cost.fetches
-                row[LDS] += wloads + cost.loads
-                row[STS] += wstores + cost.stores
-                row[BRA] += cost.branches
-                row[LUS] += cost.load_use_stalls
-                row[HILO] += cost.hilo_stalls
-                row[SYS] += cost.syscalls
-                if terminator is not None and (
-                        terminator.klass is InstrClass.JUMP or succ):
-                    row[TAK] += 1
+                row[LDS] += wloads
+                row[STS] += wstores
+                _add_tail_cost(row, cost, wblk, succ == 1)
                 rows[2 * actual + succ] = row
         return rows
 
@@ -857,21 +854,10 @@ class ColumnarContext:
                 if not occurring[block.block_id]:
                     continue
                 cost = model.cost(block, 0)
-                terminator = block.terminator
                 for taken in (0, 1):
-                    row = table[2 * block.block_id + taken]
-                    row[CYC] = cost.cycles(taken == 1)
-                    row[INS] = cost.instructions
-                    row[FET] = cost.fetches
-                    row[LDS] = cost.loads
-                    row[STS] = cost.stores
-                    row[BRA] = cost.branches
-                    row[LUS] = cost.load_use_stalls
-                    row[HILO] = cost.hilo_stalls
-                    row[SYS] = cost.syscalls
-                    if terminator is not None and (
-                            terminator.klass is InstrClass.JUMP or taken):
-                        row[TAK] = 1
+                    row = [0] * NFIELDS
+                    _add_tail_cost(row, cost, block, taken == 1)
+                    table[2 * block.block_id + taken] = row
             self._miss_tables[timing] = table
         return table
 
@@ -958,22 +944,14 @@ class ColumnarContext:
                 prefix = int(covered[b])
                 loads, stores = _prefix_mem_ops(block, prefix)
                 cost = model.cost(block, prefix)
-                terminator = block.terminator
                 for taken in (0, 1):
-                    row = table[2 * b + taken]
-                    row[CYC] = int(exec_cycles[b]) + cost.cycles(taken == 1)
-                    row[INS] = prefix + cost.instructions
-                    row[FET] = cost.fetches
-                    row[LDS] = loads + cost.loads
-                    row[STS] = stores + cost.stores
-                    row[BRA] = cost.branches
-                    row[LUS] = cost.load_use_stalls
-                    row[HILO] = cost.hilo_stalls
-                    row[SYS] = cost.syscalls
-                    if terminator is not None and (
-                            terminator.klass is InstrClass.JUMP or taken):
-                        row[TAK] = 1
+                    row = [0] * NFIELDS
+                    row[CYC] = int(exec_cycles[b])
+                    row[LDS] = loads
+                    row[STS] = stores
                     row[COM] = prefix
+                    _add_tail_cost(row, cost, block, taken == 1)
+                    table[2 * b + taken] = row
             self._nospec_exec[key] = table
         return table
 
@@ -1476,7 +1454,8 @@ def replay_trace_columnar(trace: Trace, configs: Sequence[SystemConfig],
                           ) -> List[SystemMetrics]:
     """Replay one trace under many configurations, sharing one context.
 
-    The columnar sibling of :func:`repro.system.sweep.replay_workload`.
+    Equal to one :func:`traceeval.evaluate_trace` call per
+    configuration.
     """
     if context is None:
         context = ColumnarContext(trace, name)

@@ -59,7 +59,6 @@ from repro.system.colreplay import (
     ColumnarContext,
     baseline_metrics_columnar,
     evaluate_trace_columnar,
-    replay_trace_columnar,
 )
 from repro.system.config import (
     PAPER_CACHE_SLOTS,
@@ -239,14 +238,6 @@ def _obtain_trace(name: str, fast: bool, cache: Optional[ArtifactCache],
 # ----------------------------------------------------------------------
 # Replay (layer 2 + layer 3).
 # ----------------------------------------------------------------------
-def replay_workload(trace: Trace, configs: Sequence[SystemConfig],
-                    name: str = "") -> List[SystemMetrics]:
-    """Replay one trace under many configurations with shared
-    translations.  Results are identical to independent
-    :func:`evaluate_trace` calls."""
-    return replay_trace_columnar(trace, configs, name=name)
-
-
 def replay_matrix(traces: Mapping[str, Trace],
                   configs: Sequence[SystemConfig],
                   cache: Optional[ArtifactCache] = None

@@ -34,7 +34,6 @@ from repro.system.colreplay import (
     replay_trace_columnar,
 )
 from repro.system.config import PAPER_SHAPES, custom_system, paper_system
-from repro.system.sweep import replay_workload
 from repro.system.traceeval import baseline_metrics, evaluate_trace
 from repro.workloads import run_workload, workload_names
 from tests.oracle import event_matrix
@@ -87,12 +86,12 @@ def test_columnar_matches_event_engine(name):
                 baseline_metrics(trace, config.timing))
 
 
-def test_replay_workload_engines_identical():
+def test_replay_trace_columnar_engines_identical():
     trace = run_workload("crc", fast=True).trace
     configs = grid_configs()
     event = [evaluate_trace(trace, config, name="crc")
              for config in configs]
-    columnar = replay_workload(trace, configs, name="crc")
+    columnar = replay_trace_columnar(trace, configs, name="crc")
     assert len(event) == len(columnar) == len(configs)
     for col, ev in zip(columnar, event):
         assert_same_metrics(col, ev)

@@ -314,7 +314,6 @@ def test_corpus_byte_identical_across_engines_serve_and_fleet(corpus24):
     corpus — the transparency bar the built-in workloads already meet,
     extended to synthetic ones."""
     from repro.fleet import FleetCoordinator
-    from repro.fleet.coordinator import start_fleet_http
     from repro.serve import EvalService, ServeClient, start_http
 
     names = register_corpus(corpus24)
@@ -351,7 +350,7 @@ def test_corpus_byte_identical_across_engines_serve_and_fleet(corpus24):
         workers.append((wsvc, wserver,
                         "http://%s:%s" % wserver.server_address[:2]))
     fleet = FleetCoordinator(heartbeat_interval=0.05).start()
-    fserver, _ = start_fleet_http(fleet)
+    fserver, _ = start_http(fleet)
     try:
         for index, (_, _, url) in enumerate(workers):
             fleet.register_worker(f"w{index}", url)

@@ -456,7 +456,6 @@ def test_dynflow_profiles_byte_identical_through_serve_and_fleet(
     """An inline serve service and a real two-worker fleet agree
     byte-for-byte with offline evaluation under every dynflow mode."""
     from repro.fleet import FleetCoordinator
-    from repro.fleet.coordinator import start_fleet_http
     from repro.serve import EvalService, ServeClient, start_http
 
     names = dynflow_corpus_names[:3] + dynflow_corpus_names[4:7]
@@ -491,7 +490,7 @@ def test_dynflow_profiles_byte_identical_through_serve_and_fleet(
         workers.append((wsvc, wserver,
                         "http://%s:%s" % wserver.server_address[:2]))
     fleet = FleetCoordinator(heartbeat_interval=0.05).start()
-    fserver, _ = start_fleet_http(fleet)
+    fserver, _ = start_http(fleet)
     try:
         for index, (_, _, url) in enumerate(workers):
             fleet.register_worker(f"w{index}", url)
