@@ -13,7 +13,9 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis import format_table
-from repro.system import evaluate_trace, paper_system, replay_matrix
+from repro.system import paper_system, replay_matrix
+from repro.system.colreplay import evaluate_trace_columnar
+from repro.system.sweep import matrix_suites
 
 from conftest import artifact_cache
 
@@ -22,30 +24,25 @@ SUBSET = ("rijndael_e", "sha", "jpeg_e", "susan_c", "quicksort",
           "rawaudio_d", "patricia", "stringsearch")
 
 
-def geomean_speedups(traces, baselines, configs, names=SUBSET):
+def geomean_speedups(traces, configs, names=SUBSET):
     """Geomean speedup per configuration, via the matrix sweep engine.
 
     One call evaluates a whole ablation series: configurations share
-    per-workload translation memos and per-cell disk artifacts, and the
+    per-workload columnar contexts and per-cell disk artifacts, and the
     metrics are identical to independent ``evaluate_trace`` calls.
     """
     subset = {name: traces[name] for name in names}
-    cells = replay_matrix(subset, configs, cache=artifact_cache())
-    values = []
-    for index in range(len(configs)):
-        product = 1.0
-        for name in names:
-            product *= baselines[name].cycles / cells[(name, index)].cycles
-        values.append(product ** (1.0 / len(names)))
-    return values
+    rows = replay_matrix(subset, configs, cache=artifact_cache())
+    return [suite.geomean_speedup
+            for suite in matrix_suites(names, configs, rows)]
 
 
-def test_ablation_speculation_depth(benchmark, traces, baselines, capsys):
+def test_ablation_speculation_depth(benchmark, traces, capsys):
     depths = (0, 1, 2, 3, 4)
     configs = [paper_system("C3", 64, speculation=depth > 0)
                .with_dim(max_spec_depth=depth) for depth in depths]
     values = dict(zip(depths,
-                      geomean_speedups(traces, baselines, configs)))
+                      geomean_speedups(traces, configs)))
     rows = [[depth, values[depth]] for depth in depths]
     table = format_table(["spec depth (blocks)", "geomean speedup"], rows,
                          title="Ablation — speculation depth at C#3 / 64")
@@ -58,17 +55,17 @@ def test_ablation_speculation_depth(benchmark, traces, baselines, capsys):
     assert gain_1 > gain_4                # diminishing returns
     config = paper_system("C3", 64, True)
     benchmark.pedantic(
-        lambda: evaluate_trace(traces["quicksort"], config),
+        lambda: evaluate_trace_columnar(traces["quicksort"], config),
         rounds=1, iterations=1)
 
 
-def test_ablation_alu_chain(benchmark, traces, baselines, capsys):
+def test_ablation_alu_chain(benchmark, traces, capsys):
     chains = (1, 2, 3, 4)
     base = paper_system("C3", 64, True)
     configs = [replace(base, shape=replace(base.shape, alu_chain=chain))
                for chain in chains]
     values = dict(zip(chains,
-                      geomean_speedups(traces, baselines, configs)))
+                      geomean_speedups(traces, configs)))
     rows = [[chain, values[chain]] for chain in chains]
     table = format_table(["ALU lines per cycle", "geomean speedup"], rows,
                          title="Ablation — ALU chaining (default: 2)")
@@ -77,17 +74,17 @@ def test_ablation_alu_chain(benchmark, traces, baselines, capsys):
     assert values[1] < values[2] < values[3] <= values[4] * 1.001
     config = paper_system("C1", 64, True)
     benchmark.pedantic(
-        lambda: evaluate_trace(traces["sha"], config),
+        lambda: evaluate_trace_columnar(traces["sha"], config),
         rounds=1, iterations=1)
 
 
-def test_ablation_cache_policy(benchmark, traces, baselines, capsys):
+def test_ablation_cache_policy(benchmark, traces, capsys):
     sensitive = ("rijndael_e", "patricia", "stringsearch", "jpeg_e")
     points = [(slots, policy) for slots in (8, 16, 32)
               for policy in ("fifo", "lru")]
     configs = [paper_system("C3", slots, True)
                .with_dim(cache_policy=policy) for slots, policy in points]
-    values = dict(zip(points, geomean_speedups(traces, baselines, configs,
+    values = dict(zip(points, geomean_speedups(traces, configs,
                                                names=sensitive)))
     rows = [[slots, values[(slots, "fifo")], values[(slots, "lru")]]
             for slots in (8, 16, 32)]
@@ -101,17 +98,17 @@ def test_ablation_cache_policy(benchmark, traces, baselines, capsys):
         / values[(32, "lru")] < 0.25
     config = paper_system("C3", 8, True).with_dim(cache_policy="lru")
     benchmark.pedantic(
-        lambda: evaluate_trace(traces["patricia"], config),
+        lambda: evaluate_trace_columnar(traces["patricia"], config),
         rounds=1, iterations=1)
 
 
-def test_ablation_min_block_length(benchmark, traces, baselines, capsys):
+def test_ablation_min_block_length(benchmark, traces, capsys):
     lengths = (2, 4, 6, 8, 12)
     configs = [paper_system("C3", 64, True)
                .with_dim(min_block_instructions=min_len)
                for min_len in lengths]
     values = dict(zip(lengths,
-                      geomean_speedups(traces, baselines, configs)))
+                      geomean_speedups(traces, configs)))
     rows = [[min_len, values[min_len]] for min_len in lengths]
     table = format_table(["min instructions", "geomean speedup"], rows,
                          title="Ablation — minimum cached block length "
@@ -124,5 +121,5 @@ def test_ablation_min_block_length(benchmark, traces, baselines, capsys):
     config = paper_system("C3", 64, True).with_dim(
         min_block_instructions=12)
     benchmark.pedantic(
-        lambda: evaluate_trace(traces["rawaudio_d"], config),
+        lambda: evaluate_trace_columnar(traces["rawaudio_d"], config),
         rounds=1, iterations=1)

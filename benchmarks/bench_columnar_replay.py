@@ -26,7 +26,7 @@ import pytest
 
 from repro.dim.memo import TranslationMemo
 from repro.system import paper_system
-from repro.system.colreplay import replay_trace_columnar
+from repro.system.colreplay import ColumnarContext, evaluate_trace_columnar
 from repro.system.traceeval import evaluate_trace
 
 #: 3 arrays x {no-spec, spec} x {16, 64} slots = 12 configurations.
@@ -62,8 +62,8 @@ def test_columnar_bit_identical_and_10x(traces, capsys):
     event_seconds = time.perf_counter() - start
 
     # 2. memoized event replay: all configurations of a workload share
-    #    one probe-validated TranslationMemo (the event path of an
-    #    observing sweep).
+    #    one probe-validated TranslationMemo (the event engine's own
+    #    sharing layer; sweeps share a ColumnarContext instead).
     start = time.perf_counter()
     memo_cells = {}
     for name, trace in traces.items():
@@ -79,9 +79,10 @@ def test_columnar_bit_identical_and_10x(traces, capsys):
     start = time.perf_counter()
     columnar_cells = {}
     for name, trace in traces.items():
-        for index, metrics in enumerate(
-                replay_trace_columnar(trace, CONFIGS, name=name)):
-            columnar_cells[(name, index)] = metrics
+        context = ColumnarContext(trace, name=name)
+        for index, config in enumerate(CONFIGS):
+            columnar_cells[(name, index)] = evaluate_trace_columnar(
+                trace, config, name=name, context=context)
     columnar_seconds = time.perf_counter() - start
 
     mismatches = []

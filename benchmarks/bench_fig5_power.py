@@ -8,14 +8,16 @@ slots, with and without speculation, against the standalone MIPS.
 import pytest
 
 from repro.analysis import format_table
-from repro.system import evaluate_trace, paper_system
+from repro.system import paper_system
+from repro.system.colreplay import evaluate_trace_columnar
 from repro.system.energy import energy_of
 
 WORKLOADS = ("rijndael_e", "rawaudio_d", "jpeg_e")
 COMPONENTS = ("core", "imem", "dmem", "array", "bt")
 
 
-def test_fig5_power_breakdown(benchmark, traces, baselines, capsys):
+def test_fig5_power_breakdown(benchmark, traces, baselines, table2_sweep,
+                              capsys):
     rows = []
     for name in WORKLOADS:
         base_energy = energy_of(baselines[name])
@@ -25,9 +27,7 @@ def test_fig5_power_breakdown(benchmark, traces, baselines, capsys):
                     + [base_energy.power_per_cycle])
         for array in ("C1", "C3"):
             for spec in (False, True):
-                config = paper_system(array, 64, spec)
-                metrics = evaluate_trace(traces[name], config)
-                breakdown = energy_of(metrics)
+                breakdown = energy_of(table2_sweep[(name, array, spec, 64)])
                 power = breakdown.component_power()
                 tag = "spec" if spec else "no-spec"
                 rows.append([f"{name} / {array} {tag}"]
@@ -54,5 +54,5 @@ def test_fig5_power_breakdown(benchmark, traces, baselines, capsys):
     config = paper_system("C3", 64, True)
     trace = traces["jpeg_e"]
     benchmark.pedantic(
-        lambda: energy_of(evaluate_trace(trace, config)),
+        lambda: energy_of(evaluate_trace_columnar(trace, config)),
         rounds=3, iterations=1)

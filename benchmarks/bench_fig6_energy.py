@@ -9,7 +9,8 @@ import pytest
 
 from paper_data import PAPER_ENERGY_RATIO_C2_64
 from repro.analysis import format_table
-from repro.system import evaluate_trace, paper_system
+from repro.system import paper_system
+from repro.system.colreplay import evaluate_trace_columnar
 from repro.system.energy import (
     EnergyParams,
     energy_of,
@@ -21,15 +22,15 @@ from repro.workloads import workload_names
 WORKLOADS = ("rijndael_e", "rawaudio_d", "jpeg_e")
 
 
-def test_fig6_energy_per_workload(benchmark, traces, baselines, capsys):
+def test_fig6_energy_per_workload(benchmark, traces, baselines,
+                                  table2_sweep, capsys):
     rows = []
     for name in WORKLOADS:
         base_total = energy_of(baselines[name]).total
         row = [name, base_total / 1e6]
         for array in ("C1", "C3"):
             for spec in (False, True):
-                config = paper_system(array, 64, spec)
-                metrics = evaluate_trace(traces[name], config)
+                metrics = table2_sweep[(name, array, spec, 64)]
                 row.append(energy_of(metrics).total / 1e6)
         rows.append(row)
     table = format_table(
@@ -50,30 +51,31 @@ def test_fig6_energy_per_workload(benchmark, traces, baselines, capsys):
         assert row[2] < row[1] and row[3] < row[1]
     for name in WORKLOADS:
         # and with FU gating, even C#3 saves energy on every workload
-        config = paper_system("C3", 64, True)
-        metrics = evaluate_trace(traces[name], config)
+        metrics = table2_sweep[(name, "C3", True, 64)]
         assert energy_of(metrics, gated).total \
             < energy_of(baselines[name], gated).total
 
     trace = traces["rijndael_e"]
     config = paper_system("C3", 64, True)
     benchmark.pedantic(
-        lambda: energy_of(evaluate_trace(trace, config)).total,
+        lambda: energy_of(evaluate_trace_columnar(trace, config)).total,
         rounds=3, iterations=1)
 
 
-def test_fig6_average_ratio_c2_64(benchmark, traces, baselines, capsys):
+def test_fig6_average_ratio_c2_64(benchmark, traces, baselines,
+                                  table2_sweep, capsys):
     """The paper's headline: 1.73x less energy at C#2 / 64 slots."""
     config = paper_system("C2", 64, True)
     benchmark.pedantic(
         lambda: energy_ratio(baselines["crc"],
-                             evaluate_trace(traces["crc"], config)),
+                             evaluate_trace_columnar(traces["crc"],
+                                                     config)),
         rounds=1, iterations=1)
     product = 1.0
     iso_product = 1.0
     rows = []
     for name in workload_names():
-        metrics = evaluate_trace(traces[name], config)
+        metrics = table2_sweep[(name, "C2", True, 64)]
         ratio = energy_ratio(baselines[name], metrics)
         iso = iso_performance_energy_ratio(baselines[name], metrics)
         product *= ratio

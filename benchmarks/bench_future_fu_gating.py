@@ -11,7 +11,8 @@ speedup is best (C#3).
 import pytest
 
 from repro.analysis import format_table
-from repro.system import evaluate_trace, paper_system
+from repro.system import paper_system
+from repro.system.colreplay import evaluate_trace_columnar
 from repro.system.energy import EnergyParams, energy_of
 
 WORKLOADS = ("rijndael_e", "sha", "jpeg_e", "quicksort", "rawaudio_d",
@@ -19,17 +20,16 @@ WORKLOADS = ("rijndael_e", "sha", "jpeg_e", "quicksort", "rawaudio_d",
 
 
 def test_fu_gating_saves_array_energy(benchmark, traces, baselines,
-                                      capsys):
+                                      table2_sweep, capsys):
     plain_params = EnergyParams()
     gated_params = EnergyParams(fu_gating=True)
     rows = []
     savings = {}
     for array in ("C1", "C2", "C3"):
-        config = paper_system(array, 64, True)
         total_plain = total_gated = total_base = 0.0
         occupancy_num = occupancy_den = 0
         for name in WORKLOADS:
-            metrics = evaluate_trace(traces[name], config)
+            metrics = table2_sweep[(name, array, True, 64)]
             total_plain += energy_of(metrics, plain_params).total
             total_gated += energy_of(metrics, gated_params).total
             total_base += energy_of(baselines[name], plain_params).total
@@ -61,5 +61,6 @@ def test_fu_gating_saves_array_energy(benchmark, traces, baselines,
     config = paper_system("C3", 64, True)
     trace = traces["quicksort"]
     benchmark.pedantic(
-        lambda: energy_of(evaluate_trace(trace, config), gated_params),
+        lambda: energy_of(evaluate_trace_columnar(trace, config),
+                          gated_params),
         rounds=1, iterations=1)

@@ -9,7 +9,7 @@ the persistent evaluation service (:mod:`repro.serve`):
   processes, each recompiling and retracing the workload it is about to
   throw away (the in-process caches are cleared between calls to
   emulate that).  The batch coalescer instead serves every
-  configuration from one trace and one shared translation memo;
+  configuration from one trace and one shared columnar context;
 - the comparison doubles as a transparency check: every job's
   ``suite_json`` must be byte-identical to its offline counterpart.
 

@@ -63,7 +63,7 @@ def event_suites(runs, memoized):
     """The event-engine reference: one :func:`evaluate_trace` per cell,
     per-configuration suites in the matrix's order.  ``memoized``
     shares one ``TranslationMemo`` per workload across configurations
-    (the event path of an observing sweep)."""
+    (the event engine's own sharing layer)."""
     memos = {name: TranslationMemo() for name in runs}
     suites = []
     for config in CONFIGS:

@@ -10,7 +10,8 @@ import pytest
 
 from paper_data import PAPER_TABLE2, PAPER_TABLE2_AVERAGE
 from repro.analysis import format_table
-from repro.system import PAPER_CACHE_SLOTS, evaluate_trace, paper_system
+from repro.system import PAPER_CACHE_SLOTS, paper_system
+from repro.system.colreplay import evaluate_trace_columnar
 from repro.workloads import workload_names
 
 from conftest import ARRAYS, speedup_of
@@ -90,7 +91,7 @@ def test_table2_full_sweep(benchmark, traces, baselines, table2_sweep,
     # the timed kernel: one representative evaluation
     trace = traces["quicksort"]
     config = paper_system("C3", 64, True)
-    benchmark.pedantic(lambda: evaluate_trace(trace, config),
+    benchmark.pedantic(lambda: evaluate_trace_columnar(trace, config),
                        rounds=3, iterations=1)
 
 

@@ -8,11 +8,12 @@ served from the persistent artifact cache of
 block-compiled fast path, fanned across a process pool when
 ``REPRO_JOBS`` is set above 1.  The Table 2 sweep — every workload
 through every system configuration — runs through the matrix sweep
-engine (:mod:`repro.system.sweep`): all configurations of a workload
-share one translation memo and per-cell metrics persist as disk
-artifacts, so a warm re-run of the bench suite skips both tracing and
-replay.  Results are byte-identical to independent ``evaluate_trace``
-calls (asserted by the test suite).
+engine's rows (:func:`repro.system.sweep.replay_matrix`): all
+configurations of a workload share one ``ColumnarContext``, and
+baselines and per-cell metrics persist as disk artifacts, so a warm
+re-run of the bench suite skips both tracing and replay.  Results are
+byte-identical to independent ``evaluate_trace`` calls (asserted by the
+test suite).  The paper benches read their metrics off this sweep.
 """
 
 from __future__ import annotations
@@ -22,15 +23,11 @@ from typing import Dict, Tuple
 
 import pytest
 
+from repro.sim.stats import TimingModel
 from repro.sim.trace import Trace
-from repro.system import (
-    PAPER_CACHE_SLOTS,
-    baseline_metrics,
-    paper_system,
-    replay_matrix,
-)
+from repro.system import PAPER_CACHE_SLOTS, paper_system, replay_matrix
 from repro.system.artifacts import ArtifactCache
-from repro.system.sweep import paper_matrix, trace_artifact_key
+from repro.system.sweep import Row, paper_matrix, trace_artifact_key
 from repro.system.traceeval import SystemMetrics
 from repro.workloads import collect_runs, workload_names
 
@@ -64,9 +61,17 @@ def traces() -> Dict[str, Trace]:
 
 
 @pytest.fixture(scope="session")
-def baselines(traces) -> Dict[str, SystemMetrics]:
-    return {name: baseline_metrics(trace)
-            for name, trace in traces.items()}
+def table2_rows(traces) -> Dict[str, Row]:
+    """The full Table 2 matrix, one sweep row per workload:
+    18 workloads x (3 arrays x 2 x 3 + ideal x 2)."""
+    return replay_matrix(traces, paper_matrix(), cache=artifact_cache())
+
+
+@pytest.fixture(scope="session")
+def baselines(table2_rows) -> Dict[str, SystemMetrics]:
+    """The standalone-MIPS metrics of every workload."""
+    return {name: row_baselines[TimingModel()]
+            for name, (row_baselines, _) in table2_rows.items()}
 
 
 #: (workload, array, spec, slots) -> SystemMetrics; slots=0 means ideal.
@@ -74,14 +79,9 @@ SweepKey = Tuple[str, str, bool, int]
 
 
 @pytest.fixture(scope="session")
-def table2_sweep(traces) -> Dict[SweepKey, SystemMetrics]:
-    """The full Table 2 sweep: 18 workloads x (3 arrays x 2 x 3 + ideal x 2).
-
-    Evaluated through the matrix sweep engine: one shared translation
-    memo per workload, per-cell disk artifacts, byte-identical results.
-    """
+def table2_sweep(table2_rows) -> Dict[SweepKey, SystemMetrics]:
+    """The Table 2 matrix's cells by (workload, array, spec, slots)."""
     configs = paper_matrix()
-    cells = replay_matrix(traces, configs, cache=artifact_cache())
     results: Dict[SweepKey, SystemMetrics] = {}
     position = 0
     for array in ARRAYS:
@@ -89,13 +89,12 @@ def table2_sweep(traces) -> Dict[SweepKey, SystemMetrics]:
             for slots in PAPER_CACHE_SLOTS:
                 assert configs[position].name == \
                     paper_system(array, slots, spec).name
-                for name in traces:
-                    results[(name, array, spec, slots)] = \
-                        cells[(name, position)]
+                for name, (_, cells) in table2_rows.items():
+                    results[(name, array, spec, slots)] = cells[position]
                 position += 1
     for spec in (False, True):
-        for name in traces:
-            results[(name, "ideal", spec, 0)] = cells[(name, position)]
+        for name, (_, cells) in table2_rows.items():
+            results[(name, "ideal", spec, 0)] = cells[position]
         position += 1
     return results
 

@@ -9,8 +9,7 @@ single workload.
 Run:  python examples/accelerated_crypto.py
 """
 
-from repro.sim import run_program
-from repro.system import baseline_metrics, evaluate_trace, paper_system
+from repro.system import paper_system, replay_matrix
 from repro.system.energy import energy_of, energy_ratio
 from repro.workloads import load_workload, run_workload
 
@@ -21,7 +20,10 @@ def main() -> None:
           "instructions")
 
     plain = run_workload("sha")
-    base = baseline_metrics(plain.trace)
+    configs = [paper_system(array, slots=64, speculation=spec)
+               for array in ("C1", "C2", "C3") for spec in (False, True)]
+    baselines, cells = replay_matrix({"sha": plain.trace}, configs)["sha"]
+    base = baselines[configs[0].timing]
     print(f"plain MIPS: {plain.output.strip()!r}, "
           f"{base.cycles:,} cycles, CPI={base.cpi:.2f}\n")
 
@@ -29,19 +31,14 @@ def main() -> None:
               f"{'energy x':>9s} {'hit rate':>9s} {'misspec':>8s}")
     print(header)
     print("-" * len(header))
-    for array in ("C1", "C2", "C3"):
-        for spec in (False, True):
-            config = paper_system(array, slots=64, speculation=spec)
-            metrics = evaluate_trace(plain.trace, config)
-            hit_rate = metrics.cache_hits / max(1, metrics.cache_lookups)
-            print(f"{config.name:24s} {metrics.cycles:>10,d} "
-                  f"{base.cycles / metrics.cycles:>7.2f}x "
-                  f"{energy_ratio(base, metrics):>8.2f}x "
-                  f"{hit_rate:>8.1%} {metrics.dim.misspeculations:>8d}")
+    for config, metrics in zip(configs, cells):
+        hit_rate = metrics.cache_hits / max(1, metrics.cache_lookups)
+        print(f"{config.name:24s} {metrics.cycles:>10,d} "
+              f"{base.cycles / metrics.cycles:>7.2f}x "
+              f"{energy_ratio(base, metrics):>8.2f}x "
+              f"{hit_rate:>8.1%} {metrics.dim.misspeculations:>8d}")
 
-    config = paper_system("C3", slots=64, speculation=True)
-    metrics = evaluate_trace(plain.trace, config)
-    breakdown = energy_of(metrics)
+    breakdown = energy_of(cells[-1])  # the last config is C3/64/spec
     print("\nenergy breakdown at C3/spec (fraction of total):")
     for component, power in breakdown.component_power().items():
         share = power / breakdown.power_per_cycle

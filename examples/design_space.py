@@ -4,7 +4,8 @@ Sweeps array geometry and reconfiguration-cache size for two contrasting
 workloads (AES: large dataflow blocks; quicksort: short control blocks)
 and prints the speedup surface — the kind of study Section 6 lists as
 future work ("finding the ideal shape for the reconfigurable array"),
-made cheap by the trace evaluator.
+made cheap by trace-once / replay-many evaluation: each workload is
+simulated once and its 15 configurations replay on the columnar engine.
 
 Run:  python examples/design_space.py
 """
@@ -13,7 +14,7 @@ from repro.analysis import format_table
 from repro.cgra.shape import ArrayShape
 from repro.dim.params import DimParams
 from repro.sim.stats import TimingModel
-from repro.system import SystemConfig, baseline_metrics, evaluate_trace
+from repro.system import SystemConfig, replay_matrix
 from repro.workloads import run_workload
 
 ROWS_SWEEP = (12, 24, 48, 96, 192)
@@ -30,15 +31,17 @@ def custom_system(rows: int, slots: int) -> SystemConfig:
 
 def sweep(name: str) -> str:
     trace = run_workload(name).trace
-    base = baseline_metrics(trace)
+    configs = [custom_system(array_rows, slots)
+               for array_rows in ROWS_SWEEP for slots in SLOTS_SWEEP]
+    baselines, cells = replay_matrix({name: trace}, configs)[name]
+    base = baselines[TimingModel()]
+    width = len(SLOTS_SWEEP)
     rows = []
-    for array_rows in ROWS_SWEEP:
-        row = [f"{array_rows} lines"]
-        for slots in SLOTS_SWEEP:
-            metrics = evaluate_trace(trace, custom_system(array_rows,
-                                                          slots))
-            row.append(base.cycles / metrics.cycles)
-        rows.append(row)
+    for index, array_rows in enumerate(ROWS_SWEEP):
+        row_cells = cells[index * width:(index + 1) * width]
+        rows.append([f"{array_rows} lines"]
+                    + [base.cycles / metrics.cycles
+                       for metrics in row_cells])
     return format_table(
         ["array size"] + [f"{s} slots" for s in SLOTS_SWEEP], rows,
         title=f"speedup surface — {name}")

@@ -14,7 +14,7 @@ Run:  python examples/heterogeneous_device.py
 """
 
 from repro.analysis import block_profile, blocks_for_coverage
-from repro.system import baseline_metrics, evaluate_trace, paper_system
+from repro.system import paper_system, replay_matrix
 from repro.workloads import run_workload
 
 DEVICE_APPS = ("rawaudio_d", "jpeg_e", "jpeg_d", "stringsearch")
@@ -41,12 +41,12 @@ def main() -> None:
 
     print("== what DIM does instead (C#2, 64 slots, speculation) ==\n")
     config = paper_system("C2", slots=64, speculation=True)
+    rows = replay_matrix({name: run_workload(name).trace
+                          for name in DEVICE_APPS}, [config])
     total_base = 0
     total_accel = 0
-    for name in DEVICE_APPS:
-        trace = run_workload(name).trace
-        base = baseline_metrics(trace)
-        metrics = evaluate_trace(trace, config)
+    for name, (baselines, (metrics,)) in rows.items():
+        base = baselines[config.timing]
         total_base += base.cycles
         total_accel += metrics.cycles
         print(f"{name:14s}: {base.cycles:>9,d} -> {metrics.cycles:>9,d} "

@@ -45,7 +45,6 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.asm import assemble
@@ -147,7 +146,6 @@ def sweep(configs: Optional[Sequence[SystemConfig]] = None,
           names: Optional[Iterable[str]] = None,
           jobs: int = 1, fast: bool = False,
           cache: Optional[ArtifactCache] = None,
-          cache_dir: Optional[Path] = None,
           telemetry: Optional[Telemetry] = None,
           energy_params: EnergyParams = EnergyParams()) -> MatrixResult:
     """Evaluate a workloads x configurations matrix.
@@ -160,8 +158,7 @@ def sweep(configs: Optional[Sequence[SystemConfig]] = None,
     """
     configs = list(configs) if configs is not None else paper_matrix()
     return evaluate_matrix(configs, names=names, jobs=jobs, fast=fast,
-                           cache=cache, cache_dir=cache_dir,
-                           telemetry=telemetry,
+                           cache=cache, telemetry=telemetry,
                            energy_params=energy_params)
 
 
@@ -185,8 +182,7 @@ def explore(space=None, strategy: str = "grid",
             workloads: Optional[Sequence[str]] = None,
             budget: Optional[int] = None, seed: int = 0,
             jobs: int = 1, fast: bool = False,
-            cache: Optional[ArtifactCache] = None,
-            cache_dir: Optional[Path] = None, client=None,
+            cache: Optional[ArtifactCache] = None, client=None,
             telemetry: Optional[Telemetry] = None, **kwargs):
     """Seeded, budget-bounded design-space exploration
     (:mod:`repro.dse`); returns a Pareto
@@ -202,7 +198,7 @@ def explore(space=None, strategy: str = "grid",
     return dse_explore(space=space, strategy=strategy,
                        objectives=objectives, workloads=workloads,
                        budget=budget, seed=seed, jobs=jobs, fast=fast,
-                       cache=cache, cache_dir=cache_dir, client=client,
+                       cache=cache, client=client,
                        telemetry=telemetry, **kwargs)
 
 

@@ -426,17 +426,23 @@ def _parse_workload_subset(only: Optional[str]) -> Optional[List[str]]:
     return names
 
 
+def _artifact_cache(args: argparse.Namespace, **kwargs):
+    """The artifact store ``--cache-dir``/``--no-cache`` select; without
+    ``--cache-dir`` :class:`ArtifactCache` picks its default root."""
+    from repro.system.artifacts import ArtifactCache
+
+    if getattr(args, "no_cache", False):
+        return None
+    return ArtifactCache(args.cache_dir or None, **kwargs)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.system.artifacts import ArtifactCache, default_cache_dir
     from repro.system.sweep import evaluate_matrix
 
     corpus_names = _activate_corpus(args.corpus)
     configs = _build_configs(args)
     names = _subset_names(args, corpus_names)
-    cache = None
-    if not args.no_cache:
-        root = args.cache_dir if args.cache_dir else default_cache_dir()
-        cache = ArtifactCache(root)
+    cache = _artifact_cache(args)
     telemetry = Telemetry() if args.telemetry else None
     matrix = evaluate_matrix(configs, names=names, jobs=args.jobs,
                              fast=args.fast, cache=cache,
@@ -482,7 +488,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     import dataclasses as _dc
 
     from repro.dse import default_space, explore, load_space
-    from repro.system.artifacts import ArtifactCache, default_cache_dir
 
     try:
         space = (load_space(args.space) if args.space
@@ -494,10 +499,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc))
     corpus_names = _activate_corpus(getattr(args, "corpus", None))
     names = _subset_names(args, corpus_names)
-    cache = None
-    if not args.no_cache:
-        root = args.cache_dir if args.cache_dir else default_cache_dir()
-        cache = ArtifactCache(root)
+    cache = _artifact_cache(args)
     client = None
     if args.url:
         from repro.serve.client import ServeError, connect
@@ -562,7 +564,6 @@ def _cmd_mpsoc(args: argparse.Namespace) -> int:
 
     from repro.mpsoc import (InfeasibleBudgetError, explore_mix,
                              mpsoc_spec)
-    from repro.system.artifacts import ArtifactCache, default_cache_dir
 
     _activate_corpus(getattr(args, "corpus", None))
     spec_kwargs = {"catalog": _mpsoc_catalog(args),
@@ -575,10 +576,7 @@ def _cmd_mpsoc(args: argparse.Namespace) -> int:
         except ValueError:
             raise SystemExit(f"--cores must be comma-separated "
                              f"integers, got {args.cores!r}")
-    cache = None
-    if not args.no_cache:
-        root = args.cache_dir if args.cache_dir else default_cache_dir()
-        cache = ArtifactCache(root)
+    cache = _artifact_cache(args)
     client = None
     if args.url:
         from repro.serve.client import ServeError, connect
@@ -682,10 +680,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.system.artifacts import ArtifactCache, default_cache_dir
-
-    root = args.cache_dir if args.cache_dir else default_cache_dir()
-    cache = ArtifactCache(root, max_bytes=args.max_bytes)
+    cache = _artifact_cache(args, max_bytes=args.max_bytes)
     stats = cache.stats()
     if args.action == "stats":
         cap = stats["max_bytes"]

@@ -83,7 +83,7 @@ def explore(space: Optional[ParameterSpace] = None,
             seed: int = 0,
             jobs: int = 1,
             fast: bool = False,
-            cache=None, cache_dir=None, client=None,
+            cache=None, client=None,
             base_dim=None, timing=None, energy_params=None,
             telemetry=None,
             runner=None) -> FrontierResult:
@@ -111,8 +111,8 @@ def explore(space: Optional[ParameterSpace] = None,
             timing=timing,
             energy_params=(energy_params if energy_params is not None
                            else EnergyParams()),
-            jobs=jobs, fast=fast, cache=cache, cache_dir=cache_dir,
-            client=client, telemetry=telemetry)
+            jobs=jobs, fast=fast, cache=cache, client=client,
+            telemetry=telemetry)
     start = time.perf_counter()
     evaluations = resolved_strategy.explore(
         space, resolved_objectives, runner, budget, random.Random(seed))

@@ -4,20 +4,21 @@ Two runners share one contract — ``evaluate(candidates, names)`` returns
 one :class:`Evaluation` per candidate, memoised per (candidate,
 workload-set) so strategies may re-request points for free:
 
-- :class:`MatrixRunner` — the production path.  Batches go through the
-  trace-once / replay-many engine
+- :class:`MatrixRunner` — the production path.  Each batch is read off
+  one ``results_json`` document of the trace-once / replay-many engine
   (:func:`repro.system.sweep.evaluate_matrix` with its columnar replay
-  and :class:`~repro.system.artifacts.ArtifactCache` layers), serially
-  or with ``jobs`` processes, or are dispatched as ``sweep`` jobs to a
-  running ``repro serve`` instance via
-  :class:`~repro.serve.client.ServeClient`.  All three modes return
-  bit-identical floats (JSON round-trips floats exactly), which is what
-  makes the frontier byte-identical across them.
-- :class:`TraceRunner` — evaluates against caller-supplied traces with
-  the exact float-operation sequence of the original exhaustive shape
-  search (per-workload speedups multiplied in trace order, then one
-  root), so it reproduces pre-``repro.dse`` shape rankings to the last
-  bit.
+  and :class:`~repro.system.artifacts.ArtifactCache` layers), built
+  serially, with ``jobs`` processes, or by a running ``repro serve``
+  instance the batch is dispatched to via
+  :class:`~repro.serve.client.ServeClient`.  JSON round-trips floats
+  exactly, which is what makes the frontier byte-identical across the
+  three modes.
+- :class:`TraceRunner` — evaluates caller-supplied traces through the
+  same sweep row (:func:`repro.system.sweep.replay_matrix`) and fold,
+  whose float-operation sequence is that of the original exhaustive
+  shape search (per-workload speedups multiplied in trace order, then
+  one root), so it reproduces pre-``repro.dse`` shape rankings to the
+  last bit.
 
 Everything either runner observes flows through the ``dse.*`` namespace
 of :mod:`repro.obs` (counters via :class:`DseStats`, events via the
@@ -39,14 +40,9 @@ from repro.obs.schema import dse_counters, dse_timers
 from repro.sim.stats import TimingModel
 from repro.sim.trace import Trace
 from repro.system.artifacts import ArtifactCache
-from repro.system.colreplay import (
-    ColumnarContext,
-    baseline_metrics_columnar,
-    evaluate_trace_columnar,
-)
-from repro.system.config import SystemConfig, SystemSpec
-from repro.system.energy import EnergyParams, energy_ratio
-from repro.system.sweep import evaluate_matrix
+from repro.system.config import SystemSpec
+from repro.system.energy import EnergyParams
+from repro.system.sweep import evaluate_matrix, matrix_suites, replay_matrix
 from repro.workloads import workload_names
 
 from repro.dse.space import Candidate, ParameterSpace
@@ -174,30 +170,23 @@ class _RunnerBase:
         raise NotImplementedError
 
 
-class MatrixRunner(_RunnerBase):
-    """Evaluate batches through the matrix sweep engine or a service."""
+class _MatrixBacked(_RunnerBase):
+    """A runner that scores each batch off one matrix document.
 
-    def __init__(self, space: ParameterSpace,
-                 workloads: Optional[Sequence[str]] = None,
-                 base_dim: Optional[DimParams] = None,
-                 timing: Optional[TimingModel] = None,
-                 energy_params: EnergyParams = EnergyParams(),
-                 jobs: int = 1, fast: bool = False,
-                 cache: Optional[ArtifactCache] = None,
-                 cache_dir=None, client=None,
-                 telemetry: Optional[Telemetry] = None):
-        super().__init__(workloads if workloads is not None
-                         else workload_names(), telemetry)
-        if cache is None and cache_dir is not None:
-            cache = ArtifactCache(cache_dir)
-        if client is not None and timing is not None \
-                and timing != TimingModel():
-            raise ValueError("serve dispatch evaluates under the "
-                             "default timing model; drop the custom "
-                             "timing or the client")
-        self.space = space
-        self.base_dim = base_dim
-        self.timing = timing
+    The document has the shape of
+    :meth:`~repro.system.sweep.MatrixResult.results_json`.  It is built
+    inline by :func:`~repro.system.sweep.evaluate_matrix`, or taken from
+    the ``matrix_json`` of one coalescable ``sweep`` job on a running
+    ``repro serve`` instance or ``repro fleet`` coordinator.  JSON
+    round-trips floats exactly, so both give the same scores bit for
+    bit.
+    """
+
+    def __init__(self, workloads: Sequence[str],
+                 energy_params: EnergyParams, jobs: int, fast: bool,
+                 cache: Optional[ArtifactCache], client,
+                 telemetry: Optional[Telemetry]):
+        super().__init__(workloads, telemetry)
         self.energy_params = energy_params
         self.jobs = jobs
         self.fast = fast
@@ -208,48 +197,58 @@ class MatrixRunner(_RunnerBase):
     def _dispatched(self) -> bool:
         return self.client is not None
 
-    def config_for(self, candidate: Candidate) -> SystemConfig:
-        return self.space.config_of(candidate, self.base_dim,
-                                    self.timing)
+    def _matrix_systems(self, specs: Sequence[SystemSpec],
+                        names: Sequence[str],
+                        timing: Optional[TimingModel] = None
+                        ) -> Dict[str, dict]:
+        """The document's per-system entries, keyed by system name."""
+        if self.client is None:
+            document = evaluate_matrix(
+                [spec.build(timing) for spec in specs], names=list(names),
+                energy_params=self.energy_params, jobs=self.jobs,
+                fast=self.fast, cache=self.cache,
+                telemetry=self.telemetry).results_json()
+        else:
+            job = self.client.submit(
+                "sweep", configs=[spec.to_dict() for spec in specs],
+                names=list(names), fast=self.fast)
+            document = self.client.wait(job["job_id"])["result"][
+                "matrix_json"]
+            self.stats.dispatched_batches += 1
+        return {entry["system"]: entry
+                for entry in json.loads(document)["systems"]}
+
+
+class MatrixRunner(_MatrixBacked):
+    """Evaluate batches through the matrix sweep engine or a service."""
+
+    def __init__(self, space: ParameterSpace,
+                 workloads: Optional[Sequence[str]] = None,
+                 base_dim: Optional[DimParams] = None,
+                 timing: Optional[TimingModel] = None,
+                 energy_params: EnergyParams = EnergyParams(),
+                 jobs: int = 1, fast: bool = False,
+                 cache: Optional[ArtifactCache] = None, client=None,
+                 telemetry: Optional[Telemetry] = None):
+        super().__init__(workloads if workloads is not None
+                         else workload_names(), energy_params, jobs,
+                         fast, cache, client, telemetry)
+        if client is not None and timing is not None \
+                and timing != TimingModel():
+            raise ValueError("serve dispatch evaluates under the "
+                             "default timing model; drop the custom "
+                             "timing or the client")
+        self.space = space
+        self.base_dim = base_dim
+        self.timing = timing
 
     def _score_batch(self, batch, names):
-        if self.client is not None:
-            return self._score_remote(batch, names)
-        configs = [self.config_for(c) for c in batch]
-        matrix = evaluate_matrix(configs, names=list(names),
-                                 energy_params=self.energy_params,
-                                 jobs=self.jobs, fast=self.fast,
-                                 cache=self.cache,
-                                 telemetry=self.telemetry)
+        specs = [self.space.spec_of(c, self.base_dim) for c in batch]
+        systems = self._matrix_systems(specs, names, self.timing)
         scored = []
-        for candidate, config in zip(batch, configs):
-            suite = matrix.suite(config.name)
-            scored.append((config.name, suite.geomean_speedup,
-                           suite.geomean_energy_ratio,
-                           self.space.gates_of(candidate)))
-        return scored
-
-    def _score_remote(self, batch, names):
-        """One coalescable ``sweep`` job per batch.
-
-        The service evaluates through the same
-        :func:`~repro.system.sweep.evaluate_matrix` code path; its
-        ``matrix_json`` carries the geomeans as JSON floats, which
-        round-trip exactly — so remote scores equal inline scores bit
-        for bit.
-        """
-        specs = [self.space.wire_spec(c, self.base_dim) for c in batch]
-        job = self.client.submit("sweep", configs=specs,
-                                 names=list(names), fast=self.fast)
-        payload = self.client.wait(job["job_id"])
-        matrix = json.loads(payload["result"]["matrix_json"])
-        by_system = {entry["system"]: entry
-                     for entry in matrix["systems"]}
-        self.stats.dispatched_batches += 1
-        scored = []
-        for candidate in batch:
-            name = self.config_for(candidate).name
-            entry = by_system[name]
+        for candidate, spec in zip(batch, specs):
+            name = spec.name
+            entry = systems[name]
             scored.append((name, entry["geomean_speedup"],
                            entry["geomean_energy_ratio"],
                            self.space.gates_of(candidate)))
@@ -259,13 +258,12 @@ class MatrixRunner(_RunnerBase):
 class TraceRunner(_RunnerBase):
     """Evaluate candidates against pre-simulated traces.
 
-    It deliberately replays the original exhaustive shape search's
-    exact float arithmetic: per-workload speedups multiplied in
-    trace-dict order, then one ``** (1/n)`` — same operations, same
-    order, same bits.
-    Each workload keeps one shared
-    :class:`~repro.system.colreplay.ColumnarContext` across every
-    candidate.
+    Each batch replays through :func:`~repro.system.sweep.replay_matrix`
+    and folds through :func:`~repro.system.sweep.matrix_suites`: per
+    workload speedups multiplied in trace-dict order, then one
+    ``** (1/n)`` — the exact float operations of the original
+    exhaustive shape search.  Every candidate of a trace shares the
+    sweep row's :class:`~repro.system.colreplay.ColumnarContext`.
     """
 
     def __init__(self, space: ParameterSpace,
@@ -283,33 +281,16 @@ class TraceRunner(_RunnerBase):
             else DimParams(cache_slots=64, speculation=True)
         self.timing = timing if timing is not None else TimingModel()
         self.energy_params = energy_params
-        self.contexts = {name: ColumnarContext(trace, name=name)
-                         for name, trace in self.traces.items()}
-        self.baselines = {
-            name: baseline_metrics_columnar(context, self.timing)
-            for name, context in self.contexts.items()}
 
     def _score_batch(self, batch, names):
-        wanted = set(names)
-        scored = []
-        for candidate in batch:
-            config = SystemSpec.of(
-                self.space.shape_of(candidate),
-                self.space.dim_of(candidate, self.dim),
-            ).build(timing=self.timing)
-            speed_product = 1.0
-            energy_product = 1.0
-            for name, trace in self.traces.items():
-                if name not in wanted:
-                    continue
-                metrics = evaluate_trace_columnar(
-                    trace, config, name=name, context=self.contexts[name])
-                base = self.baselines[name]
-                speed_product *= base.cycles / metrics.cycles
-                energy_product *= energy_ratio(base, metrics,
-                                               self.energy_params)
-            exponent = 1.0 / len(names)
-            scored.append((config.name, speed_product ** exponent,
-                           energy_product ** exponent,
-                           self.space.gates_of(candidate)))
-        return scored
+        configs = [self.space.spec_of(c, self.dim).build(self.timing)
+                   for c in batch]
+        traces = {name: trace for name, trace in self.traces.items()
+                  if name in names}
+        suites = matrix_suites(list(traces), configs,
+                               replay_matrix(traces, configs),
+                               self.energy_params)
+        return [(config.name, suite.geomean_speedup,
+                 suite.geomean_energy_ratio,
+                 self.space.gates_of(candidate))
+                for candidate, config, suite in zip(batch, configs, suites)]

@@ -246,6 +246,13 @@ class ParameterSpace:
                      if candidate.get(name) is not None}
         return dataclasses.replace(base, **overrides)
 
+    def spec_of(self, candidate: Candidate,
+                base_dim: Optional[DimParams] = None) -> SystemSpec:
+        """The canonical :class:`~repro.system.config.SystemSpec` a
+        candidate denotes; every other form of it is derived here."""
+        return SystemSpec.of(self.shape_of(candidate),
+                             self.dim_of(candidate, base_dim))
+
     def config_of(self, candidate: Candidate,
                   base_dim: Optional[DimParams] = None,
                   timing: Optional[TimingModel] = None) -> SystemConfig:
@@ -254,13 +261,9 @@ class ParameterSpace:
         The configuration name is canonical and injective over the
         space (see :func:`repro.system.config.custom_name`), which is
         what lets serve-dispatched batches slice their results back out
-        by name.  Routed through the canonical
-        :class:`~repro.system.config.SystemSpec`, like every other
-        config constructor.
+        by name.
         """
-        return SystemSpec.of(self.shape_of(candidate),
-                             self.dim_of(candidate, base_dim)
-                             ).build(timing=timing)
+        return self.spec_of(candidate, base_dim).build(timing=timing)
 
     def gates_of(self, candidate: Candidate) -> int:
         """Table 3a total gates of the candidate's array."""
@@ -277,8 +280,7 @@ class ParameterSpace:
         so they build identically-named configurations by construction
         (asserted by the differential tests in ``tests/test_dse.py``).
         """
-        return SystemSpec.of(self.shape_of(candidate),
-                             self.dim_of(candidate, base_dim)).to_dict()
+        return self.spec_of(candidate, base_dim).to_dict()
 
     # ------------------------------------------------------------------
     # Declarative round-trip.

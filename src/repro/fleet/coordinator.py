@@ -13,7 +13,7 @@ adds:
   workload fingerprint computed, and the job forwarded to the worker a
   consistent-hash ring (:mod:`repro.fleet.hashring`) assigns that
   fingerprint.  All jobs replaying the same workload traces land on the
-  same shard, so each worker keeps its trace/coltrace/memo locality and
+  same shard, so each worker keeps its trace/columnar-context locality and
   its batch scheduler keeps coalescing them into single columnar
   replays — the fleet scales the *number of distinct fingerprints*
   across machines without giving up the single-server batching wins.

@@ -5,8 +5,8 @@ coalescing key of :class:`repro.serve.protocol.JobRequest`) to one
 worker shard.  Requirements:
 
 - **Determinism** — the same fingerprint always lands on the same live
-  worker, so a shard accumulates that fingerprint's trace, columnar
-  context and translation memo once and serves every later job from
+  worker, so a shard accumulates that fingerprint's trace and columnar
+  context once and serves every later job from
   warm state, and its batch scheduler keeps coalescing same-workload
   jobs into single replays.
 - **Stability under membership change** — when a worker joins or dies,

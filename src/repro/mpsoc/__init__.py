@@ -97,7 +97,7 @@ def explore_mix(spec: Optional[MpsocSpec] = None, *,
                 seed: int = 0,
                 jobs: int = 1,
                 fast: bool = False,
-                cache=None, cache_dir=None, client=None,
+                cache=None, client=None,
                 energy_params=None, telemetry=None,
                 **spec_kwargs) -> MpsocExploration:
     """Explore one MPSoC scenario; return frontier + dispatch tables.
@@ -127,8 +127,8 @@ def explore_mix(spec: Optional[MpsocSpec] = None, *,
         spec, space,
         energy_params=(energy_params if energy_params is not None
                        else EnergyParams()),
-        jobs=jobs, fast=fast, cache=cache, cache_dir=cache_dir,
-        client=client, telemetry=telemetry)
+        jobs=jobs, fast=fast, cache=cache, client=client,
+        telemetry=telemetry)
     feasible = len(space.candidates())
     runner.stats.feasible_allocations = feasible
     runner.stats.pruned_allocations = space.size - feasible

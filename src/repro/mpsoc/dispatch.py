@@ -19,26 +19,26 @@ four DSE strategies and the Pareto frontier rank allocations out of
 the box.  The expensive part — the catalog x workloads matrix — is
 evaluated ONCE per workload subset and shared by every allocation in
 the search; each candidate then costs only a dispatch + composition
-pass.  With a ``client`` the matrix is dispatched as a single
-``sweep`` job to a running ``repro serve`` service or ``repro fleet``
-coordinator (same ``/v1`` protocol); JSON round-trips the per-workload
-floats exactly, so remote scores equal inline scores bit for bit.
+pass.  Like :class:`~repro.dse.runner.MatrixRunner`, it reads the
+matrix off one ``results_json`` document, built inline or, with a
+``client``, by a single ``sweep`` job on a running ``repro serve``
+service or ``repro fleet`` coordinator (same ``/v1`` protocol); JSON
+round-trips the per-workload floats exactly, so remote scores equal
+inline scores bit for bit.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.dse.runner import DseStats, _RunnerBase
+from repro.dse.runner import DseStats, _MatrixBacked
 from repro.dse.space import Candidate
 from repro.obs import Telemetry
 from repro.obs.schema import mpsoc_counters, mpsoc_timers
 from repro.system.artifacts import ArtifactCache
 from repro.system.energy import EnergyParams
-from repro.system.sweep import evaluate_matrix
 
 from repro.mpsoc.allocator import AllocationSpace
 from repro.mpsoc.phases import ScoreTable, compose_mix
@@ -118,25 +118,18 @@ class MpsocStats(DseStats):
         return merged
 
 
-class MpsocRunner(_RunnerBase):
+class MpsocRunner(_MatrixBacked):
     """Score candidate allocations for the DSE strategies."""
 
     def __init__(self, spec: MpsocSpec, space: AllocationSpace,
                  energy_params: EnergyParams = EnergyParams(),
                  jobs: int = 1, fast: bool = False,
-                 cache: Optional[ArtifactCache] = None,
-                 cache_dir=None, client=None,
+                 cache: Optional[ArtifactCache] = None, client=None,
                  telemetry: Optional[Telemetry] = None):
-        super().__init__(spec.workloads, telemetry)
-        if cache is None and cache_dir is not None:
-            cache = ArtifactCache(cache_dir)
+        super().__init__(spec.workloads, energy_params, jobs, fast, cache,
+                         client, telemetry)
         self.spec = spec
         self.space = space
-        self.energy_params = energy_params
-        self.jobs = jobs
-        self.fast = fast
-        self.cache = cache
-        self.client = client
         self.stats = MpsocStats()
         #: canonical config name per catalog entry.
         self.systems: Dict[str, str] = {
@@ -144,10 +137,6 @@ class MpsocRunner(_RunnerBase):
         self._scores: Dict[Tuple[str, ...], ScoreTable] = {}
         self._dispatch: Dict[Tuple[str, Tuple[str, ...]],
                              Tuple[DispatchRow, ...]] = {}
-
-    @property
-    def _dispatched(self) -> bool:
-        return self.client is not None
 
     def dispatch_table(self, candidate: Candidate,
                        names: Optional[Sequence[str]] = None
@@ -161,47 +150,16 @@ class MpsocRunner(_RunnerBase):
     # ------------------------------------------------------------------
     def catalog_scores(self, names: Tuple[str, ...]) -> ScoreTable:
         if names not in self._scores:
-            self._scores[names] = self._evaluate_catalog(names)
+            systems = self._matrix_systems(
+                [entry for _, entry in self.spec.catalog], names)
+            scores: Dict[Tuple[str, str], Tuple[float, float]] = {}
+            for catalog_name, entry in self.spec.catalog:
+                for row in systems[entry.name]["results"]:
+                    scores[(row["workload"], catalog_name)] = (
+                        row["speedup"], row["energy_ratio"])
+            self._scores[names] = scores
             self.stats.matrix_cells += len(self.spec.catalog) * len(names)
         return self._scores[names]
-
-    def _evaluate_catalog(self, names: Tuple[str, ...]) -> ScoreTable:
-        if self.client is not None:
-            return self._evaluate_catalog_remote(names)
-        configs = [entry.build() for _, entry in self.spec.catalog]
-        matrix = evaluate_matrix(configs, names=list(names),
-                                 energy_params=self.energy_params,
-                                 jobs=self.jobs, fast=self.fast,
-                                 cache=self.cache,
-                                 telemetry=self.telemetry)
-        scores: Dict[Tuple[str, str], Tuple[float, float]] = {}
-        for (catalog_name, _), config in zip(self.spec.catalog, configs):
-            suite = matrix.suite(config.name)
-            for row in suite.results:
-                scores[(row.workload, catalog_name)] = (
-                    row.speedup, row.energy_ratio)
-        return scores
-
-    def _evaluate_catalog_remote(self, names: Tuple[str, ...]
-                                 ) -> ScoreTable:
-        """One coalescable ``sweep`` job for the whole catalog; the
-        per-workload floats come back through JSON, which round-trips
-        them exactly."""
-        specs = [entry.to_dict() for _, entry in self.spec.catalog]
-        job = self.client.submit("sweep", configs=specs,
-                                 names=list(names), fast=self.fast)
-        payload = self.client.wait(job["job_id"])
-        matrix = json.loads(payload["result"]["matrix_json"])
-        by_system = {entry["system"]: entry
-                     for entry in matrix["systems"]}
-        self.stats.dispatched_batches += 1
-        scores: Dict[Tuple[str, str], Tuple[float, float]] = {}
-        for catalog_name, entry in self.spec.catalog:
-            system = by_system[entry.name]
-            for row in system["results"]:
-                scores[(row["workload"], catalog_name)] = (
-                    row["speedup"], row["energy_ratio"])
-        return scores
 
     # ------------------------------------------------------------------
     # The _RunnerBase contract.

@@ -5,9 +5,12 @@ three places — :class:`repro.dim.engine.DimStats` fields, raw attribute
 counters on :class:`repro.dim.rcache.ReconfigurationCache` /
 :class:`repro.dim.predictor.BimodalPredictor`, and
 :class:`repro.system.sweep.SweepInstrumentation`.  Those objects remain
-the in-band carriers (back-compat aliases: their field names are
-unchanged), but the *schema* — the canonical dotted names every export
-uses — is defined here once.
+the in-band carriers and keep their field names: they are hot-path
+attributes the engines increment, and their records are published
+as-is (``--instrumentation`` JSON, ``SystemMetrics`` equality in the
+differential tests), while a dotted name is not a Python identifier.
+The *schema* — the canonical dotted names every export uses — is
+defined here once and projected onto the carriers at export.
 
 Namespaces:
 

@@ -1,14 +1,14 @@
 """``repro.serve`` — the persistent evaluation service.
 
 Every ``repro run``/``evaluate``/``sweep`` invocation used to be a cold
-process that rebuilt traces, memos and caches it would immediately
+process that rebuilt traces, columnar contexts and caches it would immediately
 throw away.  This package keeps them alive behind a long-lived service:
 
 - :mod:`repro.serve.queue` — an asyncio job manager: bounded priority
   queue, per-job deadlines, cancellation, retry-with-backoff.
 - :mod:`repro.serve.scheduler` — the batch coalescer: pending jobs that
   share a workload fingerprint are served by **one** matrix replay
-  (one trace + one translation memo per workload), on warm workers
+  (one trace + one columnar context per workload), on warm workers
   that pin the persistent artifact cache.
 - :mod:`repro.serve.protocol` — the versioned JSON protocol with
   structured errors.

@@ -172,7 +172,7 @@ class JobRequest:
     @property
     def fingerprint(self) -> str:
         """The batch-coalescing key: jobs with equal fingerprints can
-        share one trace and one translation memo.
+        share one trace and one columnar context.
 
         ``evaluate``/``sweep`` jobs replay the same workload traces
         whenever (names, fast) agree — their configurations may differ

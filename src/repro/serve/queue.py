@@ -4,7 +4,7 @@ One :class:`JobManager` owns every job's lifecycle.  Submissions enter a
 bounded priority queue (higher ``priority`` first, FIFO within a
 priority); the scheduler claims *batches* — the best pending job plus
 every other pending job with the same workload fingerprint — so one
-trace and one translation memo serve the whole group
+trace and one columnar context serve the whole group
 (:mod:`repro.serve.scheduler`).
 
 Deadlines are cooperative: a job's deadline is checked when the

@@ -4,8 +4,9 @@ The scheduler turns the job queue into *batches*: every claim takes the
 best pending job plus all pending jobs that share its workload
 fingerprint (same workload names, same simulator path), so the whole
 group is served by **one** call into the matrix replay engine —
-one trace per workload, one :class:`~repro.dim.memo.TranslationMemo`
-shared across every configuration in the batch
+one trace per workload, one
+:class:`~repro.system.colreplay.ColumnarContext` shared across every
+configuration in the batch
 (:func:`repro.system.sweep.evaluate_matrix`).  Fifty submitted
 ``evaluate`` jobs that differ only in configuration cost one sweep, not
 fifty suites; that is the whole point of the service.

@@ -7,9 +7,12 @@ Three execution paths produce identical cycle counts, one per job:
   state; single runs (``repro run``, ``repro report``) read their
   metrics off it.
 - :mod:`repro.system.colreplay` replays a trace lowered to columns
-  under many configurations at once — every matrix job
-  (:func:`repro.system.sweep.evaluate_matrix` and what builds on it)
-  runs it.
+  under many configurations at once.  Every trace-driven metrics job
+  runs it through one workload row of :mod:`repro.system.sweep`:
+  :func:`~repro.system.sweep.evaluate_matrix` and what builds on it
+  (suites, serve and fleet batches, the DSE runners, mpsoc), and
+  :func:`~repro.system.sweep.replay_matrix` over caller-supplied
+  traces (the DSE ``TraceRunner``, the paper benches and examples).
 - :func:`repro.system.traceeval.evaluate_trace` replays a basic-block
   trace event by event through the same
   :class:`repro.dim.engine.DimEngine` — the reference the other two

@@ -48,7 +48,7 @@ cite the event-engine lines they mirror; change those, change these.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cgra.configuration import Configuration
 from repro.dim.engine import DimStats
@@ -80,7 +80,6 @@ __all__ = [
     "ColumnarContext",
     "baseline_metrics_columnar",
     "evaluate_trace_columnar",
-    "replay_trace_columnar",
 ]
 
 #: metric-delta column indices shared by every cost table.  CYC excludes
@@ -1446,19 +1445,3 @@ def evaluate_trace_columnar(trace: Trace, config: SystemConfig,
     if config.dim.speculation:
         return _replay_spec(context, config, name)
     return _replay_nospec(context, config, name)
-
-
-def replay_trace_columnar(trace: Trace, configs: Sequence[SystemConfig],
-                          name: str = "",
-                          context: Optional[ColumnarContext] = None
-                          ) -> List[SystemMetrics]:
-    """Replay one trace under many configurations, sharing one context.
-
-    Equal to one :func:`traceeval.evaluate_trace` call per
-    configuration.
-    """
-    if context is None:
-        context = ColumnarContext(trace, name)
-    return [evaluate_trace_columnar(trace, config, name=name,
-                                    context=context)
-            for config in configs]

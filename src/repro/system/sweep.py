@@ -37,9 +37,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from functools import partial
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -76,8 +77,9 @@ if TYPE_CHECKING:
 #: (run_workload keeps its own cache for traces it simulated).
 _DISK_TRACES: Dict[str, Trace] = {}
 
-#: in-process columnar contexts, one per workload; reused across sweeps
-#: (and across service batches) as long as the trace object is the same.
+#: in-process columnar contexts, one per row name; reused across sweeps,
+#: service batches and replay_matrix calls (DSE batches) as long as the
+#: trace object is the same.
 _COL_CONTEXTS: Dict[str, ColumnarContext] = {}
 
 def paper_matrix() -> List[SystemConfig]:
@@ -146,8 +148,9 @@ class SweepInstrumentation:
         payload["artifact_hit_rate"] = self.artifact_hit_rate
         return payload
 
-    # The legacy field names above are the back-compat aliases; the
-    # canonical representation is the repro.obs counter schema.
+    # The fields keep their own names: instrumentation_json publishes
+    # them as-is, and the dotted repro.obs names are not identifiers.
+    # counters()/timer_values() project the record onto that schema.
     def counters(self) -> Dict[str, int]:
         """This record under the unified ``sweep.*`` counter schema."""
         return sweep_counters(self)
@@ -238,44 +241,22 @@ def _obtain_trace(name: str, fast: bool, cache: Optional[ArtifactCache],
 # ----------------------------------------------------------------------
 # Replay (layer 2 + layer 3).
 # ----------------------------------------------------------------------
-def replay_matrix(traces: Mapping[str, Trace],
-                  configs: Sequence[SystemConfig],
-                  cache: Optional[ArtifactCache] = None
-                  ) -> Dict[Tuple[str, int], SystemMetrics]:
-    """Metrics for every (workload, configuration index) cell.
-
-    The metrics-level sibling of :func:`evaluate_matrix`, used by the
-    benchmark harnesses that aggregate raw :class:`SystemMetrics`.
-    Traces must be supplied; per-cell metrics are shared through the
-    disk cache when the trace belongs to a named workload.
-    """
-    known = set(workload_names())
-    results: Dict[Tuple[str, int], SystemMetrics] = {}
-    for name, trace in traces.items():
-        cacheable = cache is not None and name in known
-        keys = [metrics_artifact_key(cache, name, config)
-                if cacheable else None for config in configs]
-        context: Optional[ColumnarContext] = None
-        for index, config in enumerate(configs):
-            metrics = cache.load(keys[index]) if cacheable else None
-            if metrics is None:
-                if context is None:
-                    context = ColumnarContext(trace, name=name)
-                metrics = evaluate_trace_columnar(trace, config, name=name,
-                                                  context=context)
-                if cacheable:
-                    cache.store(keys[index], metrics)
-            results[(name, index)] = metrics
-    return results
+#: one workload row: a baseline per core timing model, and one
+#: accelerated metrics per configuration.
+Row = Tuple[Dict[TimingModel, SystemMetrics], List[SystemMetrics]]
 
 
-def _sweep_workload(name: str, configs: Sequence[SystemConfig],
-                    fast: bool, cache: Optional[ArtifactCache],
+def _sweep_workload(name: str,
+                    trace_of: Callable[[SweepInstrumentation], Trace],
+                    configs: Sequence[SystemConfig],
+                    cache: Optional[ArtifactCache],
                     telemetry=None
                     ) -> Tuple[Dict[TimingModel, SystemMetrics],
                                List[SystemMetrics], SweepInstrumentation]:
     """All cells of one workload row, with maximal sharing.
 
+    ``trace_of`` supplies the row's trace; it is called at most once,
+    and only when a cell or baseline misses the artifact ``cache``.
     Returns the per-timing baselines, one accelerated metrics per
     configuration, and the row's instrumentation counters.  An enabled
     ``telemetry`` sink receives one ``sweep.cell_replayed`` event per
@@ -296,7 +277,7 @@ def _sweep_workload(name: str, configs: Sequence[SystemConfig],
     def ensure_context() -> ColumnarContext:
         nonlocal context, coltrace_loaded, timelines_loaded
         if context is None:
-            body = _obtain_trace(name, fast, cache, inst)
+            body = trace_of(inst)
             cached_context = _COL_CONTEXTS.get(name)
             if cached_context is not None and cached_context.trace is body:
                 context = cached_context
@@ -383,6 +364,29 @@ def _sweep_workload(name: str, configs: Sequence[SystemConfig],
     return baselines, cell_metrics, inst
 
 
+def replay_matrix(traces: Mapping[str, Trace],
+                  configs: Sequence[SystemConfig],
+                  cache: Optional[ArtifactCache] = None
+                  ) -> Dict[str, Row]:
+    """The row of every caller-supplied trace under ``configs``.
+
+    The metrics-level sibling of :func:`evaluate_matrix`: each trace
+    replays through the same row as a sweep, so its configurations
+    share one :class:`ColumnarContext`, which later calls given the same
+    trace object reuse.  Returns ``{name: (baselines, cells)}`` in
+    trace order.  ``cache`` is used only for traces named after a
+    registered workload; other rows never touch the artifact store.
+    """
+    known = set(workload_names())
+    rows: Dict[str, Row] = {}
+    for name, trace in traces.items():
+        baselines, cells, _ = _sweep_workload(
+            name, lambda _inst, trace=trace: trace, configs,
+            cache if name in known else None)
+        rows[name] = (baselines, cells)
+    return rows
+
+
 def _matrix_worker(args):
     """Process-pool entry point: one workload row of the matrix.
 
@@ -394,8 +398,9 @@ def _matrix_worker(args):
     name, configs, fast, cache_root, events_max = args
     cache = ArtifactCache(cache_root) if cache_root is not None else None
     telemetry = Telemetry(events_max) if events_max is not None else None
-    baselines, cell_metrics, inst = _sweep_workload(name, configs, fast,
-                                                    cache, telemetry)
+    baselines, cell_metrics, inst = _sweep_workload(
+        name, partial(_obtain_trace, name, fast, cache), configs, cache,
+        telemetry)
     payload = telemetry.export_payload() if telemetry is not None else None
     return name, baselines, cell_metrics, inst, payload
 
@@ -479,13 +484,32 @@ def matrix_slice(matrix: MatrixResult,
                         telemetry=matrix.telemetry)
 
 
+def matrix_suites(names: Sequence[str], configs: Sequence[SystemConfig],
+                  rows: Mapping[str, Row],
+                  energy_params: EnergyParams = EnergyParams()
+                  ) -> List[SuiteResult]:
+    """Fold workload rows into one :class:`SuiteResult` per
+    configuration, workloads in ``names`` order.
+
+    The one place (baseline, cell) pairs become result rows for a
+    matrix; every geomean a sweep, a DSE runner or a bench reports
+    multiplies these rows in this order.
+    """
+    # deferred to dodge the repro.workloads.suite <-> repro.system cycle
+    from repro.workloads.suite import SuiteResult, result_from_metrics
+
+    return [SuiteResult(config.name, [
+        result_from_metrics(name, config, rows[name][0][config.timing],
+                            rows[name][1][index], energy_params)
+        for name in names]) for index, config in enumerate(configs)]
+
+
 def evaluate_matrix(configs: Sequence[SystemConfig],
                     names: Optional[Iterable[str]] = None,
                     energy_params: EnergyParams = EnergyParams(),
                     jobs: int = 1,
                     fast: bool = False,
                     cache: Optional[ArtifactCache] = None,
-                    cache_dir: Optional[Path] = None,
                     telemetry: Optional[Telemetry] = None
                     ) -> MatrixResult:
     """Evaluate the full workloads x configurations matrix.
@@ -493,20 +517,15 @@ def evaluate_matrix(configs: Sequence[SystemConfig],
     Every cell is byte-identical (as JSON) to evaluating it alone with
     the event-driven :func:`evaluate_trace` — the sharing layers never
     change numbers, only wall-clock.  ``jobs > 1`` fans workload rows
-    across a process pool.  Pass ``cache`` (or ``cache_dir``) to persist
-    and reuse trace/baseline/metrics artifacts across processes.  Pass
+    across a process pool.  Pass ``cache`` to persist and reuse
+    trace/baseline/metrics artifacts across processes.  Pass
     ``telemetry`` to collect one ``sweep.cell_replayed`` event and the
     engine counters of every live cell plus the ``sweep.*`` counters and
     timers (:mod:`repro.obs`); an observed matrix runs the same columnar
     code as a silent one, so results are identical with or without it,
     for any ``jobs``.
     """
-    # deferred to dodge the repro.workloads.suite <-> repro.system cycle
-    from repro.workloads.suite import SuiteResult, result_from_metrics
-
     start = time.perf_counter()
-    if cache is None and cache_dir is not None:
-        cache = ArtifactCache(cache_dir)
     configs = list(configs)
     names = list(names) if names is not None else workload_names()
     inst = SweepInstrumentation(workloads=len(names), systems=len(configs),
@@ -514,8 +533,7 @@ def evaluate_matrix(configs: Sequence[SystemConfig],
                                 jobs=max(1, jobs))
     observing = telemetry is not None and telemetry.enabled
 
-    rows: Dict[str, Tuple[Dict[TimingModel, SystemMetrics],
-                          List[SystemMetrics]]] = {}
+    rows: Dict[str, Row] = {}
     if jobs > 1 and len(names) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -536,19 +554,12 @@ def evaluate_matrix(configs: Sequence[SystemConfig],
     else:
         for name in names:
             baselines, cells, row_inst = _sweep_workload(
-                name, configs, fast, cache, telemetry)
+                name, partial(_obtain_trace, name, fast, cache), configs,
+                cache, telemetry)
             rows[name] = (baselines, cells)
             inst.merge_counters(row_inst)
 
-    suites = []
-    for index, config in enumerate(configs):
-        results = []
-        for name in names:
-            baselines, cells = rows[name]
-            results.append(result_from_metrics(
-                name, config, baselines[config.timing], cells[index],
-                energy_params))
-        suites.append(SuiteResult(config.name, results))
+    suites = matrix_suites(names, configs, rows, energy_params)
     inst.total_seconds = time.perf_counter() - start
     if observing:
         telemetry.count_many(inst.counters())

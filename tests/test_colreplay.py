@@ -31,7 +31,6 @@ from repro.system.colreplay import (
     ColumnarContext,
     baseline_metrics_columnar,
     evaluate_trace_columnar,
-    replay_trace_columnar,
 )
 from repro.system.config import PAPER_SHAPES, custom_system, paper_system
 from repro.system.traceeval import baseline_metrics, evaluate_trace
@@ -84,29 +83,6 @@ def test_columnar_matches_event_engine(name):
             assert_same_metrics(
                 baseline_metrics_columnar(context, config.timing),
                 baseline_metrics(trace, config.timing))
-
-
-def test_replay_trace_columnar_engines_identical():
-    trace = run_workload("crc", fast=True).trace
-    configs = grid_configs()
-    event = [evaluate_trace(trace, config, name="crc")
-             for config in configs]
-    columnar = replay_trace_columnar(trace, configs, name="crc")
-    assert len(event) == len(columnar) == len(configs)
-    for col, ev in zip(columnar, event):
-        assert_same_metrics(col, ev)
-
-
-def test_replay_trace_columnar_shares_one_context():
-    trace = run_workload("quicksort", fast=True).trace
-    configs = grid_configs()
-    batched = replay_trace_columnar(trace, configs, name="quicksort")
-    context = ColumnarContext(trace, name="quicksort")
-    for config, metrics in zip(configs, batched):
-        assert_same_metrics(
-            evaluate_trace_columnar(trace, config, name="quicksort",
-                                    context=context),
-            metrics)
 
 
 def test_columnar_metrics_json_serialisable():

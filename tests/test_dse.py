@@ -265,6 +265,28 @@ def test_shalving_promotes_only_full_evaluations(traces):
     assert runner.stats.cells == 4 * 1 + 1 * len(traces)
 
 
+def test_trace_runner_builds_one_context_per_trace(traces, monkeypatch):
+    """Batches share the sweep row's warm columnar contexts."""
+    import repro.system.sweep as sweep
+
+    built = []
+
+    class CountingContext(sweep.ColumnarContext):
+        def __init__(self, trace, name="", coltrace=None):
+            built.append(name)
+            super().__init__(trace, name=name, coltrace=coltrace)
+
+    monkeypatch.setattr(sweep, "ColumnarContext", CountingContext)
+    monkeypatch.setattr(sweep, "_COL_CONTEXTS", {})
+    space = _shape_space(count=4)
+    runner = TraceRunner(space, traces)
+    candidates = space.candidates()
+    runner.evaluate(candidates[:2])
+    runner.evaluate(candidates[2:])
+    assert runner.stats.batches == 2
+    assert sorted(built) == sorted(traces)
+
+
 def test_grid_exploration_matches_legacy_pareto(traces):
     space = _shape_space()
     result = explore(space=space, strategy="grid",

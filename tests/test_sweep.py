@@ -22,7 +22,7 @@ from repro.system.sweep import (
     replay_matrix,
     trace_artifact_key,
 )
-from repro.system.traceeval import evaluate_trace
+from repro.system.traceeval import baseline_metrics, evaluate_trace
 from repro.workloads import run_workload
 from repro.workloads.suite import evaluate_suite
 from tests.oracle import event_matrix
@@ -112,11 +112,24 @@ def test_replay_matrix_matches_fresh_evaluations():
     configs = small_configs()
     traces = {name: run_workload(name, fast=True).trace
               for name in WORKLOADS}
-    cells = replay_matrix(traces, configs)
+    rows = replay_matrix(traces, configs)
+    assert list(rows) == list(WORKLOADS)
     for name, trace in traces.items():
+        baselines, cells = rows[name]
+        assert baselines == {config.timing: baseline_metrics(
+            trace, config.timing) for config in configs}
         for index, config in enumerate(configs):
             fresh = evaluate_trace(trace, config, name=name)
-            assert cells[(name, index)] == fresh
+            assert cells[index] == fresh
+
+
+def test_replay_matrix_keeps_unregistered_rows_out_of_the_store(
+        tmp_path):
+    trace = run_workload("crc", fast=True).trace
+    rows = replay_matrix({"not-a-workload": trace}, small_configs(),
+                         cache=ArtifactCache(tmp_path))
+    assert len(rows["not-a-workload"][1]) == len(small_configs())
+    assert not any(tmp_path.iterdir())
 
 
 def test_memo_shares_translations_across_slot_variants():
