@@ -110,7 +110,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis import blocks_for_coverage, instructions_per_branch
 from repro.api import SystemSpec, load_target, run
@@ -436,6 +436,48 @@ def _artifact_cache(args: argparse.Namespace, **kwargs):
     return ArtifactCache(args.cache_dir or None, **kwargs)
 
 
+def _cache_root(args: argparse.Namespace) -> Optional[str]:
+    """The artifact root ``repro serve``/``fleet`` hand to their workers:
+    ``--cache-dir``, else the default root; None under ``--no-cache``."""
+    from repro.system.artifacts import default_cache_dir
+
+    if args.no_cache:
+        return None
+    return str(args.cache_dir or default_cache_dir())
+
+
+def _service_client(url: Optional[str]):
+    """A client for the service ``--url`` names (None without one);
+    exits when the service cannot be reached."""
+    if not url:
+        return None
+    from repro.serve.client import ServeError, connect
+
+    try:
+        return connect(url, timeout=600.0)
+    except (ServeError, OSError) as exc:
+        raise SystemExit(f"cannot reach service at {url}: {exc}")
+
+
+def _objectives(args: argparse.Namespace) -> Tuple[str, ...]:
+    """The comma-separated ``--objectives`` as a tuple of names."""
+    return tuple(o.strip() for o in args.objectives.split(",")
+                 if o.strip())
+
+
+def _write_telemetry(telemetry: Optional[Telemetry], path: Optional[str],
+                     counts: bool = True, file=None) -> None:
+    """Write the ``--telemetry`` event log to ``path``, if one was
+    given, and say so (with the event counts unless ``counts`` is
+    false) on ``file``, stdout by default."""
+    if not path:
+        return
+    telemetry.write_jsonl(path)
+    suffix = (f" ({telemetry.events.emitted} events, "
+              f"{telemetry.events.dropped} dropped)" if counts else "")
+    print(f"wrote {path}{suffix}", file=file)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.system.sweep import evaluate_matrix
 
@@ -477,10 +519,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         with open(args.instrumentation, "w") as handle:
             handle.write(matrix.instrumentation_json())
         print(f"wrote {args.instrumentation}")
-    if telemetry is not None:
-        telemetry.write_jsonl(args.telemetry)
-        print(f"wrote {args.telemetry} ({telemetry.events.emitted} "
-              f"events, {telemetry.events.dropped} dropped)")
+    _write_telemetry(telemetry, args.telemetry)
     return 0
 
 
@@ -500,18 +539,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     corpus_names = _activate_corpus(getattr(args, "corpus", None))
     names = _subset_names(args, corpus_names)
     cache = _artifact_cache(args)
-    client = None
-    if args.url:
-        from repro.serve.client import ServeError, connect
-
-        try:
-            client = connect(args.url, timeout=600.0)
-        except (ServeError, OSError) as exc:
-            raise SystemExit(f"cannot reach service at {args.url}: "
-                             f"{exc}")
+    client = _service_client(args.url)
     telemetry = Telemetry() if args.telemetry else None
-    objectives = tuple(o.strip() for o in args.objectives.split(",")
-                       if o.strip())
+    objectives = _objectives(args)
     try:
         result = explore(space=space, strategy=args.strategy,
                          objectives=objectives, workloads=names,
@@ -537,10 +567,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         with open(args.frontier, "w") as handle:
             handle.write(result.to_json() + "\n")
         print(f"\nwrote {args.frontier}")
-    if telemetry is not None:
-        telemetry.write_jsonl(args.telemetry)
-        print(f"wrote {args.telemetry} ({telemetry.events.emitted} "
-              f"events, {telemetry.events.dropped} dropped)")
+    _write_telemetry(telemetry, args.telemetry)
     return 0
 
 
@@ -577,18 +604,9 @@ def _cmd_mpsoc(args: argparse.Namespace) -> int:
             raise SystemExit(f"--cores must be comma-separated "
                              f"integers, got {args.cores!r}")
     cache = _artifact_cache(args)
-    client = None
-    if args.url:
-        from repro.serve.client import ServeError, connect
-
-        try:
-            client = connect(args.url, timeout=600.0)
-        except (ServeError, OSError) as exc:
-            raise SystemExit(f"cannot reach service at {args.url}: "
-                             f"{exc}")
+    client = _service_client(args.url)
     telemetry = Telemetry() if args.telemetry else None
-    objectives = tuple(o.strip() for o in args.objectives.split(",")
-                       if o.strip())
+    objectives = _objectives(args)
     try:
         spec = mpsoc_spec(preset=args.preset,
                           area_budget_gates=args.area_budget,
@@ -636,24 +654,16 @@ def _cmd_mpsoc(args: argparse.Namespace) -> int:
         with open(args.frontier, "w") as handle:
             handle.write(frontier.to_json() + "\n")
         print(f"\nwrote {args.frontier}")
-    if telemetry is not None:
-        telemetry.write_jsonl(args.telemetry)
-        print(f"wrote {args.telemetry} ({telemetry.events.emitted} "
-              f"events, {telemetry.events.dropped} dropped)")
+    _write_telemetry(telemetry, args.telemetry)
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.server import serve_forever
-    from repro.system.artifacts import default_cache_dir
 
     _activate_corpus(args.corpus)
-    cache_root = None
-    if not args.no_cache:
-        cache_root = (args.cache_dir if args.cache_dir
-                      else default_cache_dir())
     return serve_forever(host=args.host, port=args.port,
-                         workers=args.workers, cache_root=cache_root,
+                         workers=args.workers, cache_root=_cache_root(args),
                          capacity=args.capacity,
                          batch_window=args.batch_window,
                          scoped_cache=args.scoped_cache)
@@ -661,17 +671,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.fleet.local import fleet_forever
-    from repro.system.artifacts import default_cache_dir
 
     _activate_corpus(args.corpus)
-    cache_root = None
-    if not args.no_cache:
-        cache_root = str(args.cache_dir if args.cache_dir
-                         else default_cache_dir())
     return fleet_forever(host=args.host, port=args.port,
                          workers=args.workers,
                          worker_urls=args.worker_url,
-                         cache_root=cache_root,
+                         cache_root=_cache_root(args),
                          capacity=args.capacity,
                          worker_jobs=args.worker_jobs,
                          max_inflight=args.max_inflight,
@@ -834,9 +839,7 @@ def _cmd_corpus_generate(args: argparse.Namespace) -> int:
     if args.names:
         for name in corpus.names():
             print(name)
-    if args.telemetry and telemetry is not None:
-        telemetry.write_jsonl(args.telemetry)
-        print(f"wrote {args.telemetry}", file=stream)
+    _write_telemetry(telemetry, args.telemetry, counts=False, file=stream)
     return 0
 
 
@@ -965,9 +968,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
         with open(args.json, "w") as handle:
             handle.write(report.to_json() + "\n")
         print(f"\nwrote {args.json}")
-    if args.telemetry:
-        telemetry.write_jsonl(args.telemetry)
-        print(f"wrote {args.telemetry}")
+    _write_telemetry(telemetry, args.telemetry, counts=False)
     return 0
 
 

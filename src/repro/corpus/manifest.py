@@ -228,11 +228,6 @@ def register_corpus(manifest, telemetry=None,
     return names
 
 
-def expected_name(seed: int, index: int) -> str:
-    """The registry name kernel ``index`` of corpus ``seed`` will get."""
-    return kernel_name(seed, index)
-
-
 def draw_manifest_knobs(seed: int, count: int,
                         knobs: Optional[CorpusKnobs] = None
                         ) -> List[KernelKnobs]:

@@ -73,10 +73,6 @@ class HashRing:
                         if owner != node]
         self._keys = [point for point, _ in self._points]
 
-    @property
-    def nodes(self) -> List[str]:
-        return sorted(self._nodes)
-
     def __len__(self) -> int:
         return len(self._nodes)
 

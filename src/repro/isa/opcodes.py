@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 
 class InstrClass(enum.Enum):
@@ -191,13 +191,3 @@ def decode_fields(opcode: int, rt: int, funct: int) -> Optional[OpInfo]:
     if opcode == 0x01:
         return _REGIMM_BY_RT.get(rt)
     return _BY_OPCODE.get(opcode)
-
-
-def instruction_sources(info: OpInfo, rs: int, rt: int) -> Tuple[int, ...]:
-    """Register numbers read by an instruction with the given fields."""
-    sources = []
-    if info.reads_rs:
-        sources.append(rs)
-    if info.reads_rt:
-        sources.append(rt)
-    return tuple(sources)

@@ -55,6 +55,12 @@ CLASS_TAKEN = 1
 #: an "end of trace" sentinel larger than any event boundary.
 NO_BOUND = 1 << 62
 
+#: conditional-event count from which a predictor timeline is built by
+#: the grouped numpy pass instead of the scalar counter walk; both build
+#: identical timelines (tests/test_colreplay_forks.py forces each side).
+GROUPED_TIMELINE_MIN = 4096
+
+
 def _class_of(counter: int) -> int:
     if counter == 3:
         return CLASS_TAKEN
@@ -106,7 +112,7 @@ class PredictorTimeline:
         """
         if entries & (entries - 1):
             raise ValueError("predictor entries must be a power of two")
-        if len(positions) >= 4096:
+        if len(positions) >= GROUPED_TIMELINE_MIN:
             return cls._build_grouped(positions, pcs, takens, entries,
                                       initial)
         mask = entries - 1
@@ -343,10 +349,6 @@ class ColumnarTrace:
         self._branch_events: Optional[Tuple[List[int], List[int],
                                             List[int]]] = None
         self._timelines: Dict[int, PredictorTimeline] = {}
-
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "ColumnarTrace":
-        return cls(trace)
 
     def branch_events(self) -> Tuple[List[int], List[int], List[int]]:
         """(positions, branch PCs, outcomes) of every conditional event

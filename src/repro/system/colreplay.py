@@ -38,6 +38,27 @@ Two engines cover the configuration space:
   varies with the trip count — are walked on demand, with per-trip
   costs folded in as a rank-independent trip row.
 
+Exit codes of a configuration of ``K`` blocks ``B0..B(K-1)``, by kind
+(``m`` is the depth of the first interior merged branch whose outcome
+differs from its ``expected_taken``: a mis-speculation consuming
+``m+1`` events, plus ``K`` per extra trip of a loop):
+
+=======  ===========================================  ==========
+kind     all interior merged branches match           mismatch
+=======  ===========================================  ==========
+linear   0 — final block covers nothing: reprocess,   ``3+m``
+         ``K-1`` events consumed;
+         1 / 2 — final tail not taken / taken,
+         ``K`` events consumed
+loop     0 — clean back-edge exit after the walked    ``1+m``
+         trips (codes, trips and consumed counts
+         are walked per execution)
+dual     0–3 — ``2*actual + successor taken``: the    ``4+m``
+         predicated branch's direction and the
+         winner block's own terminator outcome,
+         ``K+1`` events consumed
+=======  ===========================================  ==========
+
 Both tiers are **bit-identical** to :func:`evaluate_trace` — same
 cycles, same :class:`DimStats`, same cache counters, same serialized
 JSON — enforced by the differential tests in ``tests/test_colreplay.py``
@@ -47,7 +68,6 @@ cite the event-engine lines they mirror; change those, change these.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.cgra.configuration import Configuration
@@ -88,6 +108,14 @@ __all__ = [
 #: committed-instruction count (``DimStats.array_instructions``).
 CYC, INS, FET, LDS, STS, BRA, TAK, LUS, HILO, SYS, COM, MIS = range(12)
 NFIELDS = 12
+
+#: occurrence counts from which a template's exit codes, and its
+#: extension-gate / flush verdicts, are computed with numpy instead of
+#: a scalar walk: below them numpy's per-call overhead dominates.  Both
+#: forms give identical lists (tests/test_colreplay_forks.py forces
+#: each side).
+EXIT_CODES_NUMPY_MIN = 256
+VERDICTS_NUMPY_MIN = 48
 
 
 def _add_tail_cost(row, cost, block, taken: bool) -> None:
@@ -131,21 +159,12 @@ class _Template:
     """One distinct translated configuration of a start block.
 
     Everything the replay loop needs per execution is precomputed here,
-    most importantly the **exit codes**: at its ``r``-th trace
-    occurrence, a configuration of blocks ``B0..B(K-1)`` deterministically
-    exits via
-
-    - code 0 — final block covers 0 instructions: reprocess, ``K-1``
-      events consumed (traceeval's ``covered == 0 -> break``);
-    - code 1 / 2 — full walk, final block tail executed normally with
-      terminator not-taken / taken, ``K`` events consumed;
-    - code ``3+m`` — first merged branch whose outcome differs from its
-      ``expected_taken`` is at depth ``m``: mis-speculation, ``m+1``
-      events consumed.
-
-    The code depends only on the trace slice at the occurrence, so it is
-    one vectorized pass per template; each code then indexes the
-    metric-delta row (per timing model) and the consumed count.
+    most importantly the **exit codes** of the module table: a linear or
+    dual configuration's exit at its ``r``-th trace occurrence depends
+    only on the trace slice there, so it is one pass per template; each
+    code then indexes the metric-delta row (per timing model) and the
+    consumed count.  Loop exits are walked per execution
+    (:meth:`loop_exit`).
     """
 
     __slots__ = ("config", "start_block", "blocks", "covered_instructions",
@@ -158,8 +177,6 @@ class _Template:
                  "back_expected_bit", "back_opp", "_merged_cond")
 
     def __init__(self, ctx: "ColumnarContext", config: Configuration):
-        import numpy as np
-
         self._ctx = ctx
         self.config = config
         self.blocks = config.blocks
@@ -194,129 +211,89 @@ class _Template:
                         for cb in config.blocks]
         self.reset_exit = any(merged_branch[:K - 1])
         self.prior_reset = [any(merged_branch[:m]) for m in range(K - 1)]
-        # interior merged-conditional lookup tables (flush verdicts for
-        # the loop/dual replay branches; the linear branch uses the
-        # precomputed flush_opp lists instead).
+        # interior merged-conditional lookup tables (flush verdicts:
+        # answered inline by the loop/dual replay branches, precomputed
+        # per occurrence by flush_opp for linear templates).
         self.int_pcs = [cb.block.branch_pc for cb in config.blocks[:K - 1]]
         self.int_opps = [0 if cb.expected_taken else 1
                          for cb in config.blocks[:K - 1]]
+        #: (depth, expected taken bit) of every interior merged branch.
+        self._merged_cond = [
+            (m, 1 if config.blocks[m].expected_taken else 0)
+            for m in range(K - 1) if merged_branch[m]]
         self._deltas: Dict[TimingModel, List[List[int]]] = {}
         self._gates: Dict[int, Optional[List[bool]]] = {}
         self._opps: Dict[int, List[bool]] = {}
         self._trip_row: Optional[List[int]] = None
+        self.back_expected_bit = 0
+        self.back_opp = 0
+        mismatches = [m + 1 for m in range(K - 1)]
         if self.kindcode == 1:
-            # loop: code 0 = clean back-edge exit, 1+m = interior merged
-            # branch at depth m mis-speculated.  Exit codes, trip counts
-            # and consumed-event counts vary with the trip count, so
-            # they are computed per executed occurrence by loop_exit()
-            # instead of eagerly per rank.
+            # loop: exit codes, trip counts and consumed-event counts
+            # vary with the trip count, so they are computed per executed
+            # occurrence by loop_exit() instead of eagerly per rank.
             back = config.blocks[-1]
             self.back_expected_bit = 1 if back.expected_taken else 0
             self.back_opp = 0 if back.expected_taken else 1
-            self._merged_cond = [
-                (m, 1 if config.blocks[m].expected_taken else 0)
-                for m in range(K - 1) if merged_branch[m]]
             self.code_list = None
             self.consumed = None
             self.ncodes = K
-            return
-        self.back_expected_bit = 0
-        self.back_opp = 0
-        self._merged_cond = []
-        if self.kindcode == 2:
-            # dual: codes 0-3 = resolution (2*actual + successor taken),
-            # 4+m = interior merged branch at depth m mis-speculated.
+        elif self.kindcode == 2:
             self.ncodes = 4 + (K - 1)
-            self.consumed = [K + 1] * 4 + [m + 1 for m in range(K - 1)]
-            self._compute_dual_codes(np)
-            return
-        self.ncodes = 3 + (K - 1)
-        self.consumed = [K - 1, K, K] + [m + 1 for m in range(K - 1)]
-
-        # ---- exit code per occurrence --------------------------------
-        positions = ctx.coltrace.occ[self.start_block.block_id]
-        n = ctx.coltrace.n
-        last_event = n - 1
-        reprocess = config.blocks[-1].covered == 0
-        merged = [(m, 1 if config.blocks[m].expected_taken else 0)
-                  for m in range(K - 1)
-                  if merged_branch[m]]
-        if len(positions) < 256:
-            # numpy per-template overhead dominates small occurrence
-            # sets; the scalar walk is faster there.
-            tk_list = ctx.coltrace.tk_list
-            codes_py = []
-            for position in positions.tolist():
-                for m, expected in merged:
-                    if tk_list[min(position + m, last_event)] != expected:
-                        codes_py.append(3 + m)
-                        break
-                else:
-                    codes_py.append(
-                        0 if reprocess else
-                        1 + tk_list[min(position + K - 1, last_event)])
-            self.code_list = codes_py
+            self.consumed = [K + 1] * 4 + mismatches
+            self.code_list = self._exit_codes(4, 0, ((K - 1, 2), (K, 1)))
         else:
-            tk = ctx.coltrace.tk
-            if reprocess:
-                codes = np.zeros(len(positions), dtype=np.int64)
+            self.ncodes = 3 + (K - 1)
+            self.consumed = [K - 1, K, K] + mismatches
+            if config.blocks[-1].covered == 0:  # reprocess
+                self.code_list = self._exit_codes(3, 0, ())
             else:
-                # tail outcome decides between codes 1 and 2
-                tail_positions = np.minimum(positions + (K - 1),
-                                            last_event)
-                codes = np.where(tk[tail_positions] == 1, 2, 1)
-            # earliest mismatched merged branch wins: walk depths
-            # ascending, assigning only still-pending occurrences.
-            pending = np.ones(len(positions), dtype=bool)
-            for m, expected in merged:
-                branch_positions = np.minimum(positions + m, last_event)
-                mismatch = pending & (tk[branch_positions] != expected)
-                codes[mismatch] = 3 + m
-                pending &= ~mismatch
-            self.code_list = codes.tolist()
+                self.code_list = self._exit_codes(3, 1, ((K - 1, 1),))
 
-    def _compute_dual_codes(self, np) -> None:
-        """Exit code per occurrence of a dual-path configuration.
+    def _exit_codes(self, mis_base: int, base: int,
+                    terms: Tuple[Tuple[int, int], ...]) -> List[int]:
+        """Exit code per occurrence of the start block.
 
-        Interior depths mirror the linear walk; when every interior
-        matches, the resolution code packs the predicated branch's
-        actual direction with the winner block's own terminator outcome
-        (the event consumed by the mid-block normal tail).
+        The first interior merged branch that mismatches, at depth
+        ``m``, gives ``mis_base + m``; an occurrence at ``position``
+        whose merged branches all match gets ``base`` plus
+        ``weight * taken[position + offset]`` for each of the (at most
+        two) ``terms``.
         """
-        ctx = self._ctx
-        positions = ctx.coltrace.occ[self.start_block.block_id]
-        last_event = ctx.coltrace.n - 1
-        K = self.K
-        merged = [(m, 1 if self.blocks[m].expected_taken else 0)
-                  for m in range(K - 1)
-                  if self.blocks[m].includes_terminator
-                  and self.blocks[m].block.is_conditional]
-        if len(positions) < 256:
-            tk_list = ctx.coltrace.tk_list
-            codes_py = []
+        coltrace = self._ctx.coltrace
+        positions = coltrace.occ[self.start_block.block_id]
+        last_event = coltrace.n - 1
+        merged = self._merged_cond
+        if len(positions) < EXIT_CODES_NUMPY_MIN:
+            tk = coltrace.tk_list
+            # fixed arity: a zero-weight pad term adds nothing.
+            (o1, w1), (o2, w2) = (terms + ((0, 0), (0, 0)))[:2]
+            codes = []
             for position in positions.tolist():
                 for m, expected in merged:
-                    if tk_list[min(position + m, last_event)] != expected:
-                        codes_py.append(4 + m)
+                    if tk[min(position + m, last_event)] != expected:
+                        codes.append(mis_base + m)
                         break
                 else:
-                    actual = tk_list[min(position + K - 1, last_event)]
-                    succ = tk_list[min(position + K, last_event)]
-                    codes_py.append(2 * actual + succ)
-            self.code_list = codes_py
-        else:
-            tk = ctx.coltrace.tk
-            branch_positions = np.minimum(positions + (K - 1), last_event)
-            succ_positions = np.minimum(positions + K, last_event)
-            codes = (2 * tk[branch_positions]
-                     + tk[succ_positions]).astype(np.int64)
-            pending = np.ones(len(positions), dtype=bool)
-            for m, expected in merged:
-                bp = np.minimum(positions + m, last_event)
-                mismatch = pending & (tk[bp] != expected)
-                codes[mismatch] = 4 + m
-                pending &= ~mismatch
-            self.code_list = codes.tolist()
+                    codes.append(base
+                                 + w1 * tk[min(position + o1, last_event)]
+                                 + w2 * tk[min(position + o2, last_event)])
+            return codes
+        import numpy as np
+
+        tk = coltrace.tk
+        codes = np.full(len(positions), base, dtype=np.int64)
+        for offset, weight in terms:
+            codes += weight * tk[np.minimum(positions + offset, last_event)]
+        # earliest mismatched merged branch wins: walk depths ascending,
+        # assigning only still-pending occurrences.
+        pending = np.ones(len(positions), dtype=bool)
+        for m, expected in merged:
+            branch_positions = np.minimum(positions + m, last_event)
+            mismatch = pending & (tk[branch_positions] != expected)
+            codes[mismatch] = mis_base + m
+            pending &= ~mismatch
+        return codes.tolist()
 
     def loop_exit(self, position: int) -> Tuple[int, int, int]:
         """(code, extra trips, events consumed) of one loop execution.
@@ -348,6 +325,46 @@ class _Template:
                 return (0, t, (t + 1) * K)
             t += 1
 
+    def _chain(self, mis_base: int) -> Tuple[List[List[int]], List[int]]:
+        """(rows, run) of the merged-chain walk every kind starts with.
+
+        ``rows`` has one row per exit code, of which only the
+        mis-speculation rows (``mis_base + q`` for a merged branch at
+        depth ``q``) are filled; ``run`` is the running total after the
+        final block's covered prefix, before its terminator.
+        """
+        rows = [[0] * NFIELDS for _ in range(self.ncodes)]
+        run = [0] * NFIELDS
+        run[CYC] = self.exec_cycles
+        K = self.K
+        for q, cfg_block in enumerate(self.blocks):
+            block = cfg_block.block
+            loads, stores = _prefix_mem_ops(block, cfg_block.covered)
+            run[COM] += cfg_block.covered
+            run[LDS] += loads
+            run[STS] += stores
+            if q == K - 1:
+                break
+            if block.is_conditional:
+                # this merged branch mis-speculated: its terminator
+                # still committed and the actual direction is the
+                # opposite of the expected one.
+                mis = list(run)
+                mis[COM] += 1
+                mis[BRA] += 1
+                if not cfg_block.expected_taken:
+                    mis[TAK] += 1
+                mis[MIS] = 1
+                mis[INS] = mis[COM]
+                rows[mis_base + q] = mis
+            # matched merged terminator: committed + branch, transfer
+            # taken for jumps and taken-expected branches.
+            run[COM] += 1
+            run[BRA] += 1
+            if not block.is_conditional or cfg_block.expected_taken:
+                run[TAK] += 1
+        return rows, run
+
     def delta(self, timing: TimingModel) -> List[List[int]]:
         """Metric-delta rows, one per exit code, under one timing model.
 
@@ -360,101 +377,55 @@ class _Template:
             return rows
         model = shared_cost_model(timing)
         if self.kindcode == 1:
-            rows = self._delta_loop()
-        elif self.kindcode == 2:
-            rows = self._delta_dual(model)
-        else:
-            rows = self._delta_linear(model)
-        self._deltas[timing] = rows
-        return rows
-
-    def _delta_linear(self, model) -> List[List[int]]:
-        rows = [[0] * NFIELDS for _ in range(self.ncodes)]
-        run = [0] * NFIELDS
-        run[CYC] = self.exec_cycles
-        K = self.K
-        for q, cfg_block in enumerate(self.blocks):
-            block = cfg_block.block
-            loads, stores = _prefix_mem_ops(block, cfg_block.covered)
-            run[COM] += cfg_block.covered
-            run[LDS] += loads
-            run[STS] += stores
-            if q == K - 1:
-                break
-            if block.is_conditional:
-                # exit 3+q: this merged branch mis-speculated.  Its
-                # terminator still committed and the actual direction is
-                # the opposite of the expected one.
-                mis = list(run)
-                mis[COM] += 1
-                mis[BRA] += 1
-                if not cfg_block.expected_taken:
-                    mis[TAK] += 1
-                mis[MIS] = 1
-                mis[INS] = mis[COM]
-                rows[3 + q] = mis
-            # matched merged terminator: committed + branch, transfer
-            # taken for jumps and taken-expected branches.
-            run[COM] += 1
-            run[BRA] += 1
-            if not block.is_conditional or cfg_block.expected_taken:
-                run[TAK] += 1
-        last = self.blocks[-1]
-        if last.covered == 0:
-            row = list(run)
+            # loop base (zero-extra-trip) rows.  Row 0 is the clean
+            # back-edge exit of the first trip: it pays the exit check
+            # and its transfer goes the non-looping direction.  Row 1+m
+            # is an interior mis-speculation before any back-edge was
+            # reached, so no check is charged.  Executions with extra
+            # trips add trip_row() once per trip (traceeval._run_loop).
+            rows, row = self._chain(1)
+            row[CYC] += self.chk
+            row[COM] += 1
+            row[BRA] += 1
+            if not self.blocks[-1].expected_taken:
+                row[TAK] += 1
             row[INS] = row[COM]
             rows[0] = row
-        else:
-            cost = model.cost(last.block, last.covered)
-            for taken, code in ((False, 1), (True, 2)):
-                row = list(run)
-                _add_tail_cost(row, cost, last.block, taken)
-                rows[code] = row
-        return rows
-
-    def _delta_loop(self) -> List[List[int]]:
-        """Base (zero-extra-trip) rows of a loop configuration.
-
-        Row 0 is the clean back-edge exit of the first trip: it pays the
-        exit check and its transfer goes the non-looping direction.  Row
-        ``1+m`` is an interior mis-speculation before any back-edge was
-        reached, so no check is charged.  Executions with extra trips
-        add ``trip_row()`` once per trip on top (``traceeval._run_loop``).
-        """
-        rows = [[0] * NFIELDS for _ in range(self.ncodes)]
-        run = [0] * NFIELDS
-        run[CYC] = self.exec_cycles
-        K = self.K
-        for q, cfg_block in enumerate(self.blocks):
-            block = cfg_block.block
-            loads, stores = _prefix_mem_ops(block, cfg_block.covered)
-            run[COM] += cfg_block.covered
-            run[LDS] += loads
-            run[STS] += stores
-            if q == K - 1:
-                break
-            if block.is_conditional:
-                mis = list(run)
-                mis[COM] += 1
-                mis[BRA] += 1
-                if not cfg_block.expected_taken:
-                    mis[TAK] += 1
-                mis[MIS] = 1
-                mis[INS] = mis[COM]
-                rows[1 + q] = mis
+        elif self.kindcode == 2:
+            # dual: the predicated terminator always commits, then each
+            # resolution code adds the winning side's covered prefix plus
+            # the normal-execution cost of the winner block's tail
+            # (traceeval._run_dual).
+            rows, run = self._chain(4)
             run[COM] += 1
             run[BRA] += 1
-            if not block.is_conditional or cfg_block.expected_taken:
-                run[TAK] += 1
-        back = self.blocks[-1]
-        row = list(run)
-        row[CYC] += self.chk
-        row[COM] += 1
-        row[BRA] += 1
-        if not back.expected_taken:
-            row[TAK] += 1
-        row[INS] = row[COM]
-        rows[0] = row
+            config = self.config
+            for actual, side in ((0, config.dual_fallthrough),
+                                 (1, config.dual_taken)):
+                wblk = side.block
+                wloads, wstores = _prefix_mem_ops(wblk, side.covered)
+                cost = model.cost(wblk, side.covered)
+                for succ in (0, 1):
+                    row = list(run)
+                    row[TAK] += actual
+                    row[COM] += side.covered
+                    row[LDS] += wloads
+                    row[STS] += wstores
+                    _add_tail_cost(row, cost, wblk, succ == 1)
+                    rows[2 * actual + succ] = row
+        else:
+            rows, run = self._chain(3)
+            last = self.blocks[-1]
+            if last.covered == 0:
+                run[INS] = run[COM]
+                rows[0] = run
+            else:
+                cost = model.cost(last.block, last.covered)
+                for taken, code in ((False, 1), (True, 2)):
+                    row = list(run)
+                    _add_tail_cost(row, cost, last.block, taken)
+                    rows[code] = row
+        self._deltas[timing] = rows
         return rows
 
     def trip_row(self) -> List[int]:
@@ -485,58 +456,6 @@ class _Template:
             self._trip_row = row
         return row
 
-    def _delta_dual(self, model) -> List[List[int]]:
-        """Rows of a dual-path configuration.
-
-        The merged chain accumulates like the linear walk; the
-        predicated terminator always commits, then each resolution code
-        adds the winning side's covered prefix plus the normal-execution
-        cost of the winner block's tail (``traceeval._run_dual``).
-        """
-        rows = [[0] * NFIELDS for _ in range(self.ncodes)]
-        run = [0] * NFIELDS
-        run[CYC] = self.exec_cycles
-        K = self.K
-        for q, cfg_block in enumerate(self.blocks):
-            block = cfg_block.block
-            loads, stores = _prefix_mem_ops(block, cfg_block.covered)
-            run[COM] += cfg_block.covered
-            run[LDS] += loads
-            run[STS] += stores
-            if q == K - 1:
-                break
-            if block.is_conditional:
-                mis = list(run)
-                mis[COM] += 1
-                mis[BRA] += 1
-                if not cfg_block.expected_taken:
-                    mis[TAK] += 1
-                mis[MIS] = 1
-                mis[INS] = mis[COM]
-                rows[4 + q] = mis
-            run[COM] += 1
-            run[BRA] += 1
-            if not block.is_conditional or cfg_block.expected_taken:
-                run[TAK] += 1
-        # the predicated terminator itself always commits
-        run[COM] += 1
-        run[BRA] += 1
-        config = self.config
-        for actual, side in ((0, config.dual_fallthrough),
-                             (1, config.dual_taken)):
-            wblk = side.block
-            wloads, wstores = _prefix_mem_ops(wblk, side.covered)
-            cost = model.cost(wblk, side.covered)
-            for succ in (0, 1):
-                row = list(run)
-                row[TAK] += actual
-                row[COM] += side.covered
-                row[LDS] += wloads
-                row[STS] += wstores
-                _add_tail_cost(row, cost, wblk, succ == 1)
-                rows[2 * actual + succ] = row
-        return rows
-
     def ext_gate(self, timeline: PredictorTimeline) -> Optional[List[bool]]:
         """Per-occurrence extension gate, or None when ungated.
 
@@ -549,7 +468,7 @@ class _Template:
         gate = self._gates.get(timeline.entries)
         if gate is None:
             positions = self._ctx.coltrace.occ[self.start_block.block_id]
-            if len(positions) < 48:
+            if len(positions) < VERDICTS_NUMPY_MIN:
                 pc = self.last_branch_pc
                 gate = [timeline.class_at(pc, t) != CLASS_NONE
                         for t in positions.tolist()]
@@ -571,35 +490,28 @@ class _Template:
         opp = self._opps.get(timeline.entries)
         if opp is None:
             positions = self._ctx.coltrace.occ[self.start_block.block_id]
-            if len(positions) < 48:
+            if len(positions) < VERDICTS_NUMPY_MIN:
                 opp = [False] * len(positions)
                 for index, (position, code) in enumerate(
                         zip(positions.tolist(), self.code_list)):
                     if code < 3:
                         continue
                     m = code - 3
-                    cfg_block = self.blocks[m]
-                    opposite = 0 if cfg_block.expected_taken else 1
                     opp[index] = timeline.class_at(
-                        cfg_block.block.branch_pc,
-                        position + m + 1) == opposite
+                        self.int_pcs[m], position + m + 1) \
+                        == self.int_opps[m]
             else:
                 import numpy as np
 
                 codes = np.asarray(self.code_list, dtype=np.int64)
                 verdict = np.zeros(len(positions), dtype=bool)
-                for m in range(self.K - 1):
-                    cfg_block = self.blocks[m]
-                    if not (cfg_block.includes_terminator
-                            and cfg_block.block.is_conditional):
-                        continue
+                for m, _ in self._merged_cond:
                     mask = codes == 3 + m
                     if not mask.any():
                         continue
                     classes = timeline.class_for_many(
-                        cfg_block.block.branch_pc, positions[mask] + m + 1)
-                    opposite = 0 if cfg_block.expected_taken else 1
-                    verdict[mask] = classes == opposite
+                        self.int_pcs[m], positions[mask] + m + 1)
+                    verdict[mask] = classes == self.int_opps[m]
                 opp = verdict.tolist()
             self._opps[timeline.entries] = opp
         return opp
@@ -978,13 +890,11 @@ class ColumnarContext:
 # ----------------------------------------------------------------------
 # Public entry points.
 # ----------------------------------------------------------------------
-def baseline_metrics_columnar(context: ColumnarContext,
-                              timing: Optional[TimingModel] = None
-                              ) -> SystemMetrics:
-    """Columnar equivalent of :func:`traceeval.baseline_metrics`."""
-    totals = context.event_totals(timing or TimingModel())
+def _metrics(name: str, totals, **dim_fields) -> SystemMetrics:
+    """:class:`SystemMetrics` from the 12-field ``totals``, plus any
+    DIM and cache fields."""
     return SystemMetrics(
-        name="mips",
+        name=name,
         cycles=int(totals[CYC]),
         instructions=int(totals[INS]),
         fetches=int(totals[FET]),
@@ -995,7 +905,15 @@ def baseline_metrics_columnar(context: ColumnarContext,
         load_use_stalls=int(totals[LUS]),
         hilo_stalls=int(totals[HILO]),
         syscalls=int(totals[SYS]),
+        **dim_fields,
     )
+
+
+def baseline_metrics_columnar(context: ColumnarContext,
+                              timing: Optional[TimingModel] = None
+                              ) -> SystemMetrics:
+    """Columnar equivalent of :func:`traceeval.baseline_metrics`."""
+    return _metrics("mips", context.event_totals(timing or TimingModel()))
 
 
 def _finish_metrics(name: str, config: SystemConfig, fields,
@@ -1004,18 +922,8 @@ def _finish_metrics(name: str, config: SystemConfig, fields,
                     timeline: PredictorTimeline) -> SystemMetrics:
     stats.misspeculations = int(fields[MIS])
     stats.array_instructions = int(fields[COM])
-    metrics = SystemMetrics(
-        name=name or config.name,
-        cycles=int(fields[CYC]),
-        instructions=int(fields[INS]),
-        fetches=int(fields[FET]),
-        loads=int(fields[LDS]),
-        stores=int(fields[STS]),
-        branches=int(fields[BRA]),
-        taken_transfers=int(fields[TAK]),
-        load_use_stalls=int(fields[LUS]),
-        hilo_stalls=int(fields[HILO]),
-        syscalls=int(fields[SYS]),
+    return _metrics(
+        name or config.name, fields,
         dim=stats,
         cache_lookups=lookups,
         cache_hits=hits,
@@ -1025,7 +933,6 @@ def _finish_metrics(name: str, config: SystemConfig, fields,
         predictor_accuracy=timeline.hits / timeline.updates
         if timeline.updates else 0.0,
     )
-    return metrics
 
 
 def _replay_nospec(context: ColumnarContext, config: SystemConfig,
@@ -1056,7 +963,6 @@ def _replay_nospec(context: ColumnarContext, config: SystemConfig,
         insertions = int(np.count_nonzero(insert_mask))
         stats.translated_instructions = int(
             covered[ev[:n - 1]][insert_mask].sum())
-        stats.config_writes = insertions
     else:
         # capacity pressure: simulate FIFO/LRU occupancy over cacheable
         # events only (uncacheable blocks never enter the cache and are
@@ -1070,45 +976,31 @@ def _replay_nospec(context: ColumnarContext, config: SystemConfig,
         bids = ev[positions].tolist()
         hit_positions: List[int] = []
         append_hit = hit_positions.append
-        if config.dim.cache_policy == "lru":
-            occupancy: Dict[int, None] = {}
-            for position, b in zip(positions.tolist(), bids):
-                if b in occupancy:
-                    append_hit(position)
+        # insertion-ordered residency, as in _replay_spec: the first key
+        # is the next victim; only LRU moves a hit block to the back.
+        lru = config.dim.cache_policy == "lru"
+        occupancy: Dict[int, None] = {}
+        for position, b in zip(positions.tolist(), bids):
+            if b in occupancy:
+                append_hit(position)
+                if lru:
                     del occupancy[b]
                     occupancy[b] = None
-                elif position < last:
-                    translations += 1
-                    translated_instructions += covered_list[b]
-                    if len(occupancy) >= slots:
-                        del occupancy[next(iter(occupancy))]
-                        evictions += 1
-                    occupancy[b] = None
-                    insertions += 1
-        else:
-            # FIFO: hits never reorder, so a resident set plus an
-            # insertion-order deque mirrors the OrderedDict exactly.
-            resident: set = set()
-            order: deque = deque()
-            for position, b in zip(positions.tolist(), bids):
-                if b in resident:
-                    append_hit(position)
-                elif position < last:
-                    translations += 1
-                    translated_instructions += covered_list[b]
-                    if len(resident) >= slots:
-                        resident.discard(order.popleft())
-                        evictions += 1
-                    resident.add(b)
-                    order.append(b)
-                    insertions += 1
+            elif position < last:
+                translations += 1
+                translated_instructions += covered_list[b]
+                if len(occupancy) >= slots:
+                    del occupancy[next(iter(occupancy))]
+                    evictions += 1
+                occupancy[b] = None
+                insertions += 1
         hit_mask = np.zeros(n, dtype=bool)
         if hit_positions:
             hit_mask[np.asarray(hit_positions, dtype=np.int64)] = True
         translations += int(np.count_nonzero(~event_cacheable[:n - 1]))
         stats.translations = translations
         stats.translated_instructions = translated_instructions
-        stats.config_writes = insertions
+    stats.config_writes = insertions
 
     key2 = coltrace.key2
     nrows = 2 * coltrace.nblocks
@@ -1150,12 +1042,13 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
     flat lists ``[template, misspec_count, extendable, code_stats,
     codes, consumed, flush_opp, ext_gate, kindcode]``; ``code_stats``
     is shared per template so exit-code counts aggregate across
-    reinsertion (loop templates carry one extra trailing slot that
-    accumulates extra trips).  Loop and dual templates dispatch on
-    ``kindcode``: their flush/retire verdicts are answered inline from
-    the predictor timeline because the query boundary depends on the
-    per-execution trip count, and loop exits are walked on demand
-    (``_Template.loop_exit``) rather than precomputed per rank.
+    reinsertion, with one trailing slot that accumulates extra loop
+    trips (always zero for other kinds).  Loop and dual templates
+    dispatch on ``kindcode``: their flush/retire verdicts are answered
+    inline from the predictor timeline because the query boundary
+    depends on the per-execution trip count, and loop exits are walked
+    on demand (``_Template.loop_exit``) rather than precomputed per
+    rank.
     """
     import numpy as np
 
@@ -1183,8 +1076,8 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
     hits = misses = 0
     insertions = evictions = invalidations = 0
     translations = extensions = flushes = 0
-    translated_instructions = config_writes = 0
-    loop_configs = dual_configs = 0
+    translated_instructions = 0
+    writes = [0, 0, 0]  # configuration writes per kindcode
     loop_retired = dual_retired = 0
     tk = coltrace.tk_list
     class_at = timeline.class_at
@@ -1196,9 +1089,7 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
         proto = protos.get(template)
         if proto is None:
             kindcode = template.kindcode
-            # loop templates get a trailing extra-trips accumulator
-            st = code_stats[template] = \
-                [0] * (template.ncodes + (1 if kindcode == 1 else 0))
+            st = code_stats[template] = [0] * (template.ncodes + 1)
             if kindcode == 0:
                 proto = protos[template] = [
                     template, 0, template.extendable0, st,
@@ -1228,11 +1119,7 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
                 if template is not None:
                     translated_instructions += \
                         template.covered_instructions
-                    config_writes += 1
-                    if template.kindcode == 1:
-                        loop_configs += 1
-                    elif template.kindcode == 2:
-                        dual_configs += 1
+                    writes[template.kindcode] += 1
                     if len(cache) >= slots:
                         del cache[next(iter(cache))]
                         evictions += 1
@@ -1260,11 +1147,7 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
                         extensions += 1
                         translated_instructions += \
                             new.covered_instructions
-                        config_writes += 1
-                        if new.kindcode == 1:
-                            loop_configs += 1
-                        elif new.kindcode == 2:
-                            dual_configs += 1
+                        writes[new.kindcode] += 1
                         entry = fresh_entry(new)
                         cache[b] = entry   # in-place slot rewrite
                         template = new
@@ -1352,60 +1235,44 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
         translated_instructions=translated_instructions,
         extensions=extensions,
         flushes=flushes,
-        config_writes=config_writes,
-        loop_configs=loop_configs,
-        dual_configs=dual_configs,
+        config_writes=sum(writes),
+        loop_configs=writes[1],
+        dual_configs=writes[2],
         loop_retired=loop_retired,
         dual_retired=dual_retired,
     )
     stalls = 0
     array_cycles = 0
     for template, st in code_stats.items():
-        if template.kindcode == 1:
-            # loop: per-execution costs from the base rows plus one
-            # trip row per accumulated extra trip; ops and array busy
-            # time scale with trips, stalls with executions only
-            # (engine.begin_execution / engine.loop_iteration).
-            extra = st[-1]
-            counts = st[:-1]
-            executions = sum(counts)
-            if not executions:
-                continue
-            fields = fields + np.asarray(counts, dtype=np.int64) \
-                @ np.asarray(template.delta(config.timing),
-                             dtype=np.int64)
-            if extra:
-                fields = fields + extra * np.asarray(
-                    template.trip_row(), dtype=np.int64)
-            runs = executions + extra
-            stats.array_executions += executions
-            stats.loop_executions += executions
-            stats.loop_trips += runs
-            stats.array_alu_ops += template.alu_ops * runs
-            stats.array_mult_ops += template.mult_ops * runs
-            stats.array_mem_ops += template.mem_ops * runs
-            loop_cycles = template.exec_cycles * executions \
-                + template.trip_cycles * extra
-            array_cycles += loop_cycles
-            stats.array_line_cycles += template.lines_used * loop_cycles
-            stalls += max(0, template.rc_cycles
-                          - params.reconfig_overlap) * executions
-            continue
-        executions = sum(st)
+        # per-execution costs from the exit-code rows plus one trip row
+        # per extra loop trip; ops and array busy time scale with trips,
+        # stalls with executions only (engine.begin_execution /
+        # engine.loop_iteration).
+        extra = st[-1]
+        counts = st[:-1]
+        executions = sum(counts)
         if not executions:
             continue
-        fields = fields + np.asarray(st, dtype=np.int64) \
+        fields = fields + np.asarray(counts, dtype=np.int64) \
             @ np.asarray(template.delta(config.timing), dtype=np.int64)
+        if extra:
+            fields = fields + extra * np.asarray(template.trip_row(),
+                                                 dtype=np.int64)
+        runs = executions + extra
         stats.array_executions += executions
-        stats.array_alu_ops += template.alu_ops * executions
-        stats.array_mult_ops += template.mult_ops * executions
-        stats.array_mem_ops += template.mem_ops * executions
-        array_cycles += template.exec_cycles * executions
-        stats.array_line_cycles += \
-            template.lines_used * template.exec_cycles * executions
+        stats.array_alu_ops += template.alu_ops * runs
+        stats.array_mult_ops += template.mult_ops * runs
+        stats.array_mem_ops += template.mem_ops * runs
+        busy = template.exec_cycles * executions \
+            + template.trip_cycles * extra
+        array_cycles += busy
+        stats.array_line_cycles += template.lines_used * busy
         stalls += max(0, template.rc_cycles
                       - params.reconfig_overlap) * executions
-        if template.kindcode == 2:
+        if template.kindcode == 1:
+            stats.loop_executions += executions
+            stats.loop_trips += runs
+        elif template.kindcode == 2:
             # both sides' ops were priced above (the allocation covers
             # the union); the losing side's instructions never commit.
             stats.dual_executions += executions

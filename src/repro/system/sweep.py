@@ -266,6 +266,10 @@ def _sweep_workload(name: str,
     """
     inst = SweepInstrumentation()
     observing = telemetry is not None and telemetry.enabled
+    # a serial sweep shares one cache across rows: count this row's
+    # lookups and stores only.
+    if cache is not None:
+        hits0, misses0, stores0 = cache.hits, cache.misses, cache.stores
 
     # shared columnar state: one lowered trace + translation caches per
     # workload, reused across sweeps while the trace object persists,
@@ -358,9 +362,9 @@ def _sweep_workload(name: str,
             cache.store(coltrace_artifact_key(cache, name),
                         context.coltrace.to_payload())
     if cache is not None:
-        inst.artifact_hits += cache.hits
-        inst.artifact_misses += cache.misses
-        inst.artifact_stores += cache.stores
+        inst.artifact_hits = cache.hits - hits0
+        inst.artifact_misses = cache.misses - misses0
+        inst.artifact_stores = cache.stores - stores0
     return baselines, cell_metrics, inst
 
 

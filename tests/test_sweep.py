@@ -105,6 +105,26 @@ def test_warm_cache_parallel_identical(tmp_path):
     assert warm.results_json() == cold.results_json()
 
 
+def test_serial_artifact_counters_count_each_lookup_once(tmp_path):
+    """Serial rows share one cache, pool rows get one each: both must
+    report every artifact lookup and store exactly once."""
+    configs = small_configs()
+    evaluate_matrix(configs, names=WORKLOADS, fast=True,
+                    cache=ArtifactCache(tmp_path))
+    serial, pooled = (
+        evaluate_matrix(configs, names=WORKLOADS, fast=True,
+                        cache=ArtifactCache(tmp_path),
+                        jobs=jobs).instrumentation
+        for jobs in (1, 2))
+    assert serial.artifact_hits \
+        == serial.cells_from_disk + serial.baselines_from_disk
+    assert serial.artifact_misses == serial.artifact_stores == 0
+    assert (serial.artifact_hits, serial.artifact_misses,
+            serial.artifact_stores) == (pooled.artifact_hits,
+                                        pooled.artifact_misses,
+                                        pooled.artifact_stores)
+
+
 # ----------------------------------------------------------------------
 # The metrics-level API and the translation memo.
 # ----------------------------------------------------------------------
