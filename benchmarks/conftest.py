@@ -45,7 +45,7 @@ def traces() -> Dict[str, Trace]:
     loaded: Dict[str, Trace] = {}
     missing = []
     for name in workload_names():
-        trace = cache.load_trace(trace_artifact_key(cache, name))
+        trace = cache.load(trace_artifact_key(cache, name))
         if trace is None:
             missing.append(name)
         else:
@@ -55,8 +55,7 @@ def traces() -> Dict[str, Trace]:
         runs = collect_runs(missing, jobs=jobs, fast=True)
         for name in missing:
             loaded[name] = runs[name].trace
-            cache.store_trace(trace_artifact_key(cache, name),
-                              runs[name].trace)
+            cache.store(trace_artifact_key(cache, name), runs[name].trace)
     return {name: loaded[name] for name in workload_names()}
 
 

@@ -34,20 +34,17 @@ class BlockProfile:
 
 def block_profile(trace: Trace) -> BlockProfile:
     """Profile a trace: per-block execution and instruction counts."""
-    counts: Dict[int, int] = {}
+    counts = dict(trace.block_execution_counts())
     instructions: Dict[int, int] = {}
     total_instructions = 0
     total_branches = 0
     table = trace.table
-    for event in trace.events:
-        block = table.get(event.block_id)
-        size = len(block)
-        counts[event.block_id] = counts.get(event.block_id, 0) + 1
-        instructions[event.block_id] = \
-            instructions.get(event.block_id, 0) + size
-        total_instructions += size
+    for block_id, count in counts.items():
+        block = table.get(block_id)
+        instructions[block_id] = count * len(block)
+        total_instructions += instructions[block_id]
         if block.terminator is not None:
-            total_branches += 1
+            total_branches += count
     return BlockProfile(counts, instructions, total_instructions,
                         total_branches)
 

@@ -10,7 +10,7 @@ trace that drives the fast DIM evaluator in :mod:`repro.system.traceeval`.
 from repro.sim.cache import CacheConfig, CacheHierarchy, CacheModel
 from repro.sim.memory import Memory, MemoryError_, AlignmentError_
 from repro.sim.stats import RunStats, TimingModel
-from repro.sim.trace import BasicBlock, BlockTable, TraceEvent, Trace
+from repro.sim.trace import BasicBlock, BlockTable, Trace
 from repro.sim.cpu import Simulator, RunResult, SimulationError, run_program
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "TimingModel",
     "BasicBlock",
     "BlockTable",
-    "TraceEvent",
     "Trace",
     "Simulator",
     "RunResult",

@@ -1,11 +1,12 @@
 """Columnar lowering of basic-block traces.
 
-A :class:`~repro.sim.trace.Trace` is a Python list of per-event objects;
-every replay engine that walks it pays one interpreter step per event.
-This module lowers a trace *once* into flat numpy arrays — per-event
-block id and branch outcome, per-block occurrence tables — plus the one
-piece of derived history that makes whole-sweep vectorization possible:
-the **bimodal-predictor timeline**.
+A :class:`~repro.sim.trace.Trace` is one packed ``array('I')`` of
+``block_id << 1 | taken`` event codes; an engine that walks it in
+Python pays one interpreter step per event.  This module views that
+column *once* as numpy arrays — per-event block id and branch outcome,
+per-block occurrence tables — plus the one piece of derived history
+that makes whole-sweep vectorization possible: the **bimodal-predictor
+timeline**.
 
 The timeline exists because the predictor's update sequence is
 configuration-independent.  Every consumed trace event whose block ends
@@ -44,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.sim.trace import Trace
 
 #: bump when the artifact payload layout changes (see to_payload).
-COLTRACE_FORMAT = 1
+COLTRACE_FORMAT = 2
 
 #: saturation classes: the projection of a 2-bit counter the DIM
 #: policies actually consume (saturated_direction / merge gating).
@@ -269,8 +270,11 @@ class ColumnarTrace:
 
     Array fields (``n`` events, ``nblocks`` table entries):
 
-    - ``ev`` (int32[n]) / ``tk`` (int8[n]) — per-event block id and
-      terminator outcome, straight from ``Trace.event_arrays()``;
+    - ``key2`` (int64[n]) — the packed event codes ``2*block + taken``,
+      straight from ``Trace.events`` (also the row key of the cost
+      tables);
+    - ``ev`` / ``tk`` (int64[n]) — per-event block id (``key2 >> 1``)
+      and terminator outcome (``key2 & 1``);
     - ``rank`` (int64[n]) — occurrence index of each event within its
       block (event ``i`` is the ``rank[i]``-th execution of ``ev[i]``);
     - ``occ[b]`` (int64 array) — ascending event positions of block ``b``;
@@ -288,15 +292,14 @@ class ColumnarTrace:
 
         self.trace = trace
         self.table = trace.table
-        ids, taken = trace.event_arrays()
         n = len(trace.events)
         self.n = n
         blocks = trace.table.blocks
         self.nblocks = len(blocks)
-        self.ev = np.frombuffer(ids, dtype=np.uint32).astype(np.int64)
-        self.tk = np.frombuffer(taken, dtype=np.uint8).astype(np.int64)
-        #: 2*block + taken, the row key of the cost tables.
-        self.key2 = 2 * self.ev + self.tk
+        self.key2 = np.frombuffer(trace.events,
+                                  dtype=np.uint32).astype(np.int64)
+        self.ev = self.key2 >> 1
+        self.tk = self.key2 & 1
         self.ev_list = self.ev.tolist()
         self.tk_list = self.tk.tolist()
 
@@ -385,11 +388,9 @@ class ColumnarTrace:
     # stored artifact does not depend on the numpy version.
     # ------------------------------------------------------------------
     def to_payload(self) -> dict:
-        ids, taken = self.trace.event_arrays()
         return {
             "version": COLTRACE_FORMAT,
-            "event_ids": ids,
-            "event_taken": taken,
+            "events": self.n,
             "timelines": {entries: timeline.to_payload()
                           for entries, timeline in self._timelines.items()},
         }
@@ -400,20 +401,14 @@ class ColumnarTrace:
         """Rebuild from a stored payload, or None when it is stale.
 
         The trace object itself is required — templates and cost tables
-        need the live :class:`BasicBlock` objects — so the payload only
-        short-circuits the per-event lowering passes and the predictor
-        timelines."""
+        need the live :class:`BasicBlock` objects and the event column —
+        so the payload holds only the predictor timelines and the event
+        count they were built over (a count that differs from the
+        trace's marks the payload stale)."""
         if not isinstance(payload, dict) \
-                or payload.get("version") != COLTRACE_FORMAT:
+                or payload.get("version") != COLTRACE_FORMAT \
+                or payload.get("events") != len(trace.events):
             return None
-        ids = payload.get("event_ids")
-        taken = payload.get("event_taken")
-        if ids is None or taken is None \
-                or len(ids) != len(trace.events) \
-                or len(taken) != len(trace.events):
-            return None
-        # seed the trace-level cache so lowering skips the event walk
-        trace.seed_event_arrays(ids, taken)
         lowered = cls(trace)
         for entries, stored in payload.get("timelines", {}).items():
             try:

@@ -15,6 +15,7 @@ simulator can interleave normal execution with array execution.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from time import perf_counter as _perf_counter
 from typing import Dict, List, Optional, Tuple
@@ -33,7 +34,7 @@ from repro.sim.cache import CacheHierarchy
 from repro.sim.memory import Memory
 from repro.sim.stats import RunStats, TimingModel
 from repro.sim.syscalls import handle_syscall
-from repro.sim.trace import BasicBlock, BlockTable, Trace, TraceEvent
+from repro.sim.trace import BasicBlock, BlockTable, Trace
 
 
 class SimulationError(Exception):
@@ -103,7 +104,7 @@ class Simulator:
         # Decode results are a program property (text is immutable), so
         # every simulator of one Program shares a single decode cache.
         self._decoded: Dict[int, _DecodedEntry] = program.decode_cache
-        self._trace_events: List[TraceEvent] = []
+        self._trace_events = array("I")
         self._block_start = self.pc
         self._last_load_dest: Optional[int] = None
         self._hilo_ready = 0
@@ -256,7 +257,7 @@ class Simulator:
             self._hilo_ready = 0
             if self.collect_trace:
                 block = self.block_at(self._block_start)
-                self._trace_events.append(TraceEvent(block.block_id, taken))
+                self._trace_events.append(block.block_id << 1 | taken)
             self._block_start = next_pc
         self.pc = next_pc
         if stats.instructions > self.max_instructions:

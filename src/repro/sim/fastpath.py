@@ -46,7 +46,7 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Format, InstrClass
 from repro.isa.semantics import div_result, mult_result
 from repro.sim.syscalls import handle_syscall
-from repro.sim.trace import BasicBlock, TraceEvent
+from repro.sim.trace import BasicBlock
 
 #: Safety bound: a decoded block longer than this means execution ran off
 #: the program text into zeroed memory (the interpreter would burn its
@@ -277,14 +277,15 @@ class FastPath:
         sim = self.sim
         # Registering the block at first entry matches the interpreter's
         # registration at first completion (nothing runs in between), so
-        # trace block ids agree between the two paths.
-        block_id = sim.block_at(pc).block_id if sim.collect_trace else -1
+        # trace block ids agree between the two paths.  The block appends
+        # ``code | taken``, so it gets the id pre-shifted.
+        code = sim.block_at(pc).block_id << 1 if sim.collect_trace else -1
         memory = sim.memory
         fn = factory(sim, sim.regs, sim.stats, memory,
                      memory.read_byte, memory.read_half, memory.read_word,
                      memory.write_byte, memory.write_half,
                      memory.write_word, sim.output_parts,
-                     sim._trace_events.append, block_id)
+                     sim._trace_events.append, code)
         self._compiled[pc] = fn
         self._term_pc[pc] = pc + 4 * (length - 1)
         return fn
@@ -311,7 +312,6 @@ class FastPath:
             "mult_result": mult_result,
             "div_result": div_result,
             "handle_syscall": handle_syscall,
-            "TraceEvent": TraceEvent,
             "SimulationError": _simulation_error(),
         }
         exec(compile(source, f"<fastblock 0x{start_pc:08x}>", "exec"),
@@ -355,7 +355,7 @@ class FastPath:
         body.append("sim._block_start = next_pc")
         body.append("sim.pc = next_pc")
         if collect_trace:
-            body.append(f"append(TraceEvent(block_id, {taken_expr}))")
+            body.append(f"append(code | {taken_expr})")
         body.append(f"if stats.instructions > {max_instructions}:")
         body.append("    raise SimulationError("
                     f"'instruction budget exceeded at pc 0x{start_pc:08x}')")
@@ -364,7 +364,7 @@ class FastPath:
         inner = "\n".join(f"        {line}" for line in body)
         return (
             "def _factory(sim, regs, stats, memory, rb, rh, rw, wb, wh, "
-            "ww, out, append, block_id):\n"
+            "ww, out, append, code):\n"
             "    def _block():\n"
             f"{inner}\n"
             "    return _block\n"

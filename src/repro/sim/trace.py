@@ -3,9 +3,9 @@
 A *dynamic basic block* is the run of instructions from a control-transfer
 target (or the entry point) up to and including the next control transfer
 or syscall.  DIM translates exactly these runs, so the trace — a block
-table plus a sequence of (block id, branch outcome) events — is sufficient
-to replay the complete DIM state machine without re-executing the program
-(see :mod:`repro.system.traceeval`).
+table plus one packed column of ``block_id << 1 | taken`` event codes —
+is sufficient to replay the complete DIM state machine without
+re-executing the program (see :mod:`repro.system.traceeval`).
 """
 
 from __future__ import annotations
@@ -91,55 +91,23 @@ class BlockTable:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One executed basic block and the outcome of its terminator.
-
-    ``taken`` is False for fall-through conditional branches and for
-    blocks ended by a syscall; unconditional transfers record True.
-    """
-
-    block_id: int
-    taken: bool
-
-
 @dataclass
 class Trace:
-    """A full basic-block execution trace."""
+    """A full basic-block execution trace.
+
+    ``events`` is one packed column: event ``i`` is the code
+    ``block_id << 1 | taken``, where ``taken`` is 1 for a taken
+    conditional branch or an unconditional transfer and 0 for a
+    fall-through branch or a syscall-ended block.  The ``'I'`` typecode
+    makes a block id of 2**31 or more raise ``OverflowError`` instead
+    of wrapping.
+    """
 
     table: BlockTable
-    events: List[TraceEvent] = field(default_factory=list)
-
-    #: cached (ids, taken, length) triple backing :meth:`event_arrays`;
-    #: not part of the dataclass proper (excluded from eq/repr/pickle
-    #: of the payload shape the artifact cache stores).
-    _event_arrays: Optional[Tuple[array, bytes, int]] = \
-        field(default=None, repr=False, compare=False)
+    events: array = field(default_factory=lambda: array("I"))
 
     def block_execution_counts(self) -> Dict[int, int]:
-        return Counter(event.block_id for event in self.events)
-
-    def event_arrays(self) -> Tuple[array, bytes]:
-        """The events as flat columns: (block ids ``array('I')``, taken
-        flags ``bytes``).
-
-        Computed once and cached on the instance, so the artifact
-        encoder and the columnar replay engine share a single lowering
-        pass.  The cache is invalidated if events were appended since.
-        """
-        cached = self._event_arrays
-        if cached is None or cached[2] != len(self.events):
-            ids = array("I", (event.block_id for event in self.events))
-            taken = bytes(1 if event.taken else 0
-                          for event in self.events)
-            cached = (ids, taken, len(self.events))
-            self._event_arrays = cached
-        return cached[0], cached[1]
-
-    def seed_event_arrays(self, ids: array, taken: bytes) -> None:
-        """Adopt precomputed event columns (artifact-cache decode path)."""
-        if len(ids) == len(self.events) and len(taken) == len(self.events):
-            self._event_arrays = (ids, taken, len(self.events))
+        return Counter(code >> 1 for code in self.events)
 
     def __len__(self) -> int:
         return len(self.events)

@@ -3,8 +3,9 @@
 Three artifact kinds are stored, mirroring the three stages of a matrix
 sweep (see :mod:`repro.system.sweep`):
 
-- ``trace`` — the basic-block trace of one workload's functional run,
-  stored in a compact columnar form (block table + event arrays);
+- ``trace`` — the basic-block :class:`~repro.sim.trace.Trace` of one
+  workload's functional run, pickled as is (block table + one packed
+  ``array('I')`` event column);
 - ``baseline`` — the standalone-MIPS :class:`SystemMetrics` of a trace
   under one timing model;
 - ``metrics`` — the accelerated :class:`SystemMetrics` of one
@@ -20,10 +21,14 @@ translator or evaluator produces new keys, so stale results can never be
 served after a code edit.  The version constant exists for forced
 invalidation when the *storage format* changes without a code change.
 
+Each record holds the key, the pickled payload bytes and their SHA-256;
+:meth:`ArtifactCache.load` checks the digest before it unpickles the
+payload, so a bit flip is a miss instead of a silently wrong number.
 Writes are atomic (temp file + ``os.replace``) so concurrent sweep
-workers can share one cache directory; unreadable or truncated entries
-are treated as misses and removed.  The default location is
-``$REPRO_CACHE_DIR``, falling back to ``~/.cache/repro/artifacts``.
+workers can share one cache directory; unreadable, truncated or
+digest-mismatched entries are treated as misses and removed.  The
+default location is ``$REPRO_CACHE_DIR``, falling back to
+``~/.cache/repro/artifacts``.
 
 Two multi-process amenities sit on top of the plain store:
 
@@ -54,11 +59,8 @@ import pickle
 import tempfile
 import threading
 import time
-from array import array
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
-
-from repro.sim.trace import BlockTable, Trace, TraceEvent
 
 #: bump to orphan every existing entry (storage-format changes).
 FORMAT_VERSION = 1
@@ -88,22 +90,6 @@ def default_cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
     return base / "repro" / "artifacts"
-
-
-def _encode_trace(trace: Trace) -> dict:
-    """Columnar trace encoding: ~10x fewer pickled objects than events."""
-    ids, taken = trace.event_arrays()
-    return {"table": trace.table, "event_ids": ids, "event_taken": taken}
-
-
-def _decode_trace(payload: dict) -> Trace:
-    table: BlockTable = payload["table"]
-    events = [TraceEvent(block_id, taken != 0)
-              for block_id, taken in zip(payload["event_ids"],
-                                         payload["event_taken"])]
-    trace = Trace(table, events)
-    trace.seed_event_arrays(payload["event_ids"], payload["event_taken"])
-    return trace
 
 
 #: how many stores between automatic size-cap checks.
@@ -188,6 +174,8 @@ class ArtifactCache:
     def load(self, key: str) -> Optional[object]:
         """The stored object, or None on a miss (miss is counted).
 
+        The payload is unpickled only after its bytes match the stored
+        SHA-256; a mismatched or missing digest is a damaged entry.
         Readers racing a concurrent :meth:`store` of the same key are
         safe: publication is a single atomic ``os.replace``, so a
         reader sees either a complete previous record or a complete
@@ -199,6 +187,10 @@ class ArtifactCache:
             with self.pin(key), open(path, "rb") as handle:
                 record = pickle.load(handle)
             if record.get("key") == key:
+                body = record["payload"]
+                if hashlib.sha256(body).digest() != record["sha256"]:
+                    raise ValueError("artifact digest mismatch")
+                payload = pickle.loads(body)
                 # refresh the access time explicitly: LRU pruning
                 # must work even on noatime/relatime mounts.
                 try:
@@ -207,11 +199,11 @@ class ArtifactCache:
                     pass
                 with self._lock:
                     self.hits += 1
-                return record["payload"]
+                return payload
         except FileNotFoundError:
             pass
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, KeyError, ValueError):
+                ImportError, IndexError, KeyError, TypeError, ValueError):
             # damaged or foreign entry: drop it so it cannot recur
             try:
                 path.unlink()
@@ -234,7 +226,9 @@ class ArtifactCache:
         """
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        record = {"key": key, "payload": payload}
+        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        record = {"key": key, "sha256": hashlib.sha256(body).digest(),
+                  "payload": body}
         fd, tmp_name = tempfile.mkstemp(dir=path.parent,
                                         prefix=".tmp-", suffix=".pkl")
         published = False
@@ -335,18 +329,6 @@ class ArtifactCache:
             self.evictions += evicted
         return {"evicted": evicted, "evicted_bytes": evicted_bytes,
                 "remaining_bytes": total}
-
-    # ------------------------------------------------------------------
-    # Trace-specific wrappers (columnar encoding).
-    # ------------------------------------------------------------------
-    def load_trace(self, key: str) -> Optional[Trace]:
-        payload = self.load(key)
-        if payload is None:
-            return None
-        return _decode_trace(payload)
-
-    def store_trace(self, key: str, trace: Trace) -> None:
-        self.store(key, _encode_trace(trace))
 
     @property
     def hit_rate(self) -> float:

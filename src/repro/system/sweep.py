@@ -198,8 +198,8 @@ def metrics_artifact_key(cache: ArtifactCache, name: str,
 
 
 def coltrace_artifact_key(cache: ArtifactCache, name: str) -> str:
-    """Key of the persisted columnar lowering (event columns plus the
-    predictor timelines built so far)."""
+    """Key of the persisted columnar lowering (the predictor timelines
+    built so far, plus the event count they cover)."""
     source = get_workload(name).source
     return cache.key("coltrace", name, source, TRACE_TIMING)
 
@@ -224,7 +224,7 @@ def _obtain_trace(name: str, fast: bool, cache: Optional[ArtifactCache],
             return cached_trace
         if cache is not None:
             key = trace_artifact_key(cache, name)
-            trace = cache.load_trace(key)
+            trace = cache.load(key)
             if trace is not None:
                 _DISK_TRACES[name] = trace
                 inst.traces_from_disk += 1
@@ -232,7 +232,7 @@ def _obtain_trace(name: str, fast: bool, cache: Optional[ArtifactCache],
         trace = run_workload(name, fast=fast).trace
         inst.traces_simulated += 1
         if cache is not None:
-            cache.store_trace(key, trace)
+            cache.store(key, trace)
         return trace
     finally:
         inst.trace_seconds += time.perf_counter() - start

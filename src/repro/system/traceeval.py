@@ -85,9 +85,8 @@ def baseline_metrics(trace: Trace,
     model = shared_cost_model(timing)
     metrics = SystemMetrics(name="mips")
     table = trace.table
-    for event in trace.events:
-        block = table.get(event.block_id)
-        _account_normal(metrics, model, block, 0, event.taken)
+    for code in trace.events:
+        _account_normal(metrics, model, table.get(code >> 1), 0, code & 1)
     return metrics
 
 
@@ -151,12 +150,12 @@ def _run_loop(engine: DimEngine, metrics: SystemMetrics, cfg,
         for q, cfg_block in enumerate(blocks):
             cfg_blk = cfg_block.block
             seen.add(cfg_blk.start_pc)
-            ev = events[j]
-            if ev.block_id != cfg_blk.block_id:  # pragma: no cover
+            code = events[j]
+            if code >> 1 != cfg_blk.block_id:  # pragma: no cover
                 raise RuntimeError(
                     "trace/configuration divergence at event "
                     f"{j}: expected block {cfg_blk.block_id}, "
-                    f"got {ev.block_id}")
+                    f"got {code >> 1}")
             committed += cfg_block.covered
             loads, stores = _prefix_mem_ops(cfg_blk, cfg_block.covered)
             metrics.loads += loads
@@ -166,7 +165,7 @@ def _run_loop(engine: DimEngine, metrics: SystemMetrics, cfg,
             metrics.branches += 1
             j += 1
             if term.klass is InstrClass.BRANCH:
-                actual = ev.taken
+                actual = bool(code & 1)
                 if actual:
                     metrics.taken_transfers += 1
                 if q == back:
@@ -206,12 +205,12 @@ def _run_dual(engine: DimEngine, metrics: SystemMetrics, model,
     for q, cfg_block in enumerate(blocks):
         cfg_blk = cfg_block.block
         seen.add(cfg_blk.start_pc)
-        ev = events[j]
-        if ev.block_id != cfg_blk.block_id:  # pragma: no cover
+        code = events[j]
+        if code >> 1 != cfg_blk.block_id:  # pragma: no cover
             raise RuntimeError(
                 "trace/configuration divergence at event "
                 f"{j}: expected block {cfg_blk.block_id}, "
-                f"got {ev.block_id}")
+                f"got {code >> 1}")
         committed += cfg_block.covered
         loads, stores = _prefix_mem_ops(cfg_blk, cfg_block.covered)
         metrics.loads += loads
@@ -220,30 +219,30 @@ def _run_dual(engine: DimEngine, metrics: SystemMetrics, model,
         committed += 1
         metrics.branches += 1
         if q == last:
-            actual = ev.taken
+            actual = bool(code & 1)
             if actual:
                 metrics.taken_transfers += 1
             j += 1
             winner = engine.dual_resolution(cfg, cfg_block, actual)
             wblk = winner.block
             seen.add(wblk.start_pc)
-            succ_ev = events[j]
-            if succ_ev.block_id != wblk.block_id:  # pragma: no cover
+            succ_code = events[j]
+            if succ_code >> 1 != wblk.block_id:  # pragma: no cover
                 raise RuntimeError(
                     "trace/configuration divergence at event "
                     f"{j}: expected block {wblk.block_id}, "
-                    f"got {succ_ev.block_id}")
+                    f"got {succ_code >> 1}")
             committed += winner.covered
             loads, stores = _prefix_mem_ops(wblk, winner.covered)
             metrics.loads += loads
             metrics.stores += stores
             _account_normal(metrics, model, wblk, winner.covered,
-                            succ_ev.taken)
+                            succ_code & 1)
             if wblk.is_conditional:
-                engine.observe_branch(wblk.branch_pc, succ_ev.taken)
+                engine.observe_branch(wblk.branch_pc, bool(succ_code & 1))
             j += 1
         elif term.klass is InstrClass.BRANCH:
-            actual = ev.taken
+            actual = bool(code & 1)
             if actual:
                 metrics.taken_transfers += 1
             j += 1
@@ -289,14 +288,14 @@ def evaluate_trace(trace: Trace, config: SystemConfig,
     n = len(events)
     i = 0
     while i < n:
-        event = events[i]
-        block = table.get(event.block_id)
+        code = events[i]
+        block = table.get(code >> 1)
         seen.add(block.start_pc)
         cfg = engine.lookup(block.start_pc)
         if cfg is None:
-            _account_normal(metrics, model, block, 0, event.taken)
+            _account_normal(metrics, model, block, 0, code & 1)
             if block.is_conditional:
-                engine.observe_branch(block.branch_pc, event.taken)
+                engine.observe_branch(block.branch_pc, bool(code & 1))
             if i < n - 1:
                 engine.consider_translation(block)
             i += 1
@@ -319,12 +318,12 @@ def evaluate_trace(trace: Trace, config: SystemConfig,
         for cfg_block in cfg.blocks:
             cfg_blk = cfg_block.block
             seen.add(cfg_blk.start_pc)
-            ev = events[j]
-            if ev.block_id != cfg_blk.block_id:  # pragma: no cover
+            code = events[j]
+            if code >> 1 != cfg_blk.block_id:  # pragma: no cover
                 raise RuntimeError(
                     "trace/configuration divergence at event "
                     f"{j}: expected block {cfg_blk.block_id}, "
-                    f"got {ev.block_id}")
+                    f"got {code >> 1}")
             committed += cfg_block.covered
             loads, stores = _prefix_mem_ops(cfg_blk, cfg_block.covered)
             metrics.loads += loads
@@ -336,16 +335,16 @@ def evaluate_trace(trace: Trace, config: SystemConfig,
                     # simulator resuming at a block start).
                     break
                 _account_normal(metrics, model, cfg_blk,
-                                cfg_block.covered, ev.taken)
+                                cfg_block.covered, code & 1)
                 if cfg_blk.is_conditional:
-                    engine.observe_branch(cfg_blk.branch_pc, ev.taken)
+                    engine.observe_branch(cfg_blk.branch_pc, bool(code & 1))
                 j += 1
                 break
             term = cfg_blk.terminator
             committed += 1
             metrics.branches += 1
             if term.klass is InstrClass.BRANCH:
-                actual = ev.taken
+                actual = bool(code & 1)
                 if actual:
                     metrics.taken_transfers += 1
                 j += 1

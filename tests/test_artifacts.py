@@ -86,6 +86,23 @@ def test_damaged_entry_is_dropped_and_recovers(tmp_path):
     assert cache.load(key) == "fresh"
 
 
+def test_bit_flipped_entry_is_a_miss(tmp_path):
+    """A flipped bit in the stored payload fails the digest check, so
+    the load misses (and drops the entry) instead of returning a wrong
+    number."""
+    cache = ArtifactCache(tmp_path)
+    key = cache.key("metrics", "unit", "bitflip")
+    cache.store(key, {"cycles": 123456789})
+    path = cache._path(key)
+    data = bytearray(path.read_bytes())
+    stored = (123456789).to_bytes(4, "little")
+    assert data.count(stored) == 1
+    data[data.index(stored)] ^= 1
+    path.write_bytes(bytes(data))
+    assert cache.load(key) is None
+    assert not path.exists()
+
+
 def test_counters_exact_under_threaded_loads(tmp_path):
     cache = ArtifactCache(tmp_path)
     key = cache.key("metrics", "unit", "counted")

@@ -121,9 +121,9 @@ def test_coltrace_payload_stale_detection():
     good = ColumnarTrace(trace).to_payload()
     assert ColumnarTrace.from_payload(trace, {"version": -1}) is None
     assert ColumnarTrace.from_payload(trace, "not a dict") is None
-    truncated = dict(good)
-    truncated["event_ids"] = good["event_ids"][:-1]
-    assert ColumnarTrace.from_payload(trace, truncated) is None
+    stale = dict(good)
+    stale["events"] = good["events"] - 1
+    assert ColumnarTrace.from_payload(trace, stale) is None
     assert ColumnarTrace.from_payload(trace, good) is not None
     assert good["version"] == COLTRACE_FORMAT
 

@@ -43,9 +43,9 @@ def test_block_cost_matches_simulator(source):
     result = run_program(program, collect_trace=True)
     model = BlockCostModel(TimingModel())
     total = 0
-    for event in result.trace.events:
-        block = result.trace.table.get(event.block_id)
-        total += model.cost(block).cycles(event.taken)
+    for code in result.trace.events:
+        block = result.trace.table.get(code >> 1)
+        total += model.cost(block).cycles(code & 1)
     assert total == result.stats.cycles
 
 

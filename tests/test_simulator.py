@@ -203,13 +203,38 @@ def test_trace_block_formation():
     # blocks: [li..bne], [addiu, bne] x2? first block includes loop body
     assert len(trace.events) >= 3
     # every event's block is registered and consistent
-    for event in trace.events:
-        block = trace.table.get(event.block_id)
+    for code in trace.events:
+        block = trace.table.get(code >> 1)
         assert block.instructions
-    # loop block executed with taken=True twice, False once
-    loop_events = [e for e in trace.events
-                   if trace.table.get(e.block_id).is_conditional]
-    assert [e.taken for e in loop_events] == [True, True, False]
+    # loop block executed with taken=1 twice, 0 once
+    loop_codes = [code for code in trace.events
+                  if trace.table.get(code >> 1).is_conditional]
+    assert [code & 1 for code in loop_codes] == [1, 1, 0]
+
+
+def test_trace_event_encoding():
+    """Each event is ``block_id << 1 | taken``: a jump and a taken
+    branch set the low bit; a fall-through branch and a syscall-ended
+    block clear it; the interpreter and the fast path record the same
+    column."""
+    program = assemble("""
+        li $t0, 1
+        j over
+    over:
+        beq $t0, $zero, never
+        beq $t0, $t0, done
+    never:
+        nop
+    done:
+    """ + EXIT)
+    slow = run_program(program, collect_trace=True).trace
+    fast = run_program(program, collect_trace=True, fast=True).trace
+    assert slow.events.typecode == "I"
+    assert fast.events == slow.events
+    terminators = [(slow.table.get(code >> 1).instructions[-1].mnemonic,
+                    code & 1) for code in slow.events]
+    assert terminators == [("j", 1), ("beq", 0), ("beq", 1),
+                           ("syscall", 0)]
 
 
 def test_step_outcome_fields():

@@ -207,10 +207,10 @@ def test_trace_artifact_roundtrip(tmp_path):
     cache = ArtifactCache(tmp_path)
     trace = run_workload("crc", fast=True).trace
     key = trace_artifact_key(cache, "crc")
-    cache.store_trace(key, trace)
-    loaded = cache.load_trace(key)
+    cache.store(key, trace)
+    loaded = cache.load(key)
     assert loaded is not None
-    assert len(loaded.events) == len(trace.events)
+    assert loaded.events == trace.events
     config = paper_system("C2", 64, True)
     assert evaluate_trace(loaded, config) == evaluate_trace(trace, config)
 
