@@ -32,9 +32,10 @@ class Program:
     #: :meth:`repro.sim.cpu.Simulator.decode_at`).
     decode_cache: Dict[int, tuple] = field(default_factory=dict,
                                            compare=False, repr=False)
-    #: (pc, flags) -> compiled-block factory cache for the fast path
-    #: (see :mod:`repro.sim.fastpath`).  Holds exec-generated functions,
-    #: so it is intentionally excluded from comparisons.
+    #: (pc, flags) -> compiled-block and ("prefix", pc, covered) ->
+    #: array-prefix factory cache for the fast path (see
+    #: :mod:`repro.sim.fastpath`).  Holds exec-generated functions, so
+    #: it is intentionally excluded from comparisons.
     fastpath_cache: Dict[tuple, tuple] = field(default_factory=dict,
                                                compare=False, repr=False)
 

@@ -23,6 +23,16 @@ once per *instruction*, while producing bit-identical architectural
 state, statistics and trace events — asserted by
 ``tests/test_fastpath.py`` over the full workload suite.
 
+The same code generator compiles the array side of the coupled
+MIPS+DIM system: :meth:`FastPath.prefix` turns the first ``covered``
+instructions of a block — what one array configuration executes of it —
+into a closure that also bulk-adds the prefix's static load/store
+counts.  Aligned ``lw``/``sw`` in every generated closure go straight
+to the page's word view (:attr:`~repro.sim.memory.Memory.words`); an
+unmapped page, a misaligned address or a big-endian host (no views)
+falls back to ``read_word``/``write_word``, which allocate, raise the
+alignment error and byte-swap exactly as before.
+
 Scope and invalidation rule: the generated code and the decode cache
 assume the text segment is immutable.  Self-modifying code is out of
 scope; every compiled store asserts that its target lies outside
@@ -32,8 +42,9 @@ timing is dynamic (miss patterns depend on addresses), so a simulator
 with I/D caches configured keeps the per-instruction interpreter.
 
 Compiled factories are cached on the :class:`~repro.asm.program.Program`
-itself, keyed by ``(pc, collect_trace, timing, max_instructions)``, so
-repeated simulations of one program (the Table 2 sweep, differential
+itself, keyed by ``(pc, collect_trace, timing, max_instructions)`` for
+blocks and ``("prefix", pc, covered)`` for array prefixes, so repeated
+simulations of one program (the Table 2 sweep, differential
 tests) skip code generation entirely and only re-bind the closures to
 the new simulator's register file, memory and counters.
 """
@@ -45,6 +56,7 @@ from typing import Callable, Dict, List, Tuple
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Format, InstrClass
 from repro.isa.semantics import div_result, mult_result
+from repro.sim.memory import PAGE_MASK, PAGE_SHIFT
 from repro.sim.syscalls import handle_syscall
 from repro.sim.trace import BasicBlock
 
@@ -57,6 +69,16 @@ _MASK = 0xFFFFFFFF
 
 #: a compiled block: zero-argument closure returning (taken, next_pc).
 CompiledBlock = Callable[[], Tuple[bool, int]]
+
+#: a compiled array prefix: zero-argument closure, run for its effects.
+CompiledPrefix = Callable[[], None]
+
+# An aligned word at address ``_a`` through its page's word view; with no
+# view (unmapped page, big-endian host) or a misaligned address the
+# generated code calls ``rw``/``ww`` instead.
+_VIEW_LOOKUP = f"_w = words.get(_a >> {PAGE_SHIFT})"
+_VIEW_MISS = "_w is None or _a & 3"
+_VIEW_WORD = f"_w[(_a & {PAGE_MASK}) >> 2]"
 
 
 def _sgn(var: str) -> str:
@@ -126,7 +148,8 @@ def _emit_body(instr: Instruction, lines: List[str],
         lines.append(f"_a = ({rs} + {instr.imm}) & 0xFFFFFFFF")
         dest = instr.destination()
         if m == "lw":
-            expr = "rw(_a)"
+            lines.append(_VIEW_LOOKUP)
+            expr = f"rw(_a) if {_VIEW_MISS} else {_VIEW_WORD}"
         elif m == "lbu":
             expr = "rb(_a)"
         elif m == "lhu":
@@ -148,7 +171,11 @@ def _emit_body(instr: Instruction, lines: List[str],
             "    raise SimulationError('store to .text at 0x%08x: "
             "self-modifying code is unsupported by the fast path' % _a)")
         if m == "sw":
-            lines.append(f"ww(_a, regs[{instr.rt}])")
+            lines.append(_VIEW_LOOKUP)
+            lines.append(f"if {_VIEW_MISS}:")
+            lines.append(f"    ww(_a, regs[{instr.rt}])")
+            lines.append("else:")
+            lines.append(f"    {_VIEW_WORD} = regs[{instr.rt}]")
         elif m == "sb":
             lines.append(f"wb(_a, regs[{instr.rt}])")
         else:  # sh
@@ -228,6 +255,7 @@ class FastPath:
         self._model = shared_cost_model(sim.timing)
         self._compiled: Dict[int, CompiledBlock] = {}
         self._term_pc: Dict[int, int] = {}
+        self._prefixes: Dict[Tuple[int, int], CompiledPrefix] = {}
         self._factories = sim.program.fastpath_cache
         self._flags = (sim.collect_trace, sim.timing, sim.max_instructions)
 
@@ -263,6 +291,22 @@ class FastPath:
         return StepOutcome(True, taken, sim.exit_code is not None,
                            self._term_pc[pc], next_pc)
 
+    def prefix(self, block: BasicBlock, covered: int) -> CompiledPrefix:
+        """The compiled array prefix: ``block``'s first ``covered``
+        instructions, with the loads/stores counts the coupled
+        simulator's per-instruction path would add."""
+        key = (block.start_pc, covered)
+        fn = self._prefixes.get(key)
+        if fn is None:
+            # the leading string keeps these apart from block keys
+            factory_key = ("prefix", *key)
+            factory = self._factories.get(factory_key)
+            if factory is None:
+                factory = self._build_prefix(block, covered)
+                self._factories[factory_key] = factory
+            fn = self._prefixes[key] = self._bind(factory, -1)
+        return fn
+
     # ------------------------------------------------------------------
     def compile_block(self, pc: int) -> CompiledBlock:
         """Specialize (with program-level caching) the block at ``pc``."""
@@ -280,15 +324,20 @@ class FastPath:
         # trace block ids agree between the two paths.  The block appends
         # ``code | taken``, so it gets the id pre-shifted.
         code = sim.block_at(pc).block_id << 1 if sim.collect_trace else -1
-        memory = sim.memory
-        fn = factory(sim, sim.regs, sim.stats, memory,
-                     memory.read_byte, memory.read_half, memory.read_word,
-                     memory.write_byte, memory.write_half,
-                     memory.write_word, sim.output_parts,
-                     sim._trace_events.append, code)
+        fn = self._bind(factory, code)
         self._compiled[pc] = fn
         self._term_pc[pc] = pc + 4 * (length - 1)
         return fn
+
+    def _bind(self, factory, code: int):
+        """Close a generated factory over this simulator's state."""
+        sim = self.sim
+        memory = sim.memory
+        return factory(sim, sim.regs, sim.stats, memory,
+                       memory.read_byte, memory.read_half, memory.read_word,
+                       memory.write_byte, memory.write_half,
+                       memory.write_word, memory.words, sim.output_parts,
+                       sim._trace_events.append, code)
 
     def _build_factory(self, start_pc: int):
         sim = self.sim
@@ -308,15 +357,22 @@ class FastPath:
         block = BasicBlock(-1, start_pc, tuple(instrs))
         cost = self._model.cost(block)
         source = self._render_source(instrs, start_pc, cost)
-        namespace = {
-            "mult_result": mult_result,
-            "div_result": div_result,
-            "handle_syscall": handle_syscall,
-            "SimulationError": _simulation_error(),
-        }
-        exec(compile(source, f"<fastblock 0x{start_pc:08x}>", "exec"),
-             namespace)
-        return namespace["_factory"], len(instrs)
+        return _compile(source, f"<fastblock 0x{start_pc:08x}>"), \
+            len(instrs)
+
+    def _build_prefix(self, block: BasicBlock, covered: int):
+        program = self.sim.program
+        instrs = block.instructions[:covered]
+        body: List[str] = []
+        for instr in instrs:
+            _emit_body(instr, body, program.text_base, program.text_end)
+        for attr, klass in (("loads", InstrClass.LOAD),
+                            ("stores", InstrClass.STORE)):
+            count = sum(1 for instr in instrs if instr.klass is klass)
+            if count:
+                body.append(f"stats.{attr} += {count}")
+        return _compile(_wrap(body or ["pass"]),
+                        f"<fastprefix 0x{block.start_pc:08x}+{covered}>")
 
     def _render_source(self, instrs: List[Instruction], start_pc: int,
                        cost) -> str:
@@ -360,17 +416,31 @@ class FastPath:
         body.append("    raise SimulationError("
                     f"'instruction budget exceeded at pc 0x{start_pc:08x}')")
         body.append(f"return {taken_expr}, next_pc")
-
-        inner = "\n".join(f"        {line}" for line in body)
-        return (
-            "def _factory(sim, regs, stats, memory, rb, rh, rw, wb, wh, "
-            "ww, out, append, code):\n"
-            "    def _block():\n"
-            f"{inner}\n"
-            "    return _block\n"
-        )
+        return _wrap(body)
 
 
-def _simulation_error():
+def _wrap(body: List[str]) -> str:
+    """Source of a factory binding the closure with ``body`` to a
+    simulator (see :meth:`FastPath._bind`)."""
+    inner = "\n".join(f"        {line}" for line in body)
+    return (
+        "def _factory(sim, regs, stats, memory, rb, rh, rw, wb, wh, "
+        "ww, words, out, append, code):\n"
+        "    def _block():\n"
+        f"{inner}\n"
+        "    return _block\n"
+    )
+
+
+def _compile(source: str, name: str):
+    """Exec generated factory ``source``; returns its ``_factory``."""
     from repro.sim.cpu import SimulationError
-    return SimulationError
+
+    namespace = {
+        "mult_result": mult_result,
+        "div_result": div_result,
+        "handle_syscall": handle_syscall,
+        "SimulationError": SimulationError,
+    }
+    exec(compile(source, name, "exec"), namespace)
+    return namespace["_factory"]

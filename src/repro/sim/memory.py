@@ -3,10 +3,19 @@
 Pages are 4 KiB bytearrays allocated on first touch, so the full 32-bit
 address space (text at 0x0040_0000, data at 0x1001_0000, stack just below
 0x8000_0000) is available without preallocating anything.
+
+On a little-endian host every page also gets a word view
+(``memoryview(page).cast("I")``) in :attr:`Memory.words`, through which
+the block-compiled fast path (:mod:`repro.sim.fastpath`) reads and
+writes aligned words without a method call.  The view's native byte
+order is the memory's little-endian one only on such a host, so on a
+big-endian host ``words`` stays empty and every access takes
+:meth:`Memory.read_word`/:meth:`Memory.write_word`.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Dict
 
 from repro.asm.program import Program
@@ -14,6 +23,9 @@ from repro.asm.program import Program
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
+
+#: whether new pages get a native word view (little-endian hosts only).
+WORD_VIEWS = sys.byteorder == "little"
 
 
 class MemoryError_(Exception):
@@ -27,17 +39,30 @@ class AlignmentError_(Exception):
 class Memory:
     """Byte-addressable sparse memory."""
 
-    __slots__ = ("_pages",)
+    __slots__ = ("_pages", "words")
 
     def __init__(self) -> None:
         self._pages: Dict[int, bytearray] = {}
+        #: page index -> unsigned 32-bit view of that page (see module doc)
+        self.words: Dict[int, memoryview] = {}
 
     def _page(self, index: int) -> bytearray:
         page = self._pages.get(index)
         if page is None:
             page = bytearray(PAGE_SIZE)
             self._pages[index] = page
+            if WORD_VIEWS:
+                self.words[index] = memoryview(page).cast("I")
         return page
+
+    # memoryviews do not pickle: ship the pages, rebuild the views.
+    def __getstate__(self) -> Dict[int, bytearray]:
+        return self._pages
+
+    def __setstate__(self, pages: Dict[int, bytearray]) -> None:
+        self.__init__()
+        for index, page in pages.items():
+            self._page(index)[:] = page
 
     # -- loads -----------------------------------------------------------
     def read_byte(self, address: int) -> int:

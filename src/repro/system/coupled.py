@@ -7,6 +7,14 @@ blocks committed only when their guarding branch resolves in the
 predicted direction — so architectural state (registers, memory, program
 output) is provably identical to a plain run, which the test suite
 asserts.
+
+With ``fast=True`` both sides are block-compiled by
+:mod:`repro.sim.fastpath`: the core runs compiled blocks, and each
+array-covered prefix runs as one compiled closure (:meth:`_run_prefix`),
+whose stores to ``.text`` raise ``SimulationError`` like the core's.
+Interpreted runs, and any run with caches configured (an array load or
+store charges the data cache per address), execute covered
+instructions one at a time through :meth:`_exec_functional`.
 """
 
 from __future__ import annotations
@@ -161,10 +169,7 @@ class CoupledSimulator:
         for cfg_block in config.blocks:
             block = cfg_block.block
             self._seen.add(block.start_pc)
-            pc = block.start_pc
-            for i in range(cfg_block.covered):
-                self._exec_functional(block.instructions[i], pc)
-                pc += 4
+            self._run_prefix(block, cfg_block.covered)
             committed += cfg_block.covered
             if not cfg_block.includes_terminator:
                 # final block: the core resumes after the covered prefix
@@ -222,10 +227,7 @@ class CoupledSimulator:
             for q, cfg_block in enumerate(blocks):
                 block = cfg_block.block
                 self._seen.add(block.start_pc)
-                pc = block.start_pc
-                for idx in range(cfg_block.covered):
-                    self._exec_functional(block.instructions[idx], pc)
-                    pc += 4
+                self._run_prefix(block, cfg_block.covered)
                 committed += cfg_block.covered
                 term = block.terminator
                 committed += 1
@@ -282,10 +284,7 @@ class CoupledSimulator:
         for q, cfg_block in enumerate(blocks):
             block = cfg_block.block
             self._seen.add(block.start_pc)
-            pc = block.start_pc
-            for idx in range(cfg_block.covered):
-                self._exec_functional(block.instructions[idx], pc)
-                pc += 4
+            self._run_prefix(block, cfg_block.covered)
             committed += cfg_block.covered
             term = block.terminator
             committed += 1
@@ -298,10 +297,7 @@ class CoupledSimulator:
                 winner = engine.dual_resolution(config, cfg_block, actual)
                 wblk = winner.block
                 self._seen.add(wblk.start_pc)
-                pc = wblk.start_pc
-                for idx in range(winner.covered):
-                    self._exec_functional(wblk.instructions[idx], pc)
-                    pc += 4
+                self._run_prefix(wblk, winner.covered)
                 committed += winner.covered
                 resume_pc = wblk.start_pc + 4 * winner.covered
                 winner_block = wblk
@@ -343,7 +339,21 @@ class CoupledSimulator:
             self.sim.stats.dcache_misses += 1
             self.sim.stats.cycles += dcache.config.miss_penalty
 
-    def _exec_functional(self, instr: Instruction, pc: int) -> None:
+    def _run_prefix(self, block: BasicBlock, covered: int) -> None:
+        """Functionally execute ``block``'s array-covered prefix.
+
+        Block-compiled when the core runs the fast path; otherwise (and
+        always with caches configured, whose data-cache timing needs each
+        address) one :meth:`_exec_functional` call per instruction.
+        """
+        fast = self.sim._fast_engine
+        if fast is not None:
+            fast.prefix(block, covered)()
+            return
+        for instr in block.instructions[:covered]:
+            self._exec_functional(instr)
+
+    def _exec_functional(self, instr: Instruction) -> None:
         """Functionally execute one array-covered instruction."""
         sim = self.sim
         regs = sim.regs

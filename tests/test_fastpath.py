@@ -4,17 +4,22 @@ The fast path (:mod:`repro.sim.fastpath`) must be *bit-identical* to the
 per-instruction interpreter: same architectural state, same output, same
 cycle counts and event statistics, same trace — for every workload in
 the suite, for targeted corner-case kernels, and for the coupled
-MIPS+DIM system including under forced mis-speculation.
+MIPS+DIM system including under forced mis-speculation and the loop
+and dual-path configuration kinds.
 """
 
 import pytest
 
 from repro.asm import assemble
+from repro.dim.params import DimParams
 from repro.minic import compile_to_program
 from repro.sim import CacheConfig, CacheHierarchy, Simulator, run_program
+from repro.sim import memory as memory_module
 from repro.sim.cpu import SimulationError
-from repro.system import paper_system
-from repro.system.coupled import run_coupled
+from repro.sim.memory import AlignmentError_
+from repro.system import PAPER_SHAPES, paper_system
+from repro.system.config import SystemSpec
+from repro.system.coupled import CoupledSimulator, run_coupled
 from repro.workloads import load_workload, run_workload, workload_names
 
 
@@ -128,6 +133,33 @@ def test_fastpath_recursion_and_calls():
     _assert_identical(program)
 
 
+# A loop whose one store targets ``buf`` for 50 trips, then ``__start``:
+# by then the array runs the loop body, so the .text store is an
+# array-covered one.
+ARRAY_TEXT_STORE = """
+        .data
+buf:    .space 16
+        .text
+__start:
+        la    $s1, buf
+        la    $s2, __start
+        subu  $s2, $s2, $s1      # delta: buf + delta == __start
+        li    $s0, 0
+        li    $s3, 100
+loop:
+        sltiu $t2, $s0, 50
+        xori  $t2, $t2, 1        # 1 once i >= 50
+        subu  $t3, $zero, $t2    # all ones once i >= 50
+        and   $t3, $t3, $s2
+        addu  $t4, $s1, $t3
+        sw    $zero, 0($t4)
+        addiu $s0, $s0, 1
+        bne   $s0, $s3, loop
+        li    $v0, 10
+        syscall
+"""
+
+
 def test_fastpath_store_to_text_asserts():
     program = assemble("""
     __start:
@@ -140,6 +172,18 @@ def test_fastpath_store_to_text_asserts():
         run_program(program, fast=True)
     # the interpreter tolerates it (stale decode cache, out of scope)
     assert run_program(program).exit_code == 0
+
+    # a fast coupled run guards array-covered stores the same way
+    program = assemble(ARRAY_TEXT_STORE)
+    config = paper_system("C3", 64, False)
+    coupled = CoupledSimulator(program, config, fast=True)
+    with pytest.raises(SimulationError, match="self-modifying") as info:
+        coupled.run()
+    assert info.traceback[-1].frame.code.raw.co_filename.startswith(
+        "<fastprefix")
+    assert coupled.engine.stats.array_executions > 0
+    # the interpreted coupled run tolerates it, as the core does
+    assert run_coupled(program, config).exit_code == 0
 
 
 def test_fastpath_falls_back_when_caches_configured():
@@ -186,11 +230,30 @@ int main() {
 """
 
 
-@pytest.mark.parametrize("spec", [False, True])
-def test_fast_coupled_matches_interpreter(spec):
-    """Coupled system: fast vs slow, including forced mis-speculation."""
-    program = compile_to_program(BRANCHY)
-    config = paper_system("C3", 64, spec)
+TABLES = """
+unsigned tab[64];
+int main() {
+    int i; int j;
+    unsigned acc = 1;
+    for (i = 0; i < 64; i++) { tab[i] = i * 2654435761; }
+    for (j = 0; j < 20; j++) {
+        for (i = 0; i < 64; i++) {
+            acc = acc ^ (tab[i] + (acc << 3)) + (acc >> 5);
+            tab[i] = acc;
+        }
+    }
+    print_int(acc & 0x7fffffff);
+    return 0;
+}
+"""
+
+#: the dynflow configuration of ``test_system_equivalence.CONFIGS``.
+DYNFLOW = SystemSpec.of(PAPER_SHAPES["C2"], DimParams(
+    cache_slots=16, speculation=True, dynflow_mode="both")).build()
+
+
+def _assert_coupled_identical(program, config):
+    """Coupled system, fast vs slow: every result field and memory."""
     slow = run_coupled(program, config)
     fast = run_coupled(program, config, fast=True)
     assert fast.exit_code == slow.exit_code
@@ -201,17 +264,94 @@ def test_fast_coupled_matches_interpreter(spec):
     assert fast.cache_lookups == slow.cache_lookups
     assert fast.cache_hits == slow.cache_hits
     assert fast.predictor_accuracy == slow.predictor_accuracy
+    assert fast.memory.snapshot_pages() == slow.memory.snapshot_pages()
+    return slow
+
+
+@pytest.mark.parametrize("spec", [False, True])
+def test_fast_coupled_matches_interpreter(spec):
+    """Coupled system: fast vs slow, including forced mis-speculation."""
+    program = compile_to_program(BRANCHY)
+    slow = _assert_coupled_identical(program, paper_system("C3", 64, spec))
     if spec:  # data-dependent branches force real mis-speculations
         assert slow.dim_stats.misspeculations > 0
 
 
+@pytest.mark.parametrize("source", [BRANCHY, TABLES],
+                         ids=["branchy", "tables"])
+def test_fast_coupled_matches_interpreter_on_dynflow(source):
+    """The loop and dual kinds run their prefixes compiled too."""
+    slow = _assert_coupled_identical(compile_to_program(source), DYNFLOW)
+    assert slow.dim_stats.loop_executions > 0
+    assert slow.dim_stats.dual_executions > 0
+
+
 @pytest.mark.parametrize("name", ["crc", "sha", "quicksort"])
 def test_fast_coupled_matches_interpreter_on_workloads(name):
-    config = paper_system("C2", 64, True)
-    program = load_workload(name)
-    slow = run_coupled(program, config)
-    fast = run_coupled(program, config, fast=True)
+    _assert_coupled_identical(load_workload(name),
+                              paper_system("C2", 64, True))
+
+
+# ----------------------------------------------------------------------
+# Word views: aligned lw/sw go straight to the page's memoryview.
+# ----------------------------------------------------------------------
+FRESH_PAGE = """
+__start:
+        lui  $t0, 0x2000         # 0x20000000: no page there yet
+        li   $t1, 0x12345678
+        sw   $t1, 8($t0)         # allocates the page (and its view)
+        lw   $t2, 8($t0)         # same block: reads through the view
+        lw   $t3, 0x1000($t0)    # untouched page
+        move $a0, $t2
+        li   $v0, 1
+        syscall
+        li   $v0, 10
+        syscall
+"""
+
+
+def test_fastpath_word_views_on_fresh_and_untouched_pages():
+    program = assemble(FRESH_PAGE)
+    sim = Simulator(program, fast=True)
+    result = sim.run()
+    # the entry block ran the store and both loads in one closure
+    assert sim._fast_engine._term_pc[program.entry] > program.entry + 16
+    assert result.output == str(0x12345678)
+    assert result.registers[10] == 0x12345678  # $t2
+    assert result.registers[11] == 0           # $t3
+    assert 0x20000 in result.memory.words
+    assert 0x20001 not in result.memory.words  # a read allocates nothing
+    _assert_identical(program)
+
+
+@pytest.mark.parametrize("access", ["lw $t1, 2($t0)", "sw $t1, 2($t0)"],
+                         ids=["lw", "sw"])
+def test_fastpath_misaligned_word_access_raises_like_interpreter(access):
+    program = assemble(f"""
+            .data
+    buf:    .space 16
+            .text
+    __start:
+            la   $t0, buf
+            {access}
+            li   $v0, 10
+            syscall
+    """)
+    with pytest.raises(AlignmentError_) as slow:
+        run_program(program)
+    with pytest.raises(AlignmentError_) as fast:
+        run_program(program, fast=True)
+    assert str(fast.value) == str(slow.value)
+
+
+def test_fastpath_without_word_views_is_bit_identical(monkeypatch):
+    """The big-endian route: no views, every word goes through calls."""
+    monkeypatch.setattr(memory_module, "WORD_VIEWS", False)
+    slow = run_workload("crc")  # cached interpreter run
+    fast = run_program(load_workload("crc"), collect_trace=True, fast=True)
+    assert fast.memory.words == {}
     assert fast.output == slow.output
     assert fast.registers == slow.registers
     assert fast.stats == slow.stats
-    assert fast.dim_stats == slow.dim_stats
+    assert fast.trace.events == slow.trace.events
+    assert fast.memory.snapshot_pages() == slow.memory.snapshot_pages()

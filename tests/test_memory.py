@@ -1,8 +1,11 @@
 """Sparse paged memory."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.sim import memory as memory_module
 from repro.sim.memory import AlignmentError_, Memory
 
 addr32 = st.integers(0, 0xFFFF_FFF0)
@@ -57,6 +60,39 @@ def test_snapshot_pages_is_copy():
     snap = mem.snapshot_pages()
     mem.write_word(0x1000, 2)
     assert snap != mem.snapshot_pages()
+
+
+@pytest.mark.skipif(not memory_module.WORD_VIEWS,
+                    reason="word views exist on little-endian hosts only")
+@given(st.builds(lambda a: a & ~3, addr32), st.integers(0, 0xFFFFFFFF))
+def test_word_view_agrees_with_word_calls(address, value):
+    mem = Memory()
+    mem.write_word(address, value)
+    view = mem.words[address >> 12]
+    assert view[(address & 0xFFF) >> 2] == value
+    view[(address & 0xFFF) >> 2] = value ^ 0xFFFFFFFF
+    assert mem.read_word(address) == value ^ 0xFFFFFFFF
+
+
+def test_pickle_rebuilds_word_views():
+    """Runs cross process pools: the views must not ride along."""
+    mem = Memory()
+    mem.write_word(0x1000, 0xDEADBEEF)
+    copy = pickle.loads(pickle.dumps(mem))
+    assert copy.snapshot_pages() == mem.snapshot_pages()
+    assert copy.words.keys() == mem.words.keys()
+    copy.write_word(0x1000, 7)
+    assert mem.read_word(0x1000) == 0xDEADBEEF
+    if memory_module.WORD_VIEWS:
+        assert copy.words[1][0] == 7
+
+
+def test_words_stay_empty_without_word_views(monkeypatch):
+    monkeypatch.setattr(memory_module, "WORD_VIEWS", False)
+    mem = Memory()
+    mem.write_word(0x1000, 5)
+    assert mem.words == {}
+    assert mem.read_word(0x1000) == 5
 
 
 @given(st.builds(lambda a: a & ~3, addr32), st.integers(0, 0xFFFFFFFF))
