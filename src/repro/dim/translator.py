@@ -46,7 +46,7 @@ from typing import Callable, List, MutableSequence, Optional, Tuple
 
 from repro.cgra.allocation import Allocator
 from repro.cgra.configuration import ConfigBlock, Configuration
-from repro.cgra.dataflow import dim_supported
+from repro.cgra.dataflow import Placement, dim_supported, placement_record
 from repro.cgra.shape import ArrayShape
 from repro.dim.params import DimParams
 from repro.dim.predictor import BimodalPredictor
@@ -68,10 +68,33 @@ PROBE_SUCCESSOR = 1
 Probe = Tuple[int, int, object]
 
 
-def _body(block: BasicBlock):
-    if block.terminator is None:
-        return block.instructions
-    return block.instructions[:-1]
+#: a block's placement records: the body's DIM-supported prefix, whether
+#: that prefix is the whole body, and the conditional terminator's
+#: record (None for any other terminator).
+BlockRecords = Tuple[Tuple[Placement, ...], bool, Optional[Placement]]
+
+
+def block_records(block: BasicBlock) -> BlockRecords:
+    """The placement records of ``block`` (see :data:`BlockRecords`).
+
+    Derived once per block and kept on it, so every translator that
+    walks the block — any shape, any policy — shares them.
+    """
+    records = block.dim_records
+    if records is None:
+        body = block.instructions if block.terminator is None \
+            else block.instructions[:-1]
+        prefix = []
+        for instr in body:
+            if not dim_supported(instr):
+                break
+            prefix.append(placement_record(instr))
+        term = placement_record(block.terminator) \
+            if block.is_conditional else None
+        records = (tuple(prefix), len(prefix) == len(body), term)
+        # the block is frozen; this derived cache is its one late field
+        object.__setattr__(block, "dim_records", records)
+    return records
 
 
 def _place_body(alloc: Allocator, block: BasicBlock) -> Tuple[int, str]:
@@ -81,14 +104,14 @@ def _place_body(alloc: Allocator, block: BasicBlock) -> Tuple[int, str]:
     instruction DIM cannot translate) or 'resources' (the array is out
     of lines/units/immediates).
     """
+    records, complete, _ = block_records(block)
+    place = alloc.place
     covered = 0
-    for instr in _body(block):
-        if not dim_supported(instr):
-            return covered, "unsupported"
-        if not alloc.place(instr):
+    for record in records:
+        if not place(record):
             return covered, "resources"
         covered += 1
-    return covered, "full"
+    return covered, "full" if complete else "unsupported"
 
 
 class Translator:
@@ -178,7 +201,7 @@ class Translator:
                     # unrolling.  No extra probes: the decision is a
                     # function of the probed direction and static PCs.
                     snapshot = alloc.snapshot()
-                    if alloc.place(term) \
+                    if alloc.place(block_records(block)[2]) \
                             and alloc.input_count <= params.loop_carry_regs:
                         cfg_blocks.append(
                             ConfigBlock(block, covered, True, direction))
@@ -200,7 +223,8 @@ class Translator:
                 break
 
             snapshot = alloc.snapshot()
-            placed_term = not is_branch or alloc.place(term)
+            placed_term = not is_branch \
+                or alloc.place(block_records(block)[2])
             if placed_term:
                 next_covered, next_reason = _place_body(alloc, next_block)
             if not placed_term or next_reason == "resources":
@@ -260,7 +284,7 @@ class Translator:
         if ft_block is None:
             return None
         snapshot = alloc.snapshot()
-        if not alloc.place(block.terminator):
+        if not alloc.place(block_records(block)[2]):
             alloc.restore(snapshot)
             return None
         mark = alloc.fork_dataflow()

@@ -98,6 +98,7 @@ SWEEP_COUNTERS = {
     "sweep.artifact_hits": "artifact_hits",
     "sweep.artifact_misses": "artifact_misses",
     "sweep.artifact_stores": "artifact_stores",
+    "sweep.artifact_corrupt": "artifact_corrupt",
 }
 
 SWEEP_TIMERS = {

@@ -47,6 +47,14 @@ class BasicBlock:
     terminator: Optional[Instruction] = field(init=False)
     #: True when the terminator is a conditional branch.
     is_conditional: bool = field(init=False)
+    #: DIM's placement records of this block, filled in by the first
+    #: translation that reaches it (:func:`repro.dim.translator.
+    #: block_records`).  A derived cache, so it is never pickled.
+    dim_records: Optional[tuple] = field(init=False, default=None,
+                                         repr=False)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "dim_records": None}
 
     @property
     def branch_pc(self) -> int:

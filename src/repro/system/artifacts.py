@@ -26,9 +26,9 @@ Each record holds the key, the pickled payload bytes and their SHA-256;
 payload, so a bit flip is a miss instead of a silently wrong number.
 Writes are atomic (temp file + ``os.replace``) so concurrent sweep
 workers can share one cache directory; unreadable, truncated or
-digest-mismatched entries are treated as misses and removed.  The
-default location is ``$REPRO_CACHE_DIR``, falling back to
-``~/.cache/repro/artifacts``.
+digest-mismatched entries are treated as misses, removed and counted
+(``corrupt``).  The default location is ``$REPRO_CACHE_DIR``, falling
+back to ``~/.cache/repro/artifacts``.
 
 Two multi-process amenities sit on top of the plain store:
 
@@ -125,6 +125,9 @@ class ArtifactCache:
         self.misses = 0
         self.stores = 0
         self.evictions = 0
+        #: damaged entries (truncated, unreadable or digest-mismatched)
+        #: that ``load`` dropped; each is also counted as a miss.
+        self.corrupt = 0
         # one cache object may be shared by threaded warm workers
         # (repro.serve); the lock keeps the counters exact under that.
         self._lock = threading.Lock()
@@ -209,6 +212,8 @@ class ArtifactCache:
                 path.unlink()
             except OSError:
                 pass
+            with self._lock:
+                self.corrupt += 1
         with self._lock:
             self.misses += 1
         return None

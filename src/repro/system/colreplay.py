@@ -522,15 +522,29 @@ class _TranslationTimeline:
 
     The columnar analogue of :class:`repro.dim.memo.TranslationMemo`: a
     translation at event boundaries ``(t_pred, t_seen)`` is a pure
-    function of the start block plus the probe answers, so each start
-    block keeps a variant list of ``(probes, template)`` pairs.  Instead
-    of re-asking a live predictor, validation intersects the timeline
-    spans over which every recorded answer holds into a *validity box*;
-    queries inside the box hit without touching the probes at all.
+    function of the start block plus the probe answers.  Each start
+    block has a *probe universe* (every PC any of its translations
+    probed), and a query is answered, cheapest first, by:
+
+    1. the per-block query-point memo (a repeat of the same point);
+    2. the block's last *validity box*: the maximal ``(t_pred,
+       t_seen)`` rectangle over which every universe PC's answer is
+       constant, with the template answered there; a query inside the
+       box hits without touching the universe at all;
+    3. the *signature* (the universe's answers at the point) looked up
+       among the block's known signatures, then revalidation of the
+       stored ``(probes, template)`` variants;
+    4. a fresh translation, which grows the universe.
+
+    Steps 3 and 4 leave the point's box, over the universe as it
+    stands after the step, as the block's box; so a universe that grows
+    also replaces the box.  An older box would stay sound (it fixes the
+    answer of every PC its template's translation probed), but the
+    newest box is the region the replay is in.
     """
 
     __slots__ = ("ctx", "translator", "timeline", "templates", "_dpcs",
-                 "_sthr", "_sigmap", "_probed", "_occmemo",
+                 "_sthr", "_sigmap", "_probed", "_occmemo", "_boxes",
                  "hits", "misses")
 
     def __init__(self, ctx: "ColumnarContext", config: SystemConfig,
@@ -555,6 +569,9 @@ class _TranslationTimeline:
         self._probed: Dict[int, List[Tuple[List, Optional[_Template]]]] = {}
         #: per-block query-point memo (see translate_at).
         self._occmemo: Dict[int, Dict[int, Optional[_Template]]] = {}
+        #: per-block last validity box and its answer:
+        #: (plo, phi, slo, shi, template).
+        self._boxes: Dict[int, Tuple] = {}
         self.hits = 0
         self.misses = 0
         # the provider below is rebound per translation (closures over
@@ -647,24 +664,32 @@ class _TranslationTimeline:
             if template is not _ABSENT:
                 self.hits += 1
                 return template
+        box = self._boxes.get(block_id)
+        if box is not None:
+            plo, phi, slo, shi, template = box
+            if plo <= t_pred < phi and slo <= t_seen < shi:
+                self.hits += 1
+                occ[key] = template
+                return template
         known = self._sigmap.get(block_id)
         if known is not None:
             sig, plo, phi, slo, shi = self._signature(block_id,
                                                       t_pred, t_seen)
-            if sig in known:
-                template = known[sig]
+            template = known.get(sig, _ABSENT)
+            if template is _ABSENT:
+                # new signature: revalidate stored probe sets before
+                # paying for a fresh translation (a past variant may
+                # still answer — the new signature merely refines a
+                # grown universe).
+                for probes, variant in self._probed[block_id]:
+                    if self._probes_hold(probes, t_pred, t_seen):
+                        template = known[sig] = variant
+                        break
+            if template is not _ABSENT:
                 self.hits += 1
+                self._boxes[block_id] = (plo, phi, slo, shi, template)
                 occ[key] = template
                 return template
-            # new signature: revalidate stored probe sets before paying
-            # for a fresh translation (a past variant may still answer —
-            # the new signature merely refines a grown universe).
-            for probes, template in self._probed[block_id]:
-                if self._probes_hold(probes, t_pred, t_seen):
-                    self.hits += 1
-                    known[sig] = template
-                    occ[key] = template
-                    return template
         self.misses += 1
         translator = self.translator
         translator.predictor = _PhasePredictor(self.timeline, t_pred)
@@ -673,20 +698,11 @@ class _TranslationTimeline:
         config = translator.translate(block, probe_log)
         template: Optional[_Template] = None
         if config is not None:
-            key = (tuple((cb.block.block_id, cb.covered,
-                          cb.includes_terminator, cb.expected_taken)
-                         for cb in config.blocks), config.extendable,
-                   config.kind,
-                   None if config.dual_taken is None else
-                   (config.dual_taken.block.block_id,
-                    config.dual_taken.covered),
-                   None if config.dual_fallthrough is None else
-                   (config.dual_fallthrough.block.block_id,
-                    config.dual_fallthrough.covered))
-            template = self.templates.get(key)
+            template_key = _template_key(config)
+            template = self.templates.get(template_key)
             if template is None:
                 template = _Template(self.ctx, config)
-                self.templates[key] = template
+                self.templates[template_key] = template
         # grow the probe universe with any PC this translation touched,
         # then key the result by the signature over the *updated*
         # universe.  Entries keyed by an older (shorter) universe can
@@ -717,10 +733,25 @@ class _TranslationTimeline:
                 if threshold not in sthr:
                     sthr.append(threshold)
         self._probed[block_id].append((probes, template))
-        sig = self._signature(block_id, t_pred, t_seen)[0]
+        sig, plo, phi, slo, shi = self._signature(block_id, t_pred, t_seen)
         known[sig] = template
+        # the box over the (possibly grown) universe replaces the old one
+        self._boxes[block_id] = (plo, phi, slo, shi, template)
         occ[key] = template
         return template
+
+
+def _template_key(config: Configuration) -> Tuple:
+    """The identity of a translated configuration within one (shape,
+    policy) partition: its block chain, kind and dual sides."""
+    return (tuple((cb.block.block_id, cb.covered, cb.includes_terminator,
+                   cb.expected_taken) for cb in config.blocks),
+            config.extendable, config.kind,
+            None if config.dual_taken is None else
+            (config.dual_taken.block.block_id, config.dual_taken.covered),
+            None if config.dual_fallthrough is None else
+            (config.dual_fallthrough.block.block_id,
+             config.dual_fallthrough.covered))
 
 
 class ColumnarContext:

@@ -131,6 +131,8 @@ class SweepInstrumentation:
     artifact_hits: int = 0
     artifact_misses: int = 0
     artifact_stores: int = 0
+    #: damaged artifact records dropped on load (each also a miss).
+    artifact_corrupt: int = 0
 
     @property
     def alloc_hit_rate(self) -> float:
@@ -167,7 +169,7 @@ class SweepInstrumentation:
                      "cells_from_disk", "baselines_computed",
                      "baselines_from_disk", "alloc_hits", "alloc_misses",
                      "artifact_hits", "artifact_misses",
-                     "artifact_stores"):
+                     "artifact_stores", "artifact_corrupt"):
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
@@ -270,6 +272,7 @@ def _sweep_workload(name: str,
     # lookups and stores only.
     if cache is not None:
         hits0, misses0, stores0 = cache.hits, cache.misses, cache.stores
+        corrupt0 = cache.corrupt
 
     # shared columnar state: one lowered trace + translation caches per
     # workload, reused across sweeps while the trace object persists,
@@ -365,6 +368,7 @@ def _sweep_workload(name: str,
         inst.artifact_hits = cache.hits - hits0
         inst.artifact_misses = cache.misses - misses0
         inst.artifact_stores = cache.stores - stores0
+        inst.artifact_corrupt = cache.corrupt - corrupt0
     return baselines, cell_metrics, inst
 
 

@@ -103,6 +103,25 @@ def test_bit_flipped_entry_is_a_miss(tmp_path):
     assert not path.exists()
 
 
+def test_flipped_byte_is_counted_corrupt(tmp_path):
+    """A damaged record is a miss, counted once, counted corrupt, and
+    removed from the store."""
+    cache = ArtifactCache(tmp_path)
+    key = cache.key("metrics", "unit", "corrupt")
+    cache.store(key, {"cycles": 123456789})
+    path = cache._path(key)
+    data = bytearray(path.read_bytes())
+    data[data.index((123456789).to_bytes(4, "little"))] ^= 0xFF
+    path.write_bytes(bytes(data))
+    assert cache.load(key) is None
+    assert cache.corrupt == 1
+    assert cache.misses == 1 and cache.hits == 0
+    assert not path.exists()
+    # an absent entry is a plain miss, not a corrupt one
+    assert cache.load(key) is None
+    assert (cache.corrupt, cache.misses) == (1, 2)
+
+
 def test_counters_exact_under_threaded_loads(tmp_path):
     cache = ArtifactCache(tmp_path)
     key = cache.key("metrics", "unit", "counted")

@@ -146,6 +146,77 @@ def test_columnar_counters_in_schema():
 
 
 # ----------------------------------------------------------------------
+# The translation memo: query-point memo, validity box and signatures.
+# ----------------------------------------------------------------------
+def _memo_query_points(trace, first_events, rng):
+    """Replay-shaped query points ``(block, t_pred, t_seen)``: a
+    translation after a miss at event ``p`` asks at ``(p+1, p+1)``, an
+    extension attempt at a hit at ``(p, p+1)``.  Scattered points and
+    points next to a block's first occurrence (where successors become
+    seen) in shuffled order, then runs of consecutive events that stay
+    inside boxes, then repeats of earlier points."""
+    blocks = trace.table.blocks
+    events = trace.events
+    n = len(events)
+
+    def point(p, extension):
+        p = min(max(p, 0), n - 1)
+        return (blocks[events[p] >> 1], p + 1 - extension, p + 1)
+
+    points = [point(rng.randrange(n), rng.randrange(2))
+              for _ in range(300)]
+    points += [point(rng.choice(first_events) + rng.randrange(-3, 4),
+                     rng.randrange(2)) for _ in range(1000)]
+    rng.shuffle(points)
+    for _ in range(8):
+        start = rng.randrange(n)
+        points += [point(p, rng.randrange(2))
+                   for p in range(start, min(n, start + 40))]
+    points += rng.sample(points, 100)
+    return points
+
+
+@pytest.mark.parametrize("name", ["crc", "sha"])
+@pytest.mark.parametrize("dynflow", ["off", "both"])
+def test_translation_memo_answers_any_query_order(name, dynflow):
+    """Whatever order the queries come in — entering, leaving and
+    outgrowing validity boxes — every answer of ``translate_at`` is the
+    template a fresh translation at that point builds."""
+    import random
+
+    from repro.dim.translator import Translator
+    from repro.system.colreplay import _PhasePredictor, _template_key
+
+    config = custom_system(PAPER_SHAPES["C2"], DimParams(
+        cache_slots=64, speculation=True, dynflow_mode=dynflow))
+    trace = run_workload(name, fast=True).trace
+    context = ColumnarContext(trace, name=name)
+    memo = context.translation_timeline(config)
+    first_event_by_pc = context.coltrace.first_event_by_pc
+
+    def seen_provider(t_seen):
+        def provider(pc):
+            first = first_event_by_pc.get(pc)
+            if first is None or first >= t_seen:
+                return None
+            return trace.table.get_by_pc(pc)
+        return provider
+
+    points = _memo_query_points(trace, sorted(first_event_by_pc.values()),
+                                random.Random(f"{name}/{dynflow}"))
+    for block, t_pred, t_seen in points:
+        template = memo.translate_at(block, t_pred, t_seen)
+        fresh = Translator(config.shape, config.dim,
+                           _PhasePredictor(memo.timeline, t_pred),
+                           seen_provider(t_seen)).translate(block)
+        assert (None if template is None
+                else _template_key(template.config)) \
+            == (None if fresh is None else _template_key(fresh))
+    assert memo.hits + memo.misses == len(points)
+    assert memo.hits > 0 and memo.misses > 0
+
+
+# ----------------------------------------------------------------------
 # The CLI sweep against the event-engine oracle.
 # ----------------------------------------------------------------------
 def test_cli_sweep_matches_event_oracle(tmp_path):

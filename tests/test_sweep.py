@@ -18,6 +18,7 @@ from repro.system import paper_system
 from repro.system.artifacts import ArtifactCache
 from repro.system.sweep import (
     evaluate_matrix,
+    metrics_artifact_key,
     paper_matrix,
     replay_matrix,
     trace_artifact_key,
@@ -69,6 +70,28 @@ def test_serial_cold_sweep_phases_fit_in_total(monkeypatch):
     assert inst.traces_simulated == 3
     assert inst.cells_replayed == 24
     assert inst.trace_seconds + inst.replay_seconds <= inst.total_seconds
+
+
+def test_memo_work_matches_pinned_counts(monkeypatch):
+    """The translation memo's hits and misses on CI's columnar-smoke
+    sweep (crc,sha x C1,C3 x 16,64 x spec both, fresh columnar
+    contexts) are pinned in tests/data: weakening the memo, or changing
+    how often the translator runs, moves them."""
+    import json
+    from pathlib import Path
+
+    import repro.system.sweep as sweep
+
+    monkeypatch.setattr(sweep, "_COL_CONTEXTS", {})
+    configs = [paper_system(array, slots, spec)
+               for array in ("C1", "C3") for slots in (16, 64)
+               for spec in (False, True)]
+    inst = evaluate_matrix(configs, names=["crc", "sha"],
+                           fast=True).instrumentation
+    pinned = json.loads((Path(__file__).parent / "data"
+                         / "columnar_smoke_memo.json").read_text())
+    assert {"alloc_hits": inst.alloc_hits,
+            "alloc_misses": inst.alloc_misses} == pinned
 
 
 def test_parallel_matches_serial():
@@ -123,6 +146,25 @@ def test_serial_artifact_counters_count_each_lookup_once(tmp_path):
             serial.artifact_stores) == (pooled.artifact_hits,
                                         pooled.artifact_misses,
                                         pooled.artifact_stores)
+
+
+def test_corrupt_cell_artifact_is_counted_and_replayed(tmp_path):
+    """A damaged cell record reaches the sweep's counters as one
+    corrupt miss; the cell is replayed and the result is unchanged."""
+    configs = [paper_system("C1", 16, True)]
+    cache = ArtifactCache(tmp_path)
+    cold = evaluate_matrix(configs, names=["crc"], fast=True, cache=cache)
+    path = cache._path(metrics_artifact_key(cache, "crc", configs[0]))
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0xFF
+    path.write_bytes(bytes(data))
+    warm = evaluate_matrix(configs, names=["crc"], fast=True,
+                           cache=ArtifactCache(tmp_path))
+    assert warm.results_json() == cold.results_json()
+    inst = warm.instrumentation
+    assert inst.artifact_corrupt == 1
+    assert inst.cells_replayed == 1
+    assert inst.counters()["sweep.artifact_corrupt"] == 1
 
 
 # ----------------------------------------------------------------------
