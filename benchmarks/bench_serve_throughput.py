@@ -26,7 +26,7 @@ import pytest
 
 import repro.workloads as workloads
 from repro import api
-from repro.serve import EvalService, ServeClient, start_http
+from repro.serve import EvalService, ServeClient, scheduler, start_http
 
 #: 50 distinct systems: 3 arrays x {no-spec, spec} x 8 cache sizes,
 #: plus the two ideal-array bounds — a deliberately mixed burst, since
@@ -53,9 +53,11 @@ def _emit_results_json():
 
 
 def _evict_workload_caches():
-    """Emulate a cold process: drop the compiled programs and traces."""
+    """Emulate a cold process: drop the compiled programs, traces and
+    the inline serve worker's sweep rows."""
     workloads._PROGRAMS.clear()
     workloads._RUNS.clear()
+    scheduler._WORKER_ROWS.clear()
 
 
 def test_service_burst_vs_cold_calls(capsys):

@@ -42,7 +42,12 @@ from repro.sim.trace import Trace
 from repro.system.artifacts import ArtifactCache
 from repro.system.config import SystemSpec
 from repro.system.energy import EnergyParams
-from repro.system.sweep import evaluate_matrix, matrix_suites, replay_matrix
+from repro.system.sweep import (
+    RowStore,
+    evaluate_matrix,
+    matrix_suites,
+    replay_matrix,
+)
 from repro.workloads import workload_names
 
 from repro.dse.space import Candidate, ParameterSpace
@@ -192,6 +197,8 @@ class _MatrixBacked(_RunnerBase):
         self.fast = fast
         self.cache = cache
         self.client = client
+        #: the inline sweep rows every batch of this runner replays.
+        self.row_store: RowStore = {}
 
     @property
     def _dispatched(self) -> bool:
@@ -206,8 +213,8 @@ class _MatrixBacked(_RunnerBase):
             document = evaluate_matrix(
                 [spec.build(timing) for spec in specs], names=list(names),
                 energy_params=self.energy_params, jobs=self.jobs,
-                fast=self.fast, cache=self.cache,
-                telemetry=self.telemetry).results_json()
+                fast=self.fast, cache=self.cache, telemetry=self.telemetry,
+                row_store=self.row_store).results_json()
         else:
             job = self.client.submit(
                 "sweep", configs=[spec.to_dict() for spec in specs],
@@ -263,7 +270,9 @@ class TraceRunner(_RunnerBase):
     workload speedups multiplied in trace-dict order, then one
     ``** (1/n)`` — the exact float operations of the original
     exhaustive shape search.  Every candidate of a trace shares the
-    sweep row's :class:`~repro.system.colreplay.ColumnarContext`.
+    sweep row's :class:`~repro.system.colreplay.ColumnarContext`, which
+    the runner keeps in its row store for its lifetime, so later batches
+    reuse it.
     """
 
     def __init__(self, space: ParameterSpace,
@@ -281,6 +290,7 @@ class TraceRunner(_RunnerBase):
             else DimParams(cache_slots=64, speculation=True)
         self.timing = timing if timing is not None else TimingModel()
         self.energy_params = energy_params
+        self.row_store: RowStore = {}
 
     def _score_batch(self, batch, names):
         configs = [self.space.spec_of(c, self.dim).build(self.timing)
@@ -288,7 +298,8 @@ class TraceRunner(_RunnerBase):
         traces = {name: trace for name, trace in self.traces.items()
                   if name in names}
         suites = matrix_suites(list(traces), configs,
-                               replay_matrix(traces, configs),
+                               replay_matrix(traces, configs,
+                                             row_store=self.row_store),
                                self.energy_params)
         return [(config.name, suite.geomean_speedup,
                  suite.geomean_energy_ratio,

@@ -14,8 +14,8 @@ fifty suites; that is the whole point of the service.
 Execution happens on *warm workers*:
 
 - ``workers == 0`` — the batch runs on a dedicated *single-thread*
-  executor, inside the server process, sharing its in-memory trace
-  caches.  This is the mode tests and single-tenant use want.  One
+  executor, inside the server process, sharing its in-memory sweep
+  rows.  This is the mode tests and single-tenant use want.  One
   thread is load-bearing for correctness, not a tuning choice: the
   replay engine's per-workload caches (shared columnar contexts,
   translation timelines) are lock-free mutable state, and two batches
@@ -26,9 +26,9 @@ Execution happens on *warm workers*:
   this.
 - ``workers >= 1`` — a :class:`~concurrent.futures.ProcessPoolExecutor`
   created once at service start.  Workers live across batches, so their
-  ``repro.workloads`` trace caches stay warm, and every worker pins the
-  same resolved artifact-cache directory (``REPRO_CACHE_DIR``) so disk
-  artifacts are shared between workers and across restarts.
+  sweep rows (trace plus columnar context) stay warm, and every worker
+  pins the same resolved artifact-cache directory (``REPRO_CACHE_DIR``)
+  so disk artifacts are shared between workers and across restarts.
 
 A batch that raises (worker crash, poisoned input) is retried per job
 with exponential backoff via :meth:`JobManager.retry_later`; a broken
@@ -45,14 +45,21 @@ import os
 from concurrent.futures import (BrokenExecutor, Executor,
                                 ProcessPoolExecutor, ThreadPoolExecutor)
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.obs import Telemetry
 from repro.serve.protocol import ConfigSpec, JobState
 from repro.serve.queue import Job, JobManager, ServeStats
 
+if TYPE_CHECKING:
+    from repro.system.sweep import RowStore
+
 #: a picklable description of one batch, consumed by :func:`run_batch`.
 BatchSpec = Dict[str, object]
+
+#: the sweep rows this worker keeps warm across batches: one per
+#: workload the worker has served, for the worker process's lifetime.
+_WORKER_ROWS: RowStore = {}
 
 
 # ----------------------------------------------------------------------
@@ -121,7 +128,8 @@ def run_batch(spec: BatchSpec) -> Dict[str, object]:
             if config.name not in seen:
                 seen.add(config.name)
                 union.append(config)
-    matrix = evaluate_matrix(union, names=names, fast=fast, cache=cache)
+    matrix = evaluate_matrix(union, names=names, fast=fast, cache=cache,
+                             row_store=_WORKER_ROWS)
     for job_spec in spec["jobs"]:
         configs = _build_configs(job_spec["configs"])
         if job_spec["kind"] == "evaluate":

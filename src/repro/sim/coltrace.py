@@ -103,13 +103,13 @@ class PredictorTimeline:
         self._np_cache: Dict[int, Tuple[object, object]] = {}
 
     @classmethod
-    def build(cls, positions: List[int], pcs: List[int],
-              takens: List[int], entries: int,
+    def build(cls, positions, pcs, takens, entries: int,
               initial: int = 1) -> "PredictorTimeline":
         """Replay the config-independent update sequence once.
 
-        ``positions``/``pcs``/``takens`` list every conditional-branch
-        event of the trace in order (see ``ColumnarTrace.branch_events``).
+        ``positions``/``pcs``/``takens`` are integer numpy arrays over
+        every conditional-branch event of the trace, in order (see
+        ``ColumnarTrace.branch_events``).
         """
         if entries & (entries - 1):
             raise ValueError("predictor entries must be a power of two")
@@ -123,7 +123,8 @@ class PredictorTimeline:
         counters: Dict[int, int] = {}
         hits = 0
         get_counter = counters.get
-        for pos, pc, taken in zip(positions, pcs, takens):
+        for pos, pc, taken in zip(positions.tolist(), pcs.tolist(),
+                                  takens.tolist()):
             index = (pc >> 2) & mask
             counter = get_counter(index, initial)
             if (counter >= 2) == (taken == 1):
@@ -146,8 +147,7 @@ class PredictorTimeline:
                    initial_class)
 
     @classmethod
-    def _build_grouped(cls, positions: List[int], pcs: List[int],
-                       takens: List[int], entries: int,
+    def _build_grouped(cls, positions, pcs, takens, entries: int,
                        initial: int) -> "PredictorTimeline":
         """Group updates by counter index, then walk each group tight.
 
@@ -349,21 +349,20 @@ class ColumnarTrace:
             if known is None or first < known:
                 self.first_event_by_pc[block.start_pc] = first
 
-        self._branch_events: Optional[Tuple[List[int], List[int],
-                                            List[int]]] = None
+        self._branch_events: Optional[Tuple[object, object, object]] = None
         self._timelines: Dict[int, PredictorTimeline] = {}
 
-    def branch_events(self) -> Tuple[List[int], List[int], List[int]]:
+    def branch_events(self) -> Tuple[object, object, object]:
         """(positions, branch PCs, outcomes) of every conditional event
-        — the config-independent predictor update sequence."""
+        — the config-independent predictor update sequence — as int64
+        numpy arrays."""
         cached = self._branch_events
         if cached is None:
             import numpy as np
 
             positions = np.flatnonzero(self.blk_is_cond[self.ev])
-            cached = (positions.tolist(),
-                      self.blk_branch_pc[self.ev[positions]].tolist(),
-                      self.tk[positions].tolist())
+            cached = (positions, self.blk_branch_pc[self.ev[positions]],
+                      self.tk[positions])
             self._branch_events = cached
         return cached
 

@@ -274,6 +274,9 @@ class Simulator:
         engine = self._fast_engine
         if engine is not None:
             engine.run_to_exit()
+            # the compiled blocks close over this simulator; dropping
+            # them at exit leaves no cycle for the collector to find.
+            self._fast_engine = None
         else:
             while self.exit_code is None:
                 self.step()

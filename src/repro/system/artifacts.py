@@ -178,7 +178,9 @@ class ArtifactCache:
         """The stored object, or None on a miss (miss is counted).
 
         The payload is unpickled only after its bytes match the stored
-        SHA-256; a mismatched or missing digest is a damaged entry.
+        SHA-256; a mismatched or missing digest is a damaged entry, and
+        so is a record filed under another key.  A damaged entry counts
+        as ``corrupt`` and is unlinked, so it is read at most once.
         Readers racing a concurrent :meth:`store` of the same key are
         safe: publication is a single atomic ``os.replace``, so a
         reader sees either a complete previous record or a complete
@@ -189,20 +191,21 @@ class ArtifactCache:
         try:
             with self.pin(key), open(path, "rb") as handle:
                 record = pickle.load(handle)
-            if record.get("key") == key:
-                body = record["payload"]
-                if hashlib.sha256(body).digest() != record["sha256"]:
-                    raise ValueError("artifact digest mismatch")
-                payload = pickle.loads(body)
-                # refresh the access time explicitly: LRU pruning
-                # must work even on noatime/relatime mounts.
-                try:
-                    os.utime(path)
-                except OSError:
-                    pass
-                with self._lock:
-                    self.hits += 1
-                return payload
+            if record.get("key") != key:
+                raise ValueError("foreign artifact record")
+            body = record["payload"]
+            if hashlib.sha256(body).digest() != record["sha256"]:
+                raise ValueError("artifact digest mismatch")
+            payload = pickle.loads(body)
+            # refresh the access time explicitly: LRU pruning must work
+            # even on noatime/relatime mounts.
+            try:
+                os.utime(path)
+            except OSError:
+                pass
+            with self._lock:
+                self.hits += 1
+            return payload
         except FileNotFoundError:
             pass
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,

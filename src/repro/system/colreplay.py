@@ -68,7 +68,7 @@ cite the event-engine lines they mirror; change those, change these.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cgra.configuration import Configuration
 from repro.dim.engine import DimStats
@@ -164,7 +164,10 @@ class _Template:
     only on the trace slice there, so it is one pass per template; each
     code then indexes the metric-delta row (per timing model) and the
     consumed count.  Loop exits are walked per execution
-    (:meth:`loop_exit`).
+    (:meth:`loop_exit`).  The per-occurrence columns (exit codes,
+    extension gates, flush verdicts) are ``bytes``, one byte per
+    occurrence: a large row holds hundreds of templates with thousands
+    of occurrences each, and a list would spend eight bytes on each.
     """
 
     __slots__ = ("config", "start_block", "blocks", "covered_instructions",
@@ -172,12 +175,14 @@ class _Template:
                  "mem_ops", "lines_used", "extendable0", "last_term_none",
                  "gate_always", "last_branch_pc", "K", "ncodes", "consumed",
                  "reset_exit", "prior_reset", "code_list", "_deltas",
-                 "_gates", "_opps", "_ctx", "kind", "kindcode", "chk",
+                 "_gates", "_opps", "_coltrace", "kind", "kindcode", "chk",
                  "trip_cycles", "_trip_row", "int_pcs", "int_opps",
                  "back_expected_bit", "back_opp", "_merged_cond")
 
-    def __init__(self, ctx: "ColumnarContext", config: Configuration):
-        self._ctx = ctx
+    def __init__(self, coltrace: ColumnarTrace, config: Configuration):
+        # the lowered trace, not its context: a template the context
+        # holds must not point back at it (the row would be a cycle).
+        self._coltrace = coltrace
         self.config = config
         self.blocks = config.blocks
         self.start_block = config.blocks[0].block
@@ -222,8 +227,8 @@ class _Template:
             (m, 1 if config.blocks[m].expected_taken else 0)
             for m in range(K - 1) if merged_branch[m]]
         self._deltas: Dict[TimingModel, List[List[int]]] = {}
-        self._gates: Dict[int, Optional[List[bool]]] = {}
-        self._opps: Dict[int, List[bool]] = {}
+        self._gates: Dict[int, Optional[bytes]] = {}
+        self._opps: Dict[int, bytes] = {}
         self._trip_row: Optional[List[int]] = None
         self.back_expected_bit = 0
         self.back_opp = 0
@@ -251,16 +256,17 @@ class _Template:
                 self.code_list = self._exit_codes(3, 1, ((K - 1, 1),))
 
     def _exit_codes(self, mis_base: int, base: int,
-                    terms: Tuple[Tuple[int, int], ...]) -> List[int]:
+                    terms: Tuple[Tuple[int, int], ...]) -> Sequence[int]:
         """Exit code per occurrence of the start block.
 
         The first interior merged branch that mismatches, at depth
         ``m``, gives ``mis_base + m``; an occurrence at ``position``
         whose merged branches all match gets ``base`` plus
         ``weight * taken[position + offset]`` for each of the (at most
-        two) ``terms``.
+        two) ``terms``.  Packed one byte per occurrence whenever every
+        code fits (``ncodes <= 256``), which default policies guarantee.
         """
-        coltrace = self._ctx.coltrace
+        coltrace = self._coltrace
         positions = coltrace.occ[self.start_block.block_id]
         last_event = coltrace.n - 1
         merged = self._merged_cond
@@ -278,7 +284,7 @@ class _Template:
                     codes.append(base
                                  + w1 * tk[min(position + o1, last_event)]
                                  + w2 * tk[min(position + o2, last_event)])
-            return codes
+            return bytes(codes) if self.ncodes <= 256 else codes
         import numpy as np
 
         tk = coltrace.tk
@@ -293,6 +299,8 @@ class _Template:
             mismatch = pending & (tk[branch_positions] != expected)
             codes[mismatch] = mis_base + m
             pending &= ~mismatch
+        if self.ncodes <= 256:
+            return codes.astype(np.uint8).tobytes()
         return codes.tolist()
 
     def loop_exit(self, position: int) -> Tuple[int, int, int]:
@@ -306,8 +314,8 @@ class _Template:
         demand rather than eagerly per rank (an eager walk would be
         quadratic in the trip count across overlapping occurrences).
         """
-        tk = self._ctx.coltrace.tk_list
-        last = self._ctx.coltrace.n - 1
+        tk = self._coltrace.tk_list
+        last = self._coltrace.n - 1
         K = self.K
         back_bit = self.back_expected_bit
         merged = self._merged_cond
@@ -456,7 +464,7 @@ class _Template:
             self._trip_row = row
         return row
 
-    def ext_gate(self, timeline: PredictorTimeline) -> Optional[List[bool]]:
+    def ext_gate(self, timeline: PredictorTimeline) -> Optional[bytes]:
         """Per-occurrence extension gate, or None when ungated.
 
         ``maybe_extend`` only retranslates a branch-tailed configuration
@@ -467,19 +475,19 @@ class _Template:
             return None
         gate = self._gates.get(timeline.entries)
         if gate is None:
-            positions = self._ctx.coltrace.occ[self.start_block.block_id]
+            positions = self._coltrace.occ[self.start_block.block_id]
             if len(positions) < VERDICTS_NUMPY_MIN:
                 pc = self.last_branch_pc
-                gate = [timeline.class_at(pc, t) != CLASS_NONE
-                        for t in positions.tolist()]
+                gate = bytes(timeline.class_at(pc, t) != CLASS_NONE
+                             for t in positions.tolist())
             else:
                 classes = timeline.class_for_many(self.last_branch_pc,
                                                   positions)
-                gate = (classes != CLASS_NONE).tolist()
+                gate = (classes != CLASS_NONE).tobytes()
             self._gates[timeline.entries] = gate
         return gate
 
-    def flush_opp(self, timeline: PredictorTimeline) -> List[bool]:
+    def flush_opp(self, timeline: PredictorTimeline) -> bytes:
         """Per-occurrence "counter reached the opposite value" verdicts.
 
         Evaluated only at mismatch exits; the predictor state queried is
@@ -489,9 +497,9 @@ class _Template:
         """
         opp = self._opps.get(timeline.entries)
         if opp is None:
-            positions = self._ctx.coltrace.occ[self.start_block.block_id]
+            positions = self._coltrace.occ[self.start_block.block_id]
             if len(positions) < VERDICTS_NUMPY_MIN:
-                opp = [False] * len(positions)
+                opp = bytearray(len(positions))
                 for index, (position, code) in enumerate(
                         zip(positions.tolist(), self.code_list)):
                     if code < 3:
@@ -500,10 +508,12 @@ class _Template:
                     opp[index] = timeline.class_at(
                         self.int_pcs[m], position + m + 1) \
                         == self.int_opps[m]
+                opp = bytes(opp)
             else:
                 import numpy as np
 
-                codes = np.asarray(self.code_list, dtype=np.int64)
+                codes = np.fromiter(self.code_list, dtype=np.int64,
+                                    count=len(positions))
                 verdict = np.zeros(len(positions), dtype=bool)
                 for m, _ in self._merged_cond:
                     mask = codes == 3 + m
@@ -512,7 +522,7 @@ class _Template:
                     classes = timeline.class_for_many(
                         self.int_pcs[m], positions[mask] + m + 1)
                     verdict[mask] = classes == self.int_opps[m]
-                opp = verdict.tolist()
+                opp = verdict.tobytes()
             self._opps[timeline.entries] = opp
         return opp
 
@@ -543,14 +553,14 @@ class _TranslationTimeline:
     newest box is the region the replay is in.
     """
 
-    __slots__ = ("ctx", "translator", "timeline", "templates", "_dpcs",
+    __slots__ = ("coltrace", "translator", "timeline", "templates", "_dpcs",
                  "_sthr", "_sigmap", "_probed", "_occmemo", "_boxes",
                  "hits", "misses")
 
-    def __init__(self, ctx: "ColumnarContext", config: SystemConfig,
+    def __init__(self, coltrace: ColumnarTrace, config: SystemConfig,
                  timeline: PredictorTimeline,
                  templates: Dict[Tuple, _Template]):
-        self.ctx = ctx
+        self.coltrace = coltrace
         self.timeline = timeline
         self.templates = templates
         # per-block probe universe: every branch PC any past translation
@@ -580,8 +590,8 @@ class _TranslationTimeline:
                                      None, None)
 
     def _provider(self, t_seen: int):
-        table = self.ctx.coltrace.table
-        first_event_by_pc = self.ctx.coltrace.first_event_by_pc
+        table = self.coltrace.table
+        first_event_by_pc = self.coltrace.first_event_by_pc
 
         def provider(pc: int) -> Optional[BasicBlock]:
             first = first_event_by_pc.get(pc)
@@ -625,7 +635,7 @@ class _TranslationTimeline:
     def _probes_hold(self, probes, t_pred: int, t_seen: int) -> bool:
         """Would a stored probe set get the same answers at this point?"""
         class_at = self.timeline.class_at
-        first_event_by_pc = self.ctx.coltrace.first_event_by_pc
+        first_event_by_pc = self.coltrace.first_event_by_pc
         for kind, pc, answer in probes:
             if kind == PROBE_DIRECTION:
                 if class_at(pc, t_pred) != answer:
@@ -701,7 +711,7 @@ class _TranslationTimeline:
             template_key = _template_key(config)
             template = self.templates.get(template_key)
             if template is None:
-                template = _Template(self.ctx, config)
+                template = _Template(self.coltrace, config)
                 self.templates[template_key] = template
         # grow the probe universe with any PC this translation touched,
         # then key the result by the signature over the *updated*
@@ -715,7 +725,7 @@ class _TranslationTimeline:
         else:
             dpcs = self._dpcs[block_id]
             sthr = self._sthr[block_id]
-        first_event_by_pc = self.ctx.coltrace.first_event_by_pc
+        first_event_by_pc = self.coltrace.first_event_by_pc
         probes = []
         for kind, pc, answer in probe_log:
             if kind == PROBE_DIRECTION:
@@ -911,7 +921,7 @@ class ColumnarContext:
             if templates is None:
                 templates = self._templates[template_key] = {}
             timeline = _TranslationTimeline(
-                self, config,
+                self.coltrace, config,
                 self.coltrace.timeline(config.dim.predictor_entries),
                 templates)
             self._timelines[key] = timeline

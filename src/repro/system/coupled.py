@@ -126,6 +126,8 @@ class CoupledSimulator:
             at_start = True
             entered_at_start = True
             block_start = outcome.next_pc
+        # as in Simulator.run: free the compiled blocks and their cycle
+        sim._fast_engine = None
         cache = engine.cache
         if engine.telemetry.enabled:
             engine.telemetry.count_many(engine_counters(engine))

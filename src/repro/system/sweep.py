@@ -10,9 +10,10 @@ systems that differ only in reconfiguration-cache slots are identical.
 This module evaluates the whole matrix with maximal sharing, in three
 layers:
 
-1. **Trace once per run** — each workload is simulated at most once per
+1. **Trace once per row** — each workload is simulated at most once per
    sweep no matter how many configurations replay it; cells fan out over
-   a per-workload work unit (serial or across a process pool).
+   a per-workload work unit, the *row* (serial or across a process
+   pool).
 2. **Columnar replay** — all configurations of one workload share one
    :class:`~repro.system.colreplay.ColumnarContext`: the trace is
    lowered to arrays once, and configurations differing only in cache
@@ -23,6 +24,11 @@ layers:
    (:mod:`repro.system.artifacts`) keyed by workload source, timing
    model and a fingerprint of the package source, so cold processes,
    repeated bench runs and CI skip tracing (and replaying) entirely.
+
+A row's trace and context live as long as the caller keeps them.  A
+call without a :data:`RowStore` frees each row once its cells are
+folded, so memory peaks at the largest row; callers that replay the
+same rows batch after batch pass a store they own.
 
 All three layers are transparent: :func:`evaluate_matrix` output is
 byte-identical to looping the event-driven reference
@@ -68,19 +74,19 @@ from repro.system.config import (
 )
 from repro.system.energy import EnergyParams
 from repro.system.traceeval import SystemMetrics
-from repro.workloads import get_workload, run_workload, workload_names
+from repro.workloads import get_workload, trace_workload, workload_names
 
 if TYPE_CHECKING:
     from repro.workloads.suite import SuiteResult
 
-#: in-process trace cache for traces recovered from disk artifacts
-#: (run_workload keeps its own cache for traces it simulated).
-_DISK_TRACES: Dict[str, Trace] = {}
+#: A caller-owned store of sweep rows, for callers that replay the same
+#: rows call after call: workload name -> (the workload source the row
+#: was traced from, or None for a caller-supplied trace; the row's
+#: :class:`ColumnarContext`, which holds its trace).  A row is reused
+#: only while its tag still matches, so a name registered again with
+#: another source never reaches the old row.
+RowStore = Dict[str, Tuple[Optional[str], ColumnarContext]]
 
-#: in-process columnar contexts, one per row name; reused across sweeps,
-#: service batches and replay_matrix calls (DSE batches) as long as the
-#: trace object is the same.
-_COL_CONTEXTS: Dict[str, ColumnarContext] = {}
 
 def paper_matrix() -> List[SystemConfig]:
     """Table 2's system list: C1-C3 x {no-spec, spec} x {16, 64, 256}
@@ -211,33 +217,77 @@ def coltrace_artifact_key(cache: ArtifactCache, name: str) -> str:
 # ----------------------------------------------------------------------
 def _obtain_trace(name: str, fast: bool, cache: Optional[ArtifactCache],
                   inst: SweepInstrumentation) -> Trace:
-    """One workload's trace: in-process cache, disk artifact, or trace."""
+    """One workload's trace: a run a :func:`run_workload` caller left in
+    memory, the disk artifact, or a fresh trace (which nothing in the
+    process keeps)."""
     from repro.workloads import _RUNS  # the run_workload cache
 
     start = time.perf_counter()
     try:
         cached_run = _RUNS.get(name)
-        if cached_run is not None:
+        if cached_run is not None and cached_run.trace is not None:
             inst.traces_in_memory += 1
             return cached_run.trace
-        cached_trace = _DISK_TRACES.get(name)
-        if cached_trace is not None:
-            inst.traces_in_memory += 1
-            return cached_trace
         if cache is not None:
             key = trace_artifact_key(cache, name)
             trace = cache.load(key)
             if trace is not None:
-                _DISK_TRACES[name] = trace
                 inst.traces_from_disk += 1
                 return trace
-        trace = run_workload(name, fast=fast).trace
+        trace = trace_workload(name, fast=fast)
         inst.traces_simulated += 1
         if cache is not None:
             cache.store(key, trace)
         return trace
     finally:
         inst.trace_seconds += time.perf_counter() - start
+
+
+def _lowered(name: str, trace: Trace, cache: Optional[ArtifactCache]
+             ) -> Tuple[ColumnarContext, bool]:
+    """A fresh context for ``trace``, seeded from its stored lowering;
+    the flag says whether one was stored."""
+    coltrace: Optional[ColumnarTrace] = None
+    if cache is not None:
+        payload = cache.load(coltrace_artifact_key(cache, name))
+        if payload is not None:
+            coltrace = ColumnarTrace.from_payload(trace, payload)
+    return (ColumnarContext(trace, name=name, coltrace=coltrace),
+            coltrace is not None)
+
+
+def _workload_row(name: str, fast: bool, cache: Optional[ArtifactCache],
+                  row_store: Optional[RowStore],
+                  inst: SweepInstrumentation
+                  ) -> Tuple[ColumnarContext, bool]:
+    """The context of a registered workload's row: from ``row_store``
+    while its source is unchanged, otherwise traced (or loaded) and
+    lowered."""
+    source = get_workload(name).source
+    entry = row_store.get(name) if row_store is not None else None
+    if entry is not None and entry[0] == source:
+        inst.traces_in_memory += 1
+        return entry[1], True
+    context, loaded = _lowered(name, _obtain_trace(name, fast, cache, inst),
+                               cache)
+    if row_store is not None:
+        row_store[name] = (source, context)
+    return context, loaded
+
+
+def _trace_row(name: str, trace: Trace, cache: Optional[ArtifactCache],
+               row_store: Optional[RowStore], _inst: SweepInstrumentation
+               ) -> Tuple[ColumnarContext, bool]:
+    """The context of a caller-supplied trace's row, from ``row_store``
+    while it holds this very trace object (no trace counter moves: the
+    caller obtained the trace)."""
+    entry = row_store.get(name) if row_store is not None else None
+    if entry is not None and entry[1].trace is trace:
+        return entry[1], True
+    context, loaded = _lowered(name, trace, cache)
+    if row_store is not None:
+        row_store[name] = (None, context)
+    return context, loaded
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +299,8 @@ Row = Tuple[Dict[TimingModel, SystemMetrics], List[SystemMetrics]]
 
 
 def _sweep_workload(name: str,
-                    trace_of: Callable[[SweepInstrumentation], Trace],
+                    context_of: Callable[[SweepInstrumentation],
+                                         Tuple[ColumnarContext, bool]],
                     configs: Sequence[SystemConfig],
                     cache: Optional[ArtifactCache],
                     telemetry=None
@@ -257,8 +308,11 @@ def _sweep_workload(name: str,
                                List[SystemMetrics], SweepInstrumentation]:
     """All cells of one workload row, with maximal sharing.
 
-    ``trace_of`` supplies the row's trace; it is called at most once,
-    and only when a cell or baseline misses the artifact ``cache``.
+    ``context_of`` supplies the row's columnar context and whether its
+    lowering was already stored; it is called at most once, and only
+    when a cell or baseline misses the artifact ``cache``.  The context
+    lives as long as whoever ``context_of`` got it from keeps it: a
+    one-shot row is freed when this call returns.
     Returns the per-timing baselines, one accelerated metrics per
     configuration, and the row's instrumentation counters.  An enabled
     ``telemetry`` sink receives one ``sweep.cell_replayed`` event per
@@ -274,9 +328,9 @@ def _sweep_workload(name: str,
         hits0, misses0, stores0 = cache.hits, cache.misses, cache.stores
         corrupt0 = cache.corrupt
 
-    # shared columnar state: one lowered trace + translation caches per
-    # workload, reused across sweeps while the trace object persists,
-    # seeded from (and persisted back to) the artifact cache.
+    # shared columnar state: one lowered trace + translation caches for
+    # every configuration of the row, seeded from (and persisted back
+    # to) the artifact cache.
     context: Optional[ColumnarContext] = None
     coltrace_loaded = False
     timelines_loaded = 0
@@ -284,22 +338,8 @@ def _sweep_workload(name: str,
     def ensure_context() -> ColumnarContext:
         nonlocal context, coltrace_loaded, timelines_loaded
         if context is None:
-            body = trace_of(inst)
-            cached_context = _COL_CONTEXTS.get(name)
-            if cached_context is not None and cached_context.trace is body:
-                context = cached_context
-                coltrace_loaded = True
-                timelines_loaded = context.coltrace.timelines_built
-                return context
-            coltrace: Optional[ColumnarTrace] = None
-            if cache is not None:
-                payload = cache.load(coltrace_artifact_key(cache, name))
-                if payload is not None:
-                    coltrace = ColumnarTrace.from_payload(body, payload)
-            coltrace_loaded = coltrace is not None
-            context = ColumnarContext(body, name=name, coltrace=coltrace)
+            context, coltrace_loaded = context_of(inst)
             timelines_loaded = context.coltrace.timelines_built
-            _COL_CONTEXTS[name] = context
         return context
 
     # accelerated metrics, one per configuration, disk-cached per cell
@@ -374,23 +414,28 @@ def _sweep_workload(name: str,
 
 def replay_matrix(traces: Mapping[str, Trace],
                   configs: Sequence[SystemConfig],
-                  cache: Optional[ArtifactCache] = None
+                  cache: Optional[ArtifactCache] = None,
+                  row_store: Optional[RowStore] = None
                   ) -> Dict[str, Row]:
     """The row of every caller-supplied trace under ``configs``.
 
     The metrics-level sibling of :func:`evaluate_matrix`: each trace
     replays through the same row as a sweep, so its configurations
-    share one :class:`ColumnarContext`, which later calls given the same
-    trace object reuse.  Returns ``{name: (baselines, cells)}`` in
-    trace order.  ``cache`` is used only for traces named after a
-    registered workload; other rows never touch the artifact store.
+    share one :class:`ColumnarContext`.  Without ``row_store`` that
+    context is freed once the row is folded; a caller that replays the
+    same traces batch after batch passes one :data:`RowStore`, and a
+    later call given the same trace object reuses its context.  Returns
+    ``{name: (baselines, cells)}`` in trace order.  ``cache`` is used
+    only for traces named after a registered workload; other rows never
+    touch the artifact store.
     """
     known = set(workload_names())
     rows: Dict[str, Row] = {}
     for name, trace in traces.items():
+        row_cache = cache if name in known else None
         baselines, cells, _ = _sweep_workload(
-            name, lambda _inst, trace=trace: trace, configs,
-            cache if name in known else None)
+            name, partial(_trace_row, name, trace, row_cache, row_store),
+            configs, row_cache)
         rows[name] = (baselines, cells)
     return rows
 
@@ -407,8 +452,8 @@ def _matrix_worker(args):
     cache = ArtifactCache(cache_root) if cache_root is not None else None
     telemetry = Telemetry(events_max) if events_max is not None else None
     baselines, cell_metrics, inst = _sweep_workload(
-        name, partial(_obtain_trace, name, fast, cache), configs, cache,
-        telemetry)
+        name, partial(_workload_row, name, fast, cache, None), configs,
+        cache, telemetry)
     payload = telemetry.export_payload() if telemetry is not None else None
     return name, baselines, cell_metrics, inst, payload
 
@@ -518,15 +563,21 @@ def evaluate_matrix(configs: Sequence[SystemConfig],
                     jobs: int = 1,
                     fast: bool = False,
                     cache: Optional[ArtifactCache] = None,
-                    telemetry: Optional[Telemetry] = None
+                    telemetry: Optional[Telemetry] = None,
+                    row_store: Optional[RowStore] = None
                     ) -> MatrixResult:
     """Evaluate the full workloads x configurations matrix.
 
     Every cell is byte-identical (as JSON) to evaluating it alone with
     the event-driven :func:`evaluate_trace` — the sharing layers never
     change numbers, only wall-clock.  ``jobs > 1`` fans workload rows
-    across a process pool.  Pass ``cache`` to persist and reuse
-    trace/baseline/metrics artifacts across processes.  Pass
+    across a process pool.  Without ``row_store`` the call is one-shot:
+    each workload row (trace, columnar context) is freed once its cells
+    and baselines are folded, so memory peaks at the largest row.  A caller
+    that evaluates the same workloads batch after batch passes one
+    :data:`RowStore` it owns, and serial calls reuse its rows (pool
+    workers neither read nor fill it).  Pass ``cache`` to persist and
+    reuse trace/baseline/metrics artifacts across processes.  Pass
     ``telemetry`` to collect one ``sweep.cell_replayed`` event and the
     engine counters of every live cell plus the ``sweep.*`` counters and
     timers (:mod:`repro.obs`); an observed matrix runs the same columnar
@@ -562,8 +613,8 @@ def evaluate_matrix(configs: Sequence[SystemConfig],
     else:
         for name in names:
             baselines, cells, row_inst = _sweep_workload(
-                name, partial(_obtain_trace, name, fast, cache), configs,
-                cache, telemetry)
+                name, partial(_workload_row, name, fast, cache, row_store),
+                configs, cache, telemetry)
             rows[name] = (baselines, cells)
             inst.merge_counters(row_inst)
 

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.asm.program import Program
 from repro.minic import compile_to_program
-from repro.sim import RunResult, run_program
+from repro.sim import RunResult, Trace, run_program
 
 #: environment variable naming corpus manifests to auto-register
 #: (``os.pathsep``-separated paths); how worker processes inherit the
@@ -238,12 +238,27 @@ def run_workload(name: str, collect_trace: bool = True,
     cached = _RUNS.get(name)
     if cached is not None:
         return cached
+    result = _run_checked(name, collect_trace, fast)
+    _RUNS[name] = result
+    return result
+
+
+def trace_workload(name: str, fast: bool = False) -> Trace:
+    """Trace one workload on the plain MIPS core, without caching.
+
+    For callers that own the trace's lifetime (a sweep row): nothing in
+    the process keeps the run, so the trace is freed with its last
+    reference.
+    """
+    return _run_checked(name, True, fast).trace
+
+
+def _run_checked(name: str, collect_trace: bool, fast: bool) -> RunResult:
     result = run_program(load_workload(name), collect_trace=collect_trace,
                          fast=fast)
     if result.exit_code != 0:
         raise RuntimeError(
             f"workload {name} exited with {result.exit_code}")
-    _RUNS[name] = result
     return result
 
 

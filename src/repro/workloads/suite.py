@@ -103,8 +103,9 @@ def evaluate_suite(config: Optional[SystemConfig] = None,
 
     The one-configuration column of
     :func:`repro.system.sweep.evaluate_matrix`, so it shares that
-    engine, its in-process trace cache and its ``jobs`` process pool;
-    the JSON output is byte-identical for any ``jobs``.  ``fast``
+    engine and its ``jobs`` process pool; the JSON output is
+    byte-identical for any ``jobs``.  Like a one-shot matrix, it frees
+    each workload's trace once that workload is evaluated.  ``fast``
     traces workloads through the block-compiled simulator
     (bit-identical by invariant).
     """

@@ -144,7 +144,8 @@ def test_counters_exact_under_threaded_loads(tmp_path):
 
 def test_foreign_key_record_is_a_miss(tmp_path):
     """A record whose embedded key disagrees (e.g. a hash-prefix
-    collision or hand-copied file) is treated as a miss."""
+    collision or hand-copied file) is a corrupt miss, and it is
+    unlinked so later lookups do not read it again."""
     cache = ArtifactCache(tmp_path)
     key = cache.key("metrics", "unit", "foreign")
     path = cache._path(key)
@@ -152,6 +153,11 @@ def test_foreign_key_record_is_a_miss(tmp_path):
     path.write_bytes(pickle.dumps({"key": "someone-else",
                                    "payload": "nope"}))
     assert cache.load(key) is None
+    assert (cache.corrupt, cache.misses, cache.hits) == (1, 1, 0)
+    assert not path.exists()
+    # the next lookup is a plain miss
+    assert cache.load(key) is None
+    assert (cache.corrupt, cache.misses) == (1, 2)
 
 
 # ----------------------------------------------------------------------

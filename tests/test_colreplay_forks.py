@@ -12,11 +12,13 @@ import dataclasses
 
 import pytest
 
+from repro.asm import assemble
 from repro.dim.params import DimParams
-from repro.sim import coltrace
+from repro.sim import coltrace, run_program
 from repro.system import colreplay
 from repro.system.colreplay import ColumnarContext, evaluate_trace_columnar
 from repro.system.config import PAPER_SHAPES, custom_system, paper_system
+from repro.system.traceeval import evaluate_trace
 from repro.workloads import run_workload
 
 WORKLOAD = "crc"
@@ -71,3 +73,35 @@ def test_forced_fork_matches_default_split(monkeypatch, default_split,
     trace, expected = default_split
     monkeypatch.setattr(module, constant, value)
     assert replay(trace) == expected
+
+
+def _jump_chain(blocks: int, trips: int) -> str:
+    """A loop whose body is ``blocks`` short blocks chained by ``j``."""
+    lines = ["__start:", f"    li $s0, {trips}", "loop:"]
+    for index in range(blocks):
+        lines += [f"b{index}:", "    addiu $t0, $t0, 1",
+                  "    addiu $t1, $t1, 3", f"    j b{index + 1}"]
+    lines += [f"b{blocks}:", "    addiu $s0, $s0, -1",
+              "    bne $s0, $zero, loop", "    li $v0, 10", "    syscall"]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("value", [0, 1 << 40], ids=["numpy", "scalar"])
+def test_exit_codes_beyond_one_byte_stay_exact(monkeypatch, value):
+    """Exit codes are packed one byte each only while they fit: a
+    configuration of more than 252 blocks keeps them in a list, and
+    its replay still matches the event engine."""
+    monkeypatch.setattr(colreplay, "EXIT_CODES_NUMPY_MIN", value)
+    monkeypatch.setattr(colreplay, "VERDICTS_NUMPY_MIN", value)
+    trace = run_program(assemble(_jump_chain(300, 12)),
+                        collect_trace=True).trace
+    config = custom_system(PAPER_SHAPES["ideal"],
+                           DimParams(max_blocks=400, speculation=True))
+    context = ColumnarContext(trace, name="chain")
+    assert evaluate_trace_columnar(trace, config, context=context) \
+        == evaluate_trace(trace, config)
+    templates = [template for group in context._templates.values()
+                 for template in group.values()]
+    assert any(template.ncodes > 256
+               and isinstance(template.code_list, list)
+               for template in templates)

@@ -87,6 +87,19 @@ def traces():
             for name in ("crc", "quicksort", "sha")}
 
 
+@pytest.fixture(scope="module")
+def row_store():
+    """One row store for the module's TraceRunners, which all replay the
+    same trace objects (each runner would otherwise lower them again)."""
+    return {}
+
+
+def _trace_runner(space, traces, row_store):
+    runner = TraceRunner(space, traces)
+    runner.row_store = row_store
+    return runner
+
+
 # ----------------------------------------------------------------------
 # Space algebra.
 # ----------------------------------------------------------------------
@@ -241,14 +254,16 @@ def _shape_space(count=8, budget=None):
                                      area_budget_gates=budget)
 
 
-def test_strategies_respect_budget_and_determinism(traces):
+def test_strategies_respect_budget_and_determinism(traces, row_store):
     space = _shape_space()
     for name, budget in (("random", 5), ("shalving", 6),
                          ("hillclimb", 5), ("grid", 4)):
         first = explore(space=space, strategy=name, budget=budget,
-                        seed=3, runner=TraceRunner(space, traces))
+                        seed=3,
+                        runner=_trace_runner(space, traces, row_store))
         again = explore(space=space, strategy=name, budget=budget,
-                        seed=3, runner=TraceRunner(space, traces))
+                        seed=3,
+                        runner=_trace_runner(space, traces, row_store))
         assert first.to_json() == again.to_json()
         assert first.evaluations <= budget
         assert first.points, name
@@ -277,7 +292,6 @@ def test_trace_runner_builds_one_context_per_trace(traces, monkeypatch):
             super().__init__(trace, name=name, coltrace=coltrace)
 
     monkeypatch.setattr(sweep, "ColumnarContext", CountingContext)
-    monkeypatch.setattr(sweep, "_COL_CONTEXTS", {})
     space = _shape_space(count=4)
     runner = TraceRunner(space, traces)
     candidates = space.candidates()
@@ -287,11 +301,12 @@ def test_trace_runner_builds_one_context_per_trace(traces, monkeypatch):
     assert sorted(built) == sorted(traces)
 
 
-def test_grid_exploration_matches_legacy_pareto(traces):
+def test_grid_exploration_matches_legacy_pareto(traces, row_store):
     space = _shape_space()
     result = explore(space=space, strategy="grid",
-                     runner=TraceRunner(space, traces))
-    shape, _, speedup, _ = _rank_shapes(traces, SHAPE_GRID[:8])[0]
+                     runner=_trace_runner(space, traces, row_store))
+    shape, _, speedup, _ = _rank_shapes(traces, SHAPE_GRID[:8],
+                                        row_store)[0]
     best = result.best("speedup")
     assert best.geomean_speedup == speedup
     assert space.shape_of(best.candidate) == shape
@@ -300,7 +315,7 @@ def test_grid_exploration_matches_legacy_pareto(traces):
 # ----------------------------------------------------------------------
 # Shape search back-compat: bit-identical to the historical loop.
 # ----------------------------------------------------------------------
-def _rank_shapes(traces, shapes, area_budget_gates=None,
+def _rank_shapes(traces, shapes, row_store, area_budget_gates=None,
                  rank_by="speedup"):
     """An exhaustive shape search on :mod:`repro.dse`: every shape of an
     explicit space scored by one :class:`TraceRunner`, ranked by
@@ -308,7 +323,8 @@ def _rank_shapes(traces, shapes, area_budget_gates=None,
     ``(shape, gates, geomean, efficiency)`` rows."""
     space = ParameterSpace.for_shapes(shapes,
                                       area_budget_gates=area_budget_gates)
-    evaluations = TraceRunner(space, traces).evaluate(space.candidates())
+    evaluations = _trace_runner(space, traces, row_store).evaluate(
+        space.candidates())
     rows = [(space.shape_of(e.candidate), e.gates, e.geomean_speedup,
              e.geomean_speedup / (e.gates / 1e6)) for e in evaluations]
     key = (lambda r: r[2]) if rank_by == "speedup" else (lambda r: r[3])
@@ -342,10 +358,10 @@ def _legacy_search_shapes(traces, shapes, area_budget_gates=None,
 
 @pytest.mark.parametrize("rank_by", ["speedup", "efficiency"])
 @pytest.mark.parametrize("budget", [None, 1_000_000])
-def test_search_shapes_is_bit_identical_to_legacy(traces, rank_by,
-                                                  budget):
+def test_search_shapes_is_bit_identical_to_legacy(traces, row_store,
+                                                  rank_by, budget):
     shapes = SHAPE_GRID[:8]
-    new = _rank_shapes(traces, shapes, rank_by=rank_by,
+    new = _rank_shapes(traces, shapes, row_store, rank_by=rank_by,
                        area_budget_gates=budget)
     old = _legacy_search_shapes(traces, shapes, rank_by=rank_by,
                                 area_budget_gates=budget)

@@ -313,9 +313,10 @@ __start:
 def test_fastpath_word_views_on_fresh_and_untouched_pages():
     program = assemble(FRESH_PAGE)
     sim = Simulator(program, fast=True)
+    engine = sim._fast_engine  # run() drops it at program exit
     result = sim.run()
     # the entry block ran the store and both loads in one closure
-    assert sim._fast_engine._term_pc[program.entry] > program.entry + 16
+    assert engine._term_pc[program.entry] > program.entry + 16
     assert result.output == str(0x12345678)
     assert result.registers[10] == 0x12345678  # $t2
     assert result.registers[11] == 0           # $t3

@@ -254,13 +254,10 @@ def test_metrics_identical_with_and_without_telemetry():
 
 
 def _cold_matrix(monkeypatch, configs, names, **kwargs):
-    """``evaluate_matrix`` with empty in-process trace/context caches."""
-    import repro.system.sweep as sweep
+    """A one-shot ``evaluate_matrix`` that finds no run in memory."""
     import repro.workloads as workloads
 
     monkeypatch.setattr(workloads, "_RUNS", {})
-    monkeypatch.setattr(sweep, "_DISK_TRACES", {})
-    monkeypatch.setattr(sweep, "_COL_CONTEXTS", {})
     return evaluate_matrix(configs, names=names, fast=True, **kwargs)
 
 

@@ -56,12 +56,9 @@ def test_matrix_matches_looped_suite():
 def test_serial_cold_sweep_phases_fit_in_total(monkeypatch):
     """A sweep replays every cell once, and trace time is not also
     counted as replay time."""
-    import repro.system.sweep as sweep
     import repro.workloads as workloads
 
     monkeypatch.setattr(workloads, "_RUNS", {})
-    monkeypatch.setattr(sweep, "_DISK_TRACES", {})
-    monkeypatch.setattr(sweep, "_COL_CONTEXTS", {})
     configs = [paper_system(array, slots, spec)
                for array in ("C1", "C3") for spec in (False, True)
                for slots in (16, 64)]
@@ -72,17 +69,14 @@ def test_serial_cold_sweep_phases_fit_in_total(monkeypatch):
     assert inst.trace_seconds + inst.replay_seconds <= inst.total_seconds
 
 
-def test_memo_work_matches_pinned_counts(monkeypatch):
+def test_memo_work_matches_pinned_counts():
     """The translation memo's hits and misses on CI's columnar-smoke
-    sweep (crc,sha x C1,C3 x 16,64 x spec both, fresh columnar
-    contexts) are pinned in tests/data: weakening the memo, or changing
-    how often the translator runs, moves them."""
+    sweep (crc,sha x C1,C3 x 16,64 x spec both; a one-shot sweep builds
+    fresh columnar contexts) are pinned in tests/data: weakening the
+    memo, or changing how often the translator runs, moves them."""
     import json
     from pathlib import Path
 
-    import repro.system.sweep as sweep
-
-    monkeypatch.setattr(sweep, "_COL_CONTEXTS", {})
     configs = [paper_system(array, slots, spec)
                for array in ("C1", "C3") for slots in (16, 64)
                for spec in (False, True)]
