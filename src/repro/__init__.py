@@ -40,27 +40,21 @@ Internal modules (:mod:`repro.sim`, :mod:`repro.dim`,
 facade above is the supported surface.
 """
 
-from repro.api import (
-    DimParams,
-    RunComparison,
-    SystemSpec,
-    Target,
-    connect,
-    corpus,
-    evaluate,
-    explore,
-    load_target,
-    mpsoc,
-    run,
-    sweep,
-    traffic,
-)
-from repro.obs import (
-    NULL_TELEMETRY,
-    NullTelemetry,
-    Telemetry,
-    TelemetrySnapshot,
-)
+from repro._lazy import lazy_dir, lazy_exports
+
+#: every facade name and the module that defines it; resolved on first
+#: access, so ``import repro`` (and ``import repro.cli``) stays cheap.
+_EXPORTS = {
+    **{name: "repro.api" for name in (
+        "DimParams", "RunComparison", "SystemSpec", "Target", "connect",
+        "corpus", "evaluate", "explore", "load_target", "mpsoc", "run",
+        "sweep", "traffic")},
+    **{name: "repro.obs" for name in (
+        "NULL_TELEMETRY", "NullTelemetry", "Telemetry",
+        "TelemetrySnapshot")},
+}
+__getattr__ = lazy_exports(globals(), _EXPORTS)
+__dir__ = lazy_dir(globals(), _EXPORTS)
 
 __version__ = "1.2.0"
 

@@ -45,22 +45,39 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
+from repro._lazy import lazy_dir, lazy_exports
 from repro.asm import assemble
 from repro.asm.program import Program
+from repro.dim.params import DimParams
 from repro.minic import compile_to_program
 from repro.obs import Telemetry
 from repro.sim.cpu import RunResult, run_program
-from repro.system.artifacts import ArtifactCache
-from repro.dim.params import DimParams
 from repro.system.config import SystemConfig, SystemSpec
 from repro.system.coupled import CoupledRunResult, run_coupled
 from repro.system.energy import EnergyParams, energy_ratio
-from repro.system.sweep import MatrixResult, evaluate_matrix, paper_matrix
-from repro.system.traceeval import SystemMetrics
-from repro.workloads import load_workload, workload_names
-from repro.workloads.suite import SuiteResult, evaluate_suite
+from repro.system.metrics import SystemMetrics
+from repro.workloads import is_workload, load_workload, workload_names
+
+if TYPE_CHECKING:
+    from repro.system.artifacts import ArtifactCache
+    from repro.system.sweep import MatrixResult
+    from repro.workloads.suite import SuiteResult
+
+#: what :func:`run` needs is imported above; the matrix engine, the
+#: suite and the artifact store load when a verb (or an attribute
+#: lookup) first asks for them.
+_EXPORTS = {
+    "ArtifactCache": "repro.system.artifacts",
+    "MatrixResult": "repro.system.sweep",
+    "evaluate_matrix": "repro.system.sweep",
+    "paper_matrix": "repro.system.sweep",
+    "SuiteResult": "repro.workloads.suite",
+    "evaluate_suite": "repro.workloads.suite",
+}
+__getattr__ = lazy_exports(globals(), _EXPORTS)
+__dir__ = lazy_dir(globals(), _EXPORTS)
 
 #: a target: workload name, ``.s``/``.asm``/``.c`` path, or a Program.
 Target = Union[str, Program]
@@ -70,7 +87,7 @@ def load_target(target: Target) -> Program:
     """Resolve a workload name, assembly/mini-C path, or Program."""
     if isinstance(target, Program):
         return target
-    if target in workload_names():
+    if is_workload(target):
         return load_workload(target)
     if target.endswith(".s") or target.endswith(".asm"):
         with open(target) as handle:
@@ -136,6 +153,8 @@ def evaluate(config: Optional[SystemConfig] = None,
              jobs: int = 1, fast: bool = False,
              energy_params: EnergyParams = EnergyParams()) -> SuiteResult:
     """Evaluate the whole suite (or ``names``) against one system."""
+    from repro.workloads.suite import evaluate_suite
+
     config = config if config is not None else SystemSpec(
         array="C2", slots=64, speculation=True).build()
     return evaluate_suite(config, names=names, jobs=jobs, fast=fast,
@@ -156,6 +175,8 @@ def sweep(configs: Optional[Sequence[SystemConfig]] = None,
     collects each live cell's engine counters and never changes a
     result.
     """
+    from repro.system.sweep import evaluate_matrix, paper_matrix
+
     configs = list(configs) if configs is not None else paper_matrix()
     return evaluate_matrix(configs, names=names, jobs=jobs, fast=fast,
                            cache=cache, telemetry=telemetry,

@@ -9,7 +9,13 @@ by every simulator in this repository.
 
 from repro.asm.program import Program, TEXT_BASE, DATA_BASE, STACK_TOP
 from repro.asm.assembler import assemble, AssemblerError
-from repro.asm.disassembler import disassemble_program, disassemble_word
+from repro._lazy import lazy_dir, lazy_exports
+
+#: the disassembler loads on first use (``repro disasm``, tests).
+_EXPORTS = {name: "repro.asm.disassembler"
+            for name in ("disassemble_program", "disassemble_word")}
+__getattr__ = lazy_exports(globals(), _EXPORTS)
+__dir__ = lazy_dir(globals(), _EXPORTS)
 
 __all__ = [
     "Program",

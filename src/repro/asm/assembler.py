@@ -79,6 +79,21 @@ class _DataItem:
 
 _STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 _LABEL_RE = re.compile(r"^[A-Za-z_.$][A-Za-z0-9_.$]*$")
+_SYMBOL_RE = re.compile(r"^([A-Za-z_.$][A-Za-z0-9_.$]*)\s*([+-]\s*\w+)?$")
+_MEM_RE = re.compile(r"^(.*?)\(\s*(\$?\w+)\s*\)$")
+#: a line up to its comment: ``#`` or ``;`` outside a string literal.  A
+#: ``"`` right after a backslash neither opens nor closes a string, and
+#: an unterminated string runs to the end of the line.
+_CODE_RE = re.compile(
+    r'(?:[^"#;]+|(?<=\\)"|(?<!\\)"(?:[^"]+|(?<=\\)")*(?:(?<!\\)"|\Z))*')
+
+#: mnemonics :meth:`Assembler._expand` rewrites (``div``/``divu`` only
+#: in their three-operand form); every other one is a real instruction.
+_PSEUDOS = frozenset((
+    "nop", "move", "li", "la", "b", "beqz", "bnez", "blt", "bge", "bgt",
+    "ble", "bltu", "bgeu", "bgtu", "bleu", "mul", "div", "divu", "rem",
+    "remu", "neg", "negu", "not", "seq", "sne", "sgt", "sge", "sle",
+    "sgtu", "sgeu", "sleu"))
 
 _ESCAPES = {"n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, '"': 34, "'": 39}
 
@@ -157,18 +172,7 @@ class Assembler:
 
     @staticmethod
     def _strip_comment(line: str) -> str:
-        out = []
-        in_str = False
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch == '"' and (i == 0 or line[i - 1] != "\\"):
-                in_str = not in_str
-            if not in_str and ch in "#;":
-                break
-            out.append(ch)
-            i += 1
-        return "".join(out)
+        return _CODE_RE.match(line).group()
 
     def _define_label(self, name: str, line: int) -> None:
         if name in self.symbols or name in self._pending_labels:
@@ -274,8 +278,7 @@ class Assembler:
             if mode == "rel16":
                 return SymRef("", value, "rel16")
             return value
-        match = re.match(r"^([A-Za-z_.$][A-Za-z0-9_.$]*)\s*([+-]\s*\w+)?$",
-                         token)
+        match = _SYMBOL_RE.match(token)
         if not match:
             raise AssemblerError(f"bad operand {token!r}", line)
         addend = 0
@@ -298,6 +301,8 @@ class Assembler:
     # The expansion table.  Each entry returns a list of ProtoInstr.
     def _expand(self, m: str, ops: List[str],
                 line: int) -> List[ProtoInstr]:  # noqa: C901
+        if m not in _PSEUDOS:
+            return [self._real(m, ops, line)]
         reg = lambda tok: self._reg(tok, line)  # noqa: E731
         imm = lambda tok, mode="abs16": self._operand_value(tok, line, mode)  # noqa: E731
 
@@ -482,7 +487,7 @@ class Assembler:
         return ProtoInstr(m, rd=reg(ops[0]), rs=reg(ops[1]), rt=reg(ops[2]))
 
     def _mem_operand(self, token: str, line: int) -> Tuple[int, Union[int, SymRef]]:
-        match = re.match(r"^(.*?)\(\s*(\$?\w+)\s*\)$", token.strip())
+        match = _MEM_RE.match(token.strip())
         if not match:
             raise AssemblerError(f"bad memory operand {token!r}", line)
         offset_text = match.group(1).strip()
@@ -505,14 +510,17 @@ class Assembler:
                 text.extend(b"\x00" * gap)
             text.extend(word.to_bytes(4, "little"))
         data = bytearray()
+        resolve = self._resolve_value
         for item in self._data_items:
             gap = (item.address - self.data_base) - len(data)
             if gap:
                 data.extend(b"\x00" * gap)
-            for value in item.values:
-                resolved = self._resolve_value(value, item.line)
-                mask = (1 << (8 * item.size)) - 1
-                data.extend((resolved & mask).to_bytes(item.size, "little"))
+            size, line = item.size, item.line
+            mask = (1 << (8 * size)) - 1
+            data.extend(b"".join([
+                ((value if value.__class__ is int else resolve(value, line))
+                 & mask).to_bytes(size, "little")
+                for value in item.values]))
         entry = self.symbols.get(entry_symbol,
                                  self.symbols.get("main", self.text_base))
         return Program(bytes(text), bytes(data), entry,

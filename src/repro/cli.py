@@ -112,15 +112,10 @@ import argparse
 import sys
 from typing import List, Optional, Tuple
 
-from repro.analysis import blocks_for_coverage, instructions_per_branch
-from repro.api import SystemSpec, load_target, run
 from repro.asm.program import Program
-from repro.cgra.render import render_configuration
-from repro.dim import BimodalPredictor, Translator
 from repro.dim.params import DYNFLOW_MODES
 from repro.obs import Telemetry
-from repro.sim import Simulator, run_program
-from repro.system.config import PAPER_SHAPES, SystemConfig
+from repro.system.config import PAPER_SHAPES, SystemConfig, SystemSpec
 from repro.workloads import all_workloads, workload_names
 
 _SPEC_VALUES = {"off": (False,), "on": (True,), "both": (False, True)}
@@ -128,6 +123,8 @@ _SPEC_VALUES = {"off": (False,), "on": (True,), "both": (False, True)}
 
 def _load_target(target: str) -> Program:
     """Resolve a CLI target: workload name, .s assembly, or .c mini-C."""
+    from repro.api import load_target
+
     try:
         return load_target(target)
     except ValueError as exc:
@@ -313,6 +310,8 @@ def _single_config(args: argparse.Namespace) -> SystemConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.api import run
+
     _activate_corpus(getattr(args, "corpus", None))
     program = _load_target(args.target)
     config = _single_config(args)
@@ -349,6 +348,10 @@ def _cmd_workloads(_: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
+    from repro.cgra.render import render_configuration
+    from repro.dim import BimodalPredictor, Translator
+    from repro.sim import Simulator, run_program
+
     program = _load_target(args.target)
     config = _single_config(args)
     result = run_program(program, collect_trace=True)
@@ -374,6 +377,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
+    from repro.analysis import blocks_for_coverage, instructions_per_branch
+    from repro.sim import run_program
+
     program = _load_target(args.target)
     result = run_program(program, collect_trace=True)
     trace = result.trace

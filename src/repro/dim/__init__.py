@@ -25,7 +25,12 @@ from repro.dim.predictor import BimodalPredictor
 from repro.dim.rcache import ReconfigurationCache
 from repro.dim.translator import Translator
 from repro.dim.engine import DimEngine, DimStats
-from repro.dim.memo import TranslationMemo
+from repro._lazy import lazy_dir, lazy_exports
+
+#: the memo serves only the event oracle; it loads on first use.
+_EXPORTS = {"TranslationMemo": "repro.dim.memo"}
+__getattr__ = lazy_exports(globals(), _EXPORTS)
+__dir__ = lazy_dir(globals(), _EXPORTS)
 
 __all__ = [
     "DimParams",

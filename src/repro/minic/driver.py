@@ -8,7 +8,6 @@ from repro.asm import assemble
 from repro.asm.program import Program
 from repro.minic.codegen import CodegenError, generate
 from repro.minic.lexer import LexerError
-from repro.minic.optimizer import optimize_assembly
 from repro.minic.parser import ParseError, parse
 from repro.minic.sema import SemaError, analyze
 
@@ -42,6 +41,8 @@ def compile_source(source: str, optimize: bool = False) -> str:
     except CodegenError as exc:
         raise CompileError("codegen", exc) from exc
     if optimize:
+        from repro.minic.optimizer import optimize_assembly
+
         text = optimize_assembly(text)
     return text
 

@@ -52,6 +52,10 @@ _BINARY_LEVELS = [
     ["*", "/", "%"],
 ]
 
+#: each binary operator's level in :data:`_BINARY_LEVELS`.
+_BINARY_PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS)
+                      for op in ops}
+
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
                "<<=", ">>="}
 
@@ -312,16 +316,22 @@ class Parser:
     def parse_expr(self) -> Expr:
         return self._parse_binary(0)
 
-    def _parse_binary(self, level: int) -> Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        expr = self._parse_binary(level + 1)
-        ops = _BINARY_LEVELS[level]
-        while self._cur.kind == "op" and self._cur.text in ops:
-            op = self._advance()
+    def _parse_binary(self, min_level: int) -> Expr:
+        """Precedence climbing: a unary operand, then every binary
+        operator binding at least as tightly as ``min_level``, each
+        left-associative (its right operand binds one level tighter)."""
+        expr = self._parse_unary()
+        tokens = self._tokens
+        while True:
+            token = tokens[self._pos]
+            level = _BINARY_PRECEDENCE.get(token.text) \
+                if token.kind == "op" else None
+            if level is None or level < min_level:
+                return expr
+            self._pos += 1
             right = self._parse_binary(level + 1)
-            expr = BinaryExpr(op.line, op=op.text, left=expr, right=right)
-        return expr
+            expr = BinaryExpr(token.line, op=token.text, left=expr,
+                              right=right)
 
     def _parse_unary(self) -> Expr:
         token = self._cur

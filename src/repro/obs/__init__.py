@@ -30,30 +30,23 @@ from repro.obs.core import (
     Telemetry,
     TelemetrySnapshot,
 )
-from repro.obs.events import (
-    DEFAULT_MAX_EVENTS,
-    EVENT_TYPES,
-    SCHEMA_VERSION,
-    EventLog,
-    validate_event,
-    validate_jsonl,
-)
-from repro.obs.schema import (
-    dim_counters,
-    dse_counters,
-    dse_timers,
-    dynflow_counters,
-    engine_counters,
-    metrics_counters,
-    mpsoc_counters,
-    mpsoc_timers,
-    predictor_counters,
-    rcache_counters,
-    serve_counters,
-    serve_timers,
-    sweep_counters,
-    sweep_timers,
-)
+from repro._lazy import lazy_dir, lazy_exports
+
+#: the event schema and the counter collectors load on first use: a
+#: run with telemetry off touches only :data:`NULL_TELEMETRY`.
+_EXPORTS = {
+    **{name: "repro.obs.events" for name in (
+        "DEFAULT_MAX_EVENTS", "EVENT_TYPES", "SCHEMA_VERSION", "EventLog",
+        "validate_event", "validate_jsonl")},
+    **{name: "repro.obs.schema" for name in (
+        "dim_counters", "dse_counters", "dse_timers", "dynflow_counters",
+        "engine_counters", "metrics_counters", "mpsoc_counters",
+        "mpsoc_timers", "predictor_counters", "rcache_counters",
+        "serve_counters", "serve_timers", "sweep_counters",
+        "sweep_timers")},
+}
+__getattr__ = lazy_exports(globals(), _EXPORTS)
+__dir__ = lazy_dir(globals(), _EXPORTS)
 
 __all__ = [
     "NULL_TELEMETRY",

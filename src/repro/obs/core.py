@@ -215,11 +215,15 @@ class Telemetry:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
     def to_jsonl(self) -> str:
-        """The meta header plus every recorded event, as JSONL text."""
+        """The meta header, every recorded event and, if anything was
+        counted, the counters trailer, as JSONL text."""
         lines = [json.dumps(self.meta_record(), sort_keys=True)]
         if self.events is not None:
             lines.extend(json.dumps(record, sort_keys=True)
                          for record in self.events)
+        if self.counters:
+            lines.append(json.dumps({"type": "counters", **self.counters},
+                                    sort_keys=True))
         return "\n".join(lines) + "\n"
 
     def write_jsonl(self, path) -> int:

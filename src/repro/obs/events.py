@@ -29,10 +29,13 @@ SCHEMA_VERSION = 1
 #: default bound of one event log (drop-oldest beyond this).
 DEFAULT_MAX_EVENTS = 65_536
 
-#: The closed set of event types (plus the "meta" header record that
-#: :meth:`repro.obs.Telemetry.write_jsonl` puts on the first line).
+#: The closed set of event types, plus the two records
+#: :meth:`repro.obs.Telemetry.write_jsonl` frames them with: the "meta"
+#: header on the first line and, when the run counted anything, the
+#: "counters" trailer on the last (every counter, name -> integer).
 EVENT_TYPES = frozenset({
     "meta",
+    "counters",
     # DIM binary translation lifecycle
     "translation.started",      # a block is handed to the translator
     "translation.committed",    # a configuration entered the rcache
@@ -135,6 +138,11 @@ def validate_event(record: object) -> List[str]:
         version = record.get("schema_version")
         if not isinstance(version, int):
             problems.append("meta record missing integer schema_version")
+    elif etype == "counters":
+        for key, value in record.items():
+            if key != "type" and (not isinstance(value, int)
+                                  or isinstance(value, bool)):
+                problems.append(f"counter {key!r} is not an integer")
     else:
         seq = record.get("seq")
         if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:

@@ -99,7 +99,11 @@ class Simulator:
         self.lo = 0
         self.exit_code: Optional[int] = None
         self.output_parts: List[str] = []
-        self.stats = RunStats()
+        self._stats = RunStats()
+        #: compiled blocks add their static counters here, packed
+        #: (:func:`~repro.sim.stats.pack_counts`); :attr:`stats`
+        #: folds the sum in whenever anyone reads the counters.
+        self._pending = [0]
         self.block_table = BlockTable()
         # Decode results are a program property (text is immutable), so
         # every simulator of one Program shares a single decode cache.
@@ -116,6 +120,15 @@ class Simulator:
                 and self.caches.dcache is None:
             from repro.sim.fastpath import FastPath
             self._fast_engine = FastPath(self)
+
+    @property
+    def stats(self) -> RunStats:
+        """The run's counters, exact at every read."""
+        packed = self._pending[0]
+        if packed:
+            self._pending[0] = 0
+            self._stats.add_packed(packed)
+        return self._stats
 
     # ------------------------------------------------------------------
     def decode_at(self, pc: int) -> _DecodedEntry:
@@ -151,7 +164,9 @@ class Simulator:
     def step(self) -> StepOutcome:  # noqa: C901 - the interpreter core
         """Execute exactly one instruction."""
         timing = self.timing
-        stats = self.stats
+        # adds, and HI/LO reads relative to this block's own cycles, are
+        # exact with compiled blocks' counters still packed
+        stats = self._stats
         regs = self.regs
         pc = self.pc
         instr, klass, sources, dest, imm_form = self.decode_at(pc)

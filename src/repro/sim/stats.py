@@ -24,6 +24,24 @@ class TimingModel:
     syscall_cycles: int = 1
 
 
+#: the counters a compiled block adds through one packed integer
+#: (:mod:`repro.sim.fastpath`), lowest lane first.  Each lane is
+#: ``LANE_BITS`` wide, enough for any count a run can reach between two
+#: reads of ``Simulator.stats`` (which folds the packed sum back in).
+PACKED_FIELDS = ("cycles", "fetches", "taken_transfers", "branches",
+                 "loads", "stores", "load_use_stalls", "hilo_stalls",
+                 "syscalls")
+LANE_BITS = 64
+
+
+def pack_counts(counts: Dict[str, int]) -> int:
+    """``counts`` (names from :data:`PACKED_FIELDS`) as one integer."""
+    packed = 0
+    for lane, name in enumerate(PACKED_FIELDS):
+        packed |= counts.get(name, 0) << (lane * LANE_BITS)
+    return packed
+
+
 @dataclass
 class RunStats:
     """Counters accumulated over one simulation."""
@@ -51,6 +69,13 @@ class RunStats:
         """Fig. 3b's metric: dynamic instructions per control transfer."""
         control = self.branches
         return self.instructions / control if control else float("inf")
+
+    def add_packed(self, packed: int) -> None:
+        """Add a sum of :func:`pack_counts` values, lane by lane."""
+        mask = (1 << LANE_BITS) - 1
+        for name in PACKED_FIELDS:
+            setattr(self, name, getattr(self, name) + (packed & mask))
+            packed >>= LANE_BITS
 
     def merge(self, other: "RunStats") -> None:
         self.instructions += other.instructions

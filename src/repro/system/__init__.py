@@ -24,43 +24,33 @@ Three execution paths produce identical cycle counts, one per job:
 configuration-bit model (Table 3).
 """
 
-from repro.system.config import (
-    PAPER_CACHE_SLOTS,
-    PAPER_SHAPES,
-    SystemConfig,
-    paper_system,
-)
-from repro.system.costmodel import BlockCost, BlockCostModel
-from repro.system.coupled import (
-    CoupledSimulator,
-    CoupledRunResult,
-    run_coupled,
-)
-from repro.system.traceeval import (
-    SystemMetrics,
-    baseline_metrics,
-    evaluate_trace,
-)
-from repro.system.energy import (
-    EnergyParams,
-    EnergyBreakdown,
-    energy_of,
-    energy_ratio,
-)
-from repro.system.area import (
-    AreaParams,
-    area_report,
-    cache_bytes,
-    config_bits_report,
-)
-from repro.system.artifacts import ArtifactCache
-from repro.system.sweep import (
-    MatrixResult,
-    SweepInstrumentation,
-    evaluate_matrix,
-    paper_matrix,
-    replay_matrix,
-)
+from repro._lazy import lazy_dir, lazy_exports
+
+#: every re-exported name and the submodule that defines it, resolved on
+#: first access: a single run never loads the sweep engine, the
+#: artifact store or the event oracle.
+_EXPORTS = {
+    **{name: "repro.system.config" for name in (
+        "PAPER_CACHE_SLOTS", "PAPER_SHAPES", "SystemConfig",
+        "paper_system")},
+    **{name: "repro.system.costmodel" for name in (
+        "BlockCost", "BlockCostModel")},
+    **{name: "repro.system.coupled" for name in (
+        "CoupledSimulator", "CoupledRunResult", "run_coupled")},
+    "SystemMetrics": "repro.system.metrics",
+    **{name: "repro.system.traceeval" for name in (
+        "baseline_metrics", "evaluate_trace")},
+    **{name: "repro.system.energy" for name in (
+        "EnergyParams", "EnergyBreakdown", "energy_of", "energy_ratio")},
+    **{name: "repro.system.area" for name in (
+        "AreaParams", "area_report", "cache_bytes", "config_bits_report")},
+    "ArtifactCache": "repro.system.artifacts",
+    **{name: "repro.system.sweep" for name in (
+        "MatrixResult", "SweepInstrumentation", "evaluate_matrix",
+        "paper_matrix", "replay_matrix")},
+}
+__getattr__ = lazy_exports(globals(), _EXPORTS)
+__dir__ = lazy_dir(globals(), _EXPORTS)
 
 __all__ = [
     "PAPER_CACHE_SLOTS",

@@ -91,7 +91,7 @@ from repro.sim.stats import TimingModel
 from repro.sim.trace import BasicBlock, Trace
 from repro.system.config import SystemConfig
 from repro.system.costmodel import shared_cost_model
-from repro.system.traceeval import SystemMetrics, _prefix_mem_ops
+from repro.system.metrics import SystemMetrics, _prefix_mem_ops
 
 #: occurrence-memo sentinel (None is a valid "no translation" answer).
 _ABSENT = object()

@@ -28,12 +28,11 @@ from repro.dim.engine import DimEngine, DimStats
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import InstrClass
 from repro.isa.semantics import alu_result, branch_taken, mult_result
-from repro.obs.schema import engine_counters
 from repro.sim.cpu import Simulator, _load, _store
 from repro.sim.stats import RunStats
 from repro.sim.trace import BasicBlock
 from repro.system.config import SystemConfig
-from repro.system.traceeval import SystemMetrics
+from repro.system.metrics import SystemMetrics
 
 
 @dataclass
@@ -130,6 +129,8 @@ class CoupledSimulator:
         sim._fast_engine = None
         cache = engine.cache
         if engine.telemetry.enabled:
+            from repro.obs.schema import engine_counters
+
             engine.telemetry.count_many(engine_counters(engine))
         metrics = SystemMetrics.from_stats(
             self.config.name, sim.stats, dim=engine.stats,
@@ -157,7 +158,7 @@ class CoupledSimulator:
         """
         sim = self.sim
         engine = self.engine
-        stats = sim.stats
+        stats = sim._stats  # adds only: see Simulator.stats
         params = self.config.dim
         stall = engine.begin_execution(config)
         stats.cycles += stall + config.exec_cycles
@@ -217,7 +218,7 @@ class CoupledSimulator:
         """
         sim = self.sim
         engine = self.engine
-        stats = sim.stats
+        stats = sim._stats  # adds only: see Simulator.stats
         params = self.config.dim
         blocks = config.blocks
         back = len(blocks) - 1
@@ -276,7 +277,7 @@ class CoupledSimulator:
         """
         sim = self.sim
         engine = self.engine
-        stats = sim.stats
+        stats = sim._stats  # adds only: see Simulator.stats
         params = self.config.dim
         blocks = config.blocks
         last = len(blocks) - 1
@@ -350,7 +351,7 @@ class CoupledSimulator:
         """
         fast = self.sim._fast_engine
         if fast is not None:
-            fast.prefix(block, covered)()
+            fast.prefix(block, covered)(True)
             return
         for instr in block.instructions[:covered]:
             self._exec_functional(instr)

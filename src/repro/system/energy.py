@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.system.traceeval import SystemMetrics
+from repro.system.metrics import SystemMetrics
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from repro.sim.cpu import run_program
 from repro.system.config import SystemConfig, paper_system
 from repro.system.coupled import CoupledSimulator
 from repro.system.energy import EnergyParams, energy_of, energy_ratio
-from repro.system.traceeval import SystemMetrics
+from repro.system.metrics import SystemMetrics
 
 
 @dataclass

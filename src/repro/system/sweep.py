@@ -73,7 +73,7 @@ from repro.system.config import (
     paper_system,
 )
 from repro.system.energy import EnergyParams
-from repro.system.traceeval import SystemMetrics
+from repro.system.metrics import SystemMetrics
 from repro.workloads import get_workload, trace_workload, workload_names
 
 if TYPE_CHECKING:

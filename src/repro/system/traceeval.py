@@ -14,64 +14,17 @@ counters an observed sweep reads off its columnar metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Set, Tuple
+from typing import Optional, Set
 
-from repro.dim.engine import DimEngine, DimStats
+from repro.dim.engine import DimEngine
 from repro.dim.memo import TranslationMemo
 from repro.isa.opcodes import InstrClass
 from repro.obs.schema import engine_counters
-from repro.sim.stats import RunStats, TimingModel
+from repro.sim.stats import TimingModel
 from repro.sim.trace import BasicBlock, Trace
 from repro.system.config import SystemConfig
 from repro.system.costmodel import BlockCostModel, shared_cost_model
-
-
-@dataclass
-class SystemMetrics:
-    """Cycle and event totals for one (workload, system) evaluation."""
-
-    name: str = ""
-    cycles: int = 0
-    instructions: int = 0
-    fetches: int = 0
-    loads: int = 0
-    stores: int = 0
-    branches: int = 0
-    taken_transfers: int = 0
-    load_use_stalls: int = 0
-    hilo_stalls: int = 0
-    syscalls: int = 0
-    dim: Optional[DimStats] = None
-    cache_lookups: int = 0
-    cache_hits: int = 0
-    cache_insertions: int = 0
-    cache_evictions: int = 0
-    cache_invalidations: int = 0
-    predictor_accuracy: float = 0.0
-
-    @property
-    def cpi(self) -> float:
-        return self.cycles / self.instructions if self.instructions else 0.0
-
-    @classmethod
-    def from_stats(cls, name: str, stats: RunStats,
-                   **dim_fields) -> "SystemMetrics":
-        """The core counters of a simulator run, plus any DIM fields.
-
-        A plain run's stats give exactly :func:`baseline_metrics` of its
-        trace; a coupled run's stats plus its DIM and cache counters
-        give exactly :func:`evaluate_trace` (asserted by the tests).
-        """
-        return cls(name=name, cycles=stats.cycles,
-                   instructions=stats.instructions, fetches=stats.fetches,
-                   loads=stats.loads, stores=stats.stores,
-                   branches=stats.branches,
-                   taken_transfers=stats.taken_transfers,
-                   load_use_stalls=stats.load_use_stalls,
-                   hilo_stalls=stats.hilo_stalls, syscalls=stats.syscalls,
-                   **dim_fields)
+from repro.system.metrics import SystemMetrics, _prefix_mem_ops
 
 
 def baseline_metrics(trace: Trace,
@@ -107,24 +60,6 @@ def _account_normal(metrics: SystemMetrics, model: BlockCostModel,
     if terminator is not None:
         if terminator.klass is InstrClass.JUMP or taken:
             metrics.taken_transfers += 1
-
-
-#: memoized (loads, stores) of covered block prefixes, shared across the
-#: whole sweep: replaying one block table under all 18 paper systems hits
-#: this cache 17 times out of 18.  Keyed by block *identity* (blocks use
-#: identity hashing), so entries from different workloads never collide.
-#: LRU-bounded so a long-lived sweep process does not pin every block of
-#: every workload it ever replayed (the full 18-workload suite uses a few
-#: thousand entries, well inside the bound).
-@lru_cache(maxsize=65536)
-def _prefix_mem_ops(block: BasicBlock, covered: int) -> Tuple[int, int]:
-    loads = stores = 0
-    for instr in block.instructions[:covered]:
-        if instr.klass is InstrClass.LOAD:
-            loads += 1
-        elif instr.klass is InstrClass.STORE:
-            stores += 1
-    return (loads, stores)
 
 
 def _run_loop(engine: DimEngine, metrics: SystemMetrics, cfg,

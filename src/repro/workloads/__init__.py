@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Dict, List, Optional, Tuple
 
 from repro.asm.program import Program
@@ -62,43 +63,34 @@ class Workload:
     kind: str = "minic"
 
 
-def _collect() -> List[Workload]:
-    from repro.workloads import (
-        adpcm,
-        bitcount,
-        crc,
-        crypto,
-        dijkstra,
-        gsm,
-        jpeg,
-        patricia,
-        quicksort,
-        sha,
-        stringsearch,
-        susan,
-    )
+#: the 18 built-ins in Table 2's order (most dataflow at the top, most
+#: control at the bottom): name -> (module, attribute).  A lookup by
+#: name imports only the module that defines it.
+_BUILTINS: Dict[str, Tuple[str, str]] = {
+    "rijndael_e": ("crypto", "RIJNDAEL_E"),
+    "rijndael_d": ("crypto", "RIJNDAEL_D"),
+    "gsm_e": ("gsm", "GSM_E"),
+    "jpeg_e": ("jpeg", "JPEG_E"),
+    "sha": ("sha", "SHA"),
+    "susan_s": ("susan", "SUSAN_SMOOTHING"),
+    "crc": ("crc", "CRC"),
+    "jpeg_d": ("jpeg", "JPEG_D"),
+    "patricia": ("patricia", "PATRICIA"),
+    "susan_c": ("susan", "SUSAN_CORNERS"),
+    "susan_e": ("susan", "SUSAN_EDGES"),
+    "dijkstra": ("dijkstra", "DIJKSTRA"),
+    "gsm_d": ("gsm", "GSM_D"),
+    "bitcount": ("bitcount", "BITCOUNT"),
+    "stringsearch": ("stringsearch", "STRINGSEARCH"),
+    "quicksort": ("quicksort", "QUICKSORT"),
+    "rawaudio_e": ("adpcm", "RAWAUDIO_E"),
+    "rawaudio_d": ("adpcm", "RAWAUDIO_D"),
+}
 
-    # Table 2's order: most dataflow at the top, most control at the bottom.
-    return [
-        crypto.RIJNDAEL_E,
-        crypto.RIJNDAEL_D,
-        gsm.GSM_E,
-        jpeg.JPEG_E,
-        sha.SHA,
-        susan.SUSAN_SMOOTHING,
-        crc.CRC,
-        jpeg.JPEG_D,
-        patricia.PATRICIA,
-        susan.SUSAN_CORNERS,
-        susan.SUSAN_EDGES,
-        dijkstra.DIJKSTRA,
-        gsm.GSM_D,
-        bitcount.BITCOUNT,
-        stringsearch.STRINGSEARCH,
-        quicksort.QUICKSORT,
-        adpcm.RAWAUDIO_E,
-        adpcm.RAWAUDIO_D,
-    ]
+
+def _builtin(name: str) -> Workload:
+    module, attribute = _BUILTINS[name]
+    return getattr(import_module(f"repro.workloads.{module}"), attribute)
 
 
 _WORKLOADS: Optional[List[Workload]] = None
@@ -114,7 +106,7 @@ def builtin_workloads() -> List[Workload]:
     """The 18 Table 2 workloads, without any registered extras."""
     global _WORKLOADS
     if _WORKLOADS is None:
-        _WORKLOADS = _collect()
+        _WORKLOADS = [_builtin(name) for name in _BUILTINS]
     return _WORKLOADS
 
 
@@ -189,10 +181,12 @@ def _find(name: str) -> Optional[Workload]:
     registered = _REGISTERED.get(name)
     if registered is not None:
         return registered
-    for workload in builtin_workloads():
-        if workload.name == name:
-            return workload
-    return None
+    return _builtin(name) if name in _BUILTINS else None
+
+
+def is_workload(name: str) -> bool:
+    """Whether ``name`` is registered (loads only that workload)."""
+    return _find(name) is not None
 
 
 def get_workload(name: str) -> Workload:

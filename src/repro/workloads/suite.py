@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.system.config import SystemConfig, paper_system
 from repro.system.energy import EnergyParams, energy_ratio
-from repro.system.traceeval import SystemMetrics
+from repro.system.metrics import SystemMetrics
 from repro.workloads import workload_names
 
 

@@ -134,3 +134,60 @@ def test_cli_start_up_and_single_run_never_load_numpy():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+#: what a single ``repro run`` must not load: the sweep engine, its
+#: artifact store, the event oracle and the memo that serves it.
+_NOT_ON_RUN_PATH = ("repro.system.colreplay", "repro.system.sweep",
+                    "repro.sim.coltrace", "repro.system.artifacts",
+                    "repro.system.traceeval", "repro.dim.memo", "pickle")
+
+
+def test_cli_start_up_and_single_run_load_only_the_run_path():
+    script = (
+        "import sys\n"
+        f"unwanted = {_NOT_ON_RUN_PATH!r}\n"
+        "import repro.cli\n"
+        "loaded = [m for m in unwanted if m in sys.modules]\n"
+        "assert not loaded, ('loaded by import', loaded)\n"
+        "code = repro.cli.main(['run', 'crc', '--fast'])\n"
+        "assert code == 0\n"
+        "loaded = [m for m in unwanted if m in sys.modules]\n"
+        "assert not loaded, ('loaded by run', loaded)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_lazy_facades_resolve_every_exported_name():
+    """``repro``, ``repro.api`` and ``repro.system`` load their
+    re-exports on first access; every name must still resolve, to the
+    object its defining module holds."""
+    script = (
+        "import importlib\n"
+        "import repro, repro.api, repro.system\n"
+        "assert 'replay_matrix' not in vars(repro.system)  # not yet\n"
+        "assert 'replay_matrix' in dir(repro.system)\n"
+        "for facade in (repro, repro.api, repro.system):\n"
+        "    for name in facade.__all__:\n"
+        "        assert getattr(facade, name) is not None, name\n"
+        "assert repro.run is repro.api.run\n"
+        "assert repro.Telemetry is importlib.import_module("
+        "'repro.obs.core').Telemetry\n"
+        "from repro.system import evaluate_trace, replay_matrix\n"
+        "from repro.system.traceeval import evaluate_trace as oracle\n"
+        "assert evaluate_trace is oracle\n"
+        "from repro.api import evaluate_matrix, SuiteResult\n"
+        "try:\n"
+        "    repro.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('unknown names must raise')\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -390,3 +390,32 @@ def test_sweep_instrumentation_aliases_unified_schema():
     assert inst.timer_values()["sweep.total_seconds"] == 1.5
     # the old as_dict surface is still intact
     assert inst.as_dict()["cells"] == 3
+
+
+def test_sweep_stream_ends_with_the_run_counters(tmp_path):
+    """The columnar engine reports dynflow as counters, not events: the
+    stream's ``counters`` trailer carries them (CI's dynflow-smoke reads
+    it), and they are zero when the mode is off."""
+    from repro.cli import main
+
+    counters = {}
+    for mode in ("both", "off"):
+        out = tmp_path / f"{mode}.jsonl"
+        assert main(["sweep", "--arrays", "C1", "--slots", "16",
+                     "--spec", "on", "--only", "crc", "--fast",
+                     "--no-cache", "--dynflow", mode,
+                     "--telemetry", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert validate_jsonl(lines) == []
+        counters[mode] = json.loads(lines[-1])
+        assert counters[mode]["type"] == "counters"
+    assert counters["both"]["dynflow.loop_executions"] > 0
+    assert counters["both"]["dynflow.dual_executions"] > 0
+    assert counters["off"]["dynflow.loop_executions"] == 0
+    assert counters["off"]["dynflow.dual_executions"] == 0
+
+
+def test_counters_trailer_must_hold_integers():
+    assert validate_jsonl(['{"type": "counters", "a.b": 3}']) == []
+    assert validate_jsonl(['{"type": "counters", "a.b": 1.5}']) != []
+    assert validate_jsonl(['{"type": "counters", "a.b": true}']) != []
