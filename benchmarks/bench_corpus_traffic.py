@@ -77,7 +77,7 @@ def test_columnar_sweep_throughput_over_corpus(corpus_names, capsys):
                api.SystemSpec(array="C3", slots=128,
                               speculation=True).build()]
     start = time.perf_counter()
-    matrix = api.sweep(configs, names=corpus_names, fast=True)
+    matrix = api.sweep(configs, names=corpus_names)
     sweep_seconds = time.perf_counter() - start
     cells = len(corpus_names) * len(configs)
     assert len(matrix.suites) == len(configs)

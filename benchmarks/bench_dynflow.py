@@ -124,7 +124,7 @@ def _mode_speedups(names, config_of_mode):
     """{mode: geomean speedup over the MIPS baseline} for ``names``."""
     speedups = {mode: [] for mode in MODES}
     for name in names:
-        trace = run_workload(name, fast=True).trace
+        trace = run_workload(name).trace
         base = baseline_metrics(trace).cycles
         for mode in MODES:
             metrics = evaluate_trace(trace, config_of_mode(mode),
@@ -159,7 +159,7 @@ def test_loop_mode_speedup_gate(loopy_names, divergent_names, capsys):
         config = _paper_config("C1", mode)
         missp = cycles = 0
         for name in divergent_names:
-            trace = run_workload(name, fast=True).trace
+            trace = run_workload(name).trace
             metrics = evaluate_trace(trace, config, name=name)
             missp += metrics.dim.misspeculations
             cycles += metrics.cycles
@@ -218,9 +218,9 @@ def test_dynflow_frontier_dominates_modeless_frontier(loopy_names,
                                 + (Axis("dynflow_mode", MODES),))
     objectives = resolve_objectives(("speedup", "area"))
     off = explore(space=modeless, strategy="grid",
-                  workloads=loopy_names, fast=True)
+                  workloads=loopy_names)
     dyn = explore(space=with_modes, strategy="grid",
-                  workloads=loopy_names, fast=True)
+                  workloads=loopy_names)
 
     off_vectors = [objective_vector(p, objectives) for p in off.points]
     dyn_vectors = [objective_vector(p, objectives) for p in dyn.points]
@@ -270,7 +270,7 @@ def test_bench_cells_bit_identical_event_vs_columnar(loopy_names,
                + [_paper_config("C1", mode) for mode in MODES])
     mismatches = cells = 0
     for name in loopy_names + divergent_names:
-        trace = run_workload(name, fast=True).trace
+        trace = run_workload(name).trace
         context = ColumnarContext(trace, name=name)
         for config in configs:
             event = evaluate_trace(trace, config, name=name)

@@ -78,7 +78,7 @@ def make_burst(jobs=JOBS):
                       "slots": SLOTS[index % len(SLOTS)],
                       "speculation": bool(index % 2)}
             burst.append({"kind": "evaluate", "names": [name],
-                          "fast": True, "configs": [config]})
+                          "configs": [config]})
     return burst
 
 
@@ -158,8 +158,7 @@ def test_fleet_throughput_and_byte_identity(tmp_path, capsys):
             config = api.SystemSpec(
                 array=cfg["array"], slots=cfg["slots"],
                 speculation=cfg["speculation"]).build()
-            offline[cell] = api.evaluate(config, names=[name],
-                                         fast=True).to_json()
+            offline[cell] = api.evaluate(config, names=[name]).to_json()
 
     runs = {}
     wall, payloads, detail = run_single(burst, tmp_path / "solo")

@@ -68,7 +68,7 @@ def test_shalving_vs_exhaustive_allocation_search(capsys):
 
     start = time.perf_counter()
     exhaustive = explore_mix(spec, strategy="grid",
-                             objectives=OBJECTIVES, fast=True,
+                             objectives=OBJECTIVES,
                              cache=cache)
     grid_seconds = time.perf_counter() - start
     grid_evals = exhaustive.stats.evaluations
@@ -78,7 +78,7 @@ def test_shalving_vs_exhaustive_allocation_search(capsys):
     start = time.perf_counter()
     halved = explore_mix(spec, strategy="shalving",
                          objectives=OBJECTIVES, budget=BUDGET,
-                         seed=SEED, fast=True, cache=cache)
+                         seed=SEED, cache=cache)
     sh_seconds = time.perf_counter() - start
     sh_evals = halved.stats.evaluations
 

@@ -71,7 +71,7 @@ def test_service_burst_vs_cold_calls(capsys):
         _evict_workload_caches()
         config = api.SystemSpec(array=array, slots=slots,
                                 speculation=spec).build()
-        offline.append(api.evaluate(config, names=NAMES, fast=True))
+        offline.append(api.evaluate(config, names=NAMES))
     sequential_seconds = time.perf_counter() - start
 
     # -- the service: one burst over HTTP ------------------------------
@@ -88,7 +88,7 @@ def test_service_burst_vs_cold_calls(capsys):
         jobs = [client.submit("evaluate",
                               configs=[{"array": array, "slots": slots,
                                         "speculation": spec}],
-                              names=NAMES, fast=True)
+                              names=NAMES)
                 for array, slots, spec in CONFIG_SPECS]
         client.resume()
         payloads = [client.wait(job["job_id"], timeout=600)

@@ -47,7 +47,7 @@ RATES = {}
 @pytest.fixture(scope="module")
 def kernel():
     program = compile_to_program(KERNEL)
-    plain = run_program(program, collect_trace=True)
+    plain = run_program(program, collect_trace=True, fast=False)
     return program, plain
 
 
@@ -63,7 +63,8 @@ def _emit_rates_json():
 def test_throughput_functional_core(benchmark, kernel, capsys):
     program, plain = kernel
     result = benchmark.pedantic(
-        lambda: Simulator(program).run(), rounds=3, iterations=1)
+        lambda: Simulator(program, fast=False).run(), rounds=3,
+        iterations=1)
     assert result.output == plain.output
     rate = plain.stats.instructions / benchmark.stats.stats.mean
     RATES["functional_interpreter_instr_per_s"] = rate
@@ -105,7 +106,7 @@ def test_fastpath_speedup_over_interpreter(kernel, capsys):
         return best
 
     Simulator(program, fast=True).run()  # warm the factory cache
-    slow = best_of(lambda: Simulator(program))
+    slow = best_of(lambda: Simulator(program, fast=False))
     fast = best_of(lambda: Simulator(program, fast=True))
     ratio = slow / fast
     RATES["fastpath_speedup_over_interpreter"] = ratio
@@ -118,7 +119,7 @@ def test_throughput_coupled_system(benchmark, kernel, capsys):
     program, plain = kernel
     config = paper_system("C3", 64, True)
     result = benchmark.pedantic(
-        lambda: CoupledSimulator(program, config).run(),
+        lambda: CoupledSimulator(program, config, fast=False).run(),
         rounds=3, iterations=1)
     assert result.output == plain.output
     rate = plain.stats.instructions / benchmark.stats.stats.mean
@@ -134,7 +135,7 @@ def test_throughput_fast_coupled_system(benchmark, kernel, capsys):
     config = paper_system("C3", 64, True)
     # Warm the program-level factory cache (core blocks and array
     # prefixes alike), as for the fast functional core.
-    warm = CoupledSimulator(program, config).run()
+    warm = CoupledSimulator(program, config, fast=False).run()
     assert CoupledSimulator(program, config, fast=True).run().stats \
         == warm.stats
     result = benchmark.pedantic(

@@ -56,7 +56,7 @@ def warm_runs():
     """Trace all 18 workloads up front so both timed paths replay
     in-memory traces — the comparison isolates the replay machinery."""
     jobs = int(os.environ.get("REPRO_JOBS", "1") or "1")
-    return collect_runs(workload_names(), jobs=jobs, fast=True)
+    return collect_runs(workload_names(), jobs=jobs)
 
 
 def event_suites(runs, memoized):
@@ -93,7 +93,7 @@ def test_matrix_vs_looped_suite(warm_runs, capsys):
     event_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    matrix = evaluate_matrix(CONFIGS, fast=True)
+    matrix = evaluate_matrix(CONFIGS)
     matrix_seconds = time.perf_counter() - start
 
     assert looped.results_json() == matrix.results_json()
@@ -127,11 +127,11 @@ def test_warm_disk_cache_vs_cold(warm_runs, tmp_path_factory, capsys):
     root = tmp_path_factory.mktemp("sweep-artifacts")
 
     start = time.perf_counter()
-    cold = evaluate_matrix(CONFIGS, fast=True, cache=ArtifactCache(root))
+    cold = evaluate_matrix(CONFIGS, cache=ArtifactCache(root))
     cold_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    warm = evaluate_matrix(CONFIGS, fast=True, cache=ArtifactCache(root))
+    warm = evaluate_matrix(CONFIGS, cache=ArtifactCache(root))
     warm_seconds = time.perf_counter() - start
 
     assert warm.results_json() == cold.results_json()

@@ -59,8 +59,7 @@ def _emit_results_json():
 
 @pytest.fixture(scope="module")
 def trace():
-    return run_program(load_workload(WORKLOAD), collect_trace=True,
-                       fast=True).trace
+    return run_program(load_workload(WORKLOAD), collect_trace=True).trace
 
 
 # ----------------------------------------------------------------------

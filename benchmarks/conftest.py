@@ -5,7 +5,7 @@ simulation each); it now happens at most once per machine: traces are
 served from the persistent artifact cache of
 :mod:`repro.system.artifacts` (location overridable with
 ``REPRO_CACHE_DIR``) and only simulated on a cold cache — through the
-block-compiled fast path, fanned across a process pool when
+block-compiled simulator, fanned across a process pool when
 ``REPRO_JOBS`` is set above 1.  The Table 2 sweep — every workload
 through every system configuration — runs through the matrix sweep
 engine's rows (:func:`repro.system.sweep.replay_matrix`): all
@@ -52,7 +52,7 @@ def traces() -> Dict[str, Trace]:
             loaded[name] = trace
     if missing:
         jobs = int(os.environ.get("REPRO_JOBS", "1") or "1")
-        runs = collect_runs(missing, jobs=jobs, fast=True)
+        runs = collect_runs(missing, jobs=jobs)
         for name in missing:
             loaded[name] = runs[name].trace
             cache.store(trace_artifact_key(cache, name), runs[name].trace)

@@ -124,7 +124,6 @@ class RunComparison:
 
 
 def run(target: Target, config: Optional[SystemConfig] = None,
-        fast: bool = False,
         telemetry: Optional[Telemetry] = None) -> RunComparison:
     """Run ``target`` on the plain MIPS and on the coupled system.
 
@@ -136,10 +135,9 @@ def run(target: Target, config: Optional[SystemConfig] = None,
     program = load_target(target)
     config = config if config is not None \
         else SystemSpec(array="C3").build()
-    plain = run_program(program, timing=config.timing, fast=fast,
+    plain = run_program(program, timing=config.timing,
                         telemetry=telemetry)
-    accelerated = run_coupled(program, config, fast=fast,
-                              telemetry=telemetry)
+    accelerated = run_coupled(program, config, telemetry=telemetry)
     assert accelerated.output == plain.output, \
         "accelerated run diverged from the plain run"
     baseline = SystemMetrics.from_stats("mips", plain.stats)
@@ -150,20 +148,24 @@ def run(target: Target, config: Optional[SystemConfig] = None,
 
 def evaluate(config: Optional[SystemConfig] = None,
              names: Optional[Iterable[str]] = None,
-             jobs: int = 1, fast: bool = False,
+             jobs: int = 1, fast: bool = True,
              energy_params: EnergyParams = EnergyParams()) -> SuiteResult:
-    """Evaluate the whole suite (or ``names``) against one system."""
+    """Evaluate the whole suite (or ``names``) against one system.
+
+    ``fast`` is accepted for old callers and ignored.
+    """
     from repro.workloads.suite import evaluate_suite
 
+    del fast
     config = config if config is not None else SystemSpec(
         array="C2", slots=64, speculation=True).build()
-    return evaluate_suite(config, names=names, jobs=jobs, fast=fast,
+    return evaluate_suite(config, names=names, jobs=jobs,
                           energy_params=energy_params)
 
 
 def sweep(configs: Optional[Sequence[SystemConfig]] = None,
           names: Optional[Iterable[str]] = None,
-          jobs: int = 1, fast: bool = False,
+          jobs: int = 1,
           cache: Optional[ArtifactCache] = None,
           telemetry: Optional[Telemetry] = None,
           energy_params: EnergyParams = EnergyParams()) -> MatrixResult:
@@ -178,7 +180,7 @@ def sweep(configs: Optional[Sequence[SystemConfig]] = None,
     from repro.system.sweep import evaluate_matrix, paper_matrix
 
     configs = list(configs) if configs is not None else paper_matrix()
-    return evaluate_matrix(configs, names=names, jobs=jobs, fast=fast,
+    return evaluate_matrix(configs, names=names, jobs=jobs,
                            cache=cache, telemetry=telemetry,
                            energy_params=energy_params)
 
@@ -202,7 +204,7 @@ def explore(space=None, strategy: str = "grid",
             objectives: Sequence[str] = ("speedup", "area"),
             workloads: Optional[Sequence[str]] = None,
             budget: Optional[int] = None, seed: int = 0,
-            jobs: int = 1, fast: bool = False,
+            jobs: int = 1,
             cache: Optional[ArtifactCache] = None, client=None,
             telemetry: Optional[Telemetry] = None, **kwargs):
     """Seeded, budget-bounded design-space exploration
@@ -218,7 +220,7 @@ def explore(space=None, strategy: str = "grid",
 
     return dse_explore(space=space, strategy=strategy,
                        objectives=objectives, workloads=workloads,
-                       budget=budget, seed=seed, jobs=jobs, fast=fast,
+                       budget=budget, seed=seed, jobs=jobs,
                        cache=cache, client=client,
                        telemetry=telemetry, **kwargs)
 

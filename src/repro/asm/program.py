@@ -33,7 +33,7 @@ class Program:
     decode_cache: Dict[int, tuple] = field(default_factory=dict,
                                            compare=False, repr=False)
     #: (pc, flags) -> compiled-block and ("prefix", pc, covered) ->
-    #: array-prefix factory cache for the fast path (see
+    #: array-prefix factory cache for the block compiler (see
     #: :mod:`repro.sim.fastpath`).  Holds exec-generated functions, so
     #: it is intentionally excluded from comparisons.
     fastpath_cache: Dict[tuple, tuple] = field(default_factory=dict,

@@ -3,9 +3,10 @@
 Usage (installed as ``python -m repro.cli``):
 
 - ``run <file.s|file.c|workload> [--array C3] [--slots 64] [--spec]
-  [--fast]`` — run a program or named workload on the plain MIPS and on
-  the coupled system, printing outputs, cycles, speedup and DIM
-  statistics (``--fast`` uses the block-compiled simulator).
+  [--telemetry t.jsonl]`` — run a program or named workload on the
+  plain MIPS and on the coupled system, printing outputs, cycles,
+  speedup and DIM statistics; ``--telemetry`` writes the runs' event
+  stream and counters as JSONL.
 - ``workloads`` — list the 18 MiBench-analog workloads.
 - ``inspect <file.s|workload> [--array C1] [--spec]`` — translate the
   hottest basic block and render the resulting array configuration.
@@ -15,7 +16,7 @@ Usage (installed as ``python -m repro.cli``):
   configurations; ``--metrics`` appends the unified telemetry counters
   as JSON.
 - ``suite [--array C2] [--slots 64] [--spec] [--json out.json]
-  [--jobs N] [--only a,b] [--fast]`` — evaluate the whole Table 2 suite
+  [--jobs N] [--only a,b]`` — evaluate the whole Table 2 suite
   (or a subset) against one system, optionally fanning workloads across
   ``N`` processes; JSON output is byte-identical for any ``--jobs``.
 - ``sweep [--arrays C1,C2] [--slots 16,64] [--spec both] [--ideal]
@@ -29,7 +30,7 @@ Usage (installed as ``python -m repro.cli``):
 - ``explore [--space spec.json] [--strategy grid|random|shalving|
   hillclimb] [--budget N] [--objectives speedup,area,energy]
   [--seed N] [--frontier out.json] [--area-budget GATES] [--only a,b]
-  [--jobs N] [--fast] [--url U] [--telemetry t.jsonl]
+  [--jobs N] [--url U] [--telemetry t.jsonl]
   [--cache-dir DIR] [--no-cache]`` — multi-objective design-space
   exploration (:mod:`repro.dse`): search the joint (array shape, cache
   slots, speculation, DIM policy) space with a seeded, budget-bounded
@@ -39,7 +40,7 @@ Usage (installed as ``python -m repro.cli``):
 - ``mpsoc [--preset sys-s|sys-m|sys-l | --area-budget GATES]
   [--mix name:w,...] [--cores 1,2,4] [--max-arrays N]
   [--serial-fraction F] [--strategy S] [--budget N] [--seed N]
-  [--objectives ...] [--frontier out.json] [--jobs N] [--fast]
+  [--objectives ...] [--frontier out.json] [--jobs N]
   [--url U] [--telemetry t.jsonl] [--cache-dir DIR] [--no-cache]``
   — explore heterogeneous MPSoC allocations (:mod:`repro.mpsoc`):
   split an area budget across plain MIPS cores and catalog arrays
@@ -98,12 +99,18 @@ Usage (installed as ``python -m repro.cli``):
   segment.
 
 Every subcommand that takes a system shares one option parent
-(``--array/--slots/--spec`` plus ``--fast/--jobs/--only`` where they
-apply) and builds its configurations through the single canonical
+(``--array/--slots/--spec`` plus ``--jobs/--only`` where they apply)
+and builds its configurations through the single canonical
 :class:`repro.system.config.SystemSpec` path.  ``--array`` and
 ``--arrays`` are the same option; both accept comma-separated lists,
 as does ``--slots``.  Commands that run exactly one system reject
 selections that expand to several.
+
+Every command simulates on the one production simulator, the block
+compiler of :mod:`repro.sim.fastpath`; the per-instruction interpreter
+is the reference the tests compare it against.  The commands that once
+took ``--fast`` to pick the compiler (run, suite, sweep, explore,
+mpsoc, submit) still accept it, hidden from ``--help``, and ignore it.
 """
 
 from __future__ import annotations
@@ -132,12 +139,12 @@ def _load_target(target: str) -> Program:
 
 
 def _shared_options(array: Optional[str], slots: str, spec: str,
-                    fast: bool = False, jobs: bool = False,
+                    jobs: bool = False,
                     only: bool = False) -> argparse.ArgumentParser:
     """The one option parent shared by every system-taking subcommand.
 
-    ``array``/``slots``/``spec`` set per-command defaults; ``fast``,
-    ``jobs`` and ``only`` opt the command into the execution options.
+    ``array``/``slots``/``spec`` set per-command defaults; ``jobs`` and
+    ``only`` opt the command into the execution options.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
@@ -157,10 +164,6 @@ def _shared_options(array: Optional[str], slots: str, spec: str,
              "predicated dual-path merge; needs speculation to take "
              "effect).  Paper arrays are lowered to their shape form, "
              "so configuration names become geometry names")
-    if fast:
-        parent.add_argument(
-            "--fast", action="store_true",
-            help="use the block-compiled simulator fast path")
     if jobs:
         parent.add_argument(
             "--jobs", type=int, default=1,
@@ -315,7 +318,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _activate_corpus(getattr(args, "corpus", None))
     program = _load_target(args.target)
     config = _single_config(args)
-    comparison = run(program, config=config, fast=args.fast)
+    telemetry = Telemetry() if args.telemetry else None
+    comparison = run(program, config=config, telemetry=telemetry)
     plain, accel = comparison.plain, comparison.accelerated
     print(f"plain MIPS : {plain.stats.cycles:,} cycles, "
           f"{plain.stats.instructions:,} instructions, "
@@ -336,6 +340,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"cache      : {accel.cache_hits:,}/{accel.cache_lookups:,} "
           f"hits, predictor accuracy "
           f"{accel.predictor_accuracy:.1%}")
+    _write_telemetry(telemetry, args.telemetry)
     return 0
 
 
@@ -412,8 +417,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     corpus_names = _activate_corpus(args.corpus)
     config = _single_config(args)
     names = _subset_names(args, corpus_names)
-    result = evaluate_suite(config, names=names, jobs=args.jobs,
-                            fast=args.fast)
+    result = evaluate_suite(config, names=names, jobs=args.jobs)
     print(format_suite(result))
     if args.json:
         with open(args.json, "w") as handle:
@@ -493,8 +497,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cache = _artifact_cache(args)
     telemetry = Telemetry() if args.telemetry else None
     matrix = evaluate_matrix(configs, names=names, jobs=args.jobs,
-                             fast=args.fast, cache=cache,
-                             telemetry=telemetry)
+                             cache=cache, telemetry=telemetry)
 
     print(f"{'system':16s} {'geomean speedup':>16s} "
           f"{'geomean energy':>15s}")
@@ -552,7 +555,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         result = explore(space=space, strategy=args.strategy,
                          objectives=objectives, workloads=names,
                          budget=args.budget, seed=args.seed,
-                         jobs=args.jobs, fast=args.fast, cache=cache,
+                         jobs=args.jobs, cache=cache,
                          client=client, telemetry=telemetry)
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -623,8 +626,8 @@ def _cmd_mpsoc(args: argparse.Namespace) -> int:
         result = explore_mix(spec, strategy=args.strategy,
                              objectives=objectives, budget=args.budget,
                              seed=args.seed, jobs=args.jobs,
-                             fast=args.fast, cache=cache,
-                             client=client, telemetry=telemetry)
+                             cache=cache, client=client,
+                             telemetry=telemetry)
     except InfeasibleBudgetError as exc:
         raise SystemExit(json.dumps(exc.as_dict(), sort_keys=True))
     except ValueError as exc:
@@ -733,8 +736,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         client = ServeClient(url or "http://127.0.0.1:8350")
     configs = [spec.to_dict() for spec in _build_specs(args)]
     names = _parse_workload_subset(args.only)
-    kwargs = dict(fast=args.fast, priority=args.priority,
-                  timeout=args.timeout)
+    kwargs = dict(priority=args.priority, timeout=args.timeout)
     try:
         if args.kind == "run":
             if not args.target:
@@ -923,7 +925,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
             arrival=args.arrival, burst=args.burst, zipf_s=args.zipf,
             hot_rotate=args.hot_rotate, priorities=priorities or (0,),
             deadline_fraction=args.deadline_fraction,
-            deadline=args.deadline, fast=not args.no_fast)
+            deadline=args.deadline)
         if args.dry_run:
             schedule = build_schedule(spec, names)
             print(f"{'#':>5s} {'at(s)':>8s} {'epoch':>5s} {'prio':>4s} "
@@ -987,9 +989,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser(
         "run", help="run a target plain and accelerated",
-        parents=[_shared_options("C3", "64", "off", fast=True),
-                 _corpus_options()])
+        parents=[_shared_options("C3", "64", "off"), _corpus_options()])
     run_p.add_argument("target")
+    run_p.add_argument("--telemetry", default=None,
+                       help="write the runs' telemetry event stream "
+                            "and counters as JSONL")
     run_p.set_defaults(func=_cmd_run)
 
     sub.add_parser("workloads",
@@ -1018,8 +1022,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     suite_p = sub.add_parser(
         "suite", help="evaluate the whole Table 2 suite",
-        parents=[_shared_options("C2", "64", "off", fast=True,
-                                 jobs=True, only=True),
+        parents=[_shared_options("C2", "64", "off", jobs=True,
+                                 only=True),
                  _corpus_options()])
     suite_p.add_argument("--json", default=None,
                          help="also write results as JSON")
@@ -1032,8 +1036,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="evaluate a workloads x configurations matrix with the "
              "sweep engine",
-        parents=[_shared_options(None, "16,64,256", "both", fast=True,
-                                 jobs=True, only=True),
+        parents=[_shared_options(None, "16,64,256", "both", jobs=True,
+                                 only=True),
                  _corpus_options()])
     sweep_p.add_argument("--corpus-only", action="store_true",
                          help="sweep only the --corpus kernels (skip "
@@ -1090,9 +1094,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore_p.add_argument("--jobs", type=int, default=1,
                            help="fan inline evaluation across N "
                                 "processes (results byte-identical)")
-    explore_p.add_argument("--fast", action="store_true",
-                           help="trace workloads through the "
-                                "block-compiled simulator")
     explore_p.add_argument("--url", default=None,
                            help="dispatch evaluation batches to a "
                                 "running repro serve instance")
@@ -1110,8 +1111,7 @@ def build_parser() -> argparse.ArgumentParser:
     mpsoc_p = sub.add_parser(
         "mpsoc",
         help="explore MPSoC core/array allocations for a traffic mix",
-        parents=[_shared_options("C1,C2,C3", "64", "on", fast=True,
-                                 jobs=True),
+        parents=[_shared_options("C1,C2,C3", "64", "on", jobs=True),
                  _corpus_options()])
     mpsoc_p.add_argument("--preset", default=None,
                          choices=("sys-s", "sys-m", "sys-l"),
@@ -1238,8 +1238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     submit_p = sub.add_parser(
         "submit", help="submit a job to a running service",
-        parents=[_shared_options("C2", "64", "off", fast=True,
-                                 only=True),
+        parents=[_shared_options("C2", "64", "off", only=True),
                  _corpus_options()])
     submit_p.add_argument("kind", choices=("run", "evaluate", "sweep"))
     submit_p.add_argument("target", nargs="?", default=None,
@@ -1349,9 +1348,6 @@ def build_parser() -> argparse.ArgumentParser:
     traffic_p.add_argument("--deadline", type=float, default=5.0,
                            help="the deadline (seconds) for that "
                                 "fraction")
-    traffic_p.add_argument("--no-fast", action="store_true",
-                           help="submit jobs without the "
-                                "block-compiled fast path")
     traffic_p.add_argument("--poll", type=float, default=0.05,
                            help="seconds between completion polls")
     traffic_p.add_argument("--drain-timeout", type=float, default=300.0,
@@ -1370,6 +1366,11 @@ def build_parser() -> argparse.ArgumentParser:
     disasm_p = sub.add_parser("disasm", help="disassemble a target")
     disasm_p.add_argument("target")
     disasm_p.set_defaults(func=_cmd_disasm)
+
+    # accepted from old scripts and ignored: one simulator serves all
+    for legacy in (run_p, suite_p, sweep_p, explore_p, mpsoc_p, submit_p):
+        legacy.add_argument("--fast", action="store_true",
+                            help=argparse.SUPPRESS)
     return parser
 
 

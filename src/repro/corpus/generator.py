@@ -340,10 +340,10 @@ def generate_kernel(seed: int, index: int,
                     knobs: Optional[KernelKnobs] = None) -> GeneratedKernel:
     """Generate, self-check and fingerprint one kernel.
 
-    Runs the learn pass and the verify pass through the interpreter (no
-    fast path: the architectural reference engine vouches for the
-    checksum).  Raises :class:`GenerationError` if the verify pass does
-    not exit 0 printing the learned checksum.
+    Runs the learn pass and the verify pass through the reference
+    interpreter, not the block compiler: the architectural reference
+    engine vouches for the checksum.  Raises :class:`GenerationError`
+    if the verify pass does not exit 0 printing the learned checksum.
     """
     from repro.asm import assemble
     from repro.sim import run_program
@@ -354,7 +354,7 @@ def generate_kernel(seed: int, index: int,
     learn_source = generate_source(seed, index, knobs, expected=None)
     learn_text = learn_source.replace(_EXPECTED_SLOT, "0x00000000")
     learn = run_program(assemble(learn_text), collect_trace=False,
-                        max_instructions=_RUN_CEILING)
+                        max_instructions=_RUN_CEILING, fast=False)
     output = learn.output.strip()
     if not output.startswith("0x") or len(output) != 10:
         raise GenerationError(
@@ -364,7 +364,7 @@ def generate_kernel(seed: int, index: int,
 
     source = generate_source(seed, index, knobs, expected=checksum)
     verify = run_program(assemble(source), collect_trace=True,
-                         max_instructions=_RUN_CEILING)
+                         max_instructions=_RUN_CEILING, fast=False)
     if verify.exit_code != 0 or verify.output != learn.output:
         raise GenerationError(
             f"kernel {kernel_name(seed, index)}: self-check failed "

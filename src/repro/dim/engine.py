@@ -5,7 +5,7 @@ reconfiguration cache, translator — and implements the run-time policies:
 translate a block the first time it retires, serve later executions from
 the cache, extend a cached configuration when its terminating branch
 saturates the bimodal counter, and flush a configuration after repeated
-mis-speculation.  Both the bit-exact coupled simulator and the fast
+mis-speculation.  Both the bit-exact coupled simulator and the
 trace-driven evaluator drive this same object, which is what keeps them
 in cycle-exact agreement.
 """
@@ -213,11 +213,11 @@ class DimEngine:
         stats.array_alu_ops += result.alu_ops
         stats.array_mult_ops += result.mult_ops
         stats.array_mem_ops += result.mem_ops
-        stats.array_cycles += config.exec_cycles
-        stats.array_line_cycles += \
-            result.lines_used * config.exec_cycles
+        cycles = config.exec_cycles
+        stats.array_cycles += cycles
+        stats.array_line_cycles += result.lines_used * cycles
         stats.array_potential_line_cycles += \
-            min(self.shape.rows, 1 << 20) * config.exec_cycles
+            min(self.shape.rows, 1 << 20) * cycles
         stall = max(0, config.reconfiguration_cycles
                     - self.params.reconfig_overlap)
         stats.reconfiguration_stalls += stall

@@ -82,7 +82,6 @@ def explore(space: Optional[ParameterSpace] = None,
             budget: Optional[int] = None,
             seed: int = 0,
             jobs: int = 1,
-            fast: bool = False,
             cache=None, client=None,
             base_dim=None, timing=None, energy_params=None,
             telemetry=None,
@@ -111,7 +110,7 @@ def explore(space: Optional[ParameterSpace] = None,
             timing=timing,
             energy_params=(energy_params if energy_params is not None
                            else EnergyParams()),
-            jobs=jobs, fast=fast, cache=cache, client=client,
+            jobs=jobs, cache=cache, client=client,
             telemetry=telemetry)
     start = time.perf_counter()
     evaluations = resolved_strategy.explore(

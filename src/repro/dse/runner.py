@@ -188,13 +188,12 @@ class _MatrixBacked(_RunnerBase):
     """
 
     def __init__(self, workloads: Sequence[str],
-                 energy_params: EnergyParams, jobs: int, fast: bool,
+                 energy_params: EnergyParams, jobs: int,
                  cache: Optional[ArtifactCache], client,
                  telemetry: Optional[Telemetry]):
         super().__init__(workloads, telemetry)
         self.energy_params = energy_params
         self.jobs = jobs
-        self.fast = fast
         self.cache = cache
         self.client = client
         #: the inline sweep rows every batch of this runner replays.
@@ -213,12 +212,12 @@ class _MatrixBacked(_RunnerBase):
             document = evaluate_matrix(
                 [spec.build(timing) for spec in specs], names=list(names),
                 energy_params=self.energy_params, jobs=self.jobs,
-                fast=self.fast, cache=self.cache, telemetry=self.telemetry,
+                cache=self.cache, telemetry=self.telemetry,
                 row_store=self.row_store).results_json()
         else:
             job = self.client.submit(
                 "sweep", configs=[spec.to_dict() for spec in specs],
-                names=list(names), fast=self.fast)
+                names=list(names))
             document = self.client.wait(job["job_id"])["result"][
                 "matrix_json"]
             self.stats.dispatched_batches += 1
@@ -234,12 +233,12 @@ class MatrixRunner(_MatrixBacked):
                  base_dim: Optional[DimParams] = None,
                  timing: Optional[TimingModel] = None,
                  energy_params: EnergyParams = EnergyParams(),
-                 jobs: int = 1, fast: bool = False,
+                 jobs: int = 1,
                  cache: Optional[ArtifactCache] = None, client=None,
                  telemetry: Optional[Telemetry] = None):
         super().__init__(workloads if workloads is not None
                          else workload_names(), energy_params, jobs,
-                         fast, cache, client, telemetry)
+                         cache, client, telemetry)
         if client is not None and timing is not None \
                 and timing != TimingModel():
             raise ValueError("serve dispatch evaluates under the "

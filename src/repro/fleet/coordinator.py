@@ -31,7 +31,7 @@ adds:
   crash after completion loses nothing and clients never talk to
   workers directly.
 - **Load shedding.**  ``max_inflight`` bounds the jobs the fleet holds
-  un-finished.  Beyond it, submissions fail fast with the structured
+  un-finished.  Beyond it, submissions fail at once with the structured
   ``fleet_saturated`` error (HTTP 429) instead of queueing without
   bound — the streaming client (:mod:`repro.fleet.client`) backs off
   and retries on exactly that code.

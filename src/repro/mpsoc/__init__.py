@@ -21,7 +21,7 @@ per-workload rows (:mod:`repro.mpsoc.dispatch`,
 
 >>> from repro import mpsoc
 >>> result = mpsoc.explore_mix(preset="sys-s", mix="crc:2,sha:1",
-...                            strategy="grid", fast=True)
+...                            strategy="grid")
 >>> len(result.frontier.points) >= 1
 True
 """
@@ -96,7 +96,6 @@ def explore_mix(spec: Optional[MpsocSpec] = None, *,
                 budget: Optional[int] = None,
                 seed: int = 0,
                 jobs: int = 1,
-                fast: bool = False,
                 cache=None, client=None,
                 energy_params=None, telemetry=None,
                 **spec_kwargs) -> MpsocExploration:
@@ -127,7 +126,7 @@ def explore_mix(spec: Optional[MpsocSpec] = None, *,
         spec, space,
         energy_params=(energy_params if energy_params is not None
                        else EnergyParams()),
-        jobs=jobs, fast=fast, cache=cache, client=client,
+        jobs=jobs, cache=cache, client=client,
         telemetry=telemetry)
     feasible = len(space.candidates())
     runner.stats.feasible_allocations = feasible

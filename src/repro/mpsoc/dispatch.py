@@ -123,10 +123,10 @@ class MpsocRunner(_MatrixBacked):
 
     def __init__(self, spec: MpsocSpec, space: AllocationSpace,
                  energy_params: EnergyParams = EnergyParams(),
-                 jobs: int = 1, fast: bool = False,
+                 jobs: int = 1,
                  cache: Optional[ArtifactCache] = None, client=None,
                  telemetry: Optional[Telemetry] = None):
-        super().__init__(spec.workloads, energy_params, jobs, fast, cache,
+        super().__init__(spec.workloads, energy_params, jobs, cache,
                          client, telemetry)
         self.spec = spec
         self.space = space

@@ -2,7 +2,7 @@
 
 One hierarchy of named counters, timers and a bounded schema'd event
 stream, threaded through every layer that used to keep private
-counters: the simulator and its fast path, the DIM engine with its
+counters: the simulator and its block compiler, the DIM engine with its
 reconfiguration cache and predictor, and the matrix sweep engine.
 
 Entry points

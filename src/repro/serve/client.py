@@ -19,7 +19,7 @@ per-request TCP setup.
 >>> job = client.submit("evaluate",
 ...                     configs=[{"array": "C2", "slots": 64,
 ...                               "speculation": True}],
-...                     names=["crc"], fast=True)
+...                     names=["crc"])
 >>> result = client.wait(job["job_id"])
 >>> print(result["result"]["suite_json"])
 """
@@ -191,12 +191,11 @@ class ServeClient:
     # ------------------------------------------------------------------
     def submit(self, kind: str, configs: Optional[List[Dict]] = None,
                names: Optional[List[str]] = None,
-               target: Optional[str] = None, fast: bool = False,
+               target: Optional[str] = None,
                priority: int = 0,
                timeout: Optional[float] = None) -> Dict[str, object]:
         """Submit one job; returns its status (``job_id``, ``state``)."""
-        body: Dict[str, object] = {"kind": kind, "fast": fast,
-                                   "priority": priority}
+        body: Dict[str, object] = {"kind": kind, "priority": priority}
         if configs is not None:
             body["configs"] = configs
         if names is not None:

@@ -30,7 +30,11 @@ A *job spec* is::
      "configs": [{"array": "C2", "slots": 64,
                   "speculation": true}, ...],
      "names": ["crc", ...] | null,       # evaluate/sweep workload subset
-     "fast": bool, "priority": int, "timeout": seconds | null}
+     "priority": int, "timeout": seconds | null}
+
+Every job runs on the one production (block-compiled) simulator.  Old
+clients may still send ``"fast": bool``: it must be a boolean, and is
+then dropped, so it never splits a batch.
 
 A config object names either a Table 1 array (``"array"``) or — for
 design-space exploration clients (:mod:`repro.dse`) — an arbitrary
@@ -165,7 +169,6 @@ class JobRequest:
     configs: Tuple[ConfigSpec, ...] = ()
     names: Optional[Tuple[str, ...]] = None
     target: Optional[str] = None
-    fast: bool = False
     priority: int = 0
     timeout: Optional[float] = None
 
@@ -175,17 +178,17 @@ class JobRequest:
         share one trace and one columnar context.
 
         ``evaluate``/``sweep`` jobs replay the same workload traces
-        whenever (names, fast) agree — their configurations may differ
+        whenever their names agree — their configurations may differ
         freely, that is exactly what the matrix replay shares.  ``run``
         jobs re-execute the coupled system, so they only share the
         plain-run cache of one target.
         """
         if self.kind == "run":
-            identity = ("run", self.target, self.fast)
+            identity = ("run", self.target)
         else:
             names = self.names if self.names is not None \
                 else tuple(workload_names())
-            identity = ("matrix", names, self.fast)
+            identity = ("matrix", names)
         digest = hashlib.sha256(repr(identity).encode())
         return digest.hexdigest()[:16]
 
@@ -194,7 +197,6 @@ class JobRequest:
             "kind": self.kind,
             "configs": [config_spec_dict(spec)
                         for spec in self.configs],
-            "fast": self.fast,
             "priority": self.priority,
             "timeout": self.timeout,
         }
@@ -385,8 +387,8 @@ def validate_submission(payload: object) -> JobRequest:
             f"unknown job kind {kind!r}: expected one of "
             f"{', '.join(JOB_KINDS)}", "kind")
 
-    fast = payload.get("fast", False)
-    _require(isinstance(fast, bool), "bad_param",
+    # accepted from old clients and dropped: one simulator serves all
+    _require(isinstance(payload.get("fast", False), bool), "bad_param",
              "fast must be a boolean", "fast")
     priority = payload.get("priority", 0)
     _require(isinstance(priority, int) and not isinstance(priority, bool),
@@ -437,7 +439,7 @@ def validate_submission(payload: object) -> JobRequest:
     _require(not unknown, "bad_param",
              f"unknown fields: {sorted(unknown)}")
     return JobRequest(kind=kind, configs=configs, names=names,
-                      target=target, fast=fast, priority=priority,
+                      target=target, priority=priority,
                       timeout=timeout)
 
 

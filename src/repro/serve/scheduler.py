@@ -97,7 +97,6 @@ def run_batch(spec: BatchSpec) -> Dict[str, object]:
     cache = (ArtifactCache(Path(cache_root),
                            scope=spec.get("cache_scope"))
              if cache_root else None)
-    fast = bool(spec["fast"])
     results: Dict[str, object] = {}
     counters: Dict[str, int] = {}
 
@@ -106,7 +105,7 @@ def run_batch(spec: BatchSpec) -> Dict[str, object]:
 
         for job_spec in spec["jobs"]:
             config = _build_configs(job_spec["configs"])[0]
-            comparison = run(spec["target"], config=config, fast=fast)
+            comparison = run(spec["target"], config=config)
             results[job_spec["id"]] = {
                 "kind": "run",
                 "target": spec["target"],
@@ -128,7 +127,7 @@ def run_batch(spec: BatchSpec) -> Dict[str, object]:
             if config.name not in seen:
                 seen.add(config.name)
                 union.append(config)
-    matrix = evaluate_matrix(union, names=names, fast=fast, cache=cache,
+    matrix = evaluate_matrix(union, names=names, cache=cache,
                              row_store=_WORKER_ROWS)
     for job_spec in spec["jobs"]:
         configs = _build_configs(job_spec["configs"])
@@ -239,7 +238,6 @@ class BatchScheduler:
         lead = batch[0].request
         spec: BatchSpec = {
             "mode": "run" if lead.kind == "run" else "matrix",
-            "fast": lead.fast,
             "cache_root": self.cache_root,
             "cache_scope": (lead.fingerprint if self.scoped_cache
                             and self.cache_root else None),

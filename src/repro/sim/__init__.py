@@ -4,7 +4,7 @@ The simulator executes programs produced by :mod:`repro.asm` or
 :mod:`repro.minic`, models the timing of a single-issue in-order R3000-class
 pipeline (load-use interlock, taken-branch penalty, multiply/divide
 latency), services SPIM-style syscalls, and can record the basic-block
-trace that drives the fast DIM evaluator in :mod:`repro.system.traceeval`.
+trace that drives the DIM trace evaluator in :mod:`repro.system.traceeval`.
 """
 
 from repro.sim.cache import CacheConfig, CacheHierarchy, CacheModel

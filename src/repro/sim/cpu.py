@@ -11,6 +11,11 @@ traces with cycle-exact agreement.
 
 The core exposes a :meth:`Simulator.step` API so the coupled MIPS+DIM
 simulator can interleave normal execution with array execution.
+
+Production runs are block-compiled (:mod:`repro.sim.fastpath`) and
+bit-identical to the per-instruction interpreter; ``fast=False`` selects
+that interpreter, the reference the differential tests compare against.
+Runs with caches configured always interpret.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ class Simulator:
                  collect_trace: bool = False,
                  max_instructions: int = 200_000_000,
                  caches: Optional[CacheHierarchy] = None,
-                 fast: bool = False,
+                 fast: bool = True,
                  telemetry=None):
         self.program = program
         self.telemetry = telemetry if telemetry is not None \
@@ -112,14 +117,13 @@ class Simulator:
         self._block_start = self.pc
         self._last_load_dest: Optional[int] = None
         self._hilo_ready = 0
-        self.fast = fast
-        self._fast_engine = None
-        # Cache timing is address-dependent, so the block-compiled fast
-        # path only engages on the (default) ideal-memory configuration.
+        self._block_compiler = None
+        # Cache timing is address-dependent, so the block compiler only
+        # engages on the (default) ideal-memory configuration.
         if fast and self.caches.icache is None \
                 and self.caches.dcache is None:
             from repro.sim.fastpath import FastPath
-            self._fast_engine = FastPath(self)
+            self._block_compiler = FastPath(self)
 
     @property
     def stats(self) -> RunStats:
@@ -286,12 +290,12 @@ class Simulator:
         """Execute until the program exits."""
         telemetry = self.telemetry
         start = _perf_counter() if telemetry.enabled else 0.0
-        engine = self._fast_engine
+        engine = self._block_compiler
         if engine is not None:
             engine.run_to_exit()
             # the compiled blocks close over this simulator; dropping
             # them at exit leaves no cycle for the collector to find.
-            self._fast_engine = None
+            self._block_compiler = None
         else:
             while self.exit_code is None:
                 self.step()
@@ -306,11 +310,11 @@ class Simulator:
     def step_block(self) -> StepOutcome:
         """Execute through the end of the current basic block.
 
-        Uses the block-compiled fast path when enabled; otherwise steps
-        the interpreter.  Either way the returned outcome has
-        ``block_end=True`` and identical architectural effects.
+        Runs the compiled block when the block compiler is engaged;
+        otherwise steps the interpreter.  Either way the returned outcome
+        has ``block_end=True`` and identical architectural effects.
         """
-        engine = self._fast_engine
+        engine = self._block_compiler
         if engine is not None:
             return engine.run_block()
         while True:
@@ -364,7 +368,7 @@ def run_program(program: Program, collect_trace: bool = False,
                 timing: Optional[TimingModel] = None,
                 max_instructions: int = 200_000_000,
                 caches: Optional[CacheHierarchy] = None,
-                fast: bool = False,
+                fast: bool = True,
                 telemetry=None) -> RunResult:
     """One-shot convenience: simulate ``program`` to completion."""
     sim = Simulator(program, timing=timing, collect_trace=collect_trace,

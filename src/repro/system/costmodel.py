@@ -113,7 +113,7 @@ class BlockCostModel:
 
 
 #: process-wide cost models, one per timing configuration.  Sharing one
-#: model across every trace evaluation and fast-path compilation means a
+#: model across every trace evaluation and block compilation means a
 #: block's cost is computed exactly once per process, no matter how many
 #: system configurations the sweep replays it under.  Costs are keyed by
 #: block identity, so entries live as long as the block table that owns

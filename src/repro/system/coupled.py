@@ -8,11 +8,11 @@ predicted direction — so architectural state (registers, memory, program
 output) is provably identical to a plain run, which the test suite
 asserts.
 
-With ``fast=True`` both sides are block-compiled by
-:mod:`repro.sim.fastpath`: the core runs compiled blocks, and each
-array-covered prefix runs as one compiled closure (:meth:`_run_prefix`),
-whose stores to ``.text`` raise ``SimulationError`` like the core's.
-Interpreted runs, and any run with caches configured (an array load or
+By default both sides are block-compiled by :mod:`repro.sim.fastpath`:
+the core runs compiled blocks, and each array-covered prefix runs as one
+compiled closure (:meth:`_run_prefix`), whose stores to ``.text`` raise
+``SimulationError`` like the core's.  The reference interpreter
+(``fast=False``), and any run with caches configured (an array load or
 store charges the data cache per address), execute covered
 instructions one at a time through :meth:`_exec_functional`.
 """
@@ -75,7 +75,7 @@ class CoupledSimulator:
 
     def __init__(self, program: Program, config: SystemConfig,
                  max_instructions: int = 200_000_000,
-                 caches=None, fast: bool = False, telemetry=None):
+                 caches=None, fast: bool = True, telemetry=None):
         self.config = config
         self.sim = Simulator(program, timing=config.timing,
                              collect_trace=False,
@@ -115,7 +115,7 @@ class CoupledSimulator:
                     entered_at_start = at_start
                     continue
             # Execute to the end of the (possibly partially resumed)
-            # block in one call — block-compiled when fast is enabled.
+            # block in one call — block-compiled unless interpreting.
             outcome = sim.step_block()
             block = sim.block_at(block_start)
             if block.is_conditional:
@@ -126,7 +126,7 @@ class CoupledSimulator:
             entered_at_start = True
             block_start = outcome.next_pc
         # as in Simulator.run: free the compiled blocks and their cycle
-        sim._fast_engine = None
+        sim._block_compiler = None
         cache = engine.cache
         if engine.telemetry.enabled:
             from repro.obs.schema import engine_counters
@@ -345,13 +345,13 @@ class CoupledSimulator:
     def _run_prefix(self, block: BasicBlock, covered: int) -> None:
         """Functionally execute ``block``'s array-covered prefix.
 
-        Block-compiled when the core runs the fast path; otherwise (and
+        Block-compiled when the core runs compiled blocks; otherwise (and
         always with caches configured, whose data-cache timing needs each
         address) one :meth:`_exec_functional` call per instruction.
         """
-        fast = self.sim._fast_engine
-        if fast is not None:
-            fast.prefix(block, covered)(True)
+        compiled = self.sim._block_compiler
+        if compiled is not None:
+            compiled.prefix(block, covered)(True)
             return
         for instr in block.instructions[:covered]:
             self._exec_functional(instr)
@@ -405,7 +405,7 @@ class CoupledSimulator:
 
 def run_coupled(program: Program, config: SystemConfig,
                 max_instructions: int = 200_000_000,
-                caches=None, fast: bool = False,
+                caches=None, fast: bool = True,
                 telemetry=None) -> CoupledRunResult:
     """One-shot convenience wrapper."""
     return CoupledSimulator(program, config, max_instructions,

@@ -215,7 +215,7 @@ def coltrace_artifact_key(cache: ArtifactCache, name: str) -> str:
 # ----------------------------------------------------------------------
 # Trace acquisition (layer 1 + layer 3).
 # ----------------------------------------------------------------------
-def _obtain_trace(name: str, fast: bool, cache: Optional[ArtifactCache],
+def _obtain_trace(name: str, cache: Optional[ArtifactCache],
                   inst: SweepInstrumentation) -> Trace:
     """One workload's trace: a run a :func:`run_workload` caller left in
     memory, the disk artifact, or a fresh trace (which nothing in the
@@ -234,7 +234,7 @@ def _obtain_trace(name: str, fast: bool, cache: Optional[ArtifactCache],
             if trace is not None:
                 inst.traces_from_disk += 1
                 return trace
-        trace = trace_workload(name, fast=fast)
+        trace = trace_workload(name)
         inst.traces_simulated += 1
         if cache is not None:
             cache.store(key, trace)
@@ -256,7 +256,7 @@ def _lowered(name: str, trace: Trace, cache: Optional[ArtifactCache]
             coltrace is not None)
 
 
-def _workload_row(name: str, fast: bool, cache: Optional[ArtifactCache],
+def _workload_row(name: str, cache: Optional[ArtifactCache],
                   row_store: Optional[RowStore],
                   inst: SweepInstrumentation
                   ) -> Tuple[ColumnarContext, bool]:
@@ -268,7 +268,7 @@ def _workload_row(name: str, fast: bool, cache: Optional[ArtifactCache],
     if entry is not None and entry[0] == source:
         inst.traces_in_memory += 1
         return entry[1], True
-    context, loaded = _lowered(name, _obtain_trace(name, fast, cache, inst),
+    context, loaded = _lowered(name, _obtain_trace(name, cache, inst),
                                cache)
     if row_store is not None:
         row_store[name] = (source, context)
@@ -448,11 +448,11 @@ def _matrix_worker(args):
     the parent re-emits in task order, so the merged stream is
     deterministic regardless of worker scheduling.
     """
-    name, configs, fast, cache_root, events_max = args
+    name, configs, cache_root, events_max = args
     cache = ArtifactCache(cache_root) if cache_root is not None else None
     telemetry = Telemetry(events_max) if events_max is not None else None
     baselines, cell_metrics, inst = _sweep_workload(
-        name, partial(_workload_row, name, fast, cache, None), configs,
+        name, partial(_workload_row, name, cache, None), configs,
         cache, telemetry)
     payload = telemetry.export_payload() if telemetry is not None else None
     return name, baselines, cell_metrics, inst, payload
@@ -561,7 +561,6 @@ def evaluate_matrix(configs: Sequence[SystemConfig],
                     names: Optional[Iterable[str]] = None,
                     energy_params: EnergyParams = EnergyParams(),
                     jobs: int = 1,
-                    fast: bool = False,
                     cache: Optional[ArtifactCache] = None,
                     telemetry: Optional[Telemetry] = None,
                     row_store: Optional[RowStore] = None
@@ -600,7 +599,7 @@ def evaluate_matrix(configs: Sequence[SystemConfig],
         if observing:
             events_max = (telemetry.events.max_events
                           if telemetry.events is not None else 0)
-        tasks = [(name, configs, fast,
+        tasks = [(name, configs,
                   cache.root if cache is not None else None, events_max)
                  for name in names]
         with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
@@ -613,7 +612,7 @@ def evaluate_matrix(configs: Sequence[SystemConfig],
     else:
         for name in names:
             baselines, cells, row_inst = _sweep_workload(
-                name, partial(_workload_row, name, fast, cache, row_store),
+                name, partial(_workload_row, name, cache, row_store),
                 configs, cache, telemetry)
             rows[name] = (baselines, cells)
             inst.merge_counters(row_inst)

@@ -161,7 +161,7 @@ class _Submitter(threading.Thread):
             try:
                 job = self.client.submit(
                     "evaluate", configs=[dict(self.config)],
-                    names=[request.name], fast=self.spec.fast,
+                    names=[request.name],
                     priority=request.priority, timeout=request.deadline)
             except ServeError as error:
                 with state.lock:

@@ -57,7 +57,6 @@ class TrafficSpec:
     deadline_fraction: float = 0.0
     #: the deadline (seconds) attached to that fraction.
     deadline: float = 5.0
-    fast: bool = True
 
     def to_dict(self) -> Dict[str, object]:
         payload = asdict(self)

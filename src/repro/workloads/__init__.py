@@ -220,50 +220,44 @@ def load_workload(name: str) -> Program:
 
 
 def run_workload(name: str, collect_trace: bool = True,
-                 fast: bool = False) -> RunResult:
+                 fast: bool = True) -> RunResult:
     """Execute (with caching) one workload on the plain MIPS core.
 
     The cached result carries the basic-block trace every benchmark
     harness replays; runs are cached because tracing a workload is the
-    expensive step of the evaluation.  ``fast`` routes execution through
-    the block-compiled engine (:mod:`repro.sim.fastpath`), which yields a
-    bit-identical result — so the cache is shared between both modes.
+    expensive step of the evaluation.  Runs are block-compiled
+    (:mod:`repro.sim.fastpath`); ``fast`` is accepted for old callers
+    and ignored.
     """
+    del fast
     cached = _RUNS.get(name)
     if cached is not None:
         return cached
-    result = _run_checked(name, collect_trace, fast)
+    result = _run_checked(name, collect_trace)
     _RUNS[name] = result
     return result
 
 
-def trace_workload(name: str, fast: bool = False) -> Trace:
+def trace_workload(name: str) -> Trace:
     """Trace one workload on the plain MIPS core, without caching.
 
     For callers that own the trace's lifetime (a sweep row): nothing in
     the process keeps the run, so the trace is freed with its last
     reference.
     """
-    return _run_checked(name, True, fast).trace
+    return _run_checked(name, True).trace
 
 
-def _run_checked(name: str, collect_trace: bool, fast: bool) -> RunResult:
-    result = run_program(load_workload(name), collect_trace=collect_trace,
-                         fast=fast)
+def _run_checked(name: str, collect_trace: bool) -> RunResult:
+    result = run_program(load_workload(name), collect_trace=collect_trace)
     if result.exit_code != 0:
         raise RuntimeError(
             f"workload {name} exited with {result.exit_code}")
     return result
 
 
-def _run_worker(args: Tuple[str, bool]) -> Tuple[str, RunResult]:
-    """Process-pool entry point: trace one workload in a worker."""
-    name, fast = args
-    return name, run_workload(name, fast=fast)
-
-
-def collect_runs(names: Optional[List[str]] = None, jobs: int = 1,
-                 fast: bool = False) -> Dict[str, RunResult]:
+def collect_runs(names: Optional[List[str]] = None,
+                 jobs: int = 1) -> Dict[str, RunResult]:
     """Trace many workloads, optionally fanned across processes.
 
     With ``jobs > 1`` the uncached workloads are compiled and traced in a
@@ -279,10 +273,10 @@ def collect_runs(names: Optional[List[str]] = None, jobs: int = 1,
 
         with ProcessPoolExecutor(
                 max_workers=min(jobs, len(pending))) as pool:
-            for name, result in pool.map(
-                    _run_worker, [(n, fast) for n in pending]):
+            for name, result in zip(pending,
+                                    pool.map(run_workload, pending)):
                 _RUNS[name] = result
     else:
         for name in pending:
-            run_workload(name, fast=fast)
+            run_workload(name)
     return {name: _RUNS[name] for name in names}

@@ -97,17 +97,14 @@ def result_from_metrics(name: str, config: SystemConfig,
 def evaluate_suite(config: Optional[SystemConfig] = None,
                    names: Optional[Iterable[str]] = None,
                    energy_params: EnergyParams = EnergyParams(),
-                   jobs: int = 1,
-                   fast: bool = False) -> SuiteResult:
+                   jobs: int = 1) -> SuiteResult:
     """Evaluate workloads against ``config`` (default: C#2/64/spec).
 
     The one-configuration column of
     :func:`repro.system.sweep.evaluate_matrix`, so it shares that
     engine and its ``jobs`` process pool; the JSON output is
     byte-identical for any ``jobs``.  Like a one-shot matrix, it frees
-    each workload's trace once that workload is evaluated.  ``fast``
-    traces workloads through the block-compiled simulator
-    (bit-identical by invariant).
+    each workload's trace once that workload is evaluated.
     """
     # deferred to dodge the repro.system.sweep <-> suite import cycle
     from repro.system.sweep import evaluate_matrix
@@ -115,8 +112,8 @@ def evaluate_suite(config: Optional[SystemConfig] = None,
     config = config or paper_system("C2", 64, True)
     names = list(names) if names is not None else workload_names()
     return evaluate_matrix([config], names=names,
-                           energy_params=energy_params, jobs=jobs,
-                           fast=fast).suites[0]
+                           energy_params=energy_params,
+                           jobs=jobs).suites[0]
 
 
 def format_suite(result: SuiteResult) -> str:

@@ -10,7 +10,7 @@ As a script it takes the selection options of ``repro sweep`` and
 writes the oracle JSON of the same cells::
 
     PYTHONPATH=src python -m tests.oracle --only crc,sha \\
-        --arrays C1,C3 --slots 16,64 --fast --json oracle.json
+        --arrays C1,C3 --slots 16,64 --json oracle.json
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from repro.workloads.suite import SuiteResult, result_from_metrics
 
 
 def event_matrix(configs: Sequence[SystemConfig],
-                 names: Optional[Sequence[str]] = None,
-                 fast: bool = False) -> MatrixResult:
+                 names: Optional[Sequence[str]] = None) -> MatrixResult:
     """Every cell evaluated alone on the event engine."""
     names = list(names) if names is not None else workload_names()
-    traces = {name: run_workload(name, fast=fast).trace for name in names}
+    traces = {name: run_workload(name).trace for name in names}
     suites = []
     for config in configs:
         suites.append(SuiteResult(config.name, [
@@ -49,8 +48,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(["sweep", *(argv or sys.argv[1:])])
     corpus_names = _activate_corpus(args.corpus)
     matrix = event_matrix(_build_configs(args),
-                          _subset_names(args, corpus_names),
-                          fast=args.fast)
+                          _subset_names(args, corpus_names))
     with open(args.json, "w") as handle:
         handle.write(matrix.results_json())
     return 0

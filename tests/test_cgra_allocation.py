@@ -343,7 +343,7 @@ def test_workload_bodies_match_reference_placer(name):
     """Every occurring block body of a workload, on each paper array,
     places identically through the translator's record walk and the
     reference placer (conditional terminators included)."""
-    blocks = run_workload(name, fast=True).trace.table.blocks
+    blocks = run_workload(name).trace.table.blocks
     for array in ("C1", "C2", "C3"):
         shape = PAPER_SHAPES[array]
         for block in blocks:

@@ -1,5 +1,6 @@
 """The command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def test_workloads_listing(capsys):
@@ -106,6 +107,30 @@ def test_inspect_block_too_short(tmp_path, capsys):
         assert "too short" in out
     else:
         assert "line " in out
+
+
+def test_run_block_compiles_without_any_flag(tmp_path, capsys):
+    """One production simulator: a plain ``repro run`` takes the block
+    compiler, and the legacy ``--fast`` changes no byte of its report."""
+    log = tmp_path / "run.jsonl"
+    args = ["run", "crc", "--array", "C1", "--slots", "16"]
+    assert main(args + ["--telemetry", str(log)]) == 0
+    report = capsys.readouterr().out
+    counters = json.loads(log.read_text().splitlines()[-1])
+    assert counters["type"] == "counters"
+    assert counters["fastpath.blocks_compiled"] > 0
+    assert main(args + ["--fast"]) == 0
+    assert report.startswith(capsys.readouterr().out)
+
+
+def test_legacy_fast_flag_parses_but_is_hidden(capsys):
+    parser = build_parser()
+    for argv in (["run", "crc", "--fast"], ["sweep", "--fast"]):
+        assert parser.parse_args(argv).fast is True
+    for command in ("run", "sweep"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        assert "--fast" not in capsys.readouterr().out
 
 
 def test_unknown_target():

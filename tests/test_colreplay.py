@@ -69,7 +69,7 @@ def assert_same_metrics(columnar, event):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", workload_names())
 def test_columnar_matches_event_engine(name):
-    trace = run_workload(name, fast=True).trace
+    trace = run_workload(name).trace
     context = ColumnarContext(trace, name=name)
     memo = TranslationMemo()
     seen_timings = set()
@@ -88,7 +88,7 @@ def test_columnar_matches_event_engine(name):
 def test_columnar_metrics_json_serialisable():
     """Every metric must be a plain int/float — numpy scalars would
     break the deterministic JSON reports."""
-    trace = run_workload("crc", fast=True).trace
+    trace = run_workload("crc").trace
     metrics = evaluate_trace_columnar(trace, paper_system("C2", 64, True),
                                       name="crc")
     json.dumps(dataclasses.asdict(metrics))
@@ -98,7 +98,7 @@ def test_columnar_metrics_json_serialisable():
 # The persisted columnar lowering.
 # ----------------------------------------------------------------------
 def test_coltrace_payload_roundtrip():
-    trace = run_workload("crc", fast=True).trace
+    trace = run_workload("crc").trace
     lowered = ColumnarTrace(trace)
     lowered.timeline(512)
     assert lowered.timelines_built == 1
@@ -117,7 +117,7 @@ def test_coltrace_payload_roundtrip():
 
 
 def test_coltrace_payload_stale_detection():
-    trace = run_workload("crc", fast=True).trace
+    trace = run_workload("crc").trace
     good = ColumnarTrace(trace).to_payload()
     assert ColumnarTrace.from_payload(trace, {"version": -1}) is None
     assert ColumnarTrace.from_payload(trace, "not a dict") is None
@@ -133,7 +133,7 @@ def test_columnar_counters_in_schema():
     name; the sweep has no per-engine cell count since every live cell
     is columnar."""
     config = paper_system("C2", 16, True)
-    context = ColumnarContext(run_workload("crc", fast=True).trace)
+    context = ColumnarContext(run_workload("crc").trace)
     metrics = evaluate_trace_columnar(context.trace, config,
                                       context=context)
     counters = metrics_counters(metrics, context.coltrace.timeline(
@@ -189,7 +189,7 @@ def test_translation_memo_answers_any_query_order(name, dynflow):
 
     config = custom_system(PAPER_SHAPES["C2"], DimParams(
         cache_slots=64, speculation=True, dynflow_mode=dynflow))
-    trace = run_workload(name, fast=True).trace
+    trace = run_workload(name).trace
     context = ColumnarContext(trace, name=name)
     memo = context.translation_timeline(config)
     first_event_by_pc = context.coltrace.first_event_by_pc
@@ -222,12 +222,12 @@ def test_translation_memo_answers_any_query_order(name, dynflow):
 def test_cli_sweep_matches_event_oracle(tmp_path):
     out = tmp_path / "sweep.json"
     code = main(["sweep", "--only", "crc", "--arrays", "C1,C3",
-                 "--slots", "16", "--spec", "both", "--fast",
+                 "--slots", "16", "--spec", "both",
                  "--no-cache", "--json", str(out)])
     assert code == 0
     configs = [paper_system(array, 16, spec)
                for array in ("C1", "C3") for spec in (False, True)]
-    oracle = event_matrix(configs, ["crc"], fast=True)
+    oracle = event_matrix(configs, ["crc"])
     assert out.read_text() == oracle.results_json()
 
 

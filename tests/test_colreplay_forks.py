@@ -52,7 +52,7 @@ def replay(trace):
 
 @pytest.fixture(scope="module")
 def default_split():
-    trace = run_workload(WORKLOAD, fast=True).trace
+    trace = run_workload(WORKLOAD).trace
     return trace, replay(trace)
 
 

@@ -271,8 +271,7 @@ def test_register_corpus_makes_ordinary_workloads(corpus24):
 
 def test_registered_kernels_run_and_accelerate(corpus24):
     names = register_corpus(corpus24)
-    result = api.run(names[0], config=api.SystemSpec(array="C2").build(),
-                     fast=True)
+    result = api.run(names[0], config=api.SystemSpec(array="C2").build())
     assert result.plain.exit_code == 0
     assert result.speedup > 1.0
     expected = f"0x{corpus24.kernels[0].checksum:08x}"
@@ -320,8 +319,8 @@ def test_corpus_byte_identical_across_engines_serve_and_fleet(corpus24):
     config = api.SystemSpec(array="C2", slots=64,
                             speculation=True).build()
 
-    event = event_matrix([config], names, fast=True)
-    columnar = api.sweep([config], names=names, fast=True)
+    event = event_matrix([config], names)
+    columnar = api.sweep([config], names=names)
     assert event.results_json() == columnar.results_json()
 
     # Inline serve: one sweep job over the whole corpus.
@@ -331,8 +330,7 @@ def test_corpus_byte_identical_across_engines_serve_and_fleet(corpus24):
     try:
         client = ServeClient("http://%s:%s" % server.server_address[:2],
                              timeout=300.0)
-        job = client.submit("sweep", configs=[C2_64], names=names,
-                            fast=True)
+        job = client.submit("sweep", configs=[C2_64], names=names)
         payload = client.wait(job["job_id"], timeout=300)
         assert payload["state"] == "done"
         assert payload["result"]["matrix_json"] == event.results_json()
@@ -357,10 +355,9 @@ def test_corpus_byte_identical_across_engines_serve_and_fleet(corpus24):
         fclient = ServeClient(
             "http://%s:%s" % fserver.server_address[:2], timeout=300.0)
         jobs = {name: fclient.submit("evaluate", configs=[C2_64],
-                                     names=[name], fast=True)["job_id"]
+                                     names=[name])["job_id"]
                 for name in names}
-        offline = {name: api.evaluate(config, names=[name],
-                                      fast=True).to_json()
+        offline = {name: api.evaluate(config, names=[name]).to_json()
                    for name in names}
         for name, job_id in jobs.items():
             payload = fclient.wait(job_id, timeout=300)

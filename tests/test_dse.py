@@ -82,8 +82,7 @@ SHAPE_GRID = [
 
 @pytest.fixture(scope="module")
 def traces():
-    return {name: run_program(load_workload(name), collect_trace=True,
-                              fast=True).trace
+    return {name: run_program(load_workload(name), collect_trace=True).trace
             for name in ("crc", "quicksort", "sha")}
 
 
@@ -411,7 +410,7 @@ def _smoke_explore(**kwargs):
     return explore(space=load_space(SMOKE_SPACE), strategy="shalving",
                    objectives=("speedup", "area"),
                    workloads=SMOKE_WORKLOADS, budget=6, seed=7,
-                   fast=True, cache=None, **kwargs)
+                   cache=None, **kwargs)
 
 
 def test_frontier_is_byte_identical_serial_parallel_served(service):

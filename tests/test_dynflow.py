@@ -446,8 +446,8 @@ def test_dynflow_profiles_byte_identical_across_engines(
             cache_slots=16, speculation=True,
             dynflow_mode=mode)).build()
         for mode in MODES]
-    event = event_matrix(configs, dynflow_corpus_names, fast=True)
-    columnar = api.sweep(configs, names=dynflow_corpus_names, fast=True)
+    event = event_matrix(configs, dynflow_corpus_names)
+    columnar = api.sweep(configs, names=dynflow_corpus_names)
     assert event.results_json() == columnar.results_json()
 
 
@@ -465,7 +465,7 @@ def test_dynflow_profiles_byte_identical_through_serve_and_fleet(
         cache_slots=16, speculation=True, dynflow_mode="both"))
     config = spec.build()
     wire = spec.to_dict()
-    offline = api.sweep([config], names=names, fast=True)
+    offline = api.sweep([config], names=names)
 
     svc = EvalService(workers=0, cache_root=None, batch_window=0.0)
     svc.start()
@@ -473,8 +473,7 @@ def test_dynflow_profiles_byte_identical_through_serve_and_fleet(
     try:
         client = ServeClient("http://%s:%s" % server.server_address[:2],
                              timeout=300.0)
-        job = client.submit("sweep", configs=[wire], names=names,
-                            fast=True)
+        job = client.submit("sweep", configs=[wire], names=names)
         payload = client.wait(job["job_id"], timeout=300)
         assert payload["state"] == "done"
         assert payload["result"]["matrix_json"] == offline.results_json()
@@ -497,10 +496,9 @@ def test_dynflow_profiles_byte_identical_through_serve_and_fleet(
         fclient = ServeClient(
             "http://%s:%s" % fserver.server_address[:2], timeout=300.0)
         jobs = {name: fclient.submit("evaluate", configs=[wire],
-                                     names=[name], fast=True)["job_id"]
+                                     names=[name])["job_id"]
                 for name in names}
-        expected = {name: api.evaluate(config, names=[name],
-                                       fast=True).to_json()
+        expected = {name: api.evaluate(config, names=[name]).to_json()
                     for name in names}
         for name, job_id in jobs.items():
             payload = fclient.wait(job_id, timeout=300)
@@ -643,7 +641,7 @@ def test_cli_dynflow_lowers_paper_arrays_to_shape_specs(tmp_path,
 
     out = tmp_path / "sweep.json"
     assert main(["sweep", "--only", "crc", "--arrays", "C1",
-                 "--slots", "16", "--spec", "on", "--fast",
+                 "--slots", "16", "--spec", "on",
                  "--no-cache", "--dynflow", "loop",
                  "--json", str(out)]) == 0
     capsys.readouterr()
@@ -674,7 +672,7 @@ def test_dynflow_smoke_frontier_matches_committed_golden():
     space = load_space(root / "examples" / "dynflow_smoke_space.json")
     result = explore(space=space, strategy="grid", seed=7,
                      objectives=("speedup", "area"),
-                     workloads=("crc", "quicksort"), fast=True)
+                     workloads=("crc", "quicksort"))
     golden = (root / "tests" / "data"
               / "dynflow_smoke_frontier.json").read_text()
     assert result.to_json() + "\n" == golden

@@ -9,6 +9,7 @@ and dual-path configuration kinds.
 """
 
 import pytest
+from hypothesis import given, settings
 
 from repro.asm import assemble
 from repro.dim.params import DimParams
@@ -20,12 +21,13 @@ from repro.sim.memory import AlignmentError_
 from repro.system import PAPER_SHAPES, paper_system
 from repro.system.config import SystemSpec
 from repro.system.coupled import CoupledSimulator, run_coupled
-from repro.workloads import load_workload, run_workload, workload_names
+from repro.workloads import load_workload, workload_names
+from tests.test_property_random_programs import programs, system_configs
 
 
 def _assert_identical(program):
     """Run both engines over ``program`` and compare everything."""
-    slow = run_program(program, collect_trace=True)
+    slow = run_program(program, collect_trace=True, fast=False)
     fast = run_program(program, collect_trace=True, fast=True)
     assert fast.exit_code == slow.exit_code
     assert fast.output == slow.output
@@ -42,7 +44,7 @@ def _assert_identical(program):
 
 @pytest.mark.parametrize("name", workload_names())
 def test_fastpath_matches_interpreter_on_workload(name):
-    slow = run_workload(name)  # cached interpreter run
+    slow = run_program(load_workload(name), collect_trace=True, fast=False)
     fast = run_program(load_workload(name), collect_trace=True, fast=True)
     assert fast.exit_code == slow.exit_code
     assert fast.output == slow.output
@@ -171,7 +173,7 @@ def test_fastpath_store_to_text_asserts():
     with pytest.raises(SimulationError, match="self-modifying"):
         run_program(program, fast=True)
     # the interpreter tolerates it (stale decode cache, out of scope)
-    assert run_program(program).exit_code == 0
+    assert run_program(program, fast=False).exit_code == 0
 
     # a fast coupled run guards array-covered stores the same way
     program = assemble(ARRAY_TEXT_STORE)
@@ -183,7 +185,7 @@ def test_fastpath_store_to_text_asserts():
         "<fastprefix")
     assert coupled.engine.stats.array_executions > 0
     # the interpreted coupled run tolerates it, as the core does
-    assert run_coupled(program, config).exit_code == 0
+    assert run_coupled(program, config, fast=False).exit_code == 0
 
 
 def test_fastpath_falls_back_when_caches_configured():
@@ -193,7 +195,7 @@ def test_fastpath_falls_back_when_caches_configured():
     caches = CacheHierarchy.build(icache=CacheConfig(),
                                   dcache=CacheConfig())
     sim = Simulator(program, caches=caches, fast=True)
-    assert sim._fast_engine is None  # cache timing needs the interpreter
+    assert sim._block_compiler is None  # cache timing interprets
     assert sim.run().output == "42"
 
 
@@ -201,7 +203,7 @@ def test_fastpath_shares_one_decode_cache():
     program = compile_to_program("""
     int main() { print_int(7); return 0; }
     """)
-    a = Simulator(program)
+    a = Simulator(program, fast=False)
     a.run()
     b = Simulator(program, fast=True)
     assert a._decoded is b._decoded  # hoisted onto the Program
@@ -254,7 +256,7 @@ DYNFLOW = SystemSpec.of(PAPER_SHAPES["C2"], DimParams(
 
 def _assert_coupled_identical(program, config):
     """Coupled system, fast vs slow: every result field and memory."""
-    slow = run_coupled(program, config)
+    slow = run_coupled(program, config, fast=False)
     fast = run_coupled(program, config, fast=True)
     assert fast.exit_code == slow.exit_code
     assert fast.output == slow.output
@@ -292,6 +294,17 @@ def test_fast_coupled_matches_interpreter_on_workloads(name):
                               paper_system("C2", 64, True))
 
 
+@settings(max_examples=10, deadline=None)
+@given(programs(), system_configs())
+def test_fastpath_matches_interpreter_on_random_programs(source, config):
+    """Random mini-C programs, plain and coupled: every layer above the
+    simulator runs the compiled engine, so it must agree with the
+    reference wherever the property generator reaches."""
+    program = compile_to_program(source)
+    _assert_identical(program)
+    _assert_coupled_identical(program, config)
+
+
 # ----------------------------------------------------------------------
 # Word views: aligned lw/sw go straight to the page's memoryview.
 # ----------------------------------------------------------------------
@@ -313,7 +326,7 @@ __start:
 def test_fastpath_word_views_on_fresh_and_untouched_pages():
     program = assemble(FRESH_PAGE)
     sim = Simulator(program, fast=True)
-    engine = sim._fast_engine  # run() drops it at program exit
+    engine = sim._block_compiler  # run() drops it at program exit
     result = sim.run()
     # the entry block ran the store and both loads in one closure
     assert engine._term_pc[program.entry] > program.entry + 16
@@ -339,7 +352,7 @@ def test_fastpath_misaligned_word_access_raises_like_interpreter(access):
             syscall
     """)
     with pytest.raises(AlignmentError_) as slow:
-        run_program(program)
+        run_program(program, fast=False)
     with pytest.raises(AlignmentError_) as fast:
         run_program(program, fast=True)
     assert str(fast.value) == str(slow.value)
@@ -347,8 +360,8 @@ def test_fastpath_misaligned_word_access_raises_like_interpreter(access):
 
 def test_fastpath_without_word_views_is_bit_identical(monkeypatch):
     """The big-endian route: no views, every word goes through calls."""
+    slow = run_program(load_workload("crc"), collect_trace=True, fast=False)
     monkeypatch.setattr(memory_module, "WORD_VIEWS", False)
-    slow = run_workload("crc")  # cached interpreter run
     fast = run_program(load_workload("crc"), collect_trace=True, fast=True)
     assert fast.memory.words == {}
     assert fast.output == slow.output

@@ -116,7 +116,7 @@ leaf:
 @pytest.mark.parametrize("seed", range(40))
 def test_random_blocks_match_interpreter(seed):
     program = assemble(_program(seed))
-    slow = run_program(program, collect_trace=True)
+    slow = run_program(program, collect_trace=True, fast=False)
     fast = run_program(program, collect_trace=True, fast=True)
     assert fast.output == slow.output
     assert fast.registers == slow.registers
@@ -129,7 +129,7 @@ def test_random_blocks_match_interpreter(seed):
 def test_random_array_prefixes_match_interpreter(seed):
     program = assemble(_program(seed))
     config = paper_system("C3", 16, True)
-    slow = run_coupled(program, config)
+    slow = run_coupled(program, config, fast=False)
     fast = run_coupled(program, config, fast=True)
     assert fast.output == slow.output
     assert fast.registers == slow.registers
@@ -142,7 +142,7 @@ def test_stats_are_exact_after_every_block():
     """``sim.stats`` folds the packed counters in whenever it is read:
     block by block, the fast path's counters equal the interpreter's."""
     program = assemble(_program(7))
-    slow = Simulator(program)
+    slow = Simulator(program, fast=False)
     fast = Simulator(program, fast=True)
     while slow.exit_code is None:
         outcome = slow.step_block()
@@ -195,7 +195,7 @@ def test_only_constant_writes_are_dropped():
             syscall
     """)
     with pytest.raises(AlignmentError_) as slow:
-        run_program(program)
+        run_program(program, fast=False)
     with pytest.raises(AlignmentError_) as fast:
         run_program(program, fast=True)
     assert str(fast.value) == str(slow.value)

@@ -32,7 +32,7 @@ from repro.serve import (
     ServeClient,
     start_http,
 )
-from repro.serve.protocol import ERROR_CODES
+from repro.serve.protocol import ERROR_CODES, validate_submission
 
 CRC_C1 = {"array": "C1", "slots": 16, "speculation": False}
 
@@ -116,7 +116,7 @@ def _stub_worker(runner=_stub_runner, **kwargs):
 
 
 def _spec(slots=16, names=("crc",)):
-    return {"kind": "evaluate", "names": list(names), "fast": True,
+    return {"kind": "evaluate", "names": list(names),
             "configs": [{"array": "C1", "slots": slots,
                          "speculation": False}]}
 
@@ -174,8 +174,7 @@ def test_coordinator_speaks_the_server_protocol():
         health = client.healthz()
         assert health["protocol"] == 1 and health["role"] == "coordinator"
         assert health["workers"] == 1
-        job = client.submit("evaluate", configs=[CRC_C1], names=["crc"],
-                            fast=True)
+        job = client.submit("evaluate", configs=[CRC_C1], names=["crc"])
         assert job["job_id"].startswith("f")
         payload = client.wait(job["job_id"], timeout=30)
         assert payload["result"]["stub"] is True
@@ -326,18 +325,17 @@ def test_worker_killed_mid_batch_redispatches_byte_identically():
     fleet = FleetCoordinator(heartbeat_interval=0.02,
                              heartbeat_failures=2).start()
     try:
-        # rig the ring so the victim owns the crc fingerprint
-        fingerprint = __import__(
-            "repro.serve.protocol",
-            fromlist=["validate_submission"]).validate_submission(
-            _spec()).fingerprint
-        fleet.register_worker("wa", victim_url)
-        fleet.register_worker("wb", surv_url)
-        owner = fleet.ring.node_for(fingerprint)
-        victim_id = owner
-        if owner != "wa":  # swap roles: the stub must own the jobs
-            victim_svc, surv_svc = surv_svc, victim_svc
-            victim_server, surv_server = surv_server, victim_server
+        # rig the ring so the victim owns the crc fingerprint: the
+        # stub registers under whichever id the ring maps it to
+        fingerprint = validate_submission(_spec()).fingerprint
+        ring = HashRing()
+        ring.add("wa")
+        ring.add("wb")
+        victim_id = ring.node_for(fingerprint)
+        survivor = ({"wa", "wb"} - {victim_id}).pop()
+        fleet.register_worker(victim_id, victim_url)
+        fleet.register_worker(survivor, surv_url)
+        assert fleet.ring.node_for(fingerprint) == victim_id
         before = fleet.telemetry.events_emitted
 
         ids = [fleet.submit(_spec(slots=s))["job_id"]
@@ -365,7 +363,6 @@ def test_worker_killed_mid_batch_redispatches_byte_identically():
         release.set()
         _drain(fleet)
 
-        survivor = ({"wa", "wb"} - {victim_id}).pop()
         for job_id, slots in zip(ids, (16, 64)):
             status = fleet.status(job_id)
             assert status["state"] == JobState.DONE
@@ -374,7 +371,7 @@ def test_worker_killed_mid_batch_redispatches_byte_identically():
             payload = fleet.result(job_id)["result"]
             offline = api.evaluate(
                 api.SystemSpec(array="C1", slots=slots).build(),
-                names=["crc"], fast=True)
+                names=["crc"])
             assert payload["suite_json"] == offline.to_json()
 
         assert fleet.stats.workers_lost == 1

@@ -56,7 +56,7 @@ GOLDEN_FRONTIER = Path(__file__).parent / "data" \
 
 #: the CI smoke scenario — keep in sync with the mpsoc-smoke job.
 SMOKE_KWARGS = dict(preset="sys-s", mix="crc:2,sha:1",
-                    strategy="shalving", budget=6, seed=7, fast=True)
+                    strategy="shalving", budget=6, seed=7)
 
 _smoke_cache = {}
 
@@ -224,7 +224,7 @@ def test_explicit_over_budget_allocation_names_itself():
     spec = mpsoc_spec(area_budget_gates=mips_core_gates() * 2,
                       mix="crc:1")
     with pytest.raises(InfeasibleBudgetError, match="allocation 1c"):
-        score_allocation(spec, 1, ("C3",), fast=True)
+        score_allocation(spec, 1, ("C3",))
 
 
 # ----------------------------------------------------------------------
@@ -233,10 +233,10 @@ def test_explicit_over_budget_allocation_names_itself():
 def test_degenerate_allocation_reproduces_evaluate_bit_for_bit():
     spec = mpsoc_spec(area_budget_gates=10_000_000, mix=["crc", "sha"],
                       core_counts=(1,), max_arrays=1)
-    evaluation, rows = score_allocation(spec, 1, ("C2",), fast=True)
+    evaluation, rows = score_allocation(spec, 1, ("C2",))
     suite = repro.evaluate(
         SystemSpec(array="C2", slots=64, speculation=True).build(),
-        names=["crc", "sha"], fast=True)
+        names=["crc", "sha"])
     by_name = {r.workload: r for r in suite.results}
     for row in rows:
         assert row.tile == "C2"
@@ -247,10 +247,10 @@ def test_degenerate_allocation_reproduces_evaluate_bit_for_bit():
 def test_singleton_mix_collapses_to_the_raw_speedup():
     spec = mpsoc_spec(area_budget_gates=10_000_000, mix=["crc"],
                       core_counts=(1,), max_arrays=1)
-    evaluation, rows = score_allocation(spec, 1, ("C2",), fast=True)
+    evaluation, rows = score_allocation(spec, 1, ("C2",))
     suite = repro.evaluate(
         SystemSpec(array="C2", slots=64, speculation=True).build(),
-        names=["crc"], fast=True)
+        names=["crc"])
     assert evaluation.geomean_speedup == suite.results[0].speedup
     assert evaluation.geomean_energy_ratio == \
         suite.results[0].energy_ratio
@@ -353,7 +353,7 @@ def test_cli_mpsoc_writes_the_golden_frontier(tmp_path, capsys):
     out = tmp_path / "frontier.json"
     rc = cli_main(["mpsoc", "--preset", "sys-s",
                    "--mix", "crc:2,sha:1", "--strategy", "shalving",
-                   "--budget", "6", "--seed", "7", "--fast",
+                   "--budget", "6", "--seed", "7",
                    "--no-cache", "--frontier", str(out)])
     assert rc == 0
     assert out.read_text() == GOLDEN_FRONTIER.read_text()
@@ -364,7 +364,7 @@ def test_cli_mpsoc_writes_the_golden_frontier(tmp_path, capsys):
 def test_cli_mpsoc_structured_infeasible_error():
     with pytest.raises(SystemExit) as excinfo:
         cli_main(["mpsoc", "--area-budget", "10", "--mix", "crc:1",
-                  "--fast", "--no-cache"])
+                  "--no-cache"])
     payload = json.loads(str(excinfo.value))
     assert payload["error"]["code"] == "infeasible_budget"
 
@@ -390,6 +390,6 @@ def test_facade_verb_survives_submodule_import():
 
     assert callable(repro.mpsoc)
     result = repro.mpsoc(preset="sys-s", mix="crc", strategy="grid",
-                         fast=True, cache=None)
+                         cache=None)
     assert len(result.frontier.points) >= 1
     assert repro.mpsoc.explore_mix is explore_mix

@@ -42,8 +42,7 @@ ENGINE_NAMESPACES = ("dim", "dynflow", "rcache", "predictor")
 
 
 def _trace(name="crc"):
-    return run_program(load_workload(name), collect_trace=True,
-                       fast=True).trace
+    return run_program(load_workload(name), collect_trace=True).trace
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +168,7 @@ def test_sweep_cli_emits_schema_valid_stream(tmp_path, capsys):
 
     out = tmp_path / "t.jsonl"
     assert main(["sweep", "--arrays", "C1", "--slots", "16",
-                 "--only", "crc", "--fast", "--no-cache",
+                 "--only", "crc", "--no-cache",
                  "--telemetry", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert validate_jsonl(lines) == []
@@ -258,7 +257,7 @@ def _cold_matrix(monkeypatch, configs, names, **kwargs):
     import repro.workloads as workloads
 
     monkeypatch.setattr(workloads, "_RUNS", {})
-    return evaluate_matrix(configs, names=names, fast=True, **kwargs)
+    return evaluate_matrix(configs, names=names, **kwargs)
 
 
 def test_sweep_json_identical_with_and_without_telemetry(monkeypatch):
@@ -290,7 +289,7 @@ def test_sweep_engine_counters_match_event_oracle(jobs):
         for config in configs:
             evaluate_trace(trace, config, telemetry=oracle)
     observed = Telemetry()
-    evaluate_matrix(configs, names=names, fast=True, jobs=jobs,
+    evaluate_matrix(configs, names=names, jobs=jobs,
                     telemetry=observed)
     expected = _engine_counters_of(oracle.counters)
     assert expected["dynflow.dual_configs"] > 0
@@ -302,10 +301,10 @@ def test_parallel_telemetry_matches_serial():
     configs = [paper_system("C1", 16, False), CONFIG, DYNFLOW_CONFIG]
     names = ("crc", "quicksort")
     serial_tel = Telemetry()
-    serial = evaluate_matrix(configs, names=names, fast=True,
+    serial = evaluate_matrix(configs, names=names,
                              telemetry=serial_tel)
     parallel_tel = Telemetry()
-    parallel = evaluate_matrix(configs, names=names, fast=True, jobs=2,
+    parallel = evaluate_matrix(configs, names=names, jobs=2,
                                telemetry=parallel_tel)
     assert serial.results_json() == parallel.results_json()
     # counters merge deterministically across the process pool
@@ -320,7 +319,7 @@ def test_parallel_telemetry_matches_serial():
 
 
 def test_matrix_telemetry_json_without_sink_projects_instrumentation():
-    matrix = evaluate_matrix([CONFIG], names=("crc",), fast=True)
+    matrix = evaluate_matrix([CONFIG], names=("crc",))
     payload = json.loads(matrix.telemetry_json())
     assert payload["counters"]["sweep.cells"] == 1
     assert payload["counters"]["sweep.workloads"] == 1
@@ -402,7 +401,7 @@ def test_sweep_stream_ends_with_the_run_counters(tmp_path):
     for mode in ("both", "off"):
         out = tmp_path / f"{mode}.jsonl"
         assert main(["sweep", "--arrays", "C1", "--slots", "16",
-                     "--spec", "on", "--only", "crc", "--fast",
+                     "--spec", "on", "--only", "crc",
                      "--no-cache", "--dynflow", mode,
                      "--telemetry", str(out)]) == 0
         lines = out.read_text().splitlines()

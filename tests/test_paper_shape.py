@@ -39,7 +39,7 @@ COLUMNS = [(array, spec, slots) for array in ARRAYS
 def suites():
     configs = [paper_system(array, slots, spec)
                for array, spec, slots in COLUMNS]
-    result = evaluate_matrix(configs, names=list(SUBSET), fast=True)
+    result = evaluate_matrix(configs, names=list(SUBSET))
     return {column: result.suite(config.name)
             for column, config in zip(COLUMNS, configs)}
 

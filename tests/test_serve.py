@@ -80,14 +80,12 @@ def test_validation_normalises_defaults():
 
 def test_fingerprint_groups_by_workloads_not_configs():
     a = validate_submission({"kind": "evaluate", "names": ["crc"],
-                             "configs": [CRC_C1], "fast": True})
+                             "configs": [CRC_C1]})
     b = validate_submission({"kind": "sweep", "names": ["crc"],
-                             "configs": [CRC_C2, CRC_C1],
-                             "fast": True})
+                             "configs": [CRC_C2, CRC_C1]})
     c = validate_submission({"kind": "evaluate", "names": ["sha"],
-                             "configs": [CRC_C1], "fast": True})
-    d = validate_submission({"kind": "run", "target": "crc",
-                             "fast": True})
+                             "configs": [CRC_C1]})
+    d = validate_submission({"kind": "run", "target": "crc"})
     assert a.fingerprint == b.fingerprint  # same trace, any configs
     assert a.fingerprint != c.fingerprint  # different workloads
     assert a.fingerprint != d.fingerprint  # run jobs re-execute
@@ -113,8 +111,7 @@ def test_lifecycle_submit_poll_result(service):
     svc, client = service
     health = client.healthz()
     assert health["ok"] and health["protocol"] == 1
-    job = client.submit("evaluate", configs=[CRC_C1], names=["crc"],
-                        fast=True)
+    job = client.submit("evaluate", configs=[CRC_C1], names=["crc"])
     assert job["state"] == JobState.PENDING
     assert job["job_id"]
     payload = client.wait(job["job_id"], timeout=120)
@@ -129,24 +126,23 @@ def test_lifecycle_submit_poll_result(service):
 
 def test_differential_evaluate_byte_identical(service):
     svc, client = service
-    job = client.submit("evaluate", configs=[CRC_C2], names=["crc"],
-                        fast=True)
+    job = client.submit("evaluate", configs=[CRC_C2], names=["crc"])
     payload = client.wait(job["job_id"], timeout=120)
     offline = api.evaluate(
         api.SystemSpec(array="C2", slots=64, speculation=True).build(),
-        names=["crc"], fast=True)
+        names=["crc"])
     assert payload["result"]["suite_json"] == offline.to_json()
 
 
 def test_differential_sweep_byte_identical(service):
     svc, client = service
     job = client.submit("sweep", configs=[CRC_C1, CRC_C2],
-                        names=["crc"], fast=True)
+                        names=["crc"])
     payload = client.wait(job["job_id"], timeout=120)
     offline = api.sweep(
         [api.SystemSpec(array="C1", slots=16).build(),
          api.SystemSpec(array="C2", slots=64, speculation=True).build()],
-        names=["crc"], fast=True)
+        names=["crc"])
     assert payload["result"]["matrix_json"] == offline.results_json()
 
 
@@ -157,7 +153,7 @@ def test_batch_coalescing_shares_one_replay(service):
     jobs = [client.submit("evaluate",
                           configs=[{"array": "C1", "slots": slots,
                                     "speculation": False}],
-                          names=["crc"], fast=True)
+                          names=["crc"])
             for slots in (8, 24, 48)]
     client.resume()
     payloads = [client.wait(job["job_id"], timeout=120)
@@ -170,13 +166,39 @@ def test_batch_coalescing_shares_one_replay(service):
     assert systems == ["C1/8/nospec", "C1/24/nospec", "C1/48/nospec"]
 
 
+def test_legacy_fast_key_never_splits_a_batch(service):
+    """Old clients still send ``"fast"``: it must be a boolean, and is
+    then dropped, so jobs that differ only in it share one fingerprint
+    and one batch, and answer exactly as the offline API does."""
+    svc, client = service
+    base = {"kind": "evaluate", "configs": [CRC_C2], "names": ["crc"]}
+    bodies = [dict(base, fast=True), dict(base, fast=False), dict(base)]
+    assert len({validate_submission(body).fingerprint
+                for body in bodies}) == 1
+    assert _error_code(dict(base, fast="yes")) == "bad_param"
+    before = svc.stats.batches
+    client.pause()
+    jobs = [client.submit_payload(body) for body in bodies]
+    client.resume()
+    payloads = [client.wait(job["job_id"], timeout=120)
+                for job in jobs]
+    assert svc.stats.batches == before + 1
+    for job in jobs:
+        assert client.status(job["job_id"])["batch_width"] == 3
+    offline = api.evaluate(
+        api.SystemSpec(array="C2", slots=64, speculation=True).build(),
+        names=["crc"])
+    assert [p["result"]["suite_json"] for p in payloads] \
+        == [offline.to_json()] * 3
+
+
 def test_priority_orders_claims(service):
     svc, client = service
     client.pause()
     low = client.submit("evaluate", configs=[CRC_C1], names=["crc"],
-                        fast=True, priority=0)
+                        priority=0)
     high = client.submit("evaluate", configs=[CRC_C1], names=["sha"],
-                         fast=True, priority=10)
+                         priority=10)
     client.resume()
     client.wait(low["job_id"], timeout=120)
     client.wait(high["job_id"], timeout=120)
@@ -188,8 +210,7 @@ def test_priority_orders_claims(service):
 def test_cancel_pending_job(service):
     svc, client = service
     client.pause()
-    job = client.submit("evaluate", configs=[CRC_C1], names=["crc"],
-                        fast=True)
+    job = client.submit("evaluate", configs=[CRC_C1], names=["crc"])
     cancelled = client.cancel(job["job_id"])
     client.resume()
     assert cancelled["state"] == JobState.CANCELLED
@@ -202,7 +223,7 @@ def test_timeout_while_queued(service):
     svc, client = service
     client.pause()
     job = client.submit("evaluate", configs=[CRC_C1], names=["crc"],
-                        fast=True, timeout=0.01)
+                        timeout=0.01)
     time.sleep(0.05)
     client.resume()
     payload = client.status(job["job_id"])
@@ -224,8 +245,7 @@ def test_unknown_job_and_not_finished_errors(service):
     assert excinfo.value.code == "unknown_job"
     assert excinfo.value.http_status == 404
     client.pause()
-    job = client.submit("evaluate", configs=[CRC_C1], names=["crc"],
-                        fast=True)
+    job = client.submit("evaluate", configs=[CRC_C1], names=["crc"])
     with pytest.raises(ServeError) as excinfo:
         client.result(job["job_id"])
     assert excinfo.value.code == "not_finished"
@@ -281,7 +301,7 @@ def test_retry_with_backoff_recovers_from_worker_failure():
                       backoff_base=0.02, runner=flaky).start()
     try:
         job = svc.submit({"kind": "evaluate", "names": ["crc"],
-                          "configs": [CRC_C1], "fast": True})
+                          "configs": [CRC_C1]})
         result = svc.result(job["job_id"], wait=True, timeout=30)
         assert result["result"]["stub"] is True
         assert svc.stats.retries == 2
@@ -301,7 +321,7 @@ def test_retries_exhausted_fails_with_structured_error():
                       backoff_base=0.01, runner=always_broken).start()
     try:
         job = svc.submit({"kind": "evaluate", "names": ["crc"],
-                          "configs": [CRC_C1], "fast": True})
+                          "configs": [CRC_C1]})
         with pytest.raises(ProtocolError) as excinfo:
             svc.result(job["job_id"], wait=True, timeout=30)
         assert excinfo.value.code == "job_failed"
@@ -438,7 +458,7 @@ def test_client_reuses_one_connection_across_requests():
         job_ids = []
         for _ in range(5):
             job = client.submit("evaluate", configs=[CRC_C1],
-                                names=["crc"], fast=True)
+                                names=["crc"])
             job_ids.append(job["job_id"])
         for job_id in job_ids:
             client.wait(job_id, timeout=30)

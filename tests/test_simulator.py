@@ -227,7 +227,7 @@ def test_trace_event_encoding():
         nop
     done:
     """ + EXIT)
-    slow = run_program(program, collect_trace=True).trace
+    slow = run_program(program, collect_trace=True, fast=False).trace
     fast = run_program(program, collect_trace=True, fast=True).trace
     assert slow.events.typecode == "I"
     assert fast.events == slow.events

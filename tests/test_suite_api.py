@@ -63,13 +63,6 @@ def test_parallel_suite_is_byte_identical():
     assert parallel.to_json() == serial.to_json()
 
 
-def test_fast_suite_is_byte_identical():
-    config = paper_system("C1", 16, False)
-    serial = evaluate_suite(config, names=SUBSET)
-    fast = evaluate_suite(config, names=SUBSET, fast=True, jobs=2)
-    assert fast.to_json() == serial.to_json()
-
-
 def test_cli_suite_only_jobs_fast(tmp_path, capsys):
     serial_file = tmp_path / "serial.json"
     parallel_file = tmp_path / "parallel.json"

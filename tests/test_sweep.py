@@ -45,11 +45,11 @@ def small_configs():
 # ----------------------------------------------------------------------
 def test_matrix_matches_looped_suite():
     configs = small_configs()
-    matrix = evaluate_matrix(configs, names=WORKLOADS, fast=True)
+    matrix = evaluate_matrix(configs, names=WORKLOADS)
     for config in configs:
-        suite = evaluate_suite(config, names=WORKLOADS, fast=True)
+        suite = evaluate_suite(config, names=WORKLOADS)
         assert matrix.suite(config.name).to_json() == suite.to_json()
-    oracle = event_matrix(configs, WORKLOADS, fast=True)
+    oracle = event_matrix(configs, WORKLOADS)
     assert matrix.results_json() == oracle.results_json()
 
 
@@ -62,8 +62,8 @@ def test_serial_cold_sweep_phases_fit_in_total(monkeypatch):
     configs = [paper_system(array, slots, spec)
                for array in ("C1", "C3") for spec in (False, True)
                for slots in (16, 64)]
-    inst = evaluate_matrix(configs, names=["crc", "sha", "bitcount"],
-                           fast=True).instrumentation
+    inst = evaluate_matrix(configs,
+                           names=["crc", "sha", "bitcount"]).instrumentation
     assert inst.traces_simulated == 3
     assert inst.cells_replayed == 24
     assert inst.trace_seconds + inst.replay_seconds <= inst.total_seconds
@@ -80,8 +80,7 @@ def test_memo_work_matches_pinned_counts():
     configs = [paper_system(array, slots, spec)
                for array in ("C1", "C3") for slots in (16, 64)
                for spec in (False, True)]
-    inst = evaluate_matrix(configs, names=["crc", "sha"],
-                           fast=True).instrumentation
+    inst = evaluate_matrix(configs, names=["crc", "sha"]).instrumentation
     pinned = json.loads((Path(__file__).parent / "data"
                          / "columnar_smoke_memo.json").read_text())
     assert {"alloc_hits": inst.alloc_hits,
@@ -90,8 +89,8 @@ def test_memo_work_matches_pinned_counts():
 
 def test_parallel_matches_serial():
     configs = small_configs()
-    serial = evaluate_matrix(configs, names=WORKLOADS, fast=True)
-    parallel = evaluate_matrix(configs, names=WORKLOADS, fast=True,
+    serial = evaluate_matrix(configs, names=WORKLOADS)
+    parallel = evaluate_matrix(configs, names=WORKLOADS,
                                jobs=2)
     assert serial.results_json() == parallel.results_json()
     assert parallel.instrumentation.jobs == 2
@@ -99,10 +98,10 @@ def test_parallel_matches_serial():
 
 def test_warm_disk_cache_identical_and_hits(tmp_path):
     configs = small_configs()
-    cold = evaluate_matrix(configs, names=WORKLOADS, fast=True,
+    cold = evaluate_matrix(configs, names=WORKLOADS,
                            cache=ArtifactCache(tmp_path))
     assert cold.instrumentation.artifact_stores > 0
-    warm = evaluate_matrix(configs, names=WORKLOADS, fast=True,
+    warm = evaluate_matrix(configs, names=WORKLOADS,
                            cache=ArtifactCache(tmp_path))
     assert warm.results_json() == cold.results_json()
     inst = warm.instrumentation
@@ -115,9 +114,9 @@ def test_warm_disk_cache_identical_and_hits(tmp_path):
 
 def test_warm_cache_parallel_identical(tmp_path):
     configs = small_configs()
-    cold = evaluate_matrix(configs, names=WORKLOADS, fast=True,
+    cold = evaluate_matrix(configs, names=WORKLOADS,
                            cache=ArtifactCache(tmp_path), jobs=2)
-    warm = evaluate_matrix(configs, names=WORKLOADS, fast=True,
+    warm = evaluate_matrix(configs, names=WORKLOADS,
                            cache=ArtifactCache(tmp_path))
     assert warm.results_json() == cold.results_json()
 
@@ -126,10 +125,10 @@ def test_serial_artifact_counters_count_each_lookup_once(tmp_path):
     """Serial rows share one cache, pool rows get one each: both must
     report every artifact lookup and store exactly once."""
     configs = small_configs()
-    evaluate_matrix(configs, names=WORKLOADS, fast=True,
+    evaluate_matrix(configs, names=WORKLOADS,
                     cache=ArtifactCache(tmp_path))
     serial, pooled = (
-        evaluate_matrix(configs, names=WORKLOADS, fast=True,
+        evaluate_matrix(configs, names=WORKLOADS,
                         cache=ArtifactCache(tmp_path),
                         jobs=jobs).instrumentation
         for jobs in (1, 2))
@@ -147,12 +146,12 @@ def test_corrupt_cell_artifact_is_counted_and_replayed(tmp_path):
     corrupt miss; the cell is replayed and the result is unchanged."""
     configs = [paper_system("C1", 16, True)]
     cache = ArtifactCache(tmp_path)
-    cold = evaluate_matrix(configs, names=["crc"], fast=True, cache=cache)
+    cold = evaluate_matrix(configs, names=["crc"], cache=cache)
     path = cache._path(metrics_artifact_key(cache, "crc", configs[0]))
     data = bytearray(path.read_bytes())
     data[-1] ^= 0xFF
     path.write_bytes(bytes(data))
-    warm = evaluate_matrix(configs, names=["crc"], fast=True,
+    warm = evaluate_matrix(configs, names=["crc"],
                            cache=ArtifactCache(tmp_path))
     assert warm.results_json() == cold.results_json()
     inst = warm.instrumentation
@@ -166,7 +165,7 @@ def test_corrupt_cell_artifact_is_counted_and_replayed(tmp_path):
 # ----------------------------------------------------------------------
 def test_replay_matrix_matches_fresh_evaluations():
     configs = small_configs()
-    traces = {name: run_workload(name, fast=True).trace
+    traces = {name: run_workload(name).trace
               for name in WORKLOADS}
     rows = replay_matrix(traces, configs)
     assert list(rows) == list(WORKLOADS)
@@ -181,7 +180,7 @@ def test_replay_matrix_matches_fresh_evaluations():
 
 def test_replay_matrix_keeps_unregistered_rows_out_of_the_store(
         tmp_path):
-    trace = run_workload("crc", fast=True).trace
+    trace = run_workload("crc").trace
     rows = replay_matrix({"not-a-workload": trace}, small_configs(),
                          cache=ArtifactCache(tmp_path))
     assert len(rows["not-a-workload"][1]) == len(small_configs())
@@ -189,7 +188,7 @@ def test_replay_matrix_keeps_unregistered_rows_out_of_the_store(
 
 
 def test_memo_shares_translations_across_slot_variants():
-    trace = run_workload("crc", fast=True).trace
+    trace = run_workload("crc").trace
     memo = TranslationMemo()
     first = evaluate_trace(trace, paper_system("C2", 16, True), memo=memo)
     misses_after_first = memo.misses
@@ -241,7 +240,7 @@ def test_artifact_key_rejects_wrong_record(tmp_path):
 
 def test_trace_artifact_roundtrip(tmp_path):
     cache = ArtifactCache(tmp_path)
-    trace = run_workload("crc", fast=True).trace
+    trace = run_workload("crc").trace
     key = trace_artifact_key(cache, "crc")
     cache.store(key, trace)
     loaded = cache.load(key)
@@ -258,7 +257,7 @@ def test_cli_sweep_writes_reports(tmp_path, capsys):
     report = tmp_path / "matrix.json"
     inst_path = tmp_path / "inst.json"
     assert main(["sweep", "--only", "crc", "--arrays", "C1",
-                 "--slots", "16", "--spec", "on", "--fast",
+                 "--slots", "16", "--spec", "on",
                  "--cache-dir", str(tmp_path / "cache"),
                  "--json", str(report),
                  "--instrumentation", str(inst_path)]) == 0

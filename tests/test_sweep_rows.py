@@ -63,23 +63,23 @@ def test_reregistered_source_never_replays_the_old_row(
     first, second = (paper_system("C1", 16, False),
                      paper_system("C2", 64, True))
     gen_x(20)
-    small = evaluate_matrix([first], names=["gen_x"], fast=True,
+    small = evaluate_matrix([first], names=["gen_x"],
                             cache=ArtifactCache(tmp_path), row_store=rows)
-    warm = evaluate_matrix([second], names=["gen_x"], fast=True,
+    warm = evaluate_matrix([second], names=["gen_x"],
                            cache=ArtifactCache(tmp_path), row_store=rows)
     assert warm.instrumentation.traces_simulated == 0
     unregister_generated()
     gen_x(400)
     cache = ArtifactCache(tmp_path)
-    big = evaluate_matrix([second], names=["gen_x"], fast=True,
+    big = evaluate_matrix([second], names=["gen_x"],
                           cache=cache, row_store=rows)
     inst = big.instrumentation
     assert (inst.traces_simulated, inst.traces_in_memory) == (1, 0)
-    fresh = evaluate_matrix([second], names=["gen_x"], fast=True)
+    fresh = evaluate_matrix([second], names=["gen_x"])
     assert big.results_json() == fresh.results_json()
     assert _baseline_cycles(big) > 10 * _baseline_cycles(small)
     # what the third sweep stored under B's keys is B's answer
-    again = evaluate_matrix([second], names=["gen_x"], fast=True,
+    again = evaluate_matrix([second], names=["gen_x"],
                             cache=ArtifactCache(tmp_path))
     assert again.instrumentation.cells_replayed == 0
     assert again.results_json() == fresh.results_json()
@@ -114,7 +114,7 @@ def test_one_shot_row_is_freed_without_the_collector(monkeypatch):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        evaluate_matrix(configs, names=["susan_c"], fast=True)
+        evaluate_matrix(configs, names=["susan_c"])
         assert set(alive) == {"context", "trace", "template", "simulator"}
         assert {label: ref() is None for label, ref in alive.items()} \
             == dict.fromkeys(alive, True)
@@ -145,9 +145,9 @@ class _Counting:
 
         real_trace = sweep.trace_workload
 
-        def trace_workload(name, fast=False):
+        def trace_workload(name):
             counter.traced += 1
-            return real_trace(name, fast=fast)
+            return real_trace(name)
 
         monkeypatch.setattr(colreplay, "ColumnarTrace", CountingTrace)
         monkeypatch.setattr(sweep, "trace_workload", trace_workload)
@@ -166,7 +166,7 @@ def test_serve_warm_batch_never_relowers(monkeypatch):
 
     def batch(job_id, config):
         return scheduler.run_batch({
-            "mode": "matrix", "fast": True, "cache_root": None,
+            "mode": "matrix", "cache_root": None,
             "cache_scope": None, "names": names,
             "jobs": [{"id": job_id, "kind": "evaluate",
                       "configs": [config]}]})
@@ -191,12 +191,12 @@ def test_matrix_runner_batches_reuse_their_store(monkeypatch):
     counting = _Counting(monkeypatch)
     space = default_space()
     candidates = space.candidates()[:4]
-    runner = MatrixRunner(space, workloads=["crc"], fast=True)
+    runner = MatrixRunner(space, workloads=["crc"])
     runner.evaluate(candidates[:2])
     runner.evaluate(candidates[2:])
     assert (counting.traced, counting.lowered) == (1, 1)
     assert list(runner.row_store) == ["crc"]
-    MatrixRunner(space, workloads=["crc"], fast=True).evaluate(
+    MatrixRunner(space, workloads=["crc"]).evaluate(
         candidates[:1])
     assert (counting.traced, counting.lowered) == (2, 2)
 
@@ -207,8 +207,8 @@ def test_sweep_reuses_a_run_left_in_memory(monkeypatch):
     import repro.workloads as workloads
 
     monkeypatch.setattr(workloads, "_RUNS", {})
-    run_workload("crc", fast=True)
+    run_workload("crc")
     inst = evaluate_matrix([paper_system("C1", 16, False)],
-                           names=["crc", "sha"], fast=True).instrumentation
+                           names=["crc", "sha"]).instrumentation
     assert (inst.traces_in_memory, inst.traces_simulated) == (1, 1)
     assert list(workloads._RUNS) == ["crc"]

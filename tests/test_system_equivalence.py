@@ -165,7 +165,7 @@ def test_run_metrics_match_the_event_oracles(plain_runs, name,
                                              config_idx):
     config = CONFIGS[config_idx]
     program, plain = plain_runs[name]
-    comparison = api.run(program, config=config, fast=True)
+    comparison = api.run(program, config=config)
     assert dataclasses.asdict(comparison.metrics) \
         == dataclasses.asdict(evaluate_trace(plain.trace, config))
     assert dataclasses.asdict(comparison.baseline) \
