@@ -11,7 +11,8 @@ Stable API (the :mod:`repro.api` facade)
 ----------------------------------------
 - :class:`repro.SystemSpec` — the one canonical, JSON-round-trippable
   system description every entry point builds configurations from.
-- :func:`repro.run` — run one target plain and accelerated, bit-exact.
+- :func:`repro.run` — run one target plain and accelerated: one traced
+  execution, replayed through the DIM system.
 - :func:`repro.evaluate` — the Table 2 suite against one system.
 - :func:`repro.sweep` — a workloads x configurations matrix through the
   trace-once / replay-many sweep engine.

@@ -8,7 +8,8 @@ the advertised entry points:
   description (:mod:`repro.system.config`); every entry point (CLI
   subcommands, serve protocol, DSE runners, MPSoC allocator) builds
   configurations from it.
-- :func:`run` — one target, plain vs accelerated, bit-exact.
+- :func:`run` — one target, plain vs accelerated: one traced run,
+  replayed through the DIM system.
 - :func:`evaluate` — the Table 2 suite (or a subset) on one system.
 - :func:`sweep` — the full workloads x configurations matrix through
   the trace-once / replay-many engine.
@@ -55,9 +56,9 @@ from repro.minic import compile_to_program
 from repro.obs import Telemetry
 from repro.sim.cpu import RunResult, run_program
 from repro.system.config import SystemConfig, SystemSpec
-from repro.system.coupled import CoupledRunResult, run_coupled
 from repro.system.energy import EnergyParams, energy_ratio
-from repro.system.metrics import SystemMetrics
+from repro.system.metrics import CoupledRunResult, SystemMetrics
+from repro.system.traceeval import evaluate_trace
 from repro.workloads import is_workload, load_workload, workload_names
 
 if TYPE_CHECKING:
@@ -125,25 +126,32 @@ class RunComparison:
 
 def run(target: Target, config: Optional[SystemConfig] = None,
         telemetry: Optional[Telemetry] = None) -> RunComparison:
-    """Run ``target`` on the plain MIPS and on the coupled system.
+    """Run ``target`` on the plain MIPS and on the DIM system.
 
-    The two runs are asserted bit-exact (same program output); the
-    returned comparison carries both raw results plus the baseline and
-    accelerated metrics used for energy accounting, read straight off
-    the two runs' counters.  ``telemetry`` observes both runs.
+    The program executes once, on the plain core, with its trace
+    collected; :func:`~repro.system.traceeval.evaluate_trace` replays
+    that trace through the DIM system for the accelerated metrics.  DIM
+    only watches the retired stream, so the replay is cycle-exact with
+    the coupled simulator, and the accelerated run's exit code, output,
+    registers and memory are the plain run's: the coupled simulator
+    proves both in ``tests/test_system_equivalence.py``.  The baseline
+    metrics are read off the plain run's counters.  ``telemetry``
+    observes the run and the replay.
     """
     program = load_target(target)
     config = config if config is not None \
         else SystemSpec(array="C3").build()
-    plain = run_program(program, timing=config.timing,
+    plain = run_program(program, collect_trace=True, timing=config.timing,
                         telemetry=telemetry)
-    accelerated = run_coupled(program, config, telemetry=telemetry)
-    assert accelerated.output == plain.output, \
-        "accelerated run diverged from the plain run"
+    metrics = evaluate_trace(plain.trace, config, telemetry=telemetry)
+    accelerated = CoupledRunResult(
+        exit_code=plain.exit_code, output=plain.output,
+        stats=metrics.to_stats(), registers=plain.registers,
+        memory=plain.memory, metrics=metrics)
     baseline = SystemMetrics.from_stats("mips", plain.stats)
     return RunComparison(config=config, plain=plain,
                          accelerated=accelerated, baseline=baseline,
-                         metrics=accelerated.metrics)
+                         metrics=metrics)
 
 
 def evaluate(config: Optional[SystemConfig] = None,

@@ -4,8 +4,8 @@ Three execution paths produce identical cycle counts, one per job:
 
 - :class:`repro.system.coupled.CoupledSimulator` runs the program
   functionally with the array in the loop — bit-exact architectural
-  state; single runs (``repro run``, ``repro report``) read their
-  metrics off it.
+  state.  It is the transparency oracle of the tests, and the engine
+  of runs with caches configured and of ``repro report``.
 - :mod:`repro.system.colreplay` replays a trace lowered to columns
   under many configurations at once.  Every trace-driven metrics job
   runs it through one workload row of :mod:`repro.system.sweep`:
@@ -15,8 +15,9 @@ Three execution paths produce identical cycle counts, one per job:
   traces (the DSE ``TraceRunner``, the paper benches and examples).
 - :func:`repro.system.traceeval.evaluate_trace` replays a basic-block
   trace event by event through the same
-  :class:`repro.dim.engine.DimEngine` — the reference the other two
-  are tested against.
+  :class:`repro.dim.engine.DimEngine`.  Single runs (:func:`repro.api.run`,
+  so ``repro run`` and serve ``"run"`` jobs) replay their one traced
+  plain run through it, and the columnar engine is tested against it.
 
 :mod:`repro.system.config` holds Table 1's array shapes,
 :mod:`repro.system.energy` the event-based power/energy model
@@ -28,7 +29,7 @@ from repro._lazy import lazy_dir, lazy_exports
 
 #: every re-exported name and the submodule that defines it, resolved on
 #: first access: a single run never loads the sweep engine, the
-#: artifact store or the event oracle.
+#: artifact store or the coupled simulator.
 _EXPORTS = {
     **{name: "repro.system.config" for name in (
         "PAPER_CACHE_SLOTS", "PAPER_SHAPES", "SystemConfig",
@@ -36,8 +37,9 @@ _EXPORTS = {
     **{name: "repro.system.costmodel" for name in (
         "BlockCost", "BlockCostModel")},
     **{name: "repro.system.coupled" for name in (
-        "CoupledSimulator", "CoupledRunResult", "run_coupled")},
-    "SystemMetrics": "repro.system.metrics",
+        "CoupledSimulator", "run_coupled")},
+    **{name: "repro.system.metrics" for name in (
+        "CoupledRunResult", "SystemMetrics")},
     **{name: "repro.system.traceeval" for name in (
         "baseline_metrics", "evaluate_trace")},
     **{name: "repro.system.energy" for name in (

@@ -8,6 +8,16 @@ predicted direction — so architectural state (registers, memory, program
 output) is provably identical to a plain run, which the test suite
 asserts.
 
+It is the transparency oracle, not the single-run engine:
+:func:`repro.api.run` replays the plain run's trace through
+:func:`~repro.system.traceeval.evaluate_trace`, and
+``tests/test_system_equivalence.py`` holds that replay to this
+simulator's state and counters.  Production code runs it only where a
+trace cannot reach: runs with caches configured (an array access's
+data-cache timing depends on its address) and
+:mod:`repro.system.report`, which renders the engine's cached
+configurations.
+
 By default both sides are block-compiled by :mod:`repro.sim.fastpath`:
 the core runs compiled blocks, and each array-covered prefix runs as one
 compiled closure (:meth:`_run_prefix`), whose stores to ``.text`` raise
@@ -19,55 +29,19 @@ instructions one at a time through :meth:`_exec_functional`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from time import perf_counter as _perf_counter
+from typing import Optional, Set, Tuple
 
 from repro.asm.program import Program
 from repro.cgra.configuration import Configuration
-from repro.dim.engine import DimEngine, DimStats
+from repro.dim.engine import DimEngine
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import InstrClass
 from repro.isa.semantics import alu_result, branch_taken, mult_result
 from repro.sim.cpu import Simulator, _load, _store
-from repro.sim.stats import RunStats
 from repro.sim.trace import BasicBlock
 from repro.system.config import SystemConfig
-from repro.system.metrics import SystemMetrics
-
-
-@dataclass
-class CoupledRunResult:
-    """Outcome of one coupled simulation."""
-
-    exit_code: int
-    output: str
-    stats: RunStats
-    registers: List[int]
-    memory: object
-    #: the run's totals, field for field what
-    #: :func:`~repro.system.traceeval.evaluate_trace` computes from the
-    #: plain run's trace.
-    metrics: SystemMetrics
-
-    @property
-    def cycles(self) -> int:
-        return self.stats.cycles
-
-    @property
-    def dim_stats(self) -> DimStats:
-        return self.metrics.dim
-
-    @property
-    def cache_lookups(self) -> int:
-        return self.metrics.cache_lookups
-
-    @property
-    def cache_hits(self) -> int:
-        return self.metrics.cache_hits
-
-    @property
-    def predictor_accuracy(self) -> float:
-        return self.metrics.predictor_accuracy
+from repro.system.metrics import CoupledRunResult, SystemMetrics
 
 
 class CoupledSimulator:
@@ -102,6 +76,8 @@ class CoupledSimulator:
     def run(self) -> CoupledRunResult:
         sim = self.sim
         engine = self.engine
+        telemetry = sim.telemetry
+        start = _perf_counter() if telemetry.enabled else 0.0
         at_start = True
         entered_at_start = True
         block_start = sim.pc
@@ -128,10 +104,15 @@ class CoupledSimulator:
         # as in Simulator.run: free the compiled blocks and their cycle
         sim._block_compiler = None
         cache = engine.cache
-        if engine.telemetry.enabled:
+        if telemetry.enabled:
             from repro.obs.schema import engine_counters
 
-            engine.telemetry.count_many(engine_counters(engine))
+            # the same sim.* counters Simulator.run adds, for this run
+            telemetry.add_time("sim.run_seconds", _perf_counter() - start)
+            telemetry.count("sim.runs")
+            telemetry.count("sim.instructions", sim.stats.instructions)
+            telemetry.count("sim.cycles", sim.stats.cycles)
+            telemetry.count_many(engine_counters(engine))
         metrics = SystemMetrics.from_stats(
             self.config.name, sim.stats, dim=engine.stats,
             cache_lookups=cache.lookups, cache_hits=cache.hits,

@@ -1,16 +1,18 @@
 """Per-evaluation totals shared by every engine.
 
 :class:`SystemMetrics` is what a single run, a columnar replay and the
-event oracle all report for one (workload, system) pair.  It lives on
-its own so a single ``repro run`` can build one without loading the
-trace evaluator or the translation memo.
+coupled simulator all report for one (workload, system) pair, and
+:class:`CoupledRunResult` the outcome of one run on the accelerated
+system.  They live on their own so a single ``repro run`` can build
+both without loading the coupled simulator, the sweep engine or the
+translation memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.isa.opcodes import InstrClass
 from repro.sim.stats import RunStats
@@ -66,6 +68,59 @@ class SystemMetrics:
                    load_use_stalls=stats.load_use_stalls,
                    hilo_stalls=stats.hilo_stalls, syscalls=stats.syscalls,
                    **dim_fields)
+
+    def to_stats(self) -> RunStats:
+        """The core counters as a :class:`RunStats`: the inverse of
+        :meth:`from_stats` on a run without caches."""
+        return RunStats(instructions=self.instructions,
+                        cycles=self.cycles,
+                        taken_transfers=self.taken_transfers,
+                        load_use_stalls=self.load_use_stalls,
+                        hilo_stalls=self.hilo_stalls, loads=self.loads,
+                        stores=self.stores, branches=self.branches,
+                        fetches=self.fetches, syscalls=self.syscalls)
+
+
+@dataclass
+class CoupledRunResult:
+    """Outcome of one run on the MIPS+DIM system.
+
+    :class:`~repro.system.coupled.CoupledSimulator` executes the
+    program with the array in the loop; :func:`repro.api.run` replays
+    the plain run's trace instead and takes the architectural fields
+    from the plain run, which the coupled simulator proves identical
+    (``tests/test_system_equivalence.py``).
+    """
+
+    exit_code: int
+    output: str
+    stats: RunStats
+    registers: List[int]
+    memory: object
+    #: the run's totals, field for field what
+    #: :func:`~repro.system.traceeval.evaluate_trace` computes from the
+    #: plain run's trace.
+    metrics: SystemMetrics
+
+    @property
+    def cycles(self) -> int:
+        return self.stats.cycles
+
+    @property
+    def dim_stats(self) -> DimStats:
+        return self.metrics.dim
+
+    @property
+    def cache_lookups(self) -> int:
+        return self.metrics.cache_lookups
+
+    @property
+    def cache_hits(self) -> int:
+        return self.metrics.cache_hits
+
+    @property
+    def predictor_accuracy(self) -> float:
+        return self.metrics.predictor_accuracy
 
 
 #: memoized (loads, stores) of covered block prefixes, shared across the

@@ -5,11 +5,13 @@ same :class:`~repro.dim.engine.DimEngine` the coupled simulator uses.
 Because block costs are static (see :mod:`repro.system.costmodel`) and
 DIM's state machine depends only on block identities and branch
 outcomes, the replay is cycle-exact with respect to the coupled
-simulator — the test suite asserts this.  It is the event-by-event
-reference that the columnar engine (:mod:`repro.system.colreplay`) is
-tested against; no production path runs it.  With a ``telemetry``
-sink it emits the per-event engine stream and folds the engine
-counters an observed sweep reads off its columnar metrics.
+simulator — the test suite asserts this.  It is the single-run engine:
+:func:`repro.api.run` (``repro run`` and serve ``"run"`` jobs) executes
+the program once, traced, and computes the accelerated metrics here.
+It is also the event-by-event reference the columnar engine
+(:mod:`repro.system.colreplay`) is tested against.  With a
+``telemetry`` sink it emits the per-event engine stream and folds the
+engine counters an observed sweep reads off its columnar metrics.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ from __future__ import annotations
 from typing import Optional, Set
 
 from repro.dim.engine import DimEngine
-from repro.dim.memo import TranslationMemo
 from repro.isa.opcodes import InstrClass
-from repro.obs.schema import engine_counters
 from repro.sim.stats import TimingModel
 from repro.sim.trace import BasicBlock, Trace
 from repro.system.config import SystemConfig
@@ -194,16 +194,18 @@ def _run_dual(engine: DimEngine, metrics: SystemMetrics, model,
 
 def evaluate_trace(trace: Trace, config: SystemConfig,
                    name: str = "",
-                   memo: Optional["TranslationMemo"] = None,
+                   memo=None,
                    telemetry=None) -> SystemMetrics:
     """Replay a trace through a DIM system; returns its metrics.
 
     The replay mirrors :class:`repro.system.coupled.CoupledSimulator`
     decision for decision: same lookup points, same translation and
     extension triggers, same speculation resolution and flush policy.
-    ``memo`` optionally shares translation work with other evaluations
-    of the same trace (see :mod:`repro.dim.memo`); it never changes the
-    returned metrics.  ``telemetry`` optionally injects a
+    ``memo``, an optional :class:`~repro.dim.memo.TranslationMemo`,
+    shares translation work with other evaluations of the same trace;
+    it never changes the returned metrics.  (It is left unannotated so
+    the annotations resolve at runtime while a single run, which passes
+    none, never imports the memo.)  ``telemetry`` optionally injects a
     :class:`repro.obs.Telemetry` sink; telemetry is purely
     observational, so metrics are identical with or without it.
     """
@@ -302,5 +304,7 @@ def evaluate_trace(trace: Trace, config: SystemConfig,
     metrics.cache_invalidations = cache.invalidations
     metrics.predictor_accuracy = engine.predictor.accuracy
     if telemetry is not None and telemetry.enabled:
+        from repro.obs.schema import engine_counters
+
         telemetry.count_many(engine_counters(engine))
     return metrics

@@ -109,16 +109,31 @@ def test_inspect_block_too_short(tmp_path, capsys):
         assert "line " in out
 
 
-def test_run_block_compiles_without_any_flag(tmp_path, capsys):
-    """One production simulator: a plain ``repro run`` takes the block
-    compiler, and the legacy ``--fast`` changes no byte of its report."""
+def test_run_block_compiles_without_any_flag(tmp_path, capsys,
+                                            monkeypatch):
+    """One production simulator: a plain ``repro run`` executes the
+    program once, on the block compiler, and the legacy ``--fast``
+    changes no byte of its report.  Block factories are cached per
+    program, so the spy counts block-compiled runs, not compilations:
+    it holds whatever an earlier test in this process already built."""
+    from repro.sim.fastpath import FastPath
+
+    compiled_runs = []
+    run_to_exit = FastPath.run_to_exit
+
+    def spy(self):
+        compiled_runs.append(self)
+        return run_to_exit(self)
+
+    monkeypatch.setattr(FastPath, "run_to_exit", spy)
     log = tmp_path / "run.jsonl"
     args = ["run", "crc", "--array", "C1", "--slots", "16"]
     assert main(args + ["--telemetry", str(log)]) == 0
     report = capsys.readouterr().out
     counters = json.loads(log.read_text().splitlines()[-1])
     assert counters["type"] == "counters"
-    assert counters["fastpath.blocks_compiled"] > 0
+    assert counters["sim.runs"] == 1 and len(compiled_runs) == 1
+    assert counters["dim.array_executions"] > 0
     assert main(args + ["--fast"]) == 0
     assert report.startswith(capsys.readouterr().out)
 
@@ -162,23 +177,33 @@ def test_cli_start_up_and_single_run_never_load_numpy():
 
 
 #: what a single ``repro run`` must not load: the sweep engine, its
-#: artifact store, the event oracle and the memo that serves it.
+#: artifact store, the translation memo, the coupled simulator it
+#: replays instead of, and (telemetry off) the counter collectors.
 _NOT_ON_RUN_PATH = ("repro.system.colreplay", "repro.system.sweep",
                     "repro.sim.coltrace", "repro.system.artifacts",
-                    "repro.system.traceeval", "repro.dim.memo", "pickle")
+                    "repro.dim.memo", "repro.system.coupled",
+                    "repro.obs.schema", "pickle")
+#: how many ``repro`` modules ``import repro.cli`` and a ``repro run``
+#: load at most
+_CLI_MODULES, _RUN_MODULES = 42, 49
 
 
 def test_cli_start_up_and_single_run_load_only_the_run_path():
     script = (
         "import sys\n"
         f"unwanted = {_NOT_ON_RUN_PATH!r}\n"
+        "def ours():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m == 'repro' or m.startswith('repro.'))\n"
         "import repro.cli\n"
         "loaded = [m for m in unwanted if m in sys.modules]\n"
         "assert not loaded, ('loaded by import', loaded)\n"
+        f"assert len(ours()) <= {_CLI_MODULES}, ours()\n"
         "code = repro.cli.main(['run', 'crc', '--fast'])\n"
         "assert code == 0\n"
         "loaded = [m for m in unwanted if m in sys.modules]\n"
-        "assert not loaded, ('loaded by run', loaded)\n")
+        "assert not loaded, ('loaded by run', loaded)\n"
+        f"assert len(ours()) <= {_RUN_MODULES}, ours()\n")
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env,

@@ -29,6 +29,7 @@ from repro.obs import (
 )
 from repro.system import paper_system
 from repro.system.config import PAPER_SHAPES, SystemSpec
+from repro.system.coupled import run_coupled
 from repro.system.sweep import SweepInstrumentation, evaluate_matrix
 from repro.system.traceeval import evaluate_trace
 from repro.workloads import load_workload
@@ -240,6 +241,20 @@ def test_evaluate_trace_folds_engine_counters():
     evaluate_trace(trace, CONFIG, telemetry=streamed)
     hits = sum(1 for r in streamed.events if r["type"] == "rcache.hit")
     assert hits == metrics.cache_hits
+
+
+def test_coupled_run_adds_its_own_sim_counters():
+    """A coupled run is one simulation: it adds the ``sim.*`` counters
+    of its own core, as ``Simulator.run`` does for a plain run."""
+    tel = Telemetry(max_events=None)
+    result = run_coupled(load_workload("crc"), CONFIG, telemetry=tel)
+    counters = tel.counters
+    assert counters["sim.runs"] == 1
+    assert counters["sim.instructions"] == result.stats.instructions
+    assert counters["sim.cycles"] == result.stats.cycles
+    assert counters["dim.array_executions"] \
+        == result.dim_stats.array_executions > 0
+    assert "sim.run_seconds" in tel.timers
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,11 @@
    architectural state and program output to the plain MIPS core.
 2. The trace-driven evaluator produces *cycle-identical* results to the
    coupled simulator, for every array shape and DIM policy.
-3. ``repro.api.run``, which reads its metrics off the plain and the
-   coupled run, returns exactly the metrics the event-driven oracles
-   (``baseline_metrics``/``evaluate_trace``) compute from the trace.
+3. ``repro.api.run`` executes the program once and replays its trace;
+   the coupled simulator is its transparency oracle: the accelerated
+   run it reports has the coupled run's exit code, output, registers,
+   memory, counters and metrics, and its baseline is what
+   ``baseline_metrics`` computes from the trace.
 """
 
 import dataclasses
@@ -26,6 +28,7 @@ from repro.system import (
 )
 from repro.system.config import SystemSpec
 from repro.system.coupled import run_coupled
+from repro.workloads import load_workload
 
 # A program mix designed to stress every DIM mechanism: biased loops
 # (speculation), data-dependent branches (mis-speculation), multiplies
@@ -159,17 +162,45 @@ def test_coupled_is_bit_exact_and_trace_is_cycle_exact(plain_runs, name,
     assert metrics.cache_lookups == coupled.cache_lookups
 
 
+def _assert_run_matches_the_coupled_oracle(program, config):
+    """``api.run`` keeps no second execution to compare outputs with,
+    so its transparency is checked here, against the coupled run."""
+    comparison = api.run(program, config=config)
+    accelerated = comparison.accelerated
+    coupled = run_coupled(program, config)
+    assert accelerated.exit_code == coupled.exit_code
+    assert accelerated.output == coupled.output
+    assert accelerated.registers == coupled.registers
+    assert accelerated.memory.snapshot_pages() \
+        == coupled.memory.snapshot_pages()
+    # the DIM, rcache and predictor numbers `repro run` prints
+    assert comparison.metrics is accelerated.metrics
+    assert dataclasses.asdict(comparison.metrics) \
+        == dataclasses.asdict(coupled.metrics)
+    # every RunStats field, cycles and instructions among them
+    assert accelerated.stats == coupled.stats
+    assert dataclasses.asdict(comparison.baseline) == dataclasses.asdict(
+        baseline_metrics(comparison.plain.trace, config.timing))
+
+
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 @pytest.mark.parametrize("config_idx", range(len(CONFIGS)))
 def test_run_metrics_match_the_event_oracles(plain_runs, name,
                                              config_idx):
-    config = CONFIGS[config_idx]
-    program, plain = plain_runs[name]
-    comparison = api.run(program, config=config)
-    assert dataclasses.asdict(comparison.metrics) \
-        == dataclasses.asdict(evaluate_trace(plain.trace, config))
-    assert dataclasses.asdict(comparison.baseline) \
-        == dataclasses.asdict(baseline_metrics(plain.trace, config.timing))
+    program, _ = plain_runs[name]
+    _assert_run_matches_the_coupled_oracle(program, CONFIGS[config_idx])
+
+
+#: the three ``repro run`` invocations perfbench's cli-run times
+CLI_RUN_PAIRS = [("crc", "C1", 16, False), ("sha", "C2", 64, True),
+                 ("gsm_d", "C3", 256, True)]
+
+
+@pytest.mark.parametrize("workload,array,slots,spec", CLI_RUN_PAIRS)
+def test_run_matches_the_coupled_oracle_on_the_cli_run_pairs(
+        workload, array, slots, spec):
+    _assert_run_matches_the_coupled_oracle(
+        load_workload(workload), paper_system(array, slots, spec))
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
