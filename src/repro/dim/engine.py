@@ -206,7 +206,8 @@ class DimEngine:
     # Array-execution bookkeeping (shared by coupled sim and trace eval).
     # ------------------------------------------------------------------
     def begin_execution(self, config: Configuration) -> int:
-        """Account one array execution; returns the core stall cycles."""
+        """Account one array execution; returns the core cycles it
+        takes: the reconfiguration stall plus the execution itself."""
         stats = self.stats
         stats.array_executions += 1
         result = config.result
@@ -227,7 +228,7 @@ class DimEngine:
             stats.loop_trips += 1
         elif kind == "dual":
             stats.dual_executions += 1
-        return stall
+        return stall + cycles
 
     def loop_iteration(self, config: Configuration) -> int:
         """Account one additional loop trip; returns its array cycles.

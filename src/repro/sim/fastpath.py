@@ -42,6 +42,20 @@ unmapped page, a misaligned address or a big-endian host (no views)
 falls back to ``read_word``/``write_word``, which allocate, raise the
 alignment error and byte-swap exactly as before.
 
+Most of those accesses are mini-C locals: two or more ``lw``/``sw``
+through one base register the block does not know (``$sp``, ``$fp``),
+with word-multiple offsets, before the block writes that register
+again.  Such a group shares one *frame window*: one guard reads the
+base once, looks its page up once and keeps the view only if the base
+is aligned, every offset of the group stays inside that page and, for
+a group that stores, the page holds no ``.text``; otherwise the window
+is a :class:`_CallRoute`, indexed the same way but calling
+``read_word``/``write_word`` (a store with its ``.text`` check).  Each
+access is one line, ``regs[d] = _pN[_iN + k]`` or
+``_pN[_iN + k] = value``.  A store to an address the block knows
+checks ``.text`` at compile time.  ``mult``/``multu`` are inlined
+(``div`` still calls :func:`~repro.isa.semantics.div_result`).
+
 Scope and invalidation rule: the generated code and the decode cache
 assume the text segment is immutable.  Self-modifying code is out of
 scope; every compiled store checks, in one line, that its target lies
@@ -61,13 +75,13 @@ the new simulator's register file, memory and counters.
 
 from __future__ import annotations
 
+from functools import partial
 from types import CodeType, FunctionType
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Format, InstrClass
-from repro.isa.semantics import (alu_result, div_result, mult_result,
-                                 to_signed)
+from repro.isa.semantics import alu_result, div_result
 from repro.sim.memory import PAGE_MASK, PAGE_SHIFT
 from repro.sim.stats import pack_counts
 from repro.sim.syscalls import handle_syscall
@@ -94,20 +108,51 @@ _VIEW_LOOKUP = f"_w = words.get(_a >> {PAGE_SHIFT})"
 _VIEW_MISS = "_w is None or _a & 3"
 _VIEW_WORD = f"_w[(_a & {PAGE_MASK}) >> 2]"
 
+#: the last word index of a page's word view
+_LAST_WORD = PAGE_MASK >> 2
 
-def _sgn(var: str) -> str:
-    """Expression re-interpreting canonical-u32 variable ``var`` as signed."""
-    return f"({var} - 0x100000000 if {var} & 0x80000000 else {var})"
+
+def _sgn(expr: str) -> str:
+    """Expression re-interpreting canonical-u32 ``expr`` as signed."""
+    return f"(({expr} ^ 0x80000000) - 0x80000000)"
 
 
 def _text_store_error(address: int) -> Exception:
-    """The error every compiled store's one-line ``.text`` check raises
-    (in the compiled frame, so a traceback ends at the store)."""
+    """The error every compiled store's ``.text`` check raises (in the
+    compiled frame, so a traceback ends at the store, unless the store
+    goes through a :class:`_CallRoute`)."""
     from repro.sim.cpu import SimulationError
 
     return SimulationError(
         f"store to .text at 0x{address:08x}: self-modifying code is "
         "unsupported by the fast path")
+
+
+class _CallRoute:
+    """A frame window whose guard failed: indexed like the page's word
+    view, it reads and writes word ``i`` of the window's page through
+    ``read_word``/``write_word``, which allocate, raise the alignment
+    error and byte-swap as for any other access, and checks each store
+    against ``.text`` as a compiled store does."""
+
+    __slots__ = ("memory", "text_base", "text_end", "origin")
+
+    def __init__(self, memory, text_base: int, text_end: int,
+                 base: int) -> None:
+        self.memory = memory
+        self.text_base = text_base
+        self.text_end = text_end
+        #: the address of word index 0, keeping the base's low bits
+        self.origin = base - ((base & PAGE_MASK) & ~3)
+
+    def __getitem__(self, index: int) -> int:
+        return self.memory.read_word((self.origin + 4 * index) & _MASK)
+
+    def __setitem__(self, index: int, value: int) -> None:
+        address = (self.origin + 4 * index) & _MASK
+        if self.text_base <= address < self.text_end:
+            raise _text_store_error(address)
+        self.memory.write_word(address, value)
 
 
 class _Emitter:
@@ -134,6 +179,9 @@ class _Emitter:
         #: the register the last emitted line set to a constant, if that
         #: line was the whole of its instruction
         self._const_reg = -1
+        #: base register -> number of the frame window open through it
+        self._windows: Dict[int, int] = {}
+        self._window_count = 0
 
     def value(self, reg: int) -> str:
         """Source reading register ``reg``."""
@@ -159,15 +207,95 @@ class _Emitter:
         self._const_reg = dest
         self.known[dest] = value
 
-    def address(self, instr: Instruction) -> None:
-        """``_a = `` the effective address of a load or store."""
+    def address(self, instr: Instruction) -> Optional[int]:
+        """``_a = `` the effective address of a load or store; returns
+        the address when the block knows it."""
         base = self.known.get(instr.rs)
         if base is not None:
-            self.emit(f"_a = {(base + instr.imm) & _MASK}")
-        elif instr.imm:
+            address = (base + instr.imm) & _MASK
+            self.emit(f"_a = {address}")
+            return address
+        if instr.imm:
             self.emit(f"_a = (regs[{instr.rs}] + {instr.imm}) & 0xFFFFFFFF")
         else:
             self.emit(f"_a = regs[{instr.rs}]")
+        return None
+
+    def _view(self, address: Optional[int]) -> Optional[Tuple[str, str]]:
+        """Emit the page lookup of a word access at ``_a``; returns the
+        (miss test, view word) expressions, or None when the block
+        knows the address is misaligned (the call raises).  A known
+        address needs no alignment test and indexes its view with a
+        literal."""
+        if address is None:
+            self.emit(_VIEW_LOOKUP)
+            return _VIEW_MISS, _VIEW_WORD
+        if address & 3:
+            return None
+        self.emit(f"_w = words.get({address >> PAGE_SHIFT})")
+        return "_w is None", f"_w[{(address & PAGE_MASK) >> 2}]"
+
+    def bodies(self, instrs: Sequence[Instruction]) -> None:
+        """Emit the non-terminator instructions ``instrs`` in order,
+        opening a frame window (:meth:`_open_window`) at the first
+        access of each group that :func:`_frame_windows` finds through a
+        base register the block does not know, and closing it when the
+        base register is written."""
+        windows = self._windows
+        plan = _frame_windows(instrs)
+        for index, instr in enumerate(instrs):
+            group = plan.get(index)
+            if group is not None and instr.rs not in self.known:
+                self._open_window(instr.rs, *group)
+            self.body(instr)
+            dest = instr.destination()
+            if dest is not None:
+                windows.pop(dest, None)
+
+    def _open_window(self, base: int, low: int, high: int,
+                     stores: bool) -> None:
+        """The guard of a frame window through register ``base``
+        spanning word offsets ``low..high``: read the base once and look
+        its page up once.  ``_pN`` is that page's word view if the base
+        is aligned, every offset stays inside the page and, for a window
+        that stores, the page holds no ``.text``; otherwise (or with no
+        view) it is a :class:`_CallRoute` from the base."""
+        first, last = max(0, -low), min(_LAST_WORD, _LAST_WORD - high)
+        if first > last:  # the offsets span more than a page
+            return
+        n = self._window_count
+        self._window_count += 1
+        b, i = f"_b{n}", f"_i{n}"
+        fails = [f"{b} & 3"]
+        if first:
+            fails.append(f"{i} < {first}")
+        if last < _LAST_WORD:
+            fails.append(f"{i} > {last}")
+        if stores:
+            first_page = self.text_base >> PAGE_SHIFT
+            last_page = (self.text_end - 1) >> PAGE_SHIFT
+            fails.append(f"{first_page} <= {b} >> {PAGE_SHIFT} <= {last_page}")
+        self.emit(f"{b} = regs[{base}]")
+        self.emit(f"{i} = ({b} & {PAGE_MASK}) >> 2")
+        self.emit(f"_p{n} = (None if {' or '.join(fails)} "
+                  f"else words.get({b} >> {PAGE_SHIFT})) or route({b})")
+        self._windows[base] = n
+
+    def _window_access(self, instr: Instruction, n: int) -> None:
+        """Emit ``lw``/``sw`` ``instr`` through frame window ``n``: one
+        line indexing the page's word view, or the window's
+        :class:`_CallRoute` when the guard failed."""
+        k = instr.imm >> 2
+        word = f"_p{n}[_i{n} + {k}]" if k > 0 \
+            else f"_p{n}[_i{n} - {-k}]" if k else f"_p{n}[_i{n}]"
+        if instr.mnemonic == "sw":
+            self.emit(f"{word} = {self.value(instr.rt)}")
+            return
+        dest = instr.destination()
+        if dest is not None:
+            self.write(dest, word)
+        else:
+            self.emit(word)  # keep the access (alignment checks)
 
     def body(self, instr: Instruction) -> None:
         """Emit one non-terminator instruction."""
@@ -175,14 +303,19 @@ class _Emitter:
         m = instr.mnemonic
         if klass is InstrClass.NOP:
             return
-        if klass is InstrClass.ALU or klass is InstrClass.SHIFT:
+        window = self._windows.get(instr.rs)
+        if window is not None and (m == "lw" or m == "sw") \
+                and not instr.imm & 3:
+            self._window_access(instr, window)
+        elif klass is InstrClass.ALU or klass is InstrClass.SHIFT:
             self._alu(instr)
         elif klass is InstrClass.LOAD:
-            self.address(instr)
+            address = self.address(instr)
             dest = instr.destination()
             if m == "lw":
-                self.emit(_VIEW_LOOKUP)
-                expr = f"rw(_a) if {_VIEW_MISS} else {_VIEW_WORD}"
+                view = self._view(address)
+                expr = "rw(_a)" if view is None \
+                    else f"rw(_a) if {view[0]} else {view[1]}"
             elif m == "lbu":
                 expr = "rb(_a)"
             elif m == "lhu":
@@ -199,24 +332,36 @@ class _Emitter:
             elif m in ("lw", "lbu", "lhu"):
                 self.emit(expr)  # keep the access (alignment checks)
         elif klass is InstrClass.STORE:
-            self.address(instr)
-            self.emit(f"if {self.text_base} <= _a < {self.text_end}: "
-                      "raise text_store(_a)")
+            address = self.address(instr)
+            if address is None:
+                self.emit(f"if {self.text_base} <= _a < {self.text_end}: "
+                          "raise text_store(_a)")
+            elif self.text_base <= address < self.text_end:
+                self.emit("raise text_store(_a)")
+                return
             value = self.value(instr.rt)
             if m == "sw":
-                self.emit(_VIEW_LOOKUP)
-                self.emit(f"if {_VIEW_MISS}:")
-                self.emit(f"    ww(_a, {value})")
-                self.emit("else:")
-                self.emit(f"    {_VIEW_WORD} = {value}")
+                view = self._view(address)
+                if view is None:
+                    self.emit(f"ww(_a, {value})")
+                else:
+                    self.emit(f"if {view[0]}:")
+                    self.emit(f"    ww(_a, {value})")
+                    self.emit("else:")
+                    self.emit(f"    {view[1]} = {value}")
             elif m == "sb":
                 self.emit(f"wb(_a, {value})")
             else:  # sh
                 self.emit(f"wh(_a, {value})")
-        elif klass is InstrClass.MULT or klass is InstrClass.DIV:
-            call = "mult_result" if klass is InstrClass.MULT \
-                else "div_result"
-            self.emit(f"sim.hi, sim.lo = {call}('{m}', "
+        elif klass is InstrClass.MULT:
+            a, b = self.value(instr.rs), self.value(instr.rt)
+            if m == "mult":
+                a, b = _sgn(a), _sgn(b)
+            self.emit(f"_m = {a} * {b}")
+            self.emit("sim.hi, sim.lo = (_m >> 32) & 0xFFFFFFFF, "
+                      "_m & 0xFFFFFFFF")
+        elif klass is InstrClass.DIV:
+            self.emit(f"sim.hi, sim.lo = div_result('{m}', "
                       f"{self.value(instr.rs)}, {self.value(instr.rt)})")
         elif klass is InstrClass.HILO:
             if m in ("mfhi", "mflo"):
@@ -261,10 +406,10 @@ class _Emitter:
         elif m == "nor":
             self.write(dest, f"~({rs} | {b}) & 0xFFFFFFFF")
         elif m in ("slt", "slti"):
-            left = self._signed(instr.rs, "_a")
-            right = str(instr.imm) if imm_form \
-                else self._signed(instr.rt, "_b")
-            self.write(dest, f"1 if {left} < {right} else 0")
+            right = str((instr.imm & _MASK) ^ 0x80000000) if imm_form \
+                else self._flipped(instr.rt)
+            self.write(dest,
+                       f"1 if {self._flipped(instr.rs)} < {right} else 0")
         elif m in ("sltu", "sltiu"):
             b_u = repr(instr.imm & _MASK) if imm_form else b
             self.write(dest, f"1 if {rs} < {b_u} else 0")
@@ -273,28 +418,23 @@ class _Emitter:
         elif m == "srl":
             self.write(dest, f"{b} >> {instr.shamt}")
         elif m == "sra":
-            self.emit(f"_b = {b}")
-            self.write(dest,
-                       f"({_sgn('_b')} >> {instr.shamt}) & 0xFFFFFFFF")
+            self.write(dest, f"({_sgn(b)} >> {instr.shamt}) & 0xFFFFFFFF")
         elif m == "sllv":
             self.write(dest, f"({b} << ({rs} & 31)) & 0xFFFFFFFF")
         elif m == "srlv":
             self.write(dest, f"{b} >> ({rs} & 31)")
         elif m == "srav":
-            self.emit(f"_b = {b}")
-            self.write(dest,
-                       f"({_sgn('_b')} >> ({rs} & 31)) & 0xFFFFFFFF")
+            self.write(dest, f"({_sgn(b)} >> ({rs} & 31)) & 0xFFFFFFFF")
         else:  # pragma: no cover - ALU/SHIFT mnemonics are exhaustive
             raise ValueError(f"cannot compile {m}")
 
-    def _signed(self, reg: int, var: str) -> str:
-        """Source reading register ``reg`` as a signed value (through
-        ``var`` when the value is not known)."""
+    def _flipped(self, reg: int) -> str:
+        """Source reading register ``reg`` with its sign bit flipped:
+        flipped values compare unsigned as the registers do signed."""
         known = self.known.get(reg)
         if known is not None:
-            return str(to_signed(known))
-        self.emit(f"{var} = regs[{reg}]")
-        return _sgn(var)
+            return str(known ^ 0x80000000)
+        return f"(regs[{reg}] ^ 0x80000000)"
 
     def terminator(self, instr: Instruction, pc: int) -> Tuple[str, str]:
         """Emit the block terminator; returns the ``taken`` and next-pc
@@ -308,11 +448,9 @@ class _Emitter:
             elif m == "bne":
                 self.emit(f"taken = {rs} != {self.value(instr.rt)}")
             elif m == "blez":
-                self.emit(f"_b = {rs}")
-                self.emit("taken = _b == 0 or _b >= 0x80000000")
+                self.emit(f"taken = {self._flipped(instr.rs)} <= 0x80000000")
             elif m == "bgtz":
-                self.emit(f"_b = {rs}")
-                self.emit("taken = _b != 0 and _b < 0x80000000")
+                self.emit(f"taken = {self._flipped(instr.rs)} > 0x80000000")
             elif m == "bltz":
                 self.emit(f"taken = {rs} >= 0x80000000")
             else:  # bgez
@@ -349,6 +487,8 @@ class FastPath:
         self._prefixes: Dict[Tuple[int, int], CompiledPrefix] = {}
         self._factories = sim.program.fastpath_cache
         self._flags = (sim.collect_trace, sim.timing)
+        self._route = partial(_CallRoute, sim.memory, sim.program.text_base,
+                              sim.program.text_end)
 
     # ------------------------------------------------------------------
     def run_to_exit(self) -> None:
@@ -461,8 +601,8 @@ class FastPath:
         return factory(sim, sim.regs, sim._stats, sim._pending, memory,
                        memory.read_byte, memory.read_half, memory.read_word,
                        memory.write_byte, memory.write_half,
-                       memory.write_word, memory.words, sim.output_parts,
-                       sim._trace_events.append, code)
+                       memory.write_word, memory.words, self._route,
+                       sim.output_parts, sim._trace_events.append, code)
 
     def _build_factory(self, start_pc: int):
         sim = self.sim
@@ -489,9 +629,7 @@ class FastPath:
         program = self.sim.program
         instrs = block.instructions[:covered]
         body: List[str] = []
-        emitter = _Emitter(body, program.text_base, program.text_end)
-        for instr in instrs:
-            emitter.body(instr)
+        _Emitter(body, program.text_base, program.text_end).bodies(instrs)
         body.extend(_memory_counts(instrs))
         return _compile(_wrap(body or ["pass"]), name)
 
@@ -505,8 +643,7 @@ class FastPath:
         collect_trace = self._flags[0]
         body: List[str] = []
         emitter = _Emitter(body, program.text_base, program.text_end)
-        for instr in instrs[:-1]:
-            emitter.body(instr)
+        emitter.bodies(instrs[:-1])
         if not collect_trace:  # the whole-body array prefix stops here
             emitter.emit("if body_only:")
             for line in _memory_counts(instrs[:-1]) + ["return"]:
@@ -538,6 +675,36 @@ class FastPath:
         return _wrap(body)
 
 
+def _frame_windows(instrs: Sequence[Instruction]
+                   ) -> Dict[int, Tuple[int, int, bool]]:
+    """The frame windows of a block body: for each group of two or more
+    ``lw``/``sw`` with a word-multiple offset through one base register
+    before the body writes that register again (an access that loads
+    into its own base is the group's last), the index of its first
+    access -> (lowest word offset, highest word offset, whether it
+    stores)."""
+    open_: Dict[int, Tuple[int, List[int], List[bool]]] = {}
+    found: Dict[int, Tuple[int, int, bool]] = {}
+
+    def close(base: int) -> None:
+        first, offsets, stores = open_.pop(base)
+        if len(offsets) > 1:
+            found[first] = (min(offsets), max(offsets), any(stores))
+
+    for index, instr in enumerate(instrs):
+        m = instr.mnemonic
+        if (m == "lw" or m == "sw") and instr.rs and not instr.imm & 3:
+            _, offsets, stores = open_.setdefault(instr.rs, (index, [], []))
+            offsets.append(instr.imm >> 2)
+            stores.append(m == "sw")
+        dest = instr.destination()
+        if dest in open_:
+            close(dest)
+    for base in list(open_):
+        close(base)
+    return found
+
+
 def _memory_counts(instrs) -> List[str]:
     """The line adding the loads and stores of ``instrs`` (an array
     prefix's only counters), if it has any."""
@@ -561,7 +728,7 @@ def _wrap(body: List[str]) -> str:
     inner = "\n".join(f"        {line}" for line in body)
     return (
         "def _factory(sim, regs, stats, pend, memory, rb, rh, rw, wb, wh, "
-        "ww, words, out, append, code):\n"
+        "ww, words, route, out, append, code):\n"
         "    def _block(body_only=False):\n"
         f"{inner}\n"
         "    return _block\n"
@@ -582,7 +749,6 @@ def _renamed(factory, name: str):
 def _compile(source: str, name: str):
     """Exec generated factory ``source``; returns its ``_factory``."""
     namespace = {
-        "mult_result": mult_result,
         "div_result": div_result,
         "handle_syscall": handle_syscall,
         "text_store": _text_store_error,

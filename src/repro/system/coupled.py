@@ -141,8 +141,7 @@ class CoupledSimulator:
         engine = self.engine
         stats = sim._stats  # adds only: see Simulator.stats
         params = self.config.dim
-        stall = engine.begin_execution(config)
-        stats.cycles += stall + config.exec_cycles
+        stats.cycles += engine.begin_execution(config)
         if config.kind == "loop":
             return self._execute_loop(config)
         if config.kind == "dual":

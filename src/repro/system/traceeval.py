@@ -240,8 +240,7 @@ def evaluate_trace(trace: Trace, config: SystemConfig,
 
         # ---- array execution --------------------------------------------
         cfg = engine.maybe_extend(cfg)
-        stall = engine.begin_execution(cfg)
-        metrics.cycles += stall + cfg.exec_cycles
+        metrics.cycles += engine.begin_execution(cfg)
         if cfg.kind == "loop":
             i = _run_loop(engine, metrics, cfg, events, i, seen,
                           config.dim.misspec_penalty)

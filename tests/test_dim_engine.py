@@ -107,8 +107,10 @@ def test_begin_execution_accounts_stats_and_stall():
     block = sim.block_at(sim.pc)
     engine.consider_translation(block)
     config = engine.lookup(block.start_pc)
-    stall = engine.begin_execution(config)
-    assert stall == max(0, config.reconfiguration_cycles - 3)
+    core = engine.begin_execution(config)
+    stall = max(0, config.reconfiguration_cycles - 3)
+    assert core == stall + config.exec_cycles
+    assert engine.stats.reconfiguration_stalls == stall
     stats = engine.stats
     assert stats.array_executions == 1
     assert stats.array_cycles == config.exec_cycles

@@ -12,18 +12,21 @@ target) and data-dependent branches — on the interpreter and the fast
 path, plain and coupled, and compare everything.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.asm import assemble
 from repro.sim import Simulator, run_program
+from repro.sim import memory as memory_module
 from repro.sim.cpu import SimulationError
 from repro.sim.memory import AlignmentError_
 from repro.sim import fastpath
 from repro.sim.fastpath import FastPath
 from repro.system import paper_system
 from repro.system.coupled import run_coupled
+from repro.workloads import load_workload
 
 _POOL = ["$zero", "$t0", "$t1", "$t2", "$t3"]
 _R_OPS = ["addu", "subu", "and", "or", "xor", "nor", "slt", "sltu",
@@ -33,8 +36,13 @@ _CONSTANTS = [0, 1, -1, 7, 0x7FFF, -0x8000, 0xFFFF, 0x10000, 0x12345678,
               -0x12345678, 0x80000000, 0xFFFF0000]
 
 
-def _op(rng: random.Random) -> str:
+def _op(rng: random.Random, frames: bool = False) -> str:
     reg = lambda: rng.choice(_POOL)  # noqa: E731
+    if frames and rng.random() < 0.15:
+        # move the base to a neighbouring region, or load the next
+        # region's address into the base through the base itself
+        return rng.choice(["addiu $s0, $s0, 4096", "addiu $s0, $s0, -4096",
+                           "lw   $s0, 64($s0)"])
     kind = rng.randrange(9)
     if kind == 0:
         return f"li {reg()}, {rng.choice(_CONSTANTS)}"
@@ -77,21 +85,40 @@ def _op(rng: random.Random) -> str:
     return f"mthi {reg()}\n        mtlo {reg()}"
 
 
-def _program(seed: int) -> str:
+def _program(seed: int, frames: bool = False) -> str:
+    """A random program; with ``frames``, its base register ``$s0``
+    also moves between three 64-byte regions a page apart, each
+    straddling a page boundary at a seeded offset and followed by a
+    word holding the next region's address (the random accesses reach
+    offsets 0-63 only, so those words survive)."""
     rng = random.Random(seed)
     lines = []
     for block in range(6):
-        lines += [f"        {_op(rng)}" for _ in range(rng.randrange(1, 9))]
+        lines += [f"        {_op(rng, frames)}"
+                  for _ in range(rng.randrange(1, 9))]
         branch = rng.choice(["beq", "bne", "blez", "bgtz", "bltz", "bgez"])
         operands = f"{rng.choice(_POOL)}, {rng.choice(_POOL)}" \
             if branch in ("beq", "bne") else rng.choice(_POOL)
         lines.append(f"        {branch} {operands}, skip{block}")
-        lines += [f"        {_op(rng)}" for _ in range(rng.randrange(0, 4))]
+        lines += [f"        {_op(rng, frames)}"
+                  for _ in range(rng.randrange(0, 4))]
         lines.append(f"skip{block}:")
     body = "\n".join(lines)
+    data = "buf:    .space 64"
+    if frames:
+        cross = 4 * rng.randrange(1, 16)  # bytes of buf before the page end
+        data = f"""        .space {0x1000 - cross}
+low:    .space 64
+        .word buf
+        .space {0x1000 - 68}
+buf:    .space 64
+        .word high
+        .space {0x1000 - 68}
+high:   .space 64
+        .word low"""
     return f"""
         .data
-buf:    .space 64
+{data}
         .text
 __start:
         la   $s0, buf
@@ -115,7 +142,10 @@ leaf:
 
 @pytest.mark.parametrize("seed", range(40))
 def test_random_blocks_match_interpreter(seed):
-    program = assemble(_program(seed))
+    _assert_plain_matches(assemble(_program(seed)))
+
+
+def _assert_plain_matches(program):
     slow = run_program(program, collect_trace=True, fast=False)
     fast = run_program(program, collect_trace=True, fast=True)
     assert fast.output == slow.output
@@ -127,7 +157,22 @@ def test_random_blocks_match_interpreter(seed):
 
 @pytest.mark.parametrize("seed", range(40, 52))
 def test_random_array_prefixes_match_interpreter(seed):
-    program = assemble(_program(seed))
+    _assert_coupled_matches(assemble(_program(seed)))
+
+
+@pytest.mark.parametrize("seed", range(100, 130))
+def test_random_frames_match_interpreter(seed):
+    """Base-register writes mid-block and frames across page
+    boundaries: the frame windows' guards and closing."""
+    _assert_plain_matches(assemble(_program(seed, frames=True)))
+
+
+@pytest.mark.parametrize("seed", range(130, 138))
+def test_random_frame_array_prefixes_match_interpreter(seed):
+    _assert_coupled_matches(assemble(_program(seed, frames=True)))
+
+
+def _assert_coupled_matches(program):
     config = paper_system("C3", 16, True)
     slow = run_coupled(program, config, fast=False)
     fast = run_coupled(program, config, fast=True)
@@ -215,3 +260,250 @@ def test_budget_overrun_leaves_pc_after_the_block():
     # the fourth block overran: its counters are in, pc is past it
     assert sim.stats.instructions == 12
     assert sim.pc == program.entry
+
+
+# ----------------------------------------------------------------------
+# Frame windows: two or more lw/sw through one unknown base register
+# share one page lookup (see ``_Emitter.bodies``).  Each directed
+# program computes its base in one block and jumps to the next, so the
+# frame block does not know the base at compile time.
+# ----------------------------------------------------------------------
+def _interpret(program, stop_at=None):
+    """The interpreter's run of ``program``, one instruction at a time,
+    until it exits, raises or reaches ``stop_at``: (simulator, error,
+    pc and a copy of the counters at the start of the last block it
+    entered)."""
+    sim = Simulator(program, collect_trace=True, fast=False)
+    error = None
+    block_pc, block_stats = sim.pc, dataclasses.replace(sim.stats)
+    try:
+        while sim.exit_code is None and sim.pc != stop_at:
+            if sim.step().block_end:
+                block_pc, block_stats = sim.pc, dataclasses.replace(
+                    sim.stats)
+    except (AlignmentError_, SimulationError) as exc:
+        error = exc
+    return sim, error, block_pc, block_stats
+
+
+def _assert_matches_interpreter(program, stop_at=None, error=None):
+    """Run ``program`` on both engines and compare registers, HI/LO,
+    output, memory, trace, counters and the raised error plus its pc.
+
+    A compiled block adds its counters when it completes and the driver
+    leaves ``sim.pc`` at the start of a block that raised, so the
+    counters and pc are the interpreter's at the start of the last
+    block it entered; registers and memory are compared as of the
+    fault.  ``stop_at`` stops the interpreter before an instruction it
+    would execute but the fast path refuses (a store to ``.text``),
+    whose ``error`` the fast path must raise instead.  Returns the fast
+    simulator and its error."""
+    slow, slow_error, block_pc, block_stats = _interpret(program, stop_at)
+    fast = Simulator(program, collect_trace=True, fast=True)
+    fast_error = None
+    try:
+        fast.run()
+    except (AlignmentError_, SimulationError) as exc:
+        fast_error = exc
+    want = error if stop_at is not None else slow_error
+    assert repr(fast_error) == repr(want)
+    assert fast.pc == block_pc
+    assert fast.stats == block_stats
+    assert fast.regs == slow.regs
+    assert (fast.hi, fast.lo) == (slow.hi, slow.lo)
+    assert fast.output_parts == slow.output_parts
+    assert fast._trace_events == slow._trace_events
+    assert fast.memory.snapshot_pages() == slow.memory.snapshot_pages()
+    return fast, fast_error
+
+
+def _frame_program(setup: str, frame: str, data: str = "") -> str:
+    return f"""
+            .data
+{data}
+            .text
+    __start:
+            li    $t1, 0x5a5a5a5a
+{setup}
+            j     frame            # ends the block: frame does not know $s0
+    frame:
+{frame}
+            xor   $a0, $t0, $t2
+            li    $v0, 1
+            syscall
+            li    $v0, 10
+            syscall
+    """
+
+
+def _windows(program) -> int:
+    """How many frame windows the block at ``frame`` opens."""
+    factory_sources = []
+    compile_ = fastpath._compile
+
+    def capture(source, name):
+        factory_sources.append(source)
+        return compile_(source, name)
+
+    fastpath._compile = capture
+    try:
+        FastPath(Simulator(program, fast=True)).compile_block(
+            program.symbols["frame"])
+    finally:
+        fastpath._compile = compile_
+    source, = factory_sources
+    return source.count("else words.get(")
+
+
+# 4088 bytes of padding put ``buf`` 8 bytes before a page boundary;
+# 4100 put it 4 bytes after one.
+_STRADDLE_DATA = """
+    pad:    .space {pad}
+    buf:    .word 11, 22, 33, 44, 55, 66
+"""
+
+
+@pytest.mark.parametrize("pad, offsets", [(4088, (0, 4, 8, 12)),
+                                          (4100, (-8, -4, 0, 4))],
+                         ids=["up", "down"])
+def test_frame_window_straddling_a_page_boundary(pad, offsets):
+    a, b, c, d = offsets
+    program = assemble(_frame_program(
+        "        la    $s0, buf",
+        f"""
+            lw    $t0, {a}($s0)
+            lw    $t2, {c}($s0)
+            sw    $t1, {a}($s0)
+            sw    $t0, {d}($s0)
+            lw    $t3, {b}($s0)
+        """, _STRADDLE_DATA.format(pad=pad)))
+    assert _windows(program) == 1
+    fast, error = _assert_matches_interpreter(program)
+    assert error is None
+    assert fast.regs[10] == (33 if pad == 4088 else 11)  # $t2
+
+
+@pytest.mark.parametrize("access", ["lw    $t0, 4($s0)",
+                                    "sw    $t1, 4($s0)"],
+                         ids=["lw", "sw"])
+def test_frame_window_with_a_misaligned_base(access):
+    program = assemble(_frame_program(
+        "        la    $s0, buf\n        addiu $s0, $s0, 2",
+        f"""
+            addu  $t2, $t1, $t1
+            {access}
+            lw    $t2, 8($s0)
+        """, "    buf:    .space 32"))
+    assert _windows(program) == 1
+    _, error = _assert_matches_interpreter(program)
+    assert isinstance(error, AlignmentError_)
+
+
+def test_frame_window_first_store_to_an_unmapped_page():
+    """The guard finds no page: the first store allocates it through
+    ``ww`` and the window's later accesses read it back; a window that
+    only loads from another unmapped page reads zeros and allocates
+    nothing."""
+    program = assemble(_frame_program(
+        "        lui   $s0, 0x2000\n        lui   $s1, 0x3000",
+        """
+            lw    $t0, 4($s0)
+            sw    $t1, 0($s0)
+            lw    $t2, 0($s0)
+            sw    $t2, 8($s0)
+            lw    $t3, 0($s1)
+            lw    $t4, 4($s1)
+        """))
+    assert _windows(program) == 2
+    fast, error = _assert_matches_interpreter(program)
+    assert error is None
+    assert 0x20000 in fast.memory.words
+    assert 0x30000 not in fast.memory.words
+    assert fast.regs[10] == 0x5a5a5a5a  # $t2
+
+
+@pytest.mark.parametrize("rewrite", ["addiu $s0, $s0, 4096",
+                                     "addiu $s0, $s0, -4096",
+                                     "lw    $s0, 8($s0)"],
+                         ids=["addiu-up", "addiu-down", "load-into-base"])
+def test_frame_window_closes_when_its_base_is_written(rewrite):
+    """After the rewrite the block makes one more access through the
+    base: it must use the new value, not the window opened on the
+    old one."""
+    program = assemble(_frame_program(
+        "        la    $s0, mid",
+        f"""
+            lw    $t0, 0($s0)
+            sw    $t1, 4($s0)
+            {rewrite}
+            lw    $t2, 0($s0)
+        """, """
+    low:    .word 1, 2, low
+            .space 4084
+    mid:    .word 3, 4, high
+            .space 4084
+    high:   .word 5, 6, mid
+    """))
+    assert _windows(program) == 1
+    fast, error = _assert_matches_interpreter(program)
+    assert error is None
+    assert fast.regs[10] == (1 if "-4096" in rewrite else 5)  # $t2
+
+
+def test_frame_window_store_into_text_raises():
+    """A window whose page holds ``.text`` fails its guard, so its store
+    takes the call route and its ``.text`` check: the fast path raises
+    where the interpreter would overwrite its own code."""
+    source = _frame_program(
+        "        la    $s0, __start",
+        """
+            lw    $t0, 0($s0)
+    store:  sw    $t1, 4($s0)
+            lw    $t2, 8($s0)
+        """)
+    program = assemble(source)
+    assert _windows(program) == 1
+    store = program.symbols["store"]
+    error = fastpath._text_store_error(program.entry + 4)
+    _, raised = _assert_matches_interpreter(program, stop_at=store,
+                                            error=error)
+    assert raised is not None
+
+
+def test_frame_windows_without_word_views(monkeypatch):
+    """The big-endian route: no views, so every guard fails and each
+    access of a window calls ``rw``/``ww`` with the same results."""
+    monkeypatch.setattr(memory_module, "WORD_VIEWS", False)
+    program = assemble(_frame_program(
+        "        la    $s0, buf",
+        """
+            lw    $t0, 0($s0)
+            sw    $t1, 4($s0)
+            lw    $t2, 4($s0)
+            sw    $t0, 8($s0)
+        """, "    buf:    .word 7, 8, 9"))
+    assert _windows(program) == 1
+    fast, error = _assert_matches_interpreter(program)
+    assert error is None
+    assert fast.memory.words == {}
+    assert fast.regs[10] == 0x5a5a5a5a  # $t2
+
+
+class _CountingWords(dict):
+    """A page -> word view map that counts its ``get`` calls."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+def test_frame_windows_fire_on_a_traced_workload():
+    """crc keeps every local in its stack frame: with one page lookup
+    per window rather than one per access, the compiled blocks make
+    well under one ``words.get`` per two word accesses."""
+    sim = Simulator(load_workload("crc"), collect_trace=True, fast=True)
+    words = sim.memory.words = _CountingWords(sim.memory.words)
+    stats = sim.run().stats
+    assert words.gets < 0.5 * (stats.loads + stats.stores)
