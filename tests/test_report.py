@@ -1,10 +1,16 @@
 """The acceleration-report builder."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.cli import main
 from repro.minic import compile_to_program
 from repro.system import paper_system
 from repro.system.report import build_report
+from repro.workloads import builtin_workloads, load_workload
 
 SOURCE = """
 unsigned a[32];
@@ -54,3 +60,37 @@ def test_report_renders_as_text(report):
     assert "power shares" in text
     assert "hottest cached configurations" in text
     assert f"{report.speedup:.2f}x" in text
+
+
+# ---------------------------------------------------------------------------
+# Golden output: ``tests/data/report_digests.json`` pins the sha256 of the
+# rendered report of every built-in workload at C2/64/spec, and of the
+# stdout of ``repro report crc`` at the CLI default (C2/64/off).  The
+# report's numbers and its hottest cached configurations must not move
+# when the way the report is computed changes.
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "report_digests.json").read_text())
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["render_sha256"]))
+def test_report_render_matches_the_golden(name):
+    config = paper_system("C2", 64, True)
+    assert config.name == GOLDEN["system"]
+    text = build_report(load_workload(name), config).render()
+    assert _sha256(text) == GOLDEN["render_sha256"][name]
+
+
+def test_report_cli_stdout_matches_the_golden(capsys):
+    assert main(["report", "crc"]) == 0
+    out = capsys.readouterr().out
+    assert _sha256(out) == GOLDEN["cli_report_crc_stdout_sha256"]
+
+
+def test_report_golden_covers_every_builtin_workload():
+    assert sorted(GOLDEN["render_sha256"]) \
+        == sorted(w.name for w in builtin_workloads())
