@@ -3,10 +3,10 @@
 Not a paper experiment — this is the bench that keeps the reproduction
 usable.  It reports instructions/second for the functional core (both
 the per-instruction interpreter and the block-compiled fast path of
-:mod:`repro.sim.fastpath`), the coupled MIPS+DIM system (interpreted,
-and with its core blocks and array prefixes block-compiled), and
-events/second for the trace evaluator (the ratio between the last two is
-why the Table 2 sweep is tractable).
+:mod:`repro.sim.fastpath`), the coupled MIPS+DIM system (the
+interpreted transparency oracle), and events/second for the trace
+evaluator (the ratio between the last two is why the Table 2 sweep is
+tractable).
 
 Every measured rate is also written to ``BENCH_throughput.json`` next to
 this file, so the performance trajectory is tracked PR-over-PR in
@@ -119,7 +119,7 @@ def test_throughput_coupled_system(benchmark, kernel, capsys):
     program, plain = kernel
     config = paper_system("C3", 64, True)
     result = benchmark.pedantic(
-        lambda: CoupledSimulator(program, config, fast=False).run(),
+        lambda: CoupledSimulator(program, config).run(),
         rounds=3, iterations=1)
     assert result.output == plain.output
     rate = plain.stats.instructions / benchmark.stats.stats.mean
@@ -128,28 +128,6 @@ def test_throughput_coupled_system(benchmark, kernel, capsys):
         print(f"\ncoupled MIPS+DIM: {rate / 1e3:.0f}k committed "
               "instructions/s")
     assert rate > 30_000
-
-
-def test_throughput_fast_coupled_system(benchmark, kernel, capsys):
-    program, plain = kernel
-    config = paper_system("C3", 64, True)
-    # Warm the program-level factory cache (core blocks and array
-    # prefixes alike), as for the fast functional core.
-    warm = CoupledSimulator(program, config, fast=False).run()
-    assert CoupledSimulator(program, config, fast=True).run().stats \
-        == warm.stats
-    result = benchmark.pedantic(
-        lambda: CoupledSimulator(program, config, fast=True).run(),
-        rounds=3, iterations=1)
-    assert result.output == plain.output
-    assert result.stats == warm.stats
-    rate = plain.stats.instructions / benchmark.stats.stats.mean
-    RATES["coupled_fast_instr_per_s"] = rate
-    with capsys.disabled():
-        print(f"\nfast coupled MIPS+DIM: {rate / 1e3:.0f}k committed "
-              "instructions/s")
-    # 5x the interpreted coupled floor, as for the functional core.
-    assert rate > 150_000
 
 
 def test_throughput_trace_evaluator(benchmark, kernel, capsys):

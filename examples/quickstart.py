@@ -1,16 +1,17 @@
 """Quickstart: accelerate a hand-written MIPS program, transparently.
 
-Assembles a small checksum kernel, runs it on the plain MIPS core and on
-the coupled MIPS + DIM + reconfigurable array, and shows that the binary
-is untouched while the cycle count drops.
+Assembles a small checksum kernel and runs it through ``repro.run``:
+the program executes once on the plain MIPS core, and its trace replays
+through the MIPS + DIM + reconfigurable array system.  The binary is
+untouched while the cycle count drops; the test suite's coupled
+simulator proves the accelerated system computes the same results.
 
 Run:  python examples/quickstart.py
 """
 
+from repro import api
 from repro.asm import assemble
-from repro.sim import run_program
 from repro.system import paper_system
-from repro.system.coupled import run_coupled
 
 SOURCE = """
         .data
@@ -58,19 +59,17 @@ def main() -> None:
     print(f"assembled {program.num_instructions()} instructions "
           f"at 0x{program.text_base:08x}\n")
 
-    plain = run_program(program)
+    config = paper_system("C3", slots=64, speculation=True)
+    result = api.run(program, config)
+    plain, accelerated = result.plain, result.accelerated
     print(f"plain MIPS   : output={plain.output}  "
           f"cycles={plain.stats.cycles:,}")
-
-    config = paper_system("C3", slots=64, speculation=True)
-    accelerated = run_coupled(program, config)
     print(f"MIPS + DIM   : output={accelerated.output}  "
           f"cycles={accelerated.stats.cycles:,}")
 
-    assert accelerated.output == plain.output, "acceleration changed results!"
-    speedup = plain.stats.cycles / accelerated.stats.cycles
     dim = accelerated.dim_stats
-    print(f"\nspeedup      : {speedup:.2f}x  (same binary, same results)")
+    print(f"\nspeedup      : {result.speedup:.2f}x  "
+          "(same binary, same results)")
     print(f"DIM activity : {dim.translations} translations, "
           f"{dim.array_executions:,} array executions, "
           f"{dim.array_instructions:,} instructions executed on the array")

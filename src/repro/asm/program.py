@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Callable, Dict
 
 #: SPIM-compatible memory layout.
 TEXT_BASE = 0x0040_0000
@@ -32,12 +32,12 @@ class Program:
     #: :meth:`repro.sim.cpu.Simulator.decode_at`).
     decode_cache: Dict[int, tuple] = field(default_factory=dict,
                                            compare=False, repr=False)
-    #: (pc, flags) -> compiled-block and ("prefix", pc, covered) ->
-    #: array-prefix factory cache for the block compiler (see
-    #: :mod:`repro.sim.fastpath`).  Holds exec-generated functions, so
-    #: it is intentionally excluded from comparisons.
-    fastpath_cache: Dict[tuple, tuple] = field(default_factory=dict,
-                                               compare=False, repr=False)
+    #: (pc, collect_trace, timing) -> compiled-block factory cache for
+    #: the block compiler (see :mod:`repro.sim.fastpath`).  Holds
+    #: exec-generated functions, so it is intentionally excluded from
+    #: comparisons.
+    fastpath_cache: Dict[tuple, Callable] = field(
+        default_factory=dict, compare=False, repr=False)
 
     @property
     def text_end(self) -> int:

@@ -10,9 +10,10 @@ Entry points
 - :class:`Telemetry` — a live sink.  Inject one into
   :func:`repro.system.traceeval.evaluate_trace`,
   :func:`repro.system.sweep.evaluate_matrix`,
-  :func:`repro.system.coupled.run_coupled` or
-  :func:`repro.sim.run_program`; read ``.counters`` / ``.timers`` /
-  ``.events`` afterwards, or stream with :meth:`Telemetry.write_jsonl`.
+  :func:`repro.system.report.build_report`, :func:`repro.sim.run_program`
+  or the interpreted oracle :func:`repro.system.coupled.run_coupled`;
+  read ``.counters`` / ``.timers`` / ``.events`` afterwards, or stream
+  with :meth:`Telemetry.write_jsonl`.
 - :data:`NULL_TELEMETRY` — the zero-overhead default every component
   holds when nothing was injected (< 2 % replay overhead, enforced by
   ``benchmarks/bench_telemetry_overhead.py``).

@@ -9,13 +9,12 @@ hides any cross-block hazard), which makes every block's cost a static
 property — the key fact that lets :mod:`repro.system.traceeval` replay
 traces with cycle-exact agreement.
 
-The core exposes a :meth:`Simulator.step` API so the coupled MIPS+DIM
-simulator can interleave normal execution with array execution.
-
 Production runs are block-compiled (:mod:`repro.sim.fastpath`) and
 bit-identical to the per-instruction interpreter; ``fast=False`` selects
 that interpreter, the reference the differential tests compare against.
-Runs with caches configured always interpret.
+Runs with caches configured always interpret, and so does the coupled
+MIPS+DIM oracle (:mod:`repro.system.coupled`), which interleaves
+:meth:`Simulator.step_block` with array execution.
 """
 
 from __future__ import annotations
@@ -308,15 +307,8 @@ class Simulator:
         return self.result()
 
     def step_block(self) -> StepOutcome:
-        """Execute through the end of the current basic block.
-
-        Runs the compiled block when the block compiler is engaged;
-        otherwise steps the interpreter.  Either way the returned outcome
-        has ``block_end=True`` and identical architectural effects.
-        """
-        engine = self._block_compiler
-        if engine is not None:
-            return engine.run_block()
+        """Interpret through the end of the current basic block; the
+        returned outcome is the terminator's (``block_end=True``)."""
         while True:
             outcome = self.step()
             if outcome.block_end:

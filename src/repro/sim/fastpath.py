@@ -32,12 +32,8 @@ once per *instruction*, while producing bit-identical architectural
 state, statistics and trace events — asserted by
 ``tests/test_fastpath.py`` over the full workload suite.
 
-The same code generator compiles the array side of the coupled
-MIPS+DIM system: :meth:`FastPath.prefix` turns the first ``covered``
-instructions of a block — what one array configuration executes of it —
-into a closure that also bulk-adds the prefix's static load/store
-counts.  Aligned ``lw``/``sw`` in every generated closure go straight
-to the page's word view (:attr:`~repro.sim.memory.Memory.words`); an
+Aligned ``lw``/``sw`` in every generated block go straight to the
+page's word view (:attr:`~repro.sim.memory.Memory.words`); an
 unmapped page, a misaligned address or a big-endian host (no views)
 falls back to ``read_word``/``write_word``, which allocate, raise the
 alignment error and byte-swap exactly as before.
@@ -66,8 +62,7 @@ addresses), so a simulator with I/D caches configured keeps the
 per-instruction interpreter.
 
 Compiled factories are cached on the :class:`~repro.asm.program.Program`
-itself, keyed by ``(pc, collect_trace, timing)`` for blocks and
-``("prefix", pc, covered)`` for array prefixes, so repeated
+itself, keyed by ``(pc, collect_trace, timing)``, so repeated
 simulations of one program (the Table 2 sweep, differential
 tests) skip code generation entirely and only re-bind the closures to
 the new simulator's register file, memory and counters.
@@ -76,7 +71,6 @@ the new simulator's register file, memory and counters.
 from __future__ import annotations
 
 from functools import partial
-from types import CodeType, FunctionType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import Instruction
@@ -96,10 +90,6 @@ _MASK = 0xFFFFFFFF
 
 #: a compiled block: zero-argument closure returning (taken, next_pc).
 CompiledBlock = Callable[[], Tuple[bool, int]]
-
-#: a compiled array prefix: closure called with ``True``, run for its
-#: effects (a block closure run as its own whole-body prefix).
-CompiledPrefix = Callable[[bool], None]
 
 # An aligned word at address ``_a`` through its page's word view; with no
 # view (unmapped page, big-endian host) or a misaligned address the
@@ -156,8 +146,7 @@ class _CallRoute:
 
 
 class _Emitter:
-    """The source lines of one block or array prefix, instruction by
-    instruction.
+    """The source lines of one block, instruction by instruction.
 
     Register reads the block can already compute are folded: ``$zero``
     reads as ``0``, and a register last written with a constant (``li``,
@@ -483,8 +472,6 @@ class FastPath:
         self.sim = sim
         self._model = shared_cost_model(sim.timing)
         self._compiled: Dict[int, CompiledBlock] = {}
-        self._term_pc: Dict[int, int] = {}
-        self._prefixes: Dict[Tuple[int, int], CompiledPrefix] = {}
         self._factories = sim.program.fastpath_cache
         self._flags = (sim.collect_trace, sim.timing)
         self._route = partial(_CallRoute, sim.memory, sim.program.text_base,
@@ -517,60 +504,10 @@ class FastPath:
         finally:
             sim.pc = sim._block_start = pc
 
-    def run_block(self):
-        """Execute the current basic block; returns a StepOutcome.
-
-        Mirrors stepping the interpreter until ``block_end`` — this is
-        what the coupled simulator calls between array executions (the
-        entry pc may be mid-block after a partially covered block; the
-        suffix simply compiles as its own block).
-        """
-        from repro.sim.cpu import StepOutcome
-
-        sim = self.sim
-        pc = sim.pc
-        fn = self._compiled.get(pc)
-        if fn is None:
-            fn = self.compile_block(pc)
-        taken, next_pc = fn()
-        sim.pc = sim._block_start = next_pc
-        if sim._stats.instructions > sim.max_instructions:
-            _over_budget(pc)
-        return StepOutcome(True, taken, sim.exit_code is not None,
-                           self._term_pc[pc], next_pc)
-
-    def prefix(self, block: BasicBlock, covered: int) -> CompiledPrefix:
-        """The compiled array prefix: ``block``'s first ``covered``
-        instructions, with the loads/stores counts the coupled
-        simulator's per-instruction path would add.  Call it with
-        ``True``.
-
-        An array usually covers a whole block but its terminator; a
-        simulator that does not trace then reuses the block's own
-        factory, whose closure stops after the body when called with
-        ``True``.  Any other prefix compiles on its own."""
-        key = (block.start_pc, covered)
-        fn = self._prefixes.get(key)
-        if fn is None:
-            # the leading string keeps these apart from block keys
-            factory_key = ("prefix", *key)
-            factory = self._factories.get(factory_key)
-            if factory is None:
-                name = f"<fastprefix 0x{block.start_pc:08x}+{covered}>"
-                if covered == len(block.instructions) - 1 \
-                        and not self._flags[0]:
-                    factory = _renamed(
-                        self._block_factory(block.start_pc)[0], name)
-                else:
-                    factory = self._build_prefix(block, covered, name)
-                self._factories[factory_key] = factory
-            fn = self._prefixes[key] = self._bind(factory, -1)
-        return fn
-
     # ------------------------------------------------------------------
     def compile_block(self, pc: int) -> CompiledBlock:
         """Specialize (with program-level caching) the block at ``pc``."""
-        factory, length = self._block_factory(pc)
+        factory = self._block_factory(pc)
         sim = self.sim
         # Registering the block at first entry matches the interpreter's
         # registration at first completion (nothing runs in between), so
@@ -579,12 +516,11 @@ class FastPath:
         code = sim.block_at(pc).block_id << 1 if sim.collect_trace else -1
         fn = self._bind(factory, code)
         self._compiled[pc] = fn
-        self._term_pc[pc] = pc + 4 * (length - 1)
         return fn
 
     def _block_factory(self, pc: int):
-        """The (factory, length) of the block at ``pc``, built once per
-        program and flags."""
+        """The factory of the block at ``pc``, built once per program and
+        flags."""
         key = (pc, *self._flags)
         cached = self._factories.get(key)
         if cached is None:
@@ -622,16 +558,7 @@ class FastPath:
         block = BasicBlock(-1, start_pc, tuple(instrs))
         cost = self._model.cost(block)
         source = self._render_source(instrs, start_pc, cost)
-        return _compile(source, f"<fastblock 0x{start_pc:08x}>"), \
-            len(instrs)
-
-    def _build_prefix(self, block: BasicBlock, covered: int, name: str):
-        program = self.sim.program
-        instrs = block.instructions[:covered]
-        body: List[str] = []
-        _Emitter(body, program.text_base, program.text_end).bodies(instrs)
-        body.extend(_memory_counts(instrs))
-        return _compile(_wrap(body or ["pass"]), name)
+        return _compile(source, f"<fastblock 0x{start_pc:08x}>")
 
     def _render_source(self, instrs: List[Instruction], start_pc: int,
                        cost) -> str:
@@ -640,14 +567,9 @@ class FastPath:
         counter (:data:`~repro.sim.stats.PACKED_FIELDS`) and the trace
         event."""
         program = self.sim.program
-        collect_trace = self._flags[0]
         body: List[str] = []
         emitter = _Emitter(body, program.text_base, program.text_end)
         emitter.bodies(instrs[:-1])
-        if not collect_trace:  # the whole-body array prefix stops here
-            emitter.emit("if body_only:")
-            for line in _memory_counts(instrs[:-1]) + ["return"]:
-                emitter.emit(f"    {line}")
         pc = start_pc + 4 * (len(instrs) - 1)
         taken, next_pc = emitter.terminator(instrs[-1], pc)
 
@@ -669,7 +591,7 @@ class FastPath:
             bump = f"{on_fallthrough:#x}"
         body.append(f"stats.instructions += {n}")
         body.append(f"pend[0] += {bump}")
-        if collect_trace:
+        if self._flags[0]:  # collect_trace
             body.append(f"append(code | {taken})")
         body.append(f"return {taken}, {next_pc}")
         return _wrap(body)
@@ -705,17 +627,6 @@ def _frame_windows(instrs: Sequence[Instruction]
     return found
 
 
-def _memory_counts(instrs) -> List[str]:
-    """The line adding the loads and stores of ``instrs`` (an array
-    prefix's only counters), if it has any."""
-    counts = {
-        "loads": sum(1 for i in instrs if i.klass is InstrClass.LOAD),
-        "stores": sum(1 for i in instrs if i.klass is InstrClass.STORE)}
-    if not any(counts.values()):
-        return []
-    return [f"pend[0] += {pack_counts(counts):#x}"]
-
-
 def _over_budget(pc: int) -> None:
     from repro.sim.cpu import SimulationError
 
@@ -729,21 +640,10 @@ def _wrap(body: List[str]) -> str:
     return (
         "def _factory(sim, regs, stats, pend, memory, rb, rh, rw, wb, wh, "
         "ww, words, route, out, append, code):\n"
-        "    def _block(body_only=False):\n"
+        "    def _block():\n"
         f"{inner}\n"
         "    return _block\n"
     )
-
-
-def _renamed(factory, name: str):
-    """``factory`` with its code filed under ``name``, without compiling
-    again: a block run as an array prefix shows as one in tracebacks."""
-    code = factory.__code__
-    consts = tuple(const.replace(co_filename=name)
-                   if isinstance(const, CodeType) else const
-                   for const in code.co_consts)
-    return FunctionType(code.replace(co_filename=name, co_consts=consts),
-                        factory.__globals__)
 
 
 def _compile(source: str, name: str):

@@ -114,8 +114,14 @@ class Memory:
 
     # -- bulk ------------------------------------------------------------
     def write_block(self, address: int, payload: bytes) -> None:
-        for i, byte in enumerate(payload):
-            self.write_byte(address + i, byte)
+        """Write ``payload`` one page slice at a time."""
+        data = memoryview(payload)
+        while data:
+            offset = address & PAGE_MASK
+            size = min(PAGE_SIZE - offset, len(data))
+            self._page(address >> PAGE_SHIFT)[offset:offset + size] = \
+                data[:size]
+            address, data = address + size, data[size:]
 
     def read_block(self, address: int, length: int) -> bytes:
         return bytes(self.read_byte(address + i) for i in range(length))

@@ -14,17 +14,11 @@ It is the transparency oracle, not the single-run engine:
 ``tests/test_system_equivalence.py`` holds that replay to this
 simulator's state and counters.  Production code runs it only where a
 trace cannot reach: runs with caches configured (an array access's
-data-cache timing depends on its address) and
-:mod:`repro.system.report`, which renders the engine's cached
-configurations.
+data-cache timing depends on its address).
 
-By default both sides are block-compiled by :mod:`repro.sim.fastpath`:
-the core runs compiled blocks, and each array-covered prefix runs as one
-compiled closure (:meth:`_run_prefix`), whose stores to ``.text`` raise
-``SimulationError`` like the core's.  The reference interpreter
-(``fast=False``), and any run with caches configured (an array load or
-store charges the data cache per address), execute covered
-instructions one at a time through :meth:`_exec_functional`.
+It always interprets, core and array alike (:meth:`_exec_functional`),
+so like the interpreted core it tolerates a store into ``.text``, which
+the block compiler refuses.
 """
 
 from __future__ import annotations
@@ -49,12 +43,12 @@ class CoupledSimulator:
 
     def __init__(self, program: Program, config: SystemConfig,
                  max_instructions: int = 200_000_000,
-                 caches=None, fast: bool = True, telemetry=None):
+                 caches=None, telemetry=None):
         self.config = config
         self.sim = Simulator(program, timing=config.timing,
                              collect_trace=False,
                              max_instructions=max_instructions,
-                             caches=caches, fast=fast,
+                             caches=caches, fast=False,
                              telemetry=telemetry)
         self._seen: Set[int] = set()
         self.engine = DimEngine(config.shape, config.dim,
@@ -91,7 +85,7 @@ class CoupledSimulator:
                     entered_at_start = at_start
                     continue
             # Execute to the end of the (possibly partially resumed)
-            # block in one call — block-compiled unless interpreting.
+            # block in one call.
             outcome = sim.step_block()
             block = sim.block_at(block_start)
             if block.is_conditional:
@@ -101,8 +95,6 @@ class CoupledSimulator:
             at_start = True
             entered_at_start = True
             block_start = outcome.next_pc
-        # as in Simulator.run: free the compiled blocks and their cycle
-        sim._block_compiler = None
         cache = engine.cache
         if telemetry.enabled:
             from repro.obs.schema import engine_counters
@@ -152,7 +144,7 @@ class CoupledSimulator:
         for cfg_block in config.blocks:
             block = cfg_block.block
             self._seen.add(block.start_pc)
-            self._run_prefix(block, cfg_block.covered)
+            self._execute_covered(block, cfg_block.covered)
             committed += cfg_block.covered
             if not cfg_block.includes_terminator:
                 # final block: the core resumes after the covered prefix
@@ -210,7 +202,7 @@ class CoupledSimulator:
             for q, cfg_block in enumerate(blocks):
                 block = cfg_block.block
                 self._seen.add(block.start_pc)
-                self._run_prefix(block, cfg_block.covered)
+                self._execute_covered(block, cfg_block.covered)
                 committed += cfg_block.covered
                 term = block.terminator
                 committed += 1
@@ -267,7 +259,7 @@ class CoupledSimulator:
         for q, cfg_block in enumerate(blocks):
             block = cfg_block.block
             self._seen.add(block.start_pc)
-            self._run_prefix(block, cfg_block.covered)
+            self._execute_covered(block, cfg_block.covered)
             committed += cfg_block.covered
             term = block.terminator
             committed += 1
@@ -280,7 +272,7 @@ class CoupledSimulator:
                 winner = engine.dual_resolution(config, cfg_block, actual)
                 wblk = winner.block
                 self._seen.add(wblk.start_pc)
-                self._run_prefix(wblk, winner.covered)
+                self._execute_covered(wblk, winner.covered)
                 committed += winner.covered
                 resume_pc = wblk.start_pc + 4 * winner.covered
                 winner_block = wblk
@@ -322,17 +314,8 @@ class CoupledSimulator:
             self.sim.stats.dcache_misses += 1
             self.sim.stats.cycles += dcache.config.miss_penalty
 
-    def _run_prefix(self, block: BasicBlock, covered: int) -> None:
-        """Functionally execute ``block``'s array-covered prefix.
-
-        Block-compiled when the core runs compiled blocks; otherwise (and
-        always with caches configured, whose data-cache timing needs each
-        address) one :meth:`_exec_functional` call per instruction.
-        """
-        compiled = self.sim._block_compiler
-        if compiled is not None:
-            compiled.prefix(block, covered)(True)
-            return
+    def _execute_covered(self, block: BasicBlock, covered: int) -> None:
+        """Functionally execute ``block``'s array-covered prefix."""
         for instr in block.instructions[:covered]:
             self._exec_functional(instr)
 
@@ -387,7 +370,7 @@ def run_coupled(program: Program, config: SystemConfig,
                 max_instructions: int = 200_000_000,
                 caches=None, fast: bool = True,
                 telemetry=None) -> CoupledRunResult:
-    """One-shot convenience wrapper."""
+    """One-shot convenience wrapper; ``fast`` is ignored (old callers)."""
+    del fast
     return CoupledSimulator(program, config, max_instructions,
-                            caches=caches, fast=fast,
-                            telemetry=telemetry).run()
+                            caches=caches, telemetry=telemetry).run()

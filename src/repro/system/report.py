@@ -5,6 +5,9 @@ workload characterisation (Figure 3 style), the DIM outcome on a chosen
 system (speedup, energy, engine statistics) and the hottest cached
 configurations rendered line by line (Figure 2 style).  Exposed through
 ``repro report`` on the CLI.
+
+The program runs once, traced; the replay of its trace gives the
+accelerated metrics and the engine whose cache the report renders.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from repro.asm.program import Program
 from repro.cgra.render import render_configuration
 from repro.sim.cpu import run_program
 from repro.system.config import SystemConfig, paper_system
-from repro.system.coupled import CoupledSimulator
 from repro.system.energy import EnergyParams, energy_of, energy_ratio
 from repro.system.metrics import SystemMetrics
+from repro.system.traceeval import _replay
 
 
 @dataclass
@@ -92,16 +95,13 @@ def build_report(program: Program,
     """Measure ``program`` and produce an :class:`AccelerationReport`.
 
     An injected ``telemetry`` sink (:mod:`repro.obs`) observes the
-    plain and the coupled run; it never changes the report.
+    plain run and the trace replay; it never changes the report.
     """
     config = config or paper_system("C2", 64, True)
     plain = run_program(program, collect_trace=True, timing=config.timing,
                         telemetry=telemetry)
     base = SystemMetrics.from_stats("mips", plain.stats)
-    # the coupled system gives the accelerated metrics and the real
-    # cached configurations
-    sim = CoupledSimulator(program, config, telemetry=telemetry)
-    metrics = sim.run().metrics
+    metrics, engine = _replay(plain.trace, config, "", None, telemetry)
     profile = block_profile(plain.trace)
     coverage = blocks_for_coverage(profile, fractions=(0.8,))
     breakdown = energy_of(metrics, energy_params)
@@ -109,7 +109,7 @@ def build_report(program: Program,
     shares = {component: power / total_power
               for component, power in breakdown.component_power().items()}
 
-    ranked = sorted(sim.engine.cache._entries.values(),
+    ranked = sorted(engine.cache._entries.values(),
                     key=lambda c: -(c.hits * c.covered_instructions))
     rendered = [render_configuration(cfg)
                 for cfg in ranked[:max_rendered_configs]]

@@ -16,7 +16,7 @@ engine counters an observed sweep reads off its columnar metrics.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Optional, Set, Tuple
 
 from repro.dim.engine import DimEngine
 from repro.isa.opcodes import InstrClass
@@ -209,6 +209,13 @@ def evaluate_trace(trace: Trace, config: SystemConfig,
     :class:`repro.obs.Telemetry` sink; telemetry is purely
     observational, so metrics are identical with or without it.
     """
+    return _replay(trace, config, name, memo, telemetry)[0]
+
+
+def _replay(trace: Trace, config: SystemConfig, name: str, memo,
+            telemetry) -> Tuple[SystemMetrics, DimEngine]:
+    """:func:`evaluate_trace`'s metrics, and the engine that replayed
+    the trace (:mod:`repro.system.report` renders its cache)."""
     model = shared_cost_model(config.timing)
     table = trace.table
     seen: Set[int] = set()
@@ -306,4 +313,4 @@ def evaluate_trace(trace: Trace, config: SystemConfig,
         from repro.obs.schema import engine_counters
 
         telemetry.count_many(engine_counters(engine))
-    return metrics
+    return metrics, engine

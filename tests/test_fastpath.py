@@ -3,26 +3,27 @@
 The fast path (:mod:`repro.sim.fastpath`) must be *bit-identical* to the
 per-instruction interpreter: same architectural state, same output, same
 cycle counts and event statistics, same trace — for every workload in
-the suite, for targeted corner-case kernels, and for the coupled
-MIPS+DIM system including under forced mis-speculation and the loop
-and dual-path configuration kinds.
+the suite, for targeted corner-case kernels and for random programs.
+The coupled MIPS+DIM simulator always interprets; on three workloads the
+production route (fast path plus trace replay) is held to it.
 """
 
 import pytest
 from hypothesis import given, settings
 
 from repro.asm import assemble
-from repro.dim.params import DimParams
 from repro.minic import compile_to_program
 from repro.sim import CacheConfig, CacheHierarchy, Simulator, run_program
 from repro.sim import memory as memory_module
 from repro.sim.cpu import SimulationError
 from repro.sim.memory import AlignmentError_
-from repro.system import PAPER_SHAPES, paper_system
-from repro.system.config import SystemSpec
-from repro.system.coupled import CoupledSimulator, run_coupled
+from repro.system import paper_system
+from repro.system.coupled import CoupledSimulator
 from repro.workloads import load_workload, workload_names
-from tests.test_property_random_programs import programs, system_configs
+from tests.test_property_random_programs import programs
+from tests.test_system_equivalence import (
+    _assert_run_matches_the_coupled_oracle,
+)
 
 
 def _assert_identical(program):
@@ -175,17 +176,12 @@ def test_fastpath_store_to_text_asserts():
     # the interpreter tolerates it (stale decode cache, out of scope)
     assert run_program(program, fast=False).exit_code == 0
 
-    # a fast coupled run guards array-covered stores the same way
-    program = assemble(ARRAY_TEXT_STORE)
-    config = paper_system("C3", 64, False)
-    coupled = CoupledSimulator(program, config, fast=True)
-    with pytest.raises(SimulationError, match="self-modifying") as info:
-        coupled.run()
-    assert info.traceback[-1].frame.code.raw.co_filename.startswith(
-        "<fastprefix")
+    # so does the coupled oracle, which interprets, on an array-covered
+    # store
+    coupled = CoupledSimulator(assemble(ARRAY_TEXT_STORE),
+                               paper_system("C3", 64, False))
+    assert coupled.run().exit_code == 0
     assert coupled.engine.stats.array_executions > 0
-    # the interpreted coupled run tolerates it, as the core does
-    assert run_coupled(program, config, fast=False).exit_code == 0
 
 
 def test_fastpath_falls_back_when_caches_configured():
@@ -211,98 +207,22 @@ def test_fastpath_shares_one_decode_cache():
     assert len(program.decode_cache) > 0
 
 
-BRANCHY = """
-int main() {
-    int i;
-    int odd = 0;
-    int even = 0;
-    unsigned seed = 77;
-    for (i = 0; i < 3000; i++) {
-        seed = seed * 1103515245 + 12345;
-        if ((seed >> 16) & 1) { odd++; }
-        else {
-            if ((seed >> 17) & 1) { even += 2; } else { even++; }
-        }
-    }
-    print_int(odd);
-    print_char(' ');
-    print_int(even);
-    return 0;
-}
-"""
-
-
-TABLES = """
-unsigned tab[64];
-int main() {
-    int i; int j;
-    unsigned acc = 1;
-    for (i = 0; i < 64; i++) { tab[i] = i * 2654435761; }
-    for (j = 0; j < 20; j++) {
-        for (i = 0; i < 64; i++) {
-            acc = acc ^ (tab[i] + (acc << 3)) + (acc >> 5);
-            tab[i] = acc;
-        }
-    }
-    print_int(acc & 0x7fffffff);
-    return 0;
-}
-"""
-
-#: the dynflow configuration of ``test_system_equivalence.CONFIGS``.
-DYNFLOW = SystemSpec.of(PAPER_SHAPES["C2"], DimParams(
-    cache_slots=16, speculation=True, dynflow_mode="both")).build()
-
-
-def _assert_coupled_identical(program, config):
-    """Coupled system, fast vs slow: every result field and memory."""
-    slow = run_coupled(program, config, fast=False)
-    fast = run_coupled(program, config, fast=True)
-    assert fast.exit_code == slow.exit_code
-    assert fast.output == slow.output
-    assert fast.registers == slow.registers
-    assert fast.stats == slow.stats
-    assert fast.dim_stats == slow.dim_stats
-    assert fast.cache_lookups == slow.cache_lookups
-    assert fast.cache_hits == slow.cache_hits
-    assert fast.predictor_accuracy == slow.predictor_accuracy
-    assert fast.memory.snapshot_pages() == slow.memory.snapshot_pages()
-    return slow
-
-
-@pytest.mark.parametrize("spec", [False, True])
-def test_fast_coupled_matches_interpreter(spec):
-    """Coupled system: fast vs slow, including forced mis-speculation."""
-    program = compile_to_program(BRANCHY)
-    slow = _assert_coupled_identical(program, paper_system("C3", 64, spec))
-    if spec:  # data-dependent branches force real mis-speculations
-        assert slow.dim_stats.misspeculations > 0
-
-
-@pytest.mark.parametrize("source", [BRANCHY, TABLES],
-                         ids=["branchy", "tables"])
-def test_fast_coupled_matches_interpreter_on_dynflow(source):
-    """The loop and dual kinds run their prefixes compiled too."""
-    slow = _assert_coupled_identical(compile_to_program(source), DYNFLOW)
-    assert slow.dim_stats.loop_executions > 0
-    assert slow.dim_stats.dual_executions > 0
-
-
 @pytest.mark.parametrize("name", ["crc", "sha", "quicksort"])
 def test_fast_coupled_matches_interpreter_on_workloads(name):
-    _assert_coupled_identical(load_workload(name),
-                              paper_system("C2", 64, True))
+    """The production route over the MIPS+DIM system (a block-compiled
+    traced run plus the replay of its trace) matches the interpreted
+    coupled simulator on three workloads."""
+    _assert_run_matches_the_coupled_oracle(load_workload(name),
+                                           paper_system("C2", 64, True))
 
 
 @settings(max_examples=10, deadline=None)
-@given(programs(), system_configs())
-def test_fastpath_matches_interpreter_on_random_programs(source, config):
-    """Random mini-C programs, plain and coupled: every layer above the
-    simulator runs the compiled engine, so it must agree with the
-    reference wherever the property generator reaches."""
-    program = compile_to_program(source)
-    _assert_identical(program)
-    _assert_coupled_identical(program, config)
+@given(programs())
+def test_fastpath_matches_interpreter_on_random_programs(source):
+    """Random mini-C programs: every layer above the simulator runs the
+    compiled engine, so it must agree with the reference wherever the
+    property generator reaches."""
+    _assert_identical(compile_to_program(source))
 
 
 # ----------------------------------------------------------------------
@@ -326,10 +246,9 @@ __start:
 def test_fastpath_word_views_on_fresh_and_untouched_pages():
     program = assemble(FRESH_PAGE)
     sim = Simulator(program, fast=True)
-    engine = sim._block_compiler  # run() drops it at program exit
     result = sim.run()
     # the entry block ran the store and both loads in one closure
-    assert engine._term_pc[program.entry] > program.entry + 16
+    assert sim.block_at(program.entry).branch_pc > program.entry + 16
     assert result.output == str(0x12345678)
     assert result.registers[10] == 0x12345678  # $t2
     assert result.registers[11] == 0           # $t3

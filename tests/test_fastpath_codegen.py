@@ -9,7 +9,9 @@ assembly — every ALU and shift form over a small register pool that
 includes ``$zero``, constants of every width, sub-word and word memory
 traffic, HI/LO, ``jal``/``jalr`` (also with the link register as the
 target) and data-dependent branches — on the interpreter and the fast
-path, plain and coupled, and compare everything.
+path, and compare everything.  On the MIPS+DIM system they compare the
+production route (a block-compiled traced run plus the replay of its
+trace) with the interpreted coupled simulator.
 """
 
 import dataclasses
@@ -25,8 +27,10 @@ from repro.sim.memory import AlignmentError_
 from repro.sim import fastpath
 from repro.sim.fastpath import FastPath
 from repro.system import paper_system
-from repro.system.coupled import run_coupled
 from repro.workloads import load_workload
+from tests.test_system_equivalence import (
+    _assert_run_matches_the_coupled_oracle,
+)
 
 _POOL = ["$zero", "$t0", "$t1", "$t2", "$t3"]
 _R_OPS = ["addu", "subu", "and", "or", "xor", "nor", "slt", "sltu",
@@ -157,7 +161,7 @@ def _assert_plain_matches(program):
 
 @pytest.mark.parametrize("seed", range(40, 52))
 def test_random_array_prefixes_match_interpreter(seed):
-    _assert_coupled_matches(assemble(_program(seed)))
+    _assert_array_matches(assemble(_program(seed)))
 
 
 @pytest.mark.parametrize("seed", range(100, 130))
@@ -169,32 +173,34 @@ def test_random_frames_match_interpreter(seed):
 
 @pytest.mark.parametrize("seed", range(130, 138))
 def test_random_frame_array_prefixes_match_interpreter(seed):
-    _assert_coupled_matches(assemble(_program(seed, frames=True)))
+    _assert_array_matches(assemble(_program(seed, frames=True)))
 
 
-def _assert_coupled_matches(program):
-    config = paper_system("C3", 16, True)
-    slow = run_coupled(program, config, fast=False)
-    fast = run_coupled(program, config, fast=True)
-    assert fast.output == slow.output
-    assert fast.registers == slow.registers
-    assert fast.stats == slow.stats
-    assert fast.dim_stats == slow.dim_stats
-    assert fast.memory.snapshot_pages() == slow.memory.snapshot_pages()
+def _assert_array_matches(program):
+    """Every seed's loop runs array-covered prefixes (4-10 array
+    executions at C3/16/spec); the replay that accounts them must match
+    the coupled simulator executing them."""
+    _assert_run_matches_the_coupled_oracle(program,
+                                           paper_system("C3", 16, True))
 
 
 def test_stats_are_exact_after_every_block():
     """``sim.stats`` folds the packed counters in whenever it is read:
-    block by block, the fast path's counters equal the interpreter's."""
+    block by block, the compiled blocks' counters equal the
+    interpreter's."""
     program = assemble(_program(7))
     slow = Simulator(program, fast=False)
     fast = Simulator(program, fast=True)
+    engine = FastPath(fast)
+    pc = program.entry
     while slow.exit_code is None:
         outcome = slow.step_block()
-        fast_outcome = fast.step_block()
-        assert fast_outcome == outcome
+        taken, pc = engine.compile_block(pc)()
+        assert (taken, pc) == (outcome.taken, outcome.next_pc)
+        assert fast.exit_code == slow.exit_code
         assert fast.stats == slow.stats
-        assert fast.pc == slow.pc
+    assert fast.regs == slow.regs
+    assert fast.memory.snapshot_pages() == slow.memory.snapshot_pages()
 
 
 def test_folded_block_source_reads_no_zero_register(monkeypatch):

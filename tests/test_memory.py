@@ -47,6 +47,28 @@ def test_cross_page_block_write():
                                                    "little")
 
 
+def _bytewise(address, payload):
+    mem = Memory()
+    for i, byte in enumerate(payload):
+        mem.write_byte(address + i, byte)
+    return mem
+
+
+@pytest.mark.parametrize("address, payload", [
+    (0x1FFD, bytes(range(1, 11))),        # straddles the page at 0x2000
+    (0x0FF0, bytes(range(256)) * 20),     # spans three pages
+    (0x2000, b""),                        # zero length: touches nothing
+    (0x3000, bytes(4096)),                # exactly one page of zeros
+])
+def test_block_write_matches_byte_writes(address, payload):
+    mem = Memory()
+    mem.write_block(address, payload)
+    reference = _bytewise(address, payload)
+    assert mem.snapshot_pages() == reference.snapshot_pages()
+    assert mem.words.keys() == reference.words.keys()
+    assert mem.read_block(address, len(payload)) == payload
+
+
 def test_cstring_read():
     mem = Memory()
     mem.write_block(0x3000, b"hello\x00world")
