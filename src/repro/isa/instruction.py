@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from repro.isa.opcodes import (
     Format,
     InstrClass,
-    OpInfo,
     OPCODES,
     decode_fields,
 )
@@ -30,6 +29,11 @@ class Instruction:
     ``imm`` stores the immediate as a *signed* Python int for sign-extended
     forms and an unsigned one otherwise; ``target`` stores the full 28-bit
     byte target of J-format instructions (already shifted left by 2).
+
+    ``info`` (the :data:`OPCODES` entry) and ``klass`` are computed once,
+    at construction.  They are plain attributes, not fields, so equality,
+    hashing, ``repr``, ``asdict`` and the pickled state see the seven
+    fields only.
     """
 
     mnemonic: str
@@ -40,17 +44,20 @@ class Instruction:
     imm: int = 0
     target: int = 0
 
-    @property
-    def info(self) -> OpInfo:
-        return OPCODES[self.mnemonic]
-
-    @property
-    def klass(self) -> InstrClass:
+    def __post_init__(self) -> None:
+        # frozen dataclass, so via object.__setattr__
+        info = OPCODES[self.mnemonic]
+        object.__setattr__(self, "info", info)
         # The canonical nop is the all-zero word, which decodes as sll.
-        if (self.mnemonic == "sll" and self.rd == 0 and self.rt == 0
-                and self.shamt == 0):
-            return InstrClass.NOP
-        return self.info.klass
+        klass = InstrClass.NOP if (
+            self.mnemonic == "sll" and self.rd == 0 and self.rt == 0
+            and self.shamt == 0) else info.klass
+        object.__setattr__(self, "klass", klass)
+
+    def __reduce__(self) -> tuple:
+        # rebuilt through __init__, so a copy recomputes info and klass
+        return (Instruction,
+                tuple(getattr(self, name) for name in _FIELD_NAMES))
 
     # ------------------------------------------------------------------
     # Dataflow views used by the simulator and DIM.
@@ -126,6 +133,8 @@ class Instruction:
             return f"{m} ${r(self.rs)}, {self.imm}"
         return f"{m} ${r(self.rt)}, ${r(self.rs)}, {self.imm}"
 
+
+_FIELD_NAMES = tuple(field.name for field in fields(Instruction))
 
 NOP = Instruction("sll", rs=0, rt=0, rd=0, shamt=0)
 

@@ -42,11 +42,16 @@ class BasicBlock:
             self, "is_conditional",
             terminator is not None
             and terminator.klass is InstrClass.BRANCH)
+        object.__setattr__(
+            self, "branch_pc",
+            self.start_pc + 4 * (len(self.instructions) - 1))
 
     #: the final control instruction, or None (syscall-ended block).
     terminator: Optional[Instruction] = field(init=False)
     #: True when the terminator is a conditional branch.
     is_conditional: bool = field(init=False)
+    #: PC of the final instruction (the terminator, when there is one).
+    branch_pc: int = field(init=False)
     #: DIM's placement records of this block, filled in by the first
     #: translation that reaches it (:func:`repro.dim.translator.
     #: block_records`).  A derived cache, so it is never pickled.
@@ -55,10 +60,6 @@ class BasicBlock:
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "dim_records": None}
-
-    @property
-    def branch_pc(self) -> int:
-        return self.start_pc + 4 * (len(self.instructions) - 1)
 
     @property
     def fallthrough_pc(self) -> int:

@@ -31,7 +31,10 @@ Two engines cover the configuration space:
   configuration's exit outcome at its ``r``-th occurrence (commit /
   reprocess / mis-speculate at depth ``m``) is precomputed as an *exit
   code*, and each code indexes a per-template metric-delta row, an
-  events-consumed count and a flush verdict.  The dynamic control-flow
+  events-consumed count and a flush verdict.  Codes, counts and
+  verdicts depend on the block chain alone, so they live on a
+  :class:`_Path` that every template of the chain shares, across
+  array shapes and policies.  The dynamic control-flow
   kinds (``repro.dim.params.DYNFLOW_MODES``) extend the same machinery:
   dual-path templates add four resolution codes (actual direction x
   winner-tail outcome), and loop templates — whose consumed-event count
@@ -155,50 +158,40 @@ class _PhasePredictor:
         return self._timeline.saturated_direction(pc, self._t)
 
 
-class _Template:
-    """One distinct translated configuration of a start block.
+class _Path:
+    """The shape-free tables of one block chain.
 
-    Everything the replay loop needs per execution is precomputed here,
-    most importantly the **exit codes** of the module table: a linear or
-    dual configuration's exit at its ``r``-th trace occurrence depends
-    only on the trace slice there, so it is one pass per template; each
-    code then indexes the metric-delta row (per timing model) and the
-    consumed count.  Loop exits are walked per execution
-    (:meth:`loop_exit`).  The per-occurrence columns (exit codes,
-    extension gates, flush verdicts) are ``bytes``, one byte per
-    occurrence: a large row holds hundreds of templates with thousands
-    of occurrences each, and a list would spend eight bytes on each.
+    A chain is the start block plus, per block, ``(block_id,
+    includes_terminator, expected_taken)``, the kind, and whether the
+    last block covers nothing (:func:`_path_key`).  Everything here is a
+    pure function of the trace, the chain and (for the verdicts) the
+    predictor entries — no shape, covered count or policy enters — so
+    every template of one chain shares one path: C1, C2 and C3, and
+    every policy replayed on the same context.
+
+    Most importantly it holds the **exit codes**: a linear or dual
+    configuration's exit at its ``r``-th trace occurrence depends only
+    on the trace slice there, so it is one pass per chain; each code
+    then indexes a template's metric-delta row and the consumed count.
+    Loop exits are walked per execution (:meth:`loop_exit`).  The
+    per-occurrence columns (exit codes, extension gates, flush verdicts)
+    are ``bytes``, one byte per occurrence: a large row holds hundreds
+    of chains with thousands of occurrences each, and a list would
+    spend eight bytes on each.
     """
 
-    __slots__ = ("config", "start_block", "blocks", "covered_instructions",
-                 "exec_cycles", "rc_cycles", "alu_ops", "mult_ops",
-                 "mem_ops", "lines_used", "extendable0", "last_term_none",
-                 "gate_always", "last_branch_pc", "K", "ncodes", "consumed",
-                 "reset_exit", "prior_reset", "code_list", "_deltas",
-                 "_gates", "_opps", "_coltrace", "kind", "kindcode", "chk",
-                 "trip_cycles", "_trip_row", "int_pcs", "int_opps",
-                 "back_expected_bit", "back_opp", "_merged_cond")
+    __slots__ = ("start_block", "K", "kindcode", "ncodes", "consumed",
+                 "code_list", "reset_exit", "prior_reset", "int_pcs",
+                 "int_opps", "_merged_cond", "last_term_none",
+                 "gate_always", "last_branch_pc", "back_expected_bit",
+                 "back_opp", "_gates", "_opps", "_coltrace")
 
     def __init__(self, coltrace: ColumnarTrace, config: Configuration):
-        # the lowered trace, not its context: a template the context
-        # holds must not point back at it (the row would be a cycle).
+        # the lowered trace, not its context: a path the context holds
+        # must not point back at it (the row would be a cycle).
         self._coltrace = coltrace
-        self.config = config
-        self.blocks = config.blocks
         self.start_block = config.blocks[0].block
-        self.covered_instructions = config.covered_instructions
-        self.exec_cycles = config.exec_cycles
-        self.rc_cycles = config.reconfiguration_cycles
-        result = config.result
-        self.alu_ops = result.alu_ops
-        self.mult_ops = result.mult_ops
-        self.mem_ops = result.mem_ops
-        self.lines_used = result.lines_used
-        self.extendable0 = config.extendable
-        self.kind = config.kind
         self.kindcode = {"linear": 0, "loop": 1, "dual": 2}[config.kind]
-        self.chk = config.loop_check_cycles
-        self.trip_cycles = config.trip_cycles
         last = config.blocks[-1].block
         term = last.terminator
         self.last_term_none = term is None
@@ -213,12 +206,12 @@ class _Template:
         # count after an exit depends only on whether a merged branch
         # preceded the exit point (engine.speculation_outcome).
         merged_branch = [cb.includes_terminator and cb.block.is_conditional
-                        for cb in config.blocks]
+                         for cb in config.blocks]
         self.reset_exit = any(merged_branch[:K - 1])
         self.prior_reset = [any(merged_branch[:m]) for m in range(K - 1)]
         # interior merged-conditional lookup tables (flush verdicts:
         # answered inline by the loop/dual replay branches, precomputed
-        # per occurrence by flush_opp for linear templates).
+        # per occurrence by flush_opp for linear chains).
         self.int_pcs = [cb.block.branch_pc for cb in config.blocks[:K - 1]]
         self.int_opps = [0 if cb.expected_taken else 1
                          for cb in config.blocks[:K - 1]]
@@ -226,10 +219,8 @@ class _Template:
         self._merged_cond = [
             (m, 1 if config.blocks[m].expected_taken else 0)
             for m in range(K - 1) if merged_branch[m]]
-        self._deltas: Dict[TimingModel, List[List[int]]] = {}
         self._gates: Dict[int, Optional[bytes]] = {}
         self._opps: Dict[int, bytes] = {}
-        self._trip_row: Optional[List[int]] = None
         self.back_expected_bit = 0
         self.back_opp = 0
         mismatches = [m + 1 for m in range(K - 1)]
@@ -333,137 +324,6 @@ class _Template:
                 return (0, t, (t + 1) * K)
             t += 1
 
-    def _chain(self, mis_base: int) -> Tuple[List[List[int]], List[int]]:
-        """(rows, run) of the merged-chain walk every kind starts with.
-
-        ``rows`` has one row per exit code, of which only the
-        mis-speculation rows (``mis_base + q`` for a merged branch at
-        depth ``q``) are filled; ``run`` is the running total after the
-        final block's covered prefix, before its terminator.
-        """
-        rows = [[0] * NFIELDS for _ in range(self.ncodes)]
-        run = [0] * NFIELDS
-        run[CYC] = self.exec_cycles
-        K = self.K
-        for q, cfg_block in enumerate(self.blocks):
-            block = cfg_block.block
-            loads, stores = _prefix_mem_ops(block, cfg_block.covered)
-            run[COM] += cfg_block.covered
-            run[LDS] += loads
-            run[STS] += stores
-            if q == K - 1:
-                break
-            if block.is_conditional:
-                # this merged branch mis-speculated: its terminator
-                # still committed and the actual direction is the
-                # opposite of the expected one.
-                mis = list(run)
-                mis[COM] += 1
-                mis[BRA] += 1
-                if not cfg_block.expected_taken:
-                    mis[TAK] += 1
-                mis[MIS] = 1
-                mis[INS] = mis[COM]
-                rows[mis_base + q] = mis
-            # matched merged terminator: committed + branch, transfer
-            # taken for jumps and taken-expected branches.
-            run[COM] += 1
-            run[BRA] += 1
-            if not block.is_conditional or cfg_block.expected_taken:
-                run[TAK] += 1
-        return rows, run
-
-    def delta(self, timing: TimingModel) -> List[List[int]]:
-        """Metric-delta rows, one per exit code, under one timing model.
-
-        Mirrors the array-execution walk of ``evaluate_trace`` (and its
-        ``_run_loop`` / ``_run_dual`` variants) with the running totals
-        checkpointed at every possible exit.
-        """
-        rows = self._deltas.get(timing)
-        if rows is not None:
-            return rows
-        model = shared_cost_model(timing)
-        if self.kindcode == 1:
-            # loop base (zero-extra-trip) rows.  Row 0 is the clean
-            # back-edge exit of the first trip: it pays the exit check
-            # and its transfer goes the non-looping direction.  Row 1+m
-            # is an interior mis-speculation before any back-edge was
-            # reached, so no check is charged.  Executions with extra
-            # trips add trip_row() once per trip (traceeval._run_loop).
-            rows, row = self._chain(1)
-            row[CYC] += self.chk
-            row[COM] += 1
-            row[BRA] += 1
-            if not self.blocks[-1].expected_taken:
-                row[TAK] += 1
-            row[INS] = row[COM]
-            rows[0] = row
-        elif self.kindcode == 2:
-            # dual: the predicated terminator always commits, then each
-            # resolution code adds the winning side's covered prefix plus
-            # the normal-execution cost of the winner block's tail
-            # (traceeval._run_dual).
-            rows, run = self._chain(4)
-            run[COM] += 1
-            run[BRA] += 1
-            config = self.config
-            for actual, side in ((0, config.dual_fallthrough),
-                                 (1, config.dual_taken)):
-                wblk = side.block
-                wloads, wstores = _prefix_mem_ops(wblk, side.covered)
-                cost = model.cost(wblk, side.covered)
-                for succ in (0, 1):
-                    row = list(run)
-                    row[TAK] += actual
-                    row[COM] += side.covered
-                    row[LDS] += wloads
-                    row[STS] += wstores
-                    _add_tail_cost(row, cost, wblk, succ == 1)
-                    rows[2 * actual + succ] = row
-        else:
-            rows, run = self._chain(3)
-            last = self.blocks[-1]
-            if last.covered == 0:
-                run[INS] = run[COM]
-                rows[0] = run
-            else:
-                cost = model.cost(last.block, last.covered)
-                for taken, code in ((False, 1), (True, 2)):
-                    row = list(run)
-                    _add_tail_cost(row, cost, last.block, taken)
-                    rows[code] = row
-        self._deltas[timing] = rows
-        return rows
-
-    def trip_row(self) -> List[int]:
-        """Metric delta of one extra loop trip (timing-independent).
-
-        A continuation re-executes the whole chain (all terminators
-        included), pays the marginal dataflow depth plus the exit check,
-        and its back-edge transfers in the looping direction.
-        """
-        row = self._trip_row
-        if row is None:
-            row = [0] * NFIELDS
-            row[CYC] = self.trip_cycles + self.chk
-            K = self.K
-            for q, cfg_block in enumerate(self.blocks):
-                block = cfg_block.block
-                loads, stores = _prefix_mem_ops(block, cfg_block.covered)
-                row[COM] += cfg_block.covered + 1
-                row[LDS] += loads
-                row[STS] += stores
-                row[BRA] += 1
-                if q == K - 1:
-                    if cfg_block.expected_taken:
-                        row[TAK] += 1
-                elif not block.is_conditional or cfg_block.expected_taken:
-                    row[TAK] += 1
-            row[INS] = row[COM]
-            self._trip_row = row
-        return row
-
     def ext_gate(self, timeline: PredictorTimeline) -> Optional[bytes]:
         """Per-occurrence extension gate, or None when ungated.
 
@@ -527,6 +387,171 @@ class _Template:
         return opp
 
 
+class _Template:
+    """One distinct translated configuration of a start block.
+
+    Holds what depends on the array shape and the policy — execution
+    and reconfiguration cycles, op counts, lines, the metric-delta rows
+    (per timing model) and the loop trip row — and reads everything
+    that depends on the block chain alone off its shared :class:`_Path`.
+    """
+
+    __slots__ = ("config", "path", "blocks", "covered_instructions",
+                 "exec_cycles", "rc_cycles", "alu_ops", "mult_ops",
+                 "mem_ops", "lines_used", "extendable0", "chk",
+                 "trip_cycles", "_deltas", "_trip_row")
+
+    def __init__(self, path: _Path, config: Configuration):
+        self.path = path
+        self.config = config
+        self.blocks = config.blocks
+        self.covered_instructions = config.covered_instructions
+        self.exec_cycles = config.exec_cycles
+        self.rc_cycles = config.reconfiguration_cycles
+        result = config.result
+        self.alu_ops = result.alu_ops
+        self.mult_ops = result.mult_ops
+        self.mem_ops = result.mem_ops
+        self.lines_used = result.lines_used
+        self.extendable0 = config.extendable
+        self.chk = config.loop_check_cycles
+        self.trip_cycles = config.trip_cycles
+        self._deltas: Dict[TimingModel, List[List[int]]] = {}
+        self._trip_row: Optional[List[int]] = None
+
+    def _chain(self, mis_base: int) -> Tuple[List[List[int]], List[int]]:
+        """(rows, run) of the merged-chain walk every kind starts with.
+
+        ``rows`` has one row per exit code, of which only the
+        mis-speculation rows (``mis_base + q`` for a merged branch at
+        depth ``q``) are filled; ``run`` is the running total after the
+        final block's covered prefix, before its terminator.
+        """
+        rows = [[0] * NFIELDS for _ in range(self.path.ncodes)]
+        run = [0] * NFIELDS
+        run[CYC] = self.exec_cycles
+        K = self.path.K
+        for q, cfg_block in enumerate(self.blocks):
+            block = cfg_block.block
+            loads, stores = _prefix_mem_ops(block, cfg_block.covered)
+            run[COM] += cfg_block.covered
+            run[LDS] += loads
+            run[STS] += stores
+            if q == K - 1:
+                break
+            if block.is_conditional:
+                # this merged branch mis-speculated: its terminator
+                # still committed and the actual direction is the
+                # opposite of the expected one.
+                mis = list(run)
+                mis[COM] += 1
+                mis[BRA] += 1
+                if not cfg_block.expected_taken:
+                    mis[TAK] += 1
+                mis[MIS] = 1
+                mis[INS] = mis[COM]
+                rows[mis_base + q] = mis
+            # matched merged terminator: committed + branch, transfer
+            # taken for jumps and taken-expected branches.
+            run[COM] += 1
+            run[BRA] += 1
+            if not block.is_conditional or cfg_block.expected_taken:
+                run[TAK] += 1
+        return rows, run
+
+    def delta(self, timing: TimingModel) -> List[List[int]]:
+        """Metric-delta rows, one per exit code, under one timing model.
+
+        Mirrors the array-execution walk of ``evaluate_trace`` (and its
+        ``_run_loop`` / ``_run_dual`` variants) with the running totals
+        checkpointed at every possible exit.
+        """
+        rows = self._deltas.get(timing)
+        if rows is not None:
+            return rows
+        model = shared_cost_model(timing)
+        kindcode = self.path.kindcode
+        if kindcode == 1:
+            # loop base (zero-extra-trip) rows.  Row 0 is the clean
+            # back-edge exit of the first trip: it pays the exit check
+            # and its transfer goes the non-looping direction.  Row 1+m
+            # is an interior mis-speculation before any back-edge was
+            # reached, so no check is charged.  Executions with extra
+            # trips add trip_row() once per trip (traceeval._run_loop).
+            rows, row = self._chain(1)
+            row[CYC] += self.chk
+            row[COM] += 1
+            row[BRA] += 1
+            if not self.blocks[-1].expected_taken:
+                row[TAK] += 1
+            row[INS] = row[COM]
+            rows[0] = row
+        elif kindcode == 2:
+            # dual: the predicated terminator always commits, then each
+            # resolution code adds the winning side's covered prefix plus
+            # the normal-execution cost of the winner block's tail
+            # (traceeval._run_dual).
+            rows, run = self._chain(4)
+            run[COM] += 1
+            run[BRA] += 1
+            config = self.config
+            for actual, side in ((0, config.dual_fallthrough),
+                                 (1, config.dual_taken)):
+                wblk = side.block
+                wloads, wstores = _prefix_mem_ops(wblk, side.covered)
+                cost = model.cost(wblk, side.covered)
+                for succ in (0, 1):
+                    row = list(run)
+                    row[TAK] += actual
+                    row[COM] += side.covered
+                    row[LDS] += wloads
+                    row[STS] += wstores
+                    _add_tail_cost(row, cost, wblk, succ == 1)
+                    rows[2 * actual + succ] = row
+        else:
+            rows, run = self._chain(3)
+            last = self.blocks[-1]
+            if last.covered == 0:
+                run[INS] = run[COM]
+                rows[0] = run
+            else:
+                cost = model.cost(last.block, last.covered)
+                for taken, code in ((False, 1), (True, 2)):
+                    row = list(run)
+                    _add_tail_cost(row, cost, last.block, taken)
+                    rows[code] = row
+        self._deltas[timing] = rows
+        return rows
+
+    def trip_row(self) -> List[int]:
+        """Metric delta of one extra loop trip (timing-independent).
+
+        A continuation re-executes the whole chain (all terminators
+        included), pays the marginal dataflow depth plus the exit check,
+        and its back-edge transfers in the looping direction.
+        """
+        row = self._trip_row
+        if row is None:
+            row = [0] * NFIELDS
+            row[CYC] = self.trip_cycles + self.chk
+            K = self.path.K
+            for q, cfg_block in enumerate(self.blocks):
+                block = cfg_block.block
+                loads, stores = _prefix_mem_ops(block, cfg_block.covered)
+                row[COM] += cfg_block.covered + 1
+                row[LDS] += loads
+                row[STS] += stores
+                row[BRA] += 1
+                if q == K - 1:
+                    if cfg_block.expected_taken:
+                        row[TAK] += 1
+                elif not block.is_conditional or cfg_block.expected_taken:
+                    row[TAK] += 1
+            row[INS] = row[COM]
+            self._trip_row = row
+        return row
+
+
 class _TranslationTimeline:
     """Probe-validated translation results along the replay timeline.
 
@@ -553,16 +578,18 @@ class _TranslationTimeline:
     newest box is the region the replay is in.
     """
 
-    __slots__ = ("coltrace", "translator", "timeline", "templates", "_dpcs",
-                 "_sthr", "_sigmap", "_probed", "_occmemo", "_boxes",
-                 "hits", "misses")
+    __slots__ = ("coltrace", "translator", "timeline", "templates", "paths",
+                 "_dpcs", "_sthr", "_sigmap", "_probed", "_occmemo",
+                 "_boxes", "hits", "misses")
 
     def __init__(self, coltrace: ColumnarTrace, config: SystemConfig,
                  timeline: PredictorTimeline,
-                 templates: Dict[Tuple, _Template]):
+                 templates: Dict[Tuple, _Template],
+                 paths: Dict[Tuple, _Path]):
         self.coltrace = coltrace
         self.timeline = timeline
         self.templates = templates
+        self.paths = paths
         # per-block probe universe: every branch PC any past translation
         # of the block direction-probed, and the seen-set thresholds
         # (first occurrence + 1) of every successor-probed PC.  The
@@ -711,7 +738,12 @@ class _TranslationTimeline:
             template_key = _template_key(config)
             template = self.templates.get(template_key)
             if template is None:
-                template = _Template(self.coltrace, config)
+                path_key = _path_key(config)
+                path = self.paths.get(path_key)
+                if path is None:
+                    path = self.paths[path_key] = _Path(self.coltrace,
+                                                        config)
+                template = _Template(path, config)
                 self.templates[template_key] = template
         # grow the probe universe with any PC this translation touched,
         # then key the result by the signature over the *updated*
@@ -764,14 +796,24 @@ def _template_key(config: Configuration) -> Tuple:
              config.dual_fallthrough.covered))
 
 
+def _path_key(config: Configuration) -> Tuple:
+    """The identity of a configuration's block chain across shapes and
+    policies: what :class:`_Path` reads of it, and nothing else."""
+    return (tuple((cb.block.block_id, cb.includes_terminator,
+                   cb.expected_taken) for cb in config.blocks),
+            config.kind, config.blocks[-1].covered == 0)
+
+
 class ColumnarContext:
     """Shared per-workload state for replaying many configurations.
 
-    Owns the lowered trace, the per-timing cost tables and the
-    per-(shape, policy) translation caches; one context per workload
-    replaces the per-workload :class:`TranslationMemo` of the event
-    path.  ``alloc_hits``/``alloc_misses`` accumulate the translation
-    reuse counters for sweep instrumentation.
+    Owns the lowered trace, the per-timing cost tables, the per-(shape,
+    policy) translation timelines and templates, and the path tables
+    every template of one block chain shares whatever its shape or
+    policy; one context per workload replaces the per-workload
+    :class:`TranslationMemo` of the event path.
+    ``alloc_hits``/``alloc_misses`` accumulate the translation reuse
+    counters for sweep instrumentation.
     """
 
     def __init__(self, trace: Trace, name: str = "",
@@ -785,6 +827,7 @@ class ColumnarContext:
         self._nospec_exec: Dict[Tuple, object] = {}
         self._timelines: Dict[Tuple, _TranslationTimeline] = {}
         self._templates: Dict[Tuple, Dict[Tuple, _Template]] = {}
+        self._paths: Dict[Tuple, _Path] = {}
         self.alloc_hits = 0
         self.alloc_misses = 0
 
@@ -923,7 +966,7 @@ class ColumnarContext:
             timeline = _TranslationTimeline(
                 self.coltrace, config,
                 self.coltrace.timeline(config.dim.predictor_entries),
-                templates)
+                templates, self._paths)
             self._timelines[key] = timeline
         return timeline
 
@@ -1080,16 +1123,17 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
 
     One Python iteration per *cache transaction* (not per metric), with
     every decision reduced to a precomputed list lookup.  Entries are
-    flat lists ``[template, misspec_count, extendable, code_stats,
-    codes, consumed, flush_opp, ext_gate, kindcode]``; ``code_stats``
-    is shared per template so exit-code counts aggregate across
+    flat lists ``[path, misspec_count, extendable, code_stats, codes,
+    consumed, flush_opp, ext_gate, kindcode, template]``: the chain's
+    shared tables first, the template (shape-dependent costs) last,
+    read only when an extension compares coverage.  ``code_stats`` is
+    shared per template so exit-code counts aggregate across
     reinsertion, with one trailing slot that accumulates extra loop
     trips (always zero for other kinds).  Loop and dual templates
     dispatch on ``kindcode``: their flush/retire verdicts are answered
     inline from the predictor timeline because the query boundary
     depends on the per-execution trip count, and loop exits are walked
-    on demand (``_Template.loop_exit``) rather than precomputed per
-    rank.
+    on demand (``_Path.loop_exit``) rather than precomputed per rank.
     """
     import numpy as np
 
@@ -1129,21 +1173,21 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
         # stats list is intentionally shared across reinsertion).
         proto = protos.get(template)
         if proto is None:
-            kindcode = template.kindcode
-            st = code_stats[template] = [0] * (template.ncodes + 1)
+            path = template.path
+            kindcode = path.kindcode
+            st = code_stats[template] = [0] * (path.ncodes + 1)
             if kindcode == 0:
                 proto = protos[template] = [
-                    template, 0, template.extendable0, st,
-                    template.code_list, template.consumed,
-                    template.flush_opp(timeline),
-                    template.ext_gate(timeline)
-                    if template.extendable0 else None, 0]
+                    path, 0, template.extendable0, st, path.code_list,
+                    path.consumed, path.flush_opp(timeline),
+                    path.ext_gate(timeline)
+                    if template.extendable0 else None, 0, template]
             else:
                 # loop/dual configurations are closed: never extendable,
                 # verdicts answered inline from the timeline.
                 proto = protos[template] = [
-                    template, 0, False, st, template.code_list,
-                    template.consumed, None, None, kindcode]
+                    path, 0, False, st, path.code_list, path.consumed,
+                    None, None, kindcode, template]
         return proto.copy()
 
     i = 0
@@ -1160,7 +1204,7 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
                 if template is not None:
                     translated_instructions += \
                         template.covered_instructions
-                    writes[template.kindcode] += 1
+                    writes[template.path.kindcode] += 1
                     if len(cache) >= slots:
                         del cache[next(iter(cache))]
                         evictions += 1
@@ -1173,10 +1217,10 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
         if lru:
             del cache[b]
             cache[b] = entry
-        template = entry[0]
+        path = entry[0]
         # ---- maybe_extend --------------------------------------------
         if entry[2]:
-            if template.last_term_none:
+            if path.last_term_none:
                 entry[2] = False
             else:
                 gate = entry[7]
@@ -1184,14 +1228,14 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
                     translations += 1
                     new = translate_at(blocks[b], i, i + 1)
                     if new is not None and new.covered_instructions \
-                            > template.covered_instructions:
+                            > entry[9].covered_instructions:
                         extensions += 1
                         translated_instructions += \
                             new.covered_instructions
-                        writes[new.kindcode] += 1
                         entry = fresh_entry(new)
+                        path = entry[0]
+                        writes[path.kindcode] += 1
                         cache[b] = entry   # in-place slot rewrite
-                        template = new
                     else:
                         entry[2] = new is not None and new.extendable0
 
@@ -1202,14 +1246,14 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
             code = entry[4][r]
             entry[3][code] += 1
             if code >= 3:
-                count = 1 if template.prior_reset[code - 3] \
+                count = 1 if path.prior_reset[code - 3] \
                     else entry[1] + 1
                 entry[1] = count
                 if entry[6][r] or count >= threshold:
                     del cache[b]
                     flushes += 1
                     invalidations += 1
-            elif template.reset_exit:
+            elif path.reset_exit:
                 entry[1] = 0
             i += entry[5][code]
         elif kindcode == 1:
@@ -1218,25 +1262,25 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
             # when the counter saturated in the exit direction.  Verdict
             # boundaries sit right after the exit's own update, i.e. at
             # ``i + consumed`` (engine.loop_backedge updates first).
-            code, trips, consumed = template.loop_exit(i)
+            code, trips, consumed = path.loop_exit(i)
             st = entry[3]
             st[code] += 1
             st[-1] += trips
             if code == 0:
                 entry[1] = 0
-                if class_at(template.last_branch_pc, i + consumed) \
-                        == template.back_opp:
+                if class_at(path.last_branch_pc, i + consumed) \
+                        == path.back_opp:
                     del cache[b]
                     invalidations += 1
                     loop_retired += 1
             else:
                 m = code - 1
-                count = 1 if (trips or template.prior_reset[m]) \
+                count = 1 if (trips or path.prior_reset[m]) \
                     else entry[1] + 1
                 entry[1] = count
                 if count >= threshold or class_at(
-                        template.int_pcs[m], i + consumed) \
-                        == template.int_opps[m]:
+                        path.int_pcs[m], i + consumed) \
+                        == path.int_opps[m]:
                     del cache[b]
                     flushes += 1
                     invalidations += 1
@@ -1251,18 +1295,18 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
             entry[3][code] += 1
             if code < 4:
                 entry[1] = 0
-                if class_at(template.last_branch_pc,
-                            i + template.K) != CLASS_NONE:
+                if class_at(path.last_branch_pc,
+                            i + path.K) != CLASS_NONE:
                     del cache[b]
                     invalidations += 1
                     dual_retired += 1
             else:
                 m = code - 4
-                count = 1 if template.prior_reset[m] else entry[1] + 1
+                count = 1 if path.prior_reset[m] else entry[1] + 1
                 entry[1] = count
                 if count >= threshold or class_at(
-                        template.int_pcs[m], i + m + 1) \
-                        == template.int_opps[m]:
+                        path.int_pcs[m], i + m + 1) \
+                        == path.int_opps[m]:
                     del cache[b]
                     flushes += 1
                     invalidations += 1
@@ -1310,10 +1354,11 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
         stats.array_line_cycles += template.lines_used * busy
         stalls += max(0, template.rc_cycles
                       - params.reconfig_overlap) * executions
-        if template.kindcode == 1:
+        kindcode = template.path.kindcode
+        if kindcode == 1:
             stats.loop_executions += executions
             stats.loop_trips += runs
-        elif template.kindcode == 2:
+        elif kindcode == 2:
             # both sides' ops were priced above (the allocation covers
             # the union); the losing side's instructions never commit.
             stats.dual_executions += executions

@@ -95,6 +95,47 @@ def test_columnar_metrics_json_serialisable():
 
 
 # ----------------------------------------------------------------------
+# Path tables: one set per block chain, shared by shapes and policies.
+# ----------------------------------------------------------------------
+def _sweep_and_dynflow_configs():
+    """The sweep's 12 cells (C1/C2/C3 x 16/64 x spec off/on), a
+    ``dynflow_mode="both"`` C1 and C3 pair, whose loop and dual chains
+    share path tables across shapes, and a 16-entry predictor, whose
+    verdict tables differ from the default predictor's."""
+    configs = [paper_system(array, slots, spec)
+               for array in ("C1", "C2", "C3") for slots in (16, 64)
+               for spec in (False, True)]
+    for array, dim in (("C1", {"dynflow_mode": "both"}),
+                       ("C3", {"dynflow_mode": "both"}),
+                       ("C2", {"predictor_entries": 16})):
+        base = paper_system(array, 64, True)
+        configs.append(dataclasses.replace(
+            base, dim=dataclasses.replace(base.dim, **dim)))
+    return configs
+
+
+@pytest.mark.parametrize("name", ["crc", "sha", "gsm_d"])
+def test_shared_path_tables_match_fresh_contexts(name):
+    """One context replaying every cell, in either order, gives each
+    cell the metrics a fresh context gives it alone, while its templates
+    share fewer path objects than there are templates."""
+    trace = run_workload(name).trace
+    configs = _sweep_and_dynflow_configs()
+    fresh = [dataclasses.asdict(evaluate_trace_columnar(
+        trace, config, name=name, context=ColumnarContext(trace, name)))
+        for config in configs]
+    for step in (1, -1):
+        context = ColumnarContext(trace, name=name)
+        shared = [dataclasses.asdict(evaluate_trace_columnar(
+            trace, config, name=name, context=context))
+            for config in configs[::step]]
+        assert shared[::step] == fresh
+        templates = sum(len(group)
+                        for group in context._templates.values())
+        assert 0 < len(context._paths) < templates
+
+
+# ----------------------------------------------------------------------
 # The persisted columnar lowering.
 # ----------------------------------------------------------------------
 def test_coltrace_payload_roundtrip():

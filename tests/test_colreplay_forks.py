@@ -100,8 +100,5 @@ def test_exit_codes_beyond_one_byte_stay_exact(monkeypatch, value):
     context = ColumnarContext(trace, name="chain")
     assert evaluate_trace_columnar(trace, config, context=context) \
         == evaluate_trace(trace, config)
-    templates = [template for group in context._templates.values()
-                 for template in group.values()]
-    assert any(template.ncodes > 256
-               and isinstance(template.code_list, list)
-               for template in templates)
+    assert any(path.ncodes > 256 and isinstance(path.code_list, list)
+               for path in context._paths.values())
