@@ -49,10 +49,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from repro._lazy import lazy_dir, lazy_exports
-from repro.asm import assemble
 from repro.asm.program import Program
 from repro.dim.params import DimParams
-from repro.minic import compile_to_program
 from repro.obs import Telemetry
 from repro.sim.cpu import RunResult, run_program
 from repro.system.config import SystemConfig, SystemSpec
@@ -91,9 +89,13 @@ def load_target(target: Target) -> Program:
     if is_workload(target):
         return load_workload(target)
     if target.endswith(".s") or target.endswith(".asm"):
+        from repro.asm import assemble
+
         with open(target) as handle:
             return assemble(handle.read())
     if target.endswith(".c"):
+        from repro.minic import compile_to_program
+
         with open(target) as handle:
             return compile_to_program(handle.read(), source_name=target)
     raise ValueError(

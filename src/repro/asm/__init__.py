@@ -8,12 +8,15 @@ by every simulator in this repository.
 """
 
 from repro.asm.program import Program, TEXT_BASE, DATA_BASE, STACK_TOP
-from repro.asm.assembler import assemble, AssemblerError
 from repro._lazy import lazy_dir, lazy_exports
 
-#: the disassembler loads on first use (``repro disasm``, tests).
-_EXPORTS = {name: "repro.asm.disassembler"
-            for name in ("disassemble_program", "disassemble_word")}
+#: the assembler and the disassembler load on first use: running a
+#: built-in workload reads its program image and needs neither.
+_EXPORTS = {
+    **{name: "repro.asm.assembler" for name in ("assemble", "AssemblerError")},
+    **{name: "repro.asm.disassembler"
+       for name in ("disassemble_program", "disassemble_word")},
+}
 __getattr__ = lazy_exports(globals(), _EXPORTS)
 __dir__ = lazy_dir(globals(), _EXPORTS)
 

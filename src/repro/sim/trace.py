@@ -24,8 +24,8 @@ class BasicBlock:
     """Static description of one dynamic basic block.
 
     Identity-based equality/hash: each block is registered exactly once
-    per :class:`BlockTable`, and identity keys make cost-model memoisation
-    cheap and collision-free across tables.
+    per :class:`BlockTable`, and identity keys make memoisation keyed by
+    block cheap and collision-free across tables.
     """
 
     block_id: int
@@ -45,6 +45,13 @@ class BasicBlock:
         object.__setattr__(
             self, "branch_pc",
             self.start_pc + 4 * (len(self.instructions) - 1))
+        # static costs of this block: cycle costs keyed by (cost model,
+        # start index) (:meth:`repro.system.costmodel.BlockCostModel.
+        # cost`) and prefix (loads, stores) keyed by the prefix length
+        # (:func:`repro.system.metrics._prefix_mem_ops`).  They live and
+        # die with the block; a derived cache, so it is not a field and
+        # is never pickled.
+        object.__setattr__(self, "costs", {})
 
     #: the final control instruction, or None (syscall-ended block).
     terminator: Optional[Instruction] = field(init=False)
@@ -59,7 +66,7 @@ class BasicBlock:
                                          repr=False)
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "dim_records": None}
+        return {**self.__dict__, "dim_records": None, "costs": {}}
 
     @property
     def fallthrough_pc(self) -> int:

@@ -12,7 +12,8 @@ sweep (see :mod:`repro.system.sweep`):
   (trace, system configuration) cell.
 
 Every key is a SHA-256 over (a) a format version constant, (b) a *code
-fingerprint* — the hash of every Python source file under the installed
+fingerprint* — the hash of every Python source file and every built-in
+program image (:mod:`repro.workloads.images`) under the installed
 ``repro`` package — and (c) the artifact's own identity: the workload
 name and mini-C source text, the timing-model fields, and (for cells)
 the full system-configuration fingerprint.  Hashing the package source
@@ -68,18 +69,32 @@ FORMAT_VERSION = 1
 _CODE_FINGERPRINT: Optional[str] = None
 
 
+#: the package files whose bytes decide what a sweep computes: the
+#: Python sources and the built-in workloads' program images (a rebuilt
+#: image must never be served the traces of the old one).
+FINGERPRINTED = ("*.py", "*.img")
+
+
+def tree_fingerprint(package_root: Path) -> str:
+    """SHA-256 over the :data:`FINGERPRINTED` files under ``package_root``
+    (relative paths and contents, in sorted path order)."""
+    digest = hashlib.sha256()
+    paths = {path for pattern in FINGERPRINTED
+             for path in package_root.rglob(pattern)}
+    for path in sorted(paths):
+        digest.update(str(path.relative_to(package_root)).encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
 def code_fingerprint() -> str:
-    """SHA-256 over every ``repro`` source file (computed once)."""
+    """:func:`tree_fingerprint` of the ``repro`` package (computed once)."""
     global _CODE_FINGERPRINT
     if _CODE_FINGERPRINT is None:
-        package_root = Path(__file__).resolve().parent.parent
-        digest = hashlib.sha256()
-        for path in sorted(package_root.rglob("*.py")):
-            digest.update(str(path.relative_to(package_root)).encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-        _CODE_FINGERPRINT = digest.hexdigest()
+        _CODE_FINGERPRINT = tree_fingerprint(
+            Path(__file__).resolve().parent.parent)
     return _CODE_FINGERPRINT
 
 

@@ -11,7 +11,7 @@ coupled simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.isa.opcodes import InstrClass
 from repro.sim.stats import TimingModel
@@ -38,18 +38,22 @@ class BlockCost:
 
 
 class BlockCostModel:
-    """Computes (and memoizes) static block execution costs."""
+    """Computes (and memoizes) static block execution costs.
+
+    A cost is memoized on its block (``block.costs``, keyed by model and
+    start index), so it is freed with the block: the model itself holds
+    no block.
+    """
 
     def __init__(self, timing: TimingModel):
         self.timing = timing
-        self._cache: Dict[Tuple[BasicBlock, int], BlockCost] = {}
 
     def cost(self, block: BasicBlock, start_idx: int = 0) -> BlockCost:
-        key = (block, start_idx)
-        cached = self._cache.get(key)
+        key = (self, start_idx)
+        cached = block.costs.get(key)
         if cached is None:
             cached = self._compute(block, start_idx)
-            self._cache[key] = cached
+            block.costs[key] = cached
         return cached
 
     def _compute(self, block: BasicBlock,
@@ -114,10 +118,9 @@ class BlockCostModel:
 
 #: process-wide cost models, one per timing configuration.  Sharing one
 #: model across every trace evaluation and block compilation means a
-#: block's cost is computed exactly once per process, no matter how many
-#: system configurations the sweep replays it under.  Costs are keyed by
-#: block identity, so entries live as long as the block table that owns
-#: them (bounded by the workload suite: a few thousand blocks).
+#: block's cost is computed exactly once per block, no matter how many
+#: system configurations the sweep replays it under.  The costs live on
+#: their blocks, so a freed trace takes its costs with it.
 _SHARED_MODELS: Dict[TimingModel, BlockCostModel] = {}
 
 

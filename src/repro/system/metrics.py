@@ -11,7 +11,6 @@ translation memo.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.isa.opcodes import InstrClass
@@ -123,19 +122,21 @@ class CoupledRunResult:
         return self.metrics.predictor_accuracy
 
 
-#: memoized (loads, stores) of covered block prefixes, shared across the
-#: whole sweep: replaying one block table under all 18 paper systems hits
-#: this cache 17 times out of 18.  Keyed by block *identity* (blocks use
-#: identity hashing), so entries from different workloads never collide.
-#: LRU-bounded so a long-lived sweep process does not pin every block of
-#: every workload it ever replayed (the full 18-workload suite uses a few
-#: thousand entries, well inside the bound).
-@lru_cache(maxsize=65536)
 def _prefix_mem_ops(block: BasicBlock, covered: int) -> Tuple[int, int]:
-    loads = stores = 0
-    for instr in block.instructions[:covered]:
-        if instr.klass is InstrClass.LOAD:
-            loads += 1
-        elif instr.klass is InstrClass.STORE:
-            stores += 1
-    return (loads, stores)
+    """(loads, stores) of the block's first ``covered`` instructions.
+
+    Memoized on the block (``block.costs``, keyed by the bare prefix
+    length) and shared across the whole sweep: replaying one block table
+    under all 18 paper systems hits the memo 17 times out of 18, and the
+    entries are freed with the block.
+    """
+    ops = block.costs.get(covered)
+    if ops is None:
+        loads = stores = 0
+        for instr in block.instructions[:covered]:
+            if instr.klass is InstrClass.LOAD:
+                loads += 1
+            elif instr.klass is InstrClass.STORE:
+                stores += 1
+        ops = block.costs[covered] = (loads, stores)
+    return ops

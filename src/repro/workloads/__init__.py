@@ -20,10 +20,14 @@ first registry access — so a parent that registers a corpus and then
 fans out gets byte-identical results from every process.
 
 Each workload carries the paper's row name and the paper's
-dataflow/control ordering from Table 2.  :func:`load_workload` compiles
-(mini-C) or assembles (generated kernels) and caches the program;
-:func:`run_workload` additionally executes it and caches the
-basic-block trace used by the benchmark harnesses.
+dataflow/control ordering from Table 2.  :func:`load_workload` returns
+(and caches) the program: a built-in loads from its committed program
+image (:mod:`repro.workloads.images`), checked against its source's
+digest, the way the paper's DIM runs precompiled binaries; a registered
+workload compiles (mini-C) or assembles (generated kernels).  Only that
+compile path imports the front end.  :func:`run_workload` additionally
+executes the program and caches the basic-block trace used by the
+benchmark harnesses.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from importlib import import_module
 from typing import Dict, List, Optional, Tuple
 
 from repro.asm.program import Program
-from repro.minic import compile_to_program
 from repro.sim import RunResult, Trace, run_program
 
 #: environment variable naming corpus manifests to auto-register
@@ -47,10 +50,12 @@ CORPUS_ENV = "REPRO_CORPUS"
 class Workload:
     """One benchmark: source plus metadata.
 
-    ``kind`` selects the toolchain: ``"minic"`` sources compile through
-    :func:`repro.minic.compile_to_program`, ``"asm"`` sources assemble
-    through :func:`repro.asm.assemble` (the corpus generator emits
-    assembly directly).
+    ``kind`` names the source language: ``"minic"`` or ``"asm"`` (the
+    corpus generator emits assembly directly).  A built-in (always
+    mini-C) loads from its program image, built from ``source`` by
+    :func:`repro.minic.compile_to_program`; a registered workload
+    compiles through that function or, for ``"asm"``, assembles
+    through :func:`repro.asm.assemble`.
     """
 
     name: str
@@ -205,15 +210,27 @@ def get_workload(name: str) -> Workload:
 
 
 def load_workload(name: str) -> Program:
-    """Compile or assemble (with caching) one workload."""
+    """Load (with caching) one workload's program.
+
+    A built-in reads its program image and raises
+    :class:`~repro.workloads.images.ImageError` if the image is
+    missing, malformed or stale; a registered workload compiles or
+    assembles its source.
+    """
     program = _PROGRAMS.get(name)
     if program is None:
         workload = get_workload(name)
-        if workload.kind == "asm":
+        if name in _BUILTINS:
+            from repro.workloads.images import load_image
+
+            program = load_image(workload)
+        elif workload.kind == "asm":
             from repro.asm import assemble
 
             program = assemble(workload.source)
         else:
+            from repro.minic import compile_to_program
+
             program = compile_to_program(workload.source, source_name=name)
         _PROGRAMS[name] = program
     return program
@@ -260,7 +277,7 @@ def collect_runs(names: Optional[List[str]] = None,
                  jobs: int = 1) -> Dict[str, RunResult]:
     """Trace many workloads, optionally fanned across processes.
 
-    With ``jobs > 1`` the uncached workloads are compiled and traced in a
+    With ``jobs > 1`` the uncached workloads are loaded and traced in a
     :class:`~concurrent.futures.ProcessPoolExecutor`; results come back
     in deterministic (requested) order and seed the in-process run cache
     so later calls are free.  Traces are deterministic, so the parallel

@@ -255,3 +255,26 @@ def test_bad_env_cap_is_ignored(tmp_path, monkeypatch):
     assert ArtifactCache(tmp_path).max_bytes is None
     monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "-5")
     assert ArtifactCache(tmp_path).max_bytes is None
+
+
+def test_code_fingerprint_covers_the_program_images(tmp_path):
+    """A rebuilt program image changes every key, exactly like a source
+    edit; files that are neither source nor image do not."""
+    import shutil
+    from pathlib import Path
+
+    from repro.system import artifacts
+    from repro.system.artifacts import code_fingerprint, tree_fingerprint
+
+    package = Path(artifacts.__file__).resolve().parent.parent
+    copy = tmp_path / "repro"
+    shutil.copytree(package, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert tree_fingerprint(copy) == code_fingerprint()
+    image = copy / "workloads" / "images" / "crc.img"
+    original = image.read_bytes()
+    image.write_bytes(original[:-1] + bytes([original[-1] ^ 1]))
+    assert tree_fingerprint(copy) != code_fingerprint()
+    image.write_bytes(original)
+    (copy / "workloads" / "images" / "README.txt").write_text("notes")
+    assert tree_fingerprint(copy) == code_fingerprint()

@@ -182,10 +182,15 @@ def test_cli_start_up_and_single_run_never_load_numpy():
 _NOT_ON_RUN_PATH = ("repro.system.colreplay", "repro.system.sweep",
                     "repro.sim.coltrace", "repro.system.artifacts",
                     "repro.dim.memo", "repro.system.coupled",
-                    "repro.obs.schema", "pickle")
+                    "repro.obs.schema", "pickle",
+                    # a built-in runs from its program image: no front end
+                    "repro.asm.assembler", "repro.minic",
+                    *(f"repro.minic.{module}" for module in (
+                        "astnodes", "codegen", "driver", "lexer",
+                        "optimizer", "parser", "sema")))
 #: how many ``repro`` modules ``import repro.cli`` and a ``repro run``
 #: load at most
-_CLI_MODULES, _RUN_MODULES = 42, 49
+_CLI_MODULES, _RUN_MODULES = 34, 42
 
 
 def test_cli_start_up_and_single_run_load_only_the_run_path():
@@ -212,15 +217,17 @@ def test_cli_start_up_and_single_run_load_only_the_run_path():
 
 
 def test_lazy_facades_resolve_every_exported_name():
-    """``repro``, ``repro.api`` and ``repro.system`` load their
-    re-exports on first access; every name must still resolve, to the
-    object its defining module holds."""
+    """``repro``, ``repro.api``, ``repro.system`` and ``repro.asm`` load
+    their re-exports on first access; every name must still resolve, to
+    the object its defining module holds."""
     script = (
-        "import importlib\n"
-        "import repro, repro.api, repro.system\n"
+        "import importlib, sys\n"
+        "import repro, repro.api, repro.system, repro.asm\n"
         "assert 'replay_matrix' not in vars(repro.system)  # not yet\n"
         "assert 'replay_matrix' in dir(repro.system)\n"
-        "for facade in (repro, repro.api, repro.system):\n"
+        "assert 'repro.asm.assembler' not in sys.modules\n"
+        "assert 'assemble' in dir(repro.asm)\n"
+        "for facade in (repro, repro.api, repro.system, repro.asm):\n"
         "    for name in facade.__all__:\n"
         "        assert getattr(facade, name) is not None, name\n"
         "assert repro.run is repro.api.run\n"
@@ -230,6 +237,9 @@ def test_lazy_facades_resolve_every_exported_name():
         "from repro.system.traceeval import evaluate_trace as oracle\n"
         "assert evaluate_trace is oracle\n"
         "from repro.api import evaluate_matrix, SuiteResult\n"
+        "from repro.asm import AssemblerError, assemble\n"
+        "from repro.asm.assembler import assemble as defined\n"
+        "assert assemble is defined\n"
         "try:\n"
         "    repro.no_such_name\n"
         "except AttributeError:\n"

@@ -286,7 +286,35 @@ def test_traceeval_annotations_resolve():
             typing.get_type_hints(obj)
 
 
-def test_prefix_mem_ops_is_bounded():
+def test_prefix_mem_ops_is_freed_with_its_block():
+    """The (loads, stores) memo and the cycle costs live on the block,
+    so a long-lived process pins no block once its trace is gone."""
+    import gc
+    import weakref
+
+    from repro.isa.instruction import Instruction
+    from repro.sim.trace import BasicBlock
+    from repro.system.costmodel import shared_cost_model
     from repro.system.traceeval import _prefix_mem_ops
-    info = _prefix_mem_ops.cache_info()
-    assert info.maxsize is not None and info.maxsize > 0
+
+    block = BasicBlock(0, 0x0040_0000, (
+        Instruction("lw", rs=29, rt=8, imm=4),
+        Instruction("sw", rs=29, rt=8, imm=8),
+        Instruction("jr", rs=31)))
+    assert _prefix_mem_ops(block, 2) == (1, 1)
+    assert _prefix_mem_ops(block, 1) == (1, 0)
+    cost = shared_cost_model(paper_system("C1", 16, False).timing) \
+        .cost(block)
+    assert (cost.loads, cost.stores) == (1, 1)
+    assert len(block.costs) == 3
+    restored = pickle.loads(pickle.dumps(block))
+    assert restored.costs == {}
+    freed = weakref.ref(block)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del block
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -15,6 +15,7 @@ import pytest
 import repro.system.colreplay as colreplay
 import repro.system.sweep as sweep
 from repro.sim import cpu
+from repro.sim.trace import BasicBlock
 from repro.system import paper_system
 from repro.system.artifacts import ArtifactCache
 from repro.system.sweep import evaluate_matrix
@@ -86,9 +87,10 @@ def test_reregistered_source_never_replays_the_old_row(
 
 
 def test_one_shot_row_is_freed_without_the_collector(monkeypatch):
-    """With ``gc`` disabled, a one-shot row leaves nothing behind: its
-    context, trace, a template and the tracing simulator die with their
-    last reference, and the collector finds no ``repro`` object."""
+    """With ``gc`` disabled, a one-shot row leaves nothing behind: every
+    context, trace, basic block (whose static costs the shared cost
+    model computed), template and tracing simulator dies with its last
+    reference, and the collector finds no ``repro`` object."""
     import repro.workloads as workloads
 
     monkeypatch.setattr(workloads, "_RUNS", {})
@@ -99,7 +101,7 @@ def test_one_shot_row_is_freed_without_the_collector(monkeypatch):
 
         def __init__(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            alive.setdefault(label, weakref.ref(target(self)))
+            alive.setdefault(label, []).append(weakref.ref(target(self)))
 
         monkeypatch.setattr(cls, "__init__", __init__)
 
@@ -109,15 +111,17 @@ def test_one_shot_row_is_freed_without_the_collector(monkeypatch):
     # configuration is referenced by the template alone.
     watch(colreplay._Template, "template", lambda self: self.config)
     watch(cpu.Simulator, "simulator")
+    watch(BasicBlock, "block")
     configs = [paper_system("C1", 16, False), paper_system("C2", 64, True)]
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
         evaluate_matrix(configs, names=["susan_c"])
-        assert set(alive) == {"context", "trace", "template", "simulator"}
-        assert {label: ref() is None for label, ref in alive.items()} \
-            == dict.fromkeys(alive, True)
+        assert set(alive) == {"context", "trace", "template", "simulator",
+                              "block"}
+        assert {label: sum(ref() is not None for ref in refs)
+                for label, refs in alive.items()} == dict.fromkeys(alive, 0)
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
         leaked = [obj for obj in gc.garbage
