@@ -462,8 +462,8 @@ class _Template:
     def delta(self, timing: TimingModel) -> List[List[int]]:
         """Metric-delta rows, one per exit code, under one timing model.
 
-        Mirrors the array-execution walk of ``evaluate_trace`` (and its
-        ``_run_loop`` / ``_run_dual`` variants) with the running totals
+        Mirrors how ``evaluate_trace`` prices an array execution by its
+        exit (``traceeval._fold``), with the running totals
         checkpointed at every possible exit.
         """
         rows = self._deltas.get(timing)
@@ -477,7 +477,7 @@ class _Template:
             # and its transfer goes the non-looping direction.  Row 1+m
             # is an interior mis-speculation before any back-edge was
             # reached, so no check is charged.  Executions with extra
-            # trips add trip_row() once per trip (traceeval._run_loop).
+            # trips add trip_row() once per trip (traceeval._fold).
             rows, row = self._chain(1)
             row[CYC] += self.chk
             row[COM] += 1

@@ -184,9 +184,10 @@ class CoupledSimulator:
     def _execute_loop(self, config: Configuration) -> Tuple[bool, int]:
         """Iterate a loop-kind configuration functionally.
 
-        Mirrors ``traceeval._run_loop`` cycle for cycle: each trip
-        re-executes the whole chain, pays the back-edge exit check, and
-        only a continuing back-edge pays the marginal trip cycles.
+        Mirrors ``traceeval._run_loop`` (priced by ``traceeval._fold``)
+        cycle for cycle: each trip re-executes the whole chain, pays the
+        back-edge exit check, and only a continuing back-edge pays the
+        marginal trip cycles.
         """
         sim = self.sim
         engine = self.engine
@@ -245,7 +246,7 @@ class CoupledSimulator:
         Only the winning path's instructions touch architectural state
         (the loser's write-backs are gated off in hardware); the core
         resumes mid-block after the winner's covered prefix, exactly as
-        ``traceeval._run_dual`` accounts it.
+        ``traceeval._run_dual`` counts it.
         """
         sim = self.sim
         engine = self.engine

@@ -12,119 +12,164 @@ It is also the event-by-event reference the columnar engine
 (:mod:`repro.system.colreplay`) is tested against.  With a
 ``telemetry`` sink it emits the per-event engine stream and folds the
 engine counters an observed sweep reads off its columnar metrics.
+
+The replay counts now and prices once.  Per event it does only what
+depends on order: cache lookups, predictor updates, translation and
+extension triggers, speculation, flush and retirement outcomes, the
+trace/configuration divergence check, and every telemetry event.  What
+an event costs is a constant of a key, so the replay only counts keys:
+
+- a whole block run on the core, by event code;
+- a core tail after an array prefix, by (event code, start index);
+- an array execution, by (configuration identity, events it
+  consumed, outcome of the last branch it resolved), holding the
+  configuration until the fold.
+
+:func:`_fold` then prices each key once, times its count, into the core
+counters and the :class:`~repro.dim.engine.DimStats`.  Integer sums
+commute, so the totals equal per-event accounting exactly.  The fold
+runs before the engine is read: by the telemetry counters and by the
+report that renders the returned engine.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from collections import Counter
+from typing import Dict, Optional, Sequence, Set, Tuple
 
+from repro.cgra.configuration import ConfigBlock, Configuration
 from repro.dim.engine import DimEngine
 from repro.isa.opcodes import InstrClass
 from repro.sim.stats import TimingModel
-from repro.sim.trace import BasicBlock, Trace
+from repro.sim.trace import BasicBlock, BlockTable, Trace
 from repro.system.config import SystemConfig
 from repro.system.costmodel import BlockCostModel, shared_cost_model
 from repro.system.metrics import SystemMetrics, _prefix_mem_ops
+
+#: array executions: (configuration identity, events consumed, outcome
+#: of the last branch resolved) -> [configuration, count]
+Exits = Dict[Tuple[int, int, bool], list]
 
 
 def baseline_metrics(trace: Trace,
                      timing: Optional[TimingModel] = None) -> SystemMetrics:
     """Cycles and events of the standalone MIPS core over a trace.
 
-    Agrees exactly with :class:`repro.sim.cpu.Simulator` on the same
-    program (asserted by the test suite).
+    Prices each distinct event code once, times its count.  Agrees
+    exactly with :class:`repro.sim.cpu.Simulator` on the same program
+    (asserted by the test suite).
     """
     timing = timing or TimingModel()
     model = shared_cost_model(timing)
     metrics = SystemMetrics(name="mips")
     table = trace.table
-    for code in trace.events:
-        _account_normal(metrics, model, table.get(code >> 1), 0, code & 1)
+    for code, count in Counter(trace.events).items():
+        _account_normal(metrics, model, table.get(code >> 1), 0, code & 1,
+                        count)
     return metrics
 
 
 def _account_normal(metrics: SystemMetrics, model: BlockCostModel,
-                    block: BasicBlock, start_idx: int, taken: bool) -> None:
-    """Accumulate the cost of normally executing block[start_idx:]."""
+                    block: BasicBlock, start_idx: int, taken: bool,
+                    count: int) -> None:
+    """Accumulate the cost of ``count`` normal executions of
+    block[start_idx:] with the given terminator outcome."""
     cost = model.cost(block, start_idx)
-    metrics.cycles += cost.cycles(taken)
-    metrics.instructions += cost.instructions
-    metrics.fetches += cost.fetches
-    metrics.loads += cost.loads
-    metrics.stores += cost.stores
-    metrics.branches += cost.branches
-    metrics.load_use_stalls += cost.load_use_stalls
-    metrics.hilo_stalls += cost.hilo_stalls
-    metrics.syscalls += cost.syscalls
+    metrics.cycles += cost.cycles(taken) * count
+    metrics.instructions += cost.instructions * count
+    metrics.fetches += cost.fetches * count
+    metrics.loads += cost.loads * count
+    metrics.stores += cost.stores * count
+    metrics.branches += cost.branches * count
+    metrics.load_use_stalls += cost.load_use_stalls * count
+    metrics.hilo_stalls += cost.hilo_stalls * count
+    metrics.syscalls += cost.syscalls * count
     terminator = block.terminator
     if terminator is not None:
         if terminator.klass is InstrClass.JUMP or taken:
-            metrics.taken_transfers += 1
+            metrics.taken_transfers += count
 
 
-def _run_loop(engine: DimEngine, metrics: SystemMetrics, cfg,
-              events, i: int, seen: Set[int],
-              misspec_penalty: int) -> int:
-    """Execute one loop-kind configuration; returns the next event index.
+def _diverged(j: int, block: BasicBlock, code: int) -> None:
+    """Raise for event ``j`` (``code``) that should have been
+    ``block``'s: the trace left the configuration's chain."""
+    raise RuntimeError(
+        "trace/configuration divergence at event "
+        f"{j}: expected block {block.block_id}, got {code >> 1}")
 
-    The array iterates the whole block chain: every trip pays the
-    dataflow depth plus the back-edge exit check, and only the first
-    trip pays reconfiguration and the write-back drain (charged by the
-    caller).  A back-edge resolving off the loop is a clean exit; an
-    interior merged branch mismatching is an ordinary mis-speculation.
-    Mirrored cycle-for-cycle by ``CoupledSimulator._execute_array`` and
-    by the columnar loop template.
+
+def _run_linear(engine: DimEngine, tails: Dict[Tuple[int, int], int],
+                cfg: Configuration, events, i: int,
+                seen: Set[int]) -> Tuple[int, bool]:
+    """Execute one linear configuration; returns the next event index
+    and the outcome of the last branch it resolved (False if none).
+
+    One pass over the blocks, exiting at the first mis-speculated
+    merged branch.  A block without its terminator ends the pass: its
+    tail runs on the core, or, with nothing of it on the array, the
+    event is reprocessed with a fresh lookup (matching the coupled
+    simulator resuming at a block start).
     """
-    committed = 0
+    j = i
+    actual = False
+    for cfg_block in cfg.blocks:
+        block = cfg_block.block
+        seen.add(block.start_pc)
+        code = events[j]
+        if code >> 1 != block.block_id:  # pragma: no cover
+            _diverged(j, block, code)
+        if not cfg_block.includes_terminator:
+            if cfg_block.covered:
+                key = (code, cfg_block.covered)
+                tails[key] = tails.get(key, 0) + 1
+                if block.is_conditional:
+                    engine.observe_branch(block.branch_pc, bool(code & 1))
+                j += 1
+            break
+        j += 1
+        if block.terminator.klass is InstrClass.BRANCH:
+            actual = bool(code & 1)
+            if not engine.speculation_outcome(cfg, cfg_block, actual):
+                break
+    return j, actual
+
+
+def _run_loop(engine: DimEngine, cfg: Configuration, events, i: int,
+              seen: Set[int]) -> Tuple[int, bool]:
+    """Execute one loop-kind configuration; returns the next event
+    index and the outcome of the last branch it resolved.
+
+    The array iterates the whole block chain until the back-edge
+    resolves off the loop (a clean exit) or an interior merged branch
+    mis-speculates.  Mirrored by ``CoupledSimulator._execute_array``
+    and by the columnar loop template.
+    """
     j = i
     blocks = cfg.blocks
     back = len(blocks) - 1
-    chk = cfg.loop_check_cycles
-    looping = True
-    while looping:
+    while True:
         for q, cfg_block in enumerate(blocks):
-            cfg_blk = cfg_block.block
-            seen.add(cfg_blk.start_pc)
+            block = cfg_block.block
+            seen.add(block.start_pc)
             code = events[j]
-            if code >> 1 != cfg_blk.block_id:  # pragma: no cover
-                raise RuntimeError(
-                    "trace/configuration divergence at event "
-                    f"{j}: expected block {cfg_blk.block_id}, "
-                    f"got {code >> 1}")
-            committed += cfg_block.covered
-            loads, stores = _prefix_mem_ops(cfg_blk, cfg_block.covered)
-            metrics.loads += loads
-            metrics.stores += stores
-            term = cfg_blk.terminator
-            committed += 1
-            metrics.branches += 1
+            if code >> 1 != block.block_id:  # pragma: no cover
+                _diverged(j, block, code)
             j += 1
-            if term.klass is InstrClass.BRANCH:
+            if block.terminator.klass is InstrClass.BRANCH:
                 actual = bool(code & 1)
-                if actual:
-                    metrics.taken_transfers += 1
                 if q == back:
-                    metrics.cycles += chk
-                    if engine.loop_backedge(cfg, cfg_block, actual):
-                        metrics.cycles += engine.loop_iteration(cfg)
-                    else:
-                        looping = False
+                    if not engine.loop_backedge(cfg, cfg_block, actual):
+                        return j, actual
                 elif not engine.speculation_outcome(cfg, cfg_block,
                                                     actual):
-                    metrics.cycles += misspec_penalty
-                    looping = False
-                    break
-            else:  # unconditional j interior
-                metrics.taken_transfers += 1
-    metrics.instructions += committed
-    engine.stats.array_instructions += committed
-    return j
+                    return j, actual
 
 
-def _run_dual(engine: DimEngine, metrics: SystemMetrics, model,
-              cfg, events, i: int, seen: Set[int],
-              misspec_penalty: int) -> int:
-    """Execute one dual-kind configuration; returns the next event index.
+def _run_dual(engine: DimEngine, tails: Dict[Tuple[int, int], int],
+              cfg: Configuration, events, i: int,
+              seen: Set[int]) -> Tuple[int, bool]:
+    """Execute one dual-kind configuration; returns the next event
+    index and the outcome of the last branch it resolved.
 
     The chain walks exactly like a linear configuration until the final
     (predicated) branch: its resolution squashes the losing path's
@@ -133,63 +178,37 @@ def _run_dual(engine: DimEngine, metrics: SystemMetrics, model,
     the core (mid-block resume — no cache lookup, matching the coupled
     simulator).
     """
-    committed = 0
     j = i
-    blocks = cfg.blocks
-    last = len(blocks) - 1
-    for q, cfg_block in enumerate(blocks):
-        cfg_blk = cfg_block.block
-        seen.add(cfg_blk.start_pc)
+    *chain, predicated = cfg.blocks
+    for cfg_block in chain:
+        block = cfg_block.block
+        seen.add(block.start_pc)
         code = events[j]
-        if code >> 1 != cfg_blk.block_id:  # pragma: no cover
-            raise RuntimeError(
-                "trace/configuration divergence at event "
-                f"{j}: expected block {cfg_blk.block_id}, "
-                f"got {code >> 1}")
-        committed += cfg_block.covered
-        loads, stores = _prefix_mem_ops(cfg_blk, cfg_block.covered)
-        metrics.loads += loads
-        metrics.stores += stores
-        term = cfg_blk.terminator
-        committed += 1
-        metrics.branches += 1
-        if q == last:
+        if code >> 1 != block.block_id:  # pragma: no cover
+            _diverged(j, block, code)
+        j += 1
+        if block.terminator.klass is InstrClass.BRANCH:
             actual = bool(code & 1)
-            if actual:
-                metrics.taken_transfers += 1
-            j += 1
-            winner = engine.dual_resolution(cfg, cfg_block, actual)
-            wblk = winner.block
-            seen.add(wblk.start_pc)
-            succ_code = events[j]
-            if succ_code >> 1 != wblk.block_id:  # pragma: no cover
-                raise RuntimeError(
-                    "trace/configuration divergence at event "
-                    f"{j}: expected block {wblk.block_id}, "
-                    f"got {succ_code >> 1}")
-            committed += winner.covered
-            loads, stores = _prefix_mem_ops(wblk, winner.covered)
-            metrics.loads += loads
-            metrics.stores += stores
-            _account_normal(metrics, model, wblk, winner.covered,
-                            succ_code & 1)
-            if wblk.is_conditional:
-                engine.observe_branch(wblk.branch_pc, bool(succ_code & 1))
-            j += 1
-        elif term.klass is InstrClass.BRANCH:
-            actual = bool(code & 1)
-            if actual:
-                metrics.taken_transfers += 1
-            j += 1
             if not engine.speculation_outcome(cfg, cfg_block, actual):
-                metrics.cycles += misspec_penalty
-                break
-        else:  # unconditional j interior
-            metrics.taken_transfers += 1
-            j += 1
-    metrics.instructions += committed
-    engine.stats.array_instructions += committed
-    return j
+                return j, actual
+    block = predicated.block
+    seen.add(block.start_pc)
+    code = events[j]
+    if code >> 1 != block.block_id:  # pragma: no cover
+        _diverged(j, block, code)
+    actual = bool(code & 1)
+    winner = engine.dual_resolution(cfg, predicated, actual)
+    block = winner.block
+    seen.add(block.start_pc)
+    j += 1
+    code = events[j]
+    if code >> 1 != block.block_id:  # pragma: no cover
+        _diverged(j, block, code)
+    key = (code, winner.covered)
+    tails[key] = tails.get(key, 0) + 1
+    if block.is_conditional:
+        engine.observe_branch(block.branch_pc, bool(code & 1))
+    return j + 1, actual
 
 
 def evaluate_trace(trace: Trace, config: SystemConfig,
@@ -216,7 +235,6 @@ def _replay(trace: Trace, config: SystemConfig, name: str, memo,
             telemetry) -> Tuple[SystemMetrics, DimEngine]:
     """:func:`evaluate_trace`'s metrics, and the engine that replayed
     the trace (:mod:`repro.system.report` renders its cache)."""
-    model = shared_cost_model(config.timing)
     table = trace.table
     seen: Set[int] = set()
 
@@ -227,7 +245,11 @@ def _replay(trace: Trace, config: SystemConfig, name: str, memo,
 
     engine = DimEngine(config.shape, config.dim, provider,
                        translation_memo=memo, telemetry=telemetry)
-    metrics = SystemMetrics(name=name or config.name)
+    #: whole blocks run on the core, by event code
+    normal: Dict[int, int] = {}
+    #: core tails after an array prefix, by (event code, start index)
+    tails: Dict[Tuple[int, int], int] = {}
+    exits: Exits = {}
     events = trace.events
     n = len(events)
     i = 0
@@ -237,70 +259,32 @@ def _replay(trace: Trace, config: SystemConfig, name: str, memo,
         seen.add(block.start_pc)
         cfg = engine.lookup(block.start_pc)
         if cfg is None:
-            _account_normal(metrics, model, block, 0, code & 1)
+            normal[code] = normal.get(code, 0) + 1
             if block.is_conditional:
                 engine.observe_branch(block.branch_pc, bool(code & 1))
             if i < n - 1:
                 engine.consider_translation(block)
             i += 1
             continue
-
-        # ---- array execution --------------------------------------------
         cfg = engine.maybe_extend(cfg)
-        metrics.cycles += engine.begin_execution(cfg)
-        if cfg.kind == "loop":
-            i = _run_loop(engine, metrics, cfg, events, i, seen,
-                          config.dim.misspec_penalty)
-            continue
-        if cfg.kind == "dual":
-            i = _run_dual(engine, metrics, model, cfg, events, i, seen,
-                          config.dim.misspec_penalty)
-            continue
-        committed = 0
-        j = i
-        for cfg_block in cfg.blocks:
-            cfg_blk = cfg_block.block
-            seen.add(cfg_blk.start_pc)
-            code = events[j]
-            if code >> 1 != cfg_blk.block_id:  # pragma: no cover
-                raise RuntimeError(
-                    "trace/configuration divergence at event "
-                    f"{j}: expected block {cfg_blk.block_id}, "
-                    f"got {code >> 1}")
-            committed += cfg_block.covered
-            loads, stores = _prefix_mem_ops(cfg_blk, cfg_block.covered)
-            metrics.loads += loads
-            metrics.stores += stores
-            if not cfg_block.includes_terminator:
-                if cfg_block.covered == 0:
-                    # nothing of this block ran on the array: reprocess
-                    # the event with a fresh lookup (matches the coupled
-                    # simulator resuming at a block start).
-                    break
-                _account_normal(metrics, model, cfg_blk,
-                                cfg_block.covered, code & 1)
-                if cfg_blk.is_conditional:
-                    engine.observe_branch(cfg_blk.branch_pc, bool(code & 1))
-                j += 1
-                break
-            term = cfg_blk.terminator
-            committed += 1
-            metrics.branches += 1
-            if term.klass is InstrClass.BRANCH:
-                actual = bool(code & 1)
-                if actual:
-                    metrics.taken_transfers += 1
-                j += 1
-                if not engine.speculation_outcome(cfg, cfg_block, actual):
-                    metrics.cycles += config.dim.misspec_penalty
-                    break
-            else:  # unconditional j
-                metrics.taken_transfers += 1
-                j += 1
-        metrics.instructions += committed
-        engine.stats.array_instructions += committed
+        kind = cfg.kind
+        if kind == "loop":
+            j, taken = _run_loop(engine, cfg, events, i, seen)
+        elif kind == "dual":
+            j, taken = _run_dual(engine, tails, cfg, events, i, seen)
+        else:
+            j, taken = _run_linear(engine, tails, cfg, events, i, seen)
+        key = (id(cfg), j - i, taken)
+        counted = exits.get(key)
+        if counted is None:
+            exits[key] = [cfg, 1]
+        else:
+            counted[1] += 1
         i = j
 
+    metrics = SystemMetrics(name=name or config.name)
+    _fold(metrics, shared_cost_model(config.timing), table, engine,
+          normal, tails, exits)
     cache = engine.cache
     metrics.dim = engine.stats
     metrics.cache_lookups = cache.lookups
@@ -314,3 +298,84 @@ def _replay(trace: Trace, config: SystemConfig, name: str, memo,
 
         telemetry.count_many(engine_counters(engine))
     return metrics, engine
+
+
+def _fold(metrics: SystemMetrics, model: BlockCostModel, table: BlockTable,
+          engine: DimEngine, normal: Dict[int, int],
+          tails: Dict[Tuple[int, int], int], exits: Exits) -> None:
+    """Price what the replay counted: each key once, times its count."""
+    for code, count in normal.items():
+        _account_normal(metrics, model, table.get(code >> 1), 0,
+                        code & 1, count)
+    for (code, start), count in tails.items():
+        _account_normal(metrics, model, table.get(code >> 1), start,
+                        code & 1, count)
+    penalty = engine.params.misspec_penalty
+    for (_, consumed, taken), (cfg, count) in exits.items():
+        metrics.cycles += engine.execution_cycles(cfg) * count
+        engine.account_executions(cfg, count)
+        blocks = cfg.blocks
+        if cfg.kind == "loop":
+            # every trip but the last continued at the back-edge
+            size = len(blocks)
+            trips = -(-consumed // size)
+            _account_chain(metrics, engine, blocks,
+                           blocks[-1].expected_taken, (trips - 1) * count)
+            final = consumed - (trips - 1) * size
+            _account_chain(metrics, engine, blocks[:final], taken, count)
+            checks = trips if final == size else trips - 1
+            metrics.cycles += (checks * cfg.loop_check_cycles
+                               + (trips - 1) * cfg.trip_cycles) * count
+            engine.account_trips(cfg, (trips - 1) * count)
+            missed = final < size
+        elif cfg.kind == "dual":
+            missed = consumed < len(blocks)
+            if missed:
+                _account_chain(metrics, engine, blocks[:consumed], taken,
+                               count)
+            else:
+                _account_chain(metrics, engine, blocks, taken, count)
+                winner = cfg.dual_taken if taken else cfg.dual_fallthrough
+                _account_prefix(metrics, engine, winner, count)
+        else:
+            chain = blocks[:consumed]
+            _account_chain(metrics, engine, chain, taken, count)
+            end = chain[-1]
+            missed = end.includes_terminator \
+                and end.block.terminator.klass is InstrClass.BRANCH \
+                and taken != end.expected_taken
+        if missed:
+            metrics.cycles += penalty * count
+
+
+def _account_prefix(metrics: SystemMetrics, engine: DimEngine,
+                    cfg_block: ConfigBlock, count: int) -> None:
+    """Accumulate ``count`` array commits of a block's covered prefix."""
+    loads, stores = _prefix_mem_ops(cfg_block.block, cfg_block.covered)
+    metrics.instructions += cfg_block.covered * count
+    engine.stats.array_instructions += cfg_block.covered * count
+    metrics.loads += loads * count
+    metrics.stores += stores * count
+
+
+def _account_chain(metrics: SystemMetrics, engine: DimEngine,
+                   chain: Sequence[ConfigBlock], taken: Optional[bool],
+                   count: int) -> None:
+    """Accumulate ``count`` array commits of ``chain``: each block's
+    covered prefix and merged terminator.  Every merged branch resolved
+    as the configuration expected, except the last block's, which
+    resolved ``taken``."""
+    last = len(chain) - 1
+    branches = transfers = 0
+    for q, cfg_block in enumerate(chain):
+        _account_prefix(metrics, engine, cfg_block, count)
+        if cfg_block.includes_terminator:
+            branches += 1
+            if cfg_block.block.terminator.klass is not InstrClass.BRANCH:
+                transfers += 1  # unconditional j
+            elif (taken if q == last else cfg_block.expected_taken):
+                transfers += 1
+    metrics.instructions += branches * count
+    engine.stats.array_instructions += branches * count
+    metrics.branches += branches * count
+    metrics.taken_transfers += transfers * count

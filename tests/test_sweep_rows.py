@@ -8,7 +8,11 @@ row traced from another source.
 """
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +136,34 @@ def test_one_shot_row_is_freed_without_the_collector(monkeypatch):
         if enabled:
             gc.enable()
     assert leaked == []
+
+
+def test_one_shot_sweep_leaves_only_cached_placements_alive():
+    """After a one-shot sweep of every workload, with the program and
+    run caches cleared, the only decoded instructions still alive are
+    the keys of ``placement_record``'s bounded, value-keyed
+    ``lru_cache`` (plus a few module constants).  Run in a fresh
+    interpreter so no other test's programs are counted."""
+    script = (
+        "import gc\n"
+        "import repro.workloads as workloads\n"
+        "from repro.cgra.dataflow import placement_record\n"
+        "from repro.isa.instruction import Instruction\n"
+        "from repro.system import paper_system\n"
+        "from repro.system.sweep import evaluate_matrix\n"
+        "evaluate_matrix([paper_system('C1', 16, False)], cache=None)\n"
+        "workloads._PROGRAMS.clear()\n"
+        "workloads._RUNS.clear()\n"
+        "gc.collect()\n"
+        "live = sum(type(o) is Instruction for o in gc.get_objects())\n"
+        "cached = placement_record.cache_info().currsize\n"
+        "assert cached > 0, cached\n"
+        "assert live <= cached + 8, (live, cached)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 class _Counting:
