@@ -203,50 +203,24 @@ class DimEngine:
                     fallthrough_covered=config.dual_fallthrough.covered)
 
     # ------------------------------------------------------------------
-    # Array-execution bookkeeping (shared by coupled sim and trace eval).
+    # Array-execution bookkeeping, one execution at a time: the coupled
+    # simulator's.  The trace replays count executions by exit code and
+    # price them with repro.system.costmodel.fold_executions instead.
     # ------------------------------------------------------------------
     def begin_execution(self, config: Configuration) -> int:
         """Account one array execution; returns the core cycles it
         takes: the reconfiguration stall plus the execution itself."""
-        self.account_executions(config, 1)
-        return self.execution_cycles(config)
-
-    def _stall(self, config: Configuration) -> int:
-        return max(0, config.reconfiguration_cycles
-                   - self.params.reconfig_overlap)
-
-    def execution_cycles(self, config: Configuration) -> int:
-        """The core cycles of one execution of ``config``: the
-        reconfiguration stall plus the execution itself.  A pure
-        function of the configuration; counts nothing."""
-        return self._stall(config) + config.exec_cycles
-
-    def account_executions(self, config: Configuration,
-                           count: int) -> None:
-        """Add ``count`` executions of ``config`` to the DIM stats.
-
-        Every counter is a per-configuration constant times ``count``,
-        so a trace replay may count executions first and account each
-        configuration once at the end: integer sums commute.
-        """
         stats = self.stats
-        stats.array_executions += count
-        result = config.result
-        stats.array_alu_ops += result.alu_ops * count
-        stats.array_mult_ops += result.mult_ops * count
-        stats.array_mem_ops += result.mem_ops * count
-        cycles = config.exec_cycles * count
-        stats.array_cycles += cycles
-        stats.array_line_cycles += result.lines_used * cycles
-        stats.array_potential_line_cycles += \
-            min(self.shape.rows, 1 << 20) * cycles
-        stats.reconfiguration_stalls += self._stall(config) * count
+        stall = max(0, config.reconfiguration_cycles
+                    - self.params.reconfig_overlap)
+        stats.array_executions += 1
+        stats.reconfiguration_stalls += stall
         kind = config.kind
         if kind == "loop":
-            stats.loop_executions += count
-            stats.loop_trips += count
+            stats.loop_executions += 1
         elif kind == "dual":
-            stats.dual_executions += count
+            stats.dual_executions += 1
+        return stall + self._account_run(config, config.exec_cycles)
 
     def loop_iteration(self, config: Configuration) -> int:
         """Account one additional loop trip; returns its array cycles.
@@ -256,23 +230,24 @@ class DimEngine:
         drain (carried operands stay routed inside the array).  The
         per-trip exit check is charged by the caller, on top.
         """
-        self.account_trips(config, 1)
-        return config.trip_cycles
+        return self._account_run(config, config.trip_cycles)
 
-    def account_trips(self, config: Configuration, count: int) -> None:
-        """Add ``count`` continuation trips of loop ``config`` to the
-        DIM stats (see :meth:`account_executions`)."""
+    def _account_run(self, config: Configuration, cycles: int) -> int:
+        """Account one pass of ``config``'s operations through the
+        array (an execution's first trip or a loop's extra one) taking
+        ``cycles``; returns ``cycles``."""
         stats = self.stats
         result = config.result
-        stats.loop_trips += count
-        stats.array_alu_ops += result.alu_ops * count
-        stats.array_mult_ops += result.mult_ops * count
-        stats.array_mem_ops += result.mem_ops * count
-        cycles = config.trip_cycles * count
+        stats.array_alu_ops += result.alu_ops
+        stats.array_mult_ops += result.mult_ops
+        stats.array_mem_ops += result.mem_ops
         stats.array_cycles += cycles
         stats.array_line_cycles += result.lines_used * cycles
         stats.array_potential_line_cycles += \
             min(self.shape.rows, 1 << 20) * cycles
+        if config.kind == "loop":
+            stats.loop_trips += 1
+        return cycles
 
     def loop_backedge(self, config: Configuration,
                       cfg_block: ConfigBlock, actual: bool) -> bool:

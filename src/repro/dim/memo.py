@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cgra.configuration import Configuration
 from repro.cgra.shape import ArrayShape
-from repro.dim.params import DimParams
+from repro.dim.params import policy_key
 from repro.dim.translator import (
     PROBE_DIRECTION,
     Probe,
@@ -48,25 +48,9 @@ from repro.dim.translator import (
 )
 from repro.sim.trace import BasicBlock
 
-#: DimParams fields that influence translation.  Cache geometry/policy,
-#: mis-speculation handling and predictor sizing deliberately excluded:
-#: systems differing only in those share one memo partition.  The
-#: dynflow knobs are included because they change both the walk (mode,
-#: loop bounds) and the built configuration's cost fields (gate and
-#: exit-check cycles are baked into the template).
-_POLICY_FIELDS = ("speculation", "max_spec_depth", "max_blocks",
-                  "min_block_instructions", "dynflow_mode",
-                  "loop_max_body_blocks", "loop_carry_regs",
-                  "loop_exit_check_cycles", "dual_gate_cycles")
-
 _MemoKey = Tuple[BasicBlock, ArrayShape, Tuple]
 #: (recorded probes, pristine template or None when too short to cache).
 _Variant = Tuple[Tuple[Probe, ...], Optional[Configuration]]
-
-
-def policy_key(params: DimParams) -> Tuple:
-    """The translation-relevant projection of ``params``."""
-    return tuple(getattr(params, field) for field in _POLICY_FIELDS)
 
 
 def _instantiate(template: Optional[Configuration]

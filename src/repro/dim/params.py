@@ -16,6 +16,7 @@ merge walk and its all-or-nothing resource discipline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 #: valid reconfiguration-cache replacement policies.
 CACHE_POLICIES = ("fifo", "lru")
@@ -101,3 +102,22 @@ class DimParams:
     def dual_enabled(self) -> bool:
         """Predicated dual-path merge active (needs speculation)."""
         return self.speculation and self.dynflow_mode in ("dual", "both")
+
+
+#: DimParams fields that influence translation.  Cache geometry/policy,
+#: mis-speculation handling and predictor sizing deliberately excluded:
+#: systems differing only in those share one translation partition (of
+#: :class:`~repro.dim.memo.TranslationMemo` and of the columnar
+#: engine).  The
+#: dynflow knobs are included because they change both the walk (mode,
+#: loop bounds) and the built configuration's cost fields (gate and
+#: exit-check cycles are baked into the template).
+_POLICY_FIELDS = ("speculation", "max_spec_depth", "max_blocks",
+                  "min_block_instructions", "dynflow_mode",
+                  "loop_max_body_blocks", "loop_carry_regs",
+                  "loop_exit_check_cycles", "dual_gate_cycles")
+
+
+def policy_key(params: DimParams) -> Tuple:
+    """The translation-relevant projection of ``params``."""
+    return tuple(getattr(params, field) for field in _POLICY_FIELDS)

@@ -11,10 +11,10 @@ the trace, identical under every configuration.
 
 With those fixed, a replay decomposes into:
 
-- **per-block cost tables** — the metric deltas of executing a block
-  normally (miss path / baseline) or from the array (hit path) are
-  static per (block, terminator outcome), so totals are one
-  ``bincount`` + matrix product over the event columns;
+- **per-block cost tables** — the core cost of executing a block
+  normally (miss path / baseline) is static per (block, terminator
+  outcome), so core totals are one ``bincount`` + matrix product over
+  the event columns;
 - **per-occurrence decision columns** — every translation, extension
   gate, speculation verdict and flush trigger depends on the predictor
   only through ``saturated_direction`` at a known event boundary, which
@@ -23,50 +23,34 @@ With those fixed, a replay decomposes into:
 Two engines cover the configuration space:
 
 - **Tier A** (``speculation=False``): translations make *zero*
-  predictor/provider probes, so the whole replay vectorizes — the only
-  sequential piece is the FIFO/LRU occupancy simulation, and even that
-  collapses to a rank test when the working set fits the cache.
+  predictor/provider probes, so each block has one one-block
+  configuration and the replay vectorizes — the only sequential piece
+  is the FIFO/LRU occupancy simulation, and even that collapses to a
+  rank test when the working set fits the cache.  A block's hits are
+  its configuration's executions, exiting by the tail's outcome.
 - **Tier B** (speculation): the reconfiguration-cache state machine is
   genuinely sequential, but each iteration reduces to list lookups: a
   configuration's exit outcome at its ``r``-th occurrence (commit /
   reprocess / mis-speculate at depth ``m``) is precomputed as an *exit
-  code*, and each code indexes a per-template metric-delta row, an
-  events-consumed count and a flush verdict.  Codes, counts and
-  verdicts depend on the block chain alone, so they live on a
-  :class:`_Path` that every template of the chain shares, across
-  array shapes and policies.  The dynamic control-flow
-  kinds (``repro.dim.params.DYNFLOW_MODES``) extend the same machinery:
-  dual-path templates add four resolution codes (actual direction x
-  winner-tail outcome), and loop templates — whose consumed-event count
-  varies with the trip count — are walked on demand, with per-trip
-  costs folded in as a rank-independent trip row.
+  code* (the codes of :mod:`repro.system.costmodel`, which the event
+  engine returns too), and each code indexes an events-consumed count
+  and a flush verdict.  Codes, counts and verdicts depend on the block
+  chain alone, so they live on a :class:`_Path` that every template of
+  the chain shares, across array shapes and policies.  The dynamic
+  control-flow kinds (``repro.dim.params.DYNFLOW_MODES``) extend the
+  same machinery: dual-path templates add four resolution codes
+  (actual direction x winner-tail outcome), and loop templates — whose
+  consumed-event count varies with the trip count — are walked on
+  demand, counting their extra trips.
 
-Exit codes of a configuration of ``K`` blocks ``B0..B(K-1)``, by kind
-(``m`` is the depth of the first interior merged branch whose outcome
-differs from its ``expected_taken``: a mis-speculation consuming
-``m+1`` events, plus ``K`` per extra trip of a loop):
-
-=======  ===========================================  ==========
-kind     all interior merged branches match           mismatch
-=======  ===========================================  ==========
-linear   0 — final block covers nothing: reprocess,   ``3+m``
-         ``K-1`` events consumed;
-         1 / 2 — final tail not taken / taken,
-         ``K`` events consumed
-loop     0 — clean back-edge exit after the walked    ``1+m``
-         trips (codes, trips and consumed counts
-         are walked per execution)
-dual     0–3 — ``2*actual + successor taken``: the    ``4+m``
-         predicated branch's direction and the
-         winner block's own terminator outcome,
-         ``K+1`` events consumed
-=======  ===========================================  ==========
-
-Both tiers are **bit-identical** to :func:`evaluate_trace` — same
-cycles, same :class:`DimStats`, same cache counters, same serialized
-JSON — enforced by the differential tests in ``tests/test_colreplay.py``
-across every workload and a grid of configurations.  The comments below
-cite the event-engine lines they mirror; change those, change these.
+Both tiers price what they counted with the cost model the event
+engine uses: per-block core rows for the events run on the core and
+:func:`~repro.system.costmodel.fold_executions` over each
+configuration's exit-code histogram.  They are **bit-identical** to
+:func:`evaluate_trace` — same cycles, same :class:`DimStats`, same cache
+counters, same serialized JSON — enforced by the differential tests in
+``tests/test_colreplay.py`` across every workload and a grid of
+configurations.
 """
 
 from __future__ import annotations
@@ -75,7 +59,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cgra.configuration import Configuration
 from repro.dim.engine import DimStats
-from repro.dim.memo import policy_key
+from repro.dim.params import policy_key
 from repro.dim.translator import (
     PROBE_DIRECTION,
     PROBE_SUCCESSOR,
@@ -93,8 +77,16 @@ from repro.sim.coltrace import (
 from repro.sim.stats import TimingModel
 from repro.sim.trace import BasicBlock, Trace
 from repro.system.config import SystemConfig
-from repro.system.costmodel import shared_cost_model
-from repro.system.metrics import SystemMetrics, _prefix_mem_ops
+from repro.system.costmodel import (
+    MIS,
+    NFIELDS,
+    core_row,
+    exit_code_count,
+    exit_rows,
+    fold_executions,
+    shared_cost_model,
+)
+from repro.system.metrics import SystemMetrics
 
 #: occurrence-memo sentinel (None is a valid "no translation" answer).
 _ABSENT = object()
@@ -105,13 +97,6 @@ __all__ = [
     "evaluate_trace_columnar",
 ]
 
-#: metric-delta column indices shared by every cost table.  CYC excludes
-#: reconfiguration stalls and mis-speculation penalties (applied from
-#: per-template execution counts and the MIS column); COM is the array's
-#: committed-instruction count (``DimStats.array_instructions``).
-CYC, INS, FET, LDS, STS, BRA, TAK, LUS, HILO, SYS, COM, MIS = range(12)
-NFIELDS = 12
-
 #: occurrence counts from which a template's exit codes, and its
 #: extension-gate / flush verdicts, are computed with numpy instead of
 #: a scalar walk: below them numpy's per-call overhead dominates.  Both
@@ -119,25 +104,6 @@ NFIELDS = 12
 #: each side).
 EXIT_CODES_NUMPY_MIN = 256
 VERDICTS_NUMPY_MIN = 48
-
-
-def _add_tail_cost(row, cost, block, taken: bool) -> None:
-    """Add the normal-execution ``cost`` of ``block``'s tail, leaving
-    ``taken`` or not, to a 12-field ``row`` whose COM column already
-    counts the instructions committed ahead of the tail."""
-    row[CYC] += cost.cycles(taken)
-    row[INS] = row[COM] + cost.instructions
-    row[FET] += cost.fetches
-    row[LDS] += cost.loads
-    row[STS] += cost.stores
-    row[BRA] += cost.branches
-    row[LUS] += cost.load_use_stalls
-    row[HILO] += cost.hilo_stalls
-    row[SYS] += cost.syscalls
-    terminator = block.terminator
-    if terminator is not None and (
-            terminator.klass is InstrClass.JUMP or taken):
-        row[TAK] += 1
 
 
 class _PhasePredictor:
@@ -223,6 +189,7 @@ class _Path:
         self._opps: Dict[int, bytes] = {}
         self.back_expected_bit = 0
         self.back_opp = 0
+        self.ncodes = exit_code_count(config)
         mismatches = [m + 1 for m in range(K - 1)]
         if self.kindcode == 1:
             # loop: exit codes, trip counts and consumed-event counts
@@ -233,13 +200,10 @@ class _Path:
             self.back_opp = 0 if back.expected_taken else 1
             self.code_list = None
             self.consumed = None
-            self.ncodes = K
         elif self.kindcode == 2:
-            self.ncodes = 4 + (K - 1)
             self.consumed = [K + 1] * 4 + mismatches
             self.code_list = self._exit_codes(4, 0, ((K - 1, 2), (K, 1)))
         else:
-            self.ncodes = 3 + (K - 1)
             self.consumed = [K - 1, K, K] + mismatches
             if config.blocks[-1].covered == 0:  # reprocess
                 self.code_list = self._exit_codes(3, 0, ())
@@ -390,166 +354,29 @@ class _Path:
 class _Template:
     """One distinct translated configuration of a start block.
 
-    Holds what depends on the array shape and the policy — execution
-    and reconfiguration cycles, op counts, lines, the metric-delta rows
-    (per timing model) and the loop trip row — and reads everything
+    Holds what depends on the array shape and the policy — the
+    configuration and its exit-code rows per timing model
+    (:func:`~repro.system.costmodel.exit_rows`) — and reads everything
     that depends on the block chain alone off its shared :class:`_Path`.
     """
 
-    __slots__ = ("config", "path", "blocks", "covered_instructions",
-                 "exec_cycles", "rc_cycles", "alu_ops", "mult_ops",
-                 "mem_ops", "lines_used", "extendable0", "chk",
-                 "trip_cycles", "_deltas", "_trip_row")
+    __slots__ = ("config", "path", "covered_instructions", "extendable0",
+                 "_rows")
 
     def __init__(self, path: _Path, config: Configuration):
         self.path = path
         self.config = config
-        self.blocks = config.blocks
         self.covered_instructions = config.covered_instructions
-        self.exec_cycles = config.exec_cycles
-        self.rc_cycles = config.reconfiguration_cycles
-        result = config.result
-        self.alu_ops = result.alu_ops
-        self.mult_ops = result.mult_ops
-        self.mem_ops = result.mem_ops
-        self.lines_used = result.lines_used
         self.extendable0 = config.extendable
-        self.chk = config.loop_check_cycles
-        self.trip_cycles = config.trip_cycles
-        self._deltas: Dict[TimingModel, List[List[int]]] = {}
-        self._trip_row: Optional[List[int]] = None
+        self._rows: Dict[TimingModel, List[List[int]]] = {}
 
-    def _chain(self, mis_base: int) -> Tuple[List[List[int]], List[int]]:
-        """(rows, run) of the merged-chain walk every kind starts with.
-
-        ``rows`` has one row per exit code, of which only the
-        mis-speculation rows (``mis_base + q`` for a merged branch at
-        depth ``q``) are filled; ``run`` is the running total after the
-        final block's covered prefix, before its terminator.
-        """
-        rows = [[0] * NFIELDS for _ in range(self.path.ncodes)]
-        run = [0] * NFIELDS
-        run[CYC] = self.exec_cycles
-        K = self.path.K
-        for q, cfg_block in enumerate(self.blocks):
-            block = cfg_block.block
-            loads, stores = _prefix_mem_ops(block, cfg_block.covered)
-            run[COM] += cfg_block.covered
-            run[LDS] += loads
-            run[STS] += stores
-            if q == K - 1:
-                break
-            if block.is_conditional:
-                # this merged branch mis-speculated: its terminator
-                # still committed and the actual direction is the
-                # opposite of the expected one.
-                mis = list(run)
-                mis[COM] += 1
-                mis[BRA] += 1
-                if not cfg_block.expected_taken:
-                    mis[TAK] += 1
-                mis[MIS] = 1
-                mis[INS] = mis[COM]
-                rows[mis_base + q] = mis
-            # matched merged terminator: committed + branch, transfer
-            # taken for jumps and taken-expected branches.
-            run[COM] += 1
-            run[BRA] += 1
-            if not block.is_conditional or cfg_block.expected_taken:
-                run[TAK] += 1
-        return rows, run
-
-    def delta(self, timing: TimingModel) -> List[List[int]]:
-        """Metric-delta rows, one per exit code, under one timing model.
-
-        Mirrors how ``evaluate_trace`` prices an array execution by its
-        exit (``traceeval._fold``), with the running totals
-        checkpointed at every possible exit.
-        """
-        rows = self._deltas.get(timing)
-        if rows is not None:
-            return rows
-        model = shared_cost_model(timing)
-        kindcode = self.path.kindcode
-        if kindcode == 1:
-            # loop base (zero-extra-trip) rows.  Row 0 is the clean
-            # back-edge exit of the first trip: it pays the exit check
-            # and its transfer goes the non-looping direction.  Row 1+m
-            # is an interior mis-speculation before any back-edge was
-            # reached, so no check is charged.  Executions with extra
-            # trips add trip_row() once per trip (traceeval._fold).
-            rows, row = self._chain(1)
-            row[CYC] += self.chk
-            row[COM] += 1
-            row[BRA] += 1
-            if not self.blocks[-1].expected_taken:
-                row[TAK] += 1
-            row[INS] = row[COM]
-            rows[0] = row
-        elif kindcode == 2:
-            # dual: the predicated terminator always commits, then each
-            # resolution code adds the winning side's covered prefix plus
-            # the normal-execution cost of the winner block's tail
-            # (traceeval._run_dual).
-            rows, run = self._chain(4)
-            run[COM] += 1
-            run[BRA] += 1
-            config = self.config
-            for actual, side in ((0, config.dual_fallthrough),
-                                 (1, config.dual_taken)):
-                wblk = side.block
-                wloads, wstores = _prefix_mem_ops(wblk, side.covered)
-                cost = model.cost(wblk, side.covered)
-                for succ in (0, 1):
-                    row = list(run)
-                    row[TAK] += actual
-                    row[COM] += side.covered
-                    row[LDS] += wloads
-                    row[STS] += wstores
-                    _add_tail_cost(row, cost, wblk, succ == 1)
-                    rows[2 * actual + succ] = row
-        else:
-            rows, run = self._chain(3)
-            last = self.blocks[-1]
-            if last.covered == 0:
-                run[INS] = run[COM]
-                rows[0] = run
-            else:
-                cost = model.cost(last.block, last.covered)
-                for taken, code in ((False, 1), (True, 2)):
-                    row = list(run)
-                    _add_tail_cost(row, cost, last.block, taken)
-                    rows[code] = row
-        self._deltas[timing] = rows
+    def rows(self, timing: TimingModel) -> List[List[int]]:
+        """The exit-code rows under one timing model (memoized)."""
+        rows = self._rows.get(timing)
+        if rows is None:
+            rows = self._rows[timing] = exit_rows(
+                self.config, shared_cost_model(timing))
         return rows
-
-    def trip_row(self) -> List[int]:
-        """Metric delta of one extra loop trip (timing-independent).
-
-        A continuation re-executes the whole chain (all terminators
-        included), pays the marginal dataflow depth plus the exit check,
-        and its back-edge transfers in the looping direction.
-        """
-        row = self._trip_row
-        if row is None:
-            row = [0] * NFIELDS
-            row[CYC] = self.trip_cycles + self.chk
-            K = self.path.K
-            for q, cfg_block in enumerate(self.blocks):
-                block = cfg_block.block
-                loads, stores = _prefix_mem_ops(block, cfg_block.covered)
-                row[COM] += cfg_block.covered + 1
-                row[LDS] += loads
-                row[STS] += stores
-                row[BRA] += 1
-                if q == K - 1:
-                    if cfg_block.expected_taken:
-                        row[TAK] += 1
-                elif not block.is_conditional or cfg_block.expected_taken:
-                    row[TAK] += 1
-            row[INS] = row[COM]
-            self._trip_row = row
-        return row
 
 
 class _TranslationTimeline:
@@ -824,7 +651,6 @@ class ColumnarContext:
             else ColumnarTrace(trace)
         self._miss_tables: Dict[TimingModel, object] = {}
         self._nospec: Dict[Tuple, dict] = {}
-        self._nospec_exec: Dict[Tuple, object] = {}
         self._timelines: Dict[Tuple, _TranslationTimeline] = {}
         self._templates: Dict[Tuple, Dict[Tuple, _Template]] = {}
         self._paths: Dict[Tuple, _Path] = {}
@@ -835,8 +661,9 @@ class ColumnarContext:
     # Normal-execution cost tables (miss path and baseline).
     # ------------------------------------------------------------------
     def miss_table(self, timing: TimingModel):
-        """Row ``2*block + taken`` -> the 12 metric deltas of executing
-        the whole block normally (traceeval's ``_account_normal``)."""
+        """Row ``2*block + taken`` -> the cost row of executing the
+        whole block on the core (:func:`~repro.system.costmodel.
+        core_row`)."""
         table = self._miss_tables.get(timing)
         if table is None:
             import numpy as np
@@ -848,33 +675,32 @@ class ColumnarContext:
             for block in blocks:
                 if not occurring[block.block_id]:
                     continue
-                cost = model.cost(block, 0)
                 for taken in (0, 1):
-                    row = [0] * NFIELDS
-                    _add_tail_cost(row, cost, block, taken == 1)
-                    table[2 * block.block_id + taken] = row
+                    table[2 * block.block_id + taken] = core_row(
+                        model, block, taken == 1)
             self._miss_tables[timing] = table
         return table
 
-    def event_totals(self, timing: TimingModel):
+    def event_totals(self, timing: TimingModel) -> List[int]:
         """Whole-trace normal-execution totals (the MIPS baseline)."""
         import numpy as np
 
         coltrace = self.coltrace
         counts = np.bincount(coltrace.key2,
                              minlength=2 * coltrace.nblocks)
-        return counts @ self.miss_table(timing)
+        return (counts @ self.miss_table(timing)).tolist()
 
     # ------------------------------------------------------------------
     # Tier A: speculation disabled.
     # ------------------------------------------------------------------
     def nospec_tables(self, config: SystemConfig) -> dict:
-        """Per-block translation columns for a no-speculation policy.
+        """Per-block translations for a no-speculation policy.
 
         Translation without speculation makes no predictor/provider
         probes, so each block has exactly one outcome per (shape,
-        policy): covered prefix length, cacheability, execution cycles,
-        reconfiguration stall and the per-execution op counts.
+        policy): a one-block configuration, or None when uncacheable.
+        Holds the configurations, their covered counts and cacheability
+        as columns, and their exit-code rows per timing model.
         """
         key = (config.shape, policy_key(config.dim))
         tables = self._nospec.get(key)
@@ -882,73 +708,23 @@ class ColumnarContext:
             import numpy as np
 
             blocks = self.coltrace.table.blocks
-            nblocks = len(blocks)
             translator = Translator(config.shape, config.dim, None, None)
             occurring = self.coltrace.first_occ < self.coltrace.n
-            covered = np.zeros(nblocks, dtype=np.int64)
-            cacheable = np.zeros(nblocks, dtype=bool)
-            exec_cycles = np.zeros(nblocks, dtype=np.int64)
-            stall = np.zeros(nblocks, dtype=np.int64)
-            alu = np.zeros(nblocks, dtype=np.int64)
-            mult = np.zeros(nblocks, dtype=np.int64)
-            mem = np.zeros(nblocks, dtype=np.int64)
-            lines = np.zeros(nblocks, dtype=np.int64)
-            overlap = config.dim.reconfig_overlap
-            for block in blocks:
-                if not occurring[block.block_id]:
-                    continue
-                translated = translator.translate(block)
-                if translated is None:
-                    continue
-                b = block.block_id
-                cacheable[b] = True
-                covered[b] = translated.covered_instructions
-                exec_cycles[b] = translated.exec_cycles
-                stall[b] = max(0, translated.reconfiguration_cycles
-                               - overlap)
-                result = translated.result
-                alu[b] = result.alu_ops
-                mult[b] = result.mult_ops
-                mem[b] = result.mem_ops
-                lines[b] = result.lines_used
-            tables = {"covered": covered, "cacheable": cacheable,
-                      "exec_cycles": exec_cycles, "stall": stall,
-                      "alu": alu, "mult": mult, "mem": mem, "lines": lines}
+            configs = [translator.translate(block)
+                       if occurring[block.block_id] else None
+                       for block in blocks]
+            tables = {
+                "configs": configs,
+                "covered": np.array(
+                    [0 if translated is None
+                     else translated.covered_instructions
+                     for translated in configs], dtype=np.int64),
+                "cacheable": np.array(
+                    [translated is not None for translated in configs],
+                    dtype=bool),
+                "rows": {}}
             self._nospec[key] = tables
         return tables
-
-    def nospec_exec_table(self, config: SystemConfig,
-                          tables: dict):
-        """Row ``2*block + taken`` -> hit-path metric deltas (array
-        execution of the covered prefix + normal tail)."""
-        key = (config.shape, policy_key(config.dim), config.timing)
-        table = self._nospec_exec.get(key)
-        if table is None:
-            import numpy as np
-
-            model = shared_cost_model(config.timing)
-            blocks = self.coltrace.table.blocks
-            table = np.zeros((2 * len(blocks), NFIELDS), dtype=np.int64)
-            cacheable = tables["cacheable"]
-            covered = tables["covered"]
-            exec_cycles = tables["exec_cycles"]
-            for block in blocks:
-                b = block.block_id
-                if not cacheable[b]:
-                    continue
-                prefix = int(covered[b])
-                loads, stores = _prefix_mem_ops(block, prefix)
-                cost = model.cost(block, prefix)
-                for taken in (0, 1):
-                    row = [0] * NFIELDS
-                    row[CYC] = int(exec_cycles[b])
-                    row[LDS] = loads
-                    row[STS] = stores
-                    row[COM] = prefix
-                    _add_tail_cost(row, cost, block, taken == 1)
-                    table[2 * b + taken] = row
-            self._nospec_exec[key] = table
-        return table
 
     # ------------------------------------------------------------------
     # Tier B plumbing.
@@ -974,40 +750,21 @@ class ColumnarContext:
 # ----------------------------------------------------------------------
 # Public entry points.
 # ----------------------------------------------------------------------
-def _metrics(name: str, totals, **dim_fields) -> SystemMetrics:
-    """:class:`SystemMetrics` from the 12-field ``totals``, plus any
-    DIM and cache fields."""
-    return SystemMetrics(
-        name=name,
-        cycles=int(totals[CYC]),
-        instructions=int(totals[INS]),
-        fetches=int(totals[FET]),
-        loads=int(totals[LDS]),
-        stores=int(totals[STS]),
-        branches=int(totals[BRA]),
-        taken_transfers=int(totals[TAK]),
-        load_use_stalls=int(totals[LUS]),
-        hilo_stalls=int(totals[HILO]),
-        syscalls=int(totals[SYS]),
-        **dim_fields,
-    )
-
-
 def baseline_metrics_columnar(context: ColumnarContext,
                               timing: Optional[TimingModel] = None
                               ) -> SystemMetrics:
     """Columnar equivalent of :func:`traceeval.baseline_metrics`."""
-    return _metrics("mips", context.event_totals(timing or TimingModel()))
+    return SystemMetrics.from_totals(
+        "mips", context.event_totals(timing or TimingModel()))
 
 
-def _finish_metrics(name: str, config: SystemConfig, fields,
+def _finish_metrics(name: str, config: SystemConfig, totals: List[int],
                     stats: DimStats, lookups: int, hits: int,
                     insertions: int, evictions: int, invalidations: int,
                     timeline: PredictorTimeline) -> SystemMetrics:
-    stats.misspeculations = int(fields[MIS])
-    stats.array_instructions = int(fields[COM])
-    return _metrics(
-        name or config.name, fields,
+    stats.misspeculations = totals[MIS]
+    return SystemMetrics.from_totals(
+        name or config.name, totals,
         dim=stats,
         cache_lookups=lookups,
         cache_hits=hits,
@@ -1021,7 +778,7 @@ def _finish_metrics(name: str, config: SystemConfig, fields,
 
 def _replay_nospec(context: ColumnarContext, config: SystemConfig,
                    name: str) -> SystemMetrics:
-    """Tier A: fully-vectorized replay of a no-speculation system."""
+    """Tier A: vectorized replay of a no-speculation system."""
     import numpy as np
 
     coltrace = context.coltrace
@@ -1088,33 +845,28 @@ def _replay_nospec(context: ColumnarContext, config: SystemConfig,
 
     key2 = coltrace.key2
     nrows = 2 * coltrace.nblocks
-    miss_counts = np.bincount(key2[~hit_mask], minlength=nrows)
-    hit_counts = np.bincount(key2[hit_mask], minlength=nrows)
-    fields = miss_counts @ context.miss_table(config.timing) \
-        + hit_counts @ context.nospec_exec_table(config, tables)
+    totals = (np.bincount(key2[~hit_mask], minlength=nrows)
+              @ context.miss_table(config.timing)).tolist()
+    # a hit executes its block's one-block configuration, exiting by
+    # the tail's outcome: exit code 1 (not taken) or 2 (taken).
+    hit_counts = np.bincount(key2[hit_mask], minlength=nrows).tolist()
+    rows = tables["rows"].get(config.timing)
+    if rows is None:
+        model = shared_cost_model(config.timing)
+        rows = tables["rows"][config.timing] = [
+            None if translated is None else exit_rows(translated, model)
+            for translated in tables["configs"]]
+    configs = tables["configs"]
+    for b in np.flatnonzero(cacheable).tolist():
+        not_taken, taken = hit_counts[2 * b], hit_counts[2 * b + 1]
+        if not_taken or taken:
+            fold_executions(totals, stats, configs[b],
+                            (0, not_taken, taken, 0), rows[b], config.dim)
 
-    # per-execution DIM stats from per-block hit counts
-    block_hits = np.bincount(ev[hit_mask], minlength=coltrace.nblocks)
-    executions = int(block_hits.sum())
-    stats.array_executions = executions
-    stats.array_alu_ops = int(block_hits @ tables["alu"])
-    stats.array_mult_ops = int(block_hits @ tables["mult"])
-    stats.array_mem_ops = int(block_hits @ tables["mem"])
-    array_cycles = int(block_hits @ tables["exec_cycles"])
-    stats.array_cycles = array_cycles
-    stats.array_line_cycles = int(
-        block_hits @ (tables["lines"] * tables["exec_cycles"]))
-    stats.array_potential_line_cycles = \
-        min(config.shape.rows, 1 << 20) * array_cycles
-    stalls = int(block_hits @ tables["stall"])
-    stats.reconfiguration_stalls = stalls
-
-    hits = int(np.count_nonzero(hit_mask))
     timeline = coltrace.timeline(config.dim.predictor_entries)
-    total = fields.copy()
-    total[CYC] += stalls
-    return _finish_metrics(name, config, total, stats, n, hits,
-                           insertions, evictions, 0, timeline)
+    return _finish_metrics(name, config, totals, stats, n,
+                           int(np.count_nonzero(hit_mask)), insertions,
+                           evictions, 0, timeline)
 
 
 def _replay_spec(context: ColumnarContext, config: SystemConfig,
@@ -1312,9 +1064,9 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
                     invalidations += 1
             i += entry[5][code]
 
-    # ---- assembly -----------------------------------------------------
-    fields = np.asarray(miss_counts, dtype=np.int64) \
-        @ context.miss_table(config.timing)
+    # ---- pricing ------------------------------------------------------
+    totals = (np.asarray(miss_counts, dtype=np.int64)
+              @ context.miss_table(config.timing)).tolist()
     stats = DimStats(
         translations=translations,
         translated_instructions=translated_instructions,
@@ -1326,59 +1078,22 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
         loop_retired=loop_retired,
         dual_retired=dual_retired,
     )
-    stalls = 0
-    array_cycles = 0
     for template, st in code_stats.items():
-        # per-execution costs from the exit-code rows plus one trip row
-        # per extra loop trip; ops and array busy time scale with trips,
-        # stalls with executions only (engine.begin_execution /
-        # engine.loop_iteration).
-        extra = st[-1]
-        counts = st[:-1]
-        executions = sum(counts)
-        if not executions:
-            continue
-        fields = fields + np.asarray(counts, dtype=np.int64) \
-            @ np.asarray(template.delta(config.timing), dtype=np.int64)
-        if extra:
-            fields = fields + extra * np.asarray(template.trip_row(),
-                                                 dtype=np.int64)
-        runs = executions + extra
-        stats.array_executions += executions
-        stats.array_alu_ops += template.alu_ops * runs
-        stats.array_mult_ops += template.mult_ops * runs
-        stats.array_mem_ops += template.mem_ops * runs
-        busy = template.exec_cycles * executions \
-            + template.trip_cycles * extra
-        array_cycles += busy
-        stats.array_line_cycles += template.lines_used * busy
-        stalls += max(0, template.rc_cycles
-                      - params.reconfig_overlap) * executions
-        kindcode = template.path.kindcode
-        if kindcode == 1:
-            stats.loop_executions += executions
-            stats.loop_trips += runs
-        elif kindcode == 2:
-            # both sides' ops were priced above (the allocation covers
-            # the union); the losing side's instructions never commit.
-            stats.dual_executions += executions
+        fold_executions(totals, stats, template.config, st,
+                        template.rows(config.timing), params)
+        if template.path.kindcode == 2:
+            # the losing side's instructions were placed but never
+            # commit (engine.dual_resolution).
             dual_config = template.config
             stats.dual_squashed_instructions += \
                 (st[0] + st[1]) * dual_config.dual_taken.covered \
                 + (st[2] + st[3]) * dual_config.dual_fallthrough.covered
-    stats.array_cycles = array_cycles
-    stats.array_potential_line_cycles = \
-        min(config.shape.rows, 1 << 20) * array_cycles
-    stats.reconfiguration_stalls = stalls
 
     context.alloc_hits += translation.hits
     context.alloc_misses += translation.misses
     translation.hits = 0
     translation.misses = 0
-
-    total = fields.copy()
-    total[CYC] += stalls + int(total[MIS]) * params.misspec_penalty
-    return _finish_metrics(name, config, total, stats, hits + misses,
+    return _finish_metrics(name, config, totals, stats, hits + misses,
                            hits, insertions, evictions, invalidations,
                            timeline)
 

@@ -11,11 +11,11 @@ translation memo.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.isa.opcodes import InstrClass
 from repro.sim.stats import RunStats
-from repro.sim.trace import BasicBlock
+from repro.system.costmodel import (
+    BRA, CYC, FET, HILO, INS, LDS, LUS, STS, SYS, TAK)
 
 if TYPE_CHECKING:
     from repro.dim.engine import DimStats
@@ -67,6 +67,18 @@ class SystemMetrics:
                    load_use_stalls=stats.load_use_stalls,
                    hilo_stalls=stats.hilo_stalls, syscalls=stats.syscalls,
                    **dim_fields)
+
+    @classmethod
+    def from_totals(cls, name: str, totals: Sequence[int],
+                    **dim_fields) -> "SystemMetrics":
+        """The core counters of a replay's 12-field cost ``totals``
+        (:mod:`repro.system.costmodel`), plus any DIM fields."""
+        return cls(name=name, cycles=totals[CYC],
+                   instructions=totals[INS], fetches=totals[FET],
+                   loads=totals[LDS], stores=totals[STS],
+                   branches=totals[BRA], taken_transfers=totals[TAK],
+                   load_use_stalls=totals[LUS], hilo_stalls=totals[HILO],
+                   syscalls=totals[SYS], **dim_fields)
 
     def to_stats(self) -> RunStats:
         """The core counters as a :class:`RunStats`: the inverse of
@@ -121,22 +133,3 @@ class CoupledRunResult:
     def predictor_accuracy(self) -> float:
         return self.metrics.predictor_accuracy
 
-
-def _prefix_mem_ops(block: BasicBlock, covered: int) -> Tuple[int, int]:
-    """(loads, stores) of the block's first ``covered`` instructions.
-
-    Memoized on the block (``block.costs``, keyed by the bare prefix
-    length) and shared across the whole sweep: replaying one block table
-    under all 18 paper systems hits the memo 17 times out of 18, and the
-    entries are freed with the block.
-    """
-    ops = block.costs.get(covered)
-    if ops is None:
-        loads = stores = 0
-        for instr in block.instructions[:covered]:
-            if instr.klass is InstrClass.LOAD:
-                loads += 1
-            elif instr.klass is InstrClass.STORE:
-                stores += 1
-        ops = block.costs[covered] = (loads, stores)
-    return ops

@@ -222,6 +222,20 @@ def test_cli_start_up_and_single_run_load_only_the_run_path():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_sweep_import_leaves_the_translation_memo_unloaded():
+    """The columnar sweep partitions translations by
+    ``repro.dim.params.policy_key``: only the event engine's memo loads
+    ``repro.dim.memo``."""
+    script = ("import sys\n"
+              "import repro.system.sweep\n"
+              "assert 'repro.dim.memo' not in sys.modules\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_lazy_facades_resolve_every_exported_name():
     """``repro``, ``repro.api``, ``repro.system`` and ``repro.asm`` load
     their re-exports on first access; every name must still resolve, to

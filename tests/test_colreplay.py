@@ -135,6 +135,25 @@ def test_shared_path_tables_match_fresh_contexts(name):
         assert 0 < len(context._paths) < templates
 
 
+@pytest.mark.parametrize("speculation", [False, True])
+def test_shared_context_prices_each_cells_stall_and_penalty(speculation):
+    """The reconfiguration overlap and the mis-speculation penalty are
+    not translation policy: cells that differ only in them share one
+    translation partition of a context, and each must still pay its own
+    stalls and penalties."""
+    trace = run_workload("crc").trace
+    context = ColumnarContext(trace, name="crc")
+    base = paper_system("C1", 64, speculation)
+    for dim in ({}, {"reconfig_overlap": 0},
+                {"reconfig_overlap": 0, "misspec_penalty": 9}):
+        config = dataclasses.replace(
+            base, dim=dataclasses.replace(base.dim, **dim))
+        assert_same_metrics(
+            evaluate_trace_columnar(trace, config, name="crc",
+                                    context=context),
+            evaluate_trace(trace, config, name="crc"))
+
+
 # ----------------------------------------------------------------------
 # The persisted columnar lowering.
 # ----------------------------------------------------------------------

@@ -117,25 +117,6 @@ def test_begin_execution_accounts_stats_and_stall():
     assert stats.array_alu_ops == config.result.alu_ops
 
 
-def test_counted_executions_and_trips_equal_one_at_a_time():
-    """What a trace replay folds at the end, ``count`` executions or
-    trips at once, adds up to the same stats as one call per event."""
-    _, one = make_engine(cache_slots=8)
-    sim, many = make_engine(cache_slots=8)
-    block = sim.block_at(sim.pc)
-    for engine in (one, many):
-        engine.consider_translation(block)
-    config = many.lookup(block.start_pc)
-    cycles = [one.begin_execution(config) for _ in range(5)]
-    cycles += [one.loop_iteration(config) for _ in range(3)]
-    many.account_executions(config, 5)
-    many.account_trips(config, 3)
-    assert sum(cycles) == 5 * many.execution_cycles(config) \
-        + 3 * config.trip_cycles
-    assert many.stats == one.stats
-    assert many.stats.array_executions == 5
-
-
 def test_min_block_length_respected():
     sim, engine = make_engine("""
     top:

@@ -13,7 +13,8 @@ import typing
 import pytest
 
 from repro.cli import main
-from repro.dim.memo import TranslationMemo, policy_key
+from repro.dim.memo import TranslationMemo
+from repro.dim.params import policy_key
 from repro.system import paper_system
 from repro.system.artifacts import ArtifactCache
 from repro.system.sweep import (
@@ -295,7 +296,7 @@ def test_prefix_mem_ops_is_freed_with_its_block():
     from repro.isa.instruction import Instruction
     from repro.sim.trace import BasicBlock
     from repro.system.costmodel import shared_cost_model
-    from repro.system.traceeval import _prefix_mem_ops
+    from repro.system.costmodel import _prefix_mem_ops
 
     block = BasicBlock(0, 0x0040_0000, (
         Instruction("lw", rs=29, rt=8, imm=4),

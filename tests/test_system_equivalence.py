@@ -16,6 +16,7 @@ import dataclasses
 import pytest
 
 from repro import api
+from repro.asm import assemble
 from repro.dim.params import DimParams
 from repro.minic import compile_to_program
 from repro.sim import run_program
@@ -27,6 +28,7 @@ from repro.system import (
     paper_system,
 )
 from repro.system.config import SystemSpec
+from repro.system import traceeval
 from repro.system.coupled import run_coupled
 from repro.workloads import load_workload
 
@@ -114,6 +116,11 @@ CONFIGS = [
     paper_system("ideal", speculation=True),
     SystemSpec.of(PAPER_SHAPES["C2"], DimParams(
         cache_slots=16, speculation=True, dynflow_mode="both")).build(),
+    # no reconfiguration overlap: every execution stalls, so a stall
+    # charged per loop trip instead of per execution shows
+    SystemSpec.of(PAPER_SHAPES["C1"], DimParams(
+        cache_slots=16, speculation=True, dynflow_mode="loop",
+        reconfig_overlap=0)).build(),
 ]
 
 
@@ -189,6 +196,43 @@ def test_run_metrics_match_the_event_oracles(plain_runs, name,
                                              config_idx):
     program, _ = plain_runs[name]
     _assert_run_matches_the_coupled_oracle(program, CONFIGS[config_idx])
+
+
+#: a biased branch whose predicted successor starts with a divide,
+#: which the array cannot place
+REPROCESS = """
+        .text
+main:   li    $t0, 0
+        li    $t4, 300
+        li    $t5, 7
+loop:   addiu $t0, $t0, 1
+        addu  $t1, $t0, $t0
+        xor   $t2, $t1, $t0
+        addu  $t3, $t2, $t1
+        bne   $t0, $t4, body
+        li    $v0, 10
+        syscall
+body:   div   $t3, $t5
+        mflo  $t6
+        addu  $t7, $t7, $t6
+        j     loop
+"""
+
+
+def test_reprocess_exits_match_the_coupled_oracle():
+    """A speculative configuration may end in a block it covers none
+    of: each execution commits the merged chain and the core looks that
+    block up afresh (a linear configuration's exit code 0)."""
+    program = assemble(REPROCESS)
+    config = paper_system("C1", 16, True)
+    _assert_run_matches_the_coupled_oracle(program, config)
+    trace = run_program(program, collect_trace=True).trace
+    _, engine = traceeval._replay(trace, config, "", None, None)
+    cached = [engine.cache.peek(block.start_pc)
+              for block in trace.table.blocks]
+    assert any(cfg is not None and cfg.blocks[-1].covered == 0
+               for cfg in cached)
+    assert engine.stats.array_executions > 0
 
 
 #: the three ``repro run`` invocations perfbench's cli-run times
