@@ -56,11 +56,6 @@ CLASS_TAKEN = 1
 #: an "end of trace" sentinel larger than any event boundary.
 NO_BOUND = 1 << 62
 
-#: conditional-event count from which a predictor timeline is built by
-#: the grouped numpy pass instead of the scalar counter walk; both build
-#: identical timelines (tests/test_colreplay_forks.py forces each side).
-GROUPED_TIMELINE_MIN = 4096
-
 
 def _class_of(counter: int) -> int:
     if counter == 3:
@@ -109,58 +104,20 @@ class PredictorTimeline:
 
         ``positions``/``pcs``/``takens`` are integer numpy arrays over
         every conditional-branch event of the trace, in order (see
-        ``ColumnarTrace.branch_events``).
+        ``ColumnarTrace.branch_events``).  Counter indices are
+        independent, so the updates are grouped by index with a stable
+        sort, which keeps each group chronological, and each group's
+        counter is walked on its own.
         """
         if entries & (entries - 1):
             raise ValueError("predictor entries must be a power of two")
-        if len(positions) >= GROUPED_TIMELINE_MIN:
-            return cls._build_grouped(positions, pcs, takens, entries,
-                                      initial)
-        mask = entries - 1
         initial_class = _class_of(initial)
-        bounds: Dict[int, List[int]] = {}
-        classes: Dict[int, List[int]] = {}
-        counters: Dict[int, int] = {}
-        hits = 0
-        get_counter = counters.get
-        for pos, pc, taken in zip(positions.tolist(), pcs.tolist(),
-                                  takens.tolist()):
-            index = (pc >> 2) & mask
-            counter = get_counter(index, initial)
-            if (counter >= 2) == (taken == 1):
-                hits += 1
-            if taken:
-                if counter < 3:
-                    counter += 1
-            elif counter > 0:
-                counter -= 1
-            counters[index] = counter
-            klass = _class_of(counter)
-            clist = classes.get(index)
-            if clist is None:
-                bounds[index] = [0]
-                classes[index] = clist = [initial_class]
-            if klass != clist[-1]:
-                bounds[index].append(pos + 1)
-                clist.append(klass)
-        return cls(entries, len(positions), hits, bounds, classes,
-                   initial_class)
-
-    @classmethod
-    def _build_grouped(cls, positions, pcs, takens, entries: int,
-                       initial: int) -> "PredictorTimeline":
-        """Group updates by counter index, then walk each group tight.
-
-        Counter indices are independent, and a stable sort preserves
-        chronological order within each group, so the per-index walk
-        reproduces the scalar loop exactly — without a dict lookup per
-        event."""
+        n = len(positions)
+        if not n:
+            return cls(entries, 0, 0, {}, {}, initial_class)
         import numpy as np
 
-        mask = entries - 1
-        initial_class = _class_of(initial)
-        idx = (np.asarray(pcs, dtype=np.int64) >> 2) & mask
-        n = len(idx)
+        idx = (np.asarray(pcs, dtype=np.int64) >> 2) & (entries - 1)
         order = np.argsort(idx, kind="stable")
         idx_sorted = idx[order]
         starts = np.flatnonzero(
@@ -282,9 +239,11 @@ class ColumnarTrace:
       the block never occurs;
     - ``blk_is_cond`` / ``blk_branch_pc`` — per-block structural columns.
 
-    Predictor timelines are built lazily per table size and cached (and
-    round-trip through the artifact payload, so warm sweeps skip the
-    whole per-event pass).
+    Predictor timelines are built lazily per table size and cached,
+    each by one grouped pass over the conditional events
+    (:meth:`PredictorTimeline.build`; a trace with none gets the empty
+    timeline).  They round-trip through the artifact payload, so warm
+    sweeps skip the whole per-event pass.
     """
 
     def __init__(self, trace: Trace):

@@ -97,15 +97,6 @@ __all__ = [
     "evaluate_trace_columnar",
 ]
 
-#: occurrence counts from which a template's exit codes, and its
-#: extension-gate / flush verdicts, are computed with numpy instead of
-#: a scalar walk: below them numpy's per-call overhead dominates.  Both
-#: forms give identical lists (tests/test_colreplay_forks.py forces
-#: each side).
-EXIT_CODES_NUMPY_MIN = 256
-VERDICTS_NUMPY_MIN = 48
-
-
 class _PhasePredictor:
     """The predictor as seen at one event boundary of the timeline.
 
@@ -221,27 +212,11 @@ class _Path:
         two) ``terms``.  Packed one byte per occurrence whenever every
         code fits (``ncodes <= 256``), which default policies guarantee.
         """
+        import numpy as np
+
         coltrace = self._coltrace
         positions = coltrace.occ[self.start_block.block_id]
         last_event = coltrace.n - 1
-        merged = self._merged_cond
-        if len(positions) < EXIT_CODES_NUMPY_MIN:
-            tk = coltrace.tk_list
-            # fixed arity: a zero-weight pad term adds nothing.
-            (o1, w1), (o2, w2) = (terms + ((0, 0), (0, 0)))[:2]
-            codes = []
-            for position in positions.tolist():
-                for m, expected in merged:
-                    if tk[min(position + m, last_event)] != expected:
-                        codes.append(mis_base + m)
-                        break
-                else:
-                    codes.append(base
-                                 + w1 * tk[min(position + o1, last_event)]
-                                 + w2 * tk[min(position + o2, last_event)])
-            return bytes(codes) if self.ncodes <= 256 else codes
-        import numpy as np
-
         tk = coltrace.tk
         codes = np.full(len(positions), base, dtype=np.int64)
         for offset, weight in terms:
@@ -249,7 +224,7 @@ class _Path:
         # earliest mismatched merged branch wins: walk depths ascending,
         # assigning only still-pending occurrences.
         pending = np.ones(len(positions), dtype=bool)
-        for m, expected in merged:
+        for m, expected in self._merged_cond:
             branch_positions = np.minimum(positions + m, last_event)
             mismatch = pending & (tk[branch_positions] != expected)
             codes[mismatch] = mis_base + m
@@ -299,15 +274,10 @@ class _Path:
             return None
         gate = self._gates.get(timeline.entries)
         if gate is None:
-            positions = self._coltrace.occ[self.start_block.block_id]
-            if len(positions) < VERDICTS_NUMPY_MIN:
-                pc = self.last_branch_pc
-                gate = bytes(timeline.class_at(pc, t) != CLASS_NONE
-                             for t in positions.tolist())
-            else:
-                classes = timeline.class_for_many(self.last_branch_pc,
-                                                  positions)
-                gate = (classes != CLASS_NONE).tobytes()
+            classes = timeline.class_for_many(
+                self.last_branch_pc,
+                self._coltrace.occ[self.start_block.block_id])
+            gate = (classes != CLASS_NONE).tobytes()
             self._gates[timeline.entries] = gate
         return gate
 
@@ -321,32 +291,21 @@ class _Path:
         """
         opp = self._opps.get(timeline.entries)
         if opp is None:
-            positions = self._coltrace.occ[self.start_block.block_id]
-            if len(positions) < VERDICTS_NUMPY_MIN:
-                opp = bytearray(len(positions))
-                for index, (position, code) in enumerate(
-                        zip(positions.tolist(), self.code_list)):
-                    if code < 3:
-                        continue
-                    m = code - 3
-                    opp[index] = timeline.class_at(
-                        self.int_pcs[m], position + m + 1) \
-                        == self.int_opps[m]
-                opp = bytes(opp)
-            else:
-                import numpy as np
+            import numpy as np
 
-                codes = np.fromiter(self.code_list, dtype=np.int64,
-                                    count=len(positions))
-                verdict = np.zeros(len(positions), dtype=bool)
-                for m, _ in self._merged_cond:
-                    mask = codes == 3 + m
-                    if not mask.any():
-                        continue
-                    classes = timeline.class_for_many(
-                        self.int_pcs[m], positions[mask] + m + 1)
-                    verdict[mask] = classes == self.int_opps[m]
-                opp = verdict.tobytes()
+            positions = self._coltrace.occ[self.start_block.block_id]
+            codes = self.code_list
+            codes = np.frombuffer(codes, dtype=np.uint8) \
+                if isinstance(codes, bytes) else np.asarray(codes)
+            verdict = np.zeros(len(positions), dtype=bool)
+            for m, _ in self._merged_cond:
+                mask = codes == 3 + m
+                if not mask.any():
+                    continue
+                classes = timeline.class_for_many(
+                    self.int_pcs[m], positions[mask] + m + 1)
+                verdict[mask] = classes == self.int_opps[m]
+            opp = verdict.tobytes()
             self._opps[timeline.entries] = opp
         return opp
 

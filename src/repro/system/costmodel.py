@@ -368,8 +368,10 @@ def fold_executions(totals: List[int], stats: "DimStats",
     ``rows`` is :func:`exit_rows` of ``config``.  Adds ``hist × rows +
     extra trips × trip row``, each execution's reconfiguration stall
     and each mis-speculation's penalty.  Ops and array busy time scale
-    with trips, stalls with executions only.  The decision counters
-    (mis-speculations, squashed dual instructions) are the caller's.
+    with trips, stalls with executions only; every execution that did
+    not exit on a mis-speculation is a full commit.  The decision
+    counters (mis-speculations, squashed dual instructions) are the
+    caller's.
     """
     sums = [0] * NFIELDS
     executions = 0
@@ -390,6 +392,7 @@ def fold_executions(totals: List[int], stats: "DimStats",
     result = config.result
     busy = config.exec_cycles * executions + config.trip_cycles * extra
     stats.array_executions += executions
+    stats.full_commits += executions - sums[MIS]
     stats.array_instructions += sums[COM]
     stats.array_alu_ops += result.alu_ops * runs
     stats.array_mult_ops += result.mult_ops * runs

@@ -148,6 +148,7 @@ class CoupledSimulator:
             committed += cfg_block.covered
             if not cfg_block.includes_terminator:
                 # final block: the core resumes after the covered prefix
+                engine.stats.full_commits += 1
                 resume_pc = block.start_pc + 4 * cfg_block.covered
                 resume_at_start = cfg_block.covered == 0
                 break
@@ -222,6 +223,7 @@ class CoupledSimulator:
                                                 actual):
                             stats.cycles += engine.loop_iteration(config)
                         else:
+                            engine.stats.full_commits += 1
                             resume_pc = target
                             looping = False
                     elif not engine.speculation_outcome(config, cfg_block,
@@ -271,6 +273,7 @@ class CoupledSimulator:
                 if actual:
                     stats.taken_transfers += 1
                 winner = engine.dual_resolution(config, cfg_block, actual)
+                engine.stats.full_commits += 1
                 wblk = winner.block
                 self._seen.add(wblk.start_pc)
                 self._execute_covered(wblk, winner.covered)

@@ -15,6 +15,7 @@ import pickle
 
 import pytest
 
+from repro.asm import assemble
 from repro.cli import main
 from repro.dim.memo import TranslationMemo
 from repro.dim.params import DimParams
@@ -24,8 +25,11 @@ from repro.obs.schema import (
     PREDICTOR_COUNTERS,
     RCACHE_COUNTERS,
     SWEEP_COUNTERS,
+    dim_counters,
+    dynflow_counters,
     metrics_counters,
 )
+from repro.sim import run_program
 from repro.sim.coltrace import COLTRACE_FORMAT, ColumnarTrace
 from repro.system.colreplay import (
     ColumnarContext,
@@ -44,10 +48,25 @@ except ImportError:
     HAVE_HYPOTHESIS = False
 
 
+def pressure_configs():
+    """Four-slot caches, where flushes and evictions are dense and most
+    chains are short: a C1 spec system building linear, loop and dual
+    templates, and LRU and FIFO no-spec systems."""
+    both = paper_system("C1", 4, True)
+    both = dataclasses.replace(
+        both, dim=dataclasses.replace(both.dim, dynflow_mode="both"),
+        name=f"{both.name}+both")
+    lru = DimParams(cache_slots=4, cache_policy="lru")
+    return [both,
+            custom_system(PAPER_SHAPES["C2"], lru),
+            paper_system("C1", 4, False)]
+
+
 def grid_configs():
     """A representative slice of the design space: every array class,
     speculation on/off, slot counts small enough to force evictions,
-    both replacement policies, and the unbounded ideal cache."""
+    both replacement policies, the unbounded ideal cache, and the
+    :func:`pressure_configs`."""
     lru = DimParams(cache_slots=8, cache_policy="lru", speculation=True)
     lru_nospec = dataclasses.replace(lru, speculation=False)
     return [
@@ -57,6 +76,7 @@ def grid_configs():
         paper_system("ideal", speculation=True),
         custom_system(PAPER_SHAPES["C2"], lru),
         custom_system(PAPER_SHAPES["C2"], lru_nospec),
+        *pressure_configs(),
     ]
 
 
@@ -83,6 +103,71 @@ def test_columnar_matches_event_engine(name):
             assert_same_metrics(
                 baseline_metrics_columnar(context, config.timing),
                 baseline_metrics(trace, config.timing))
+
+
+def test_pressure_configs_exercise_every_template_kind():
+    trace = run_workload("crc").trace
+    context = ColumnarContext(trace, name="crc")
+    spec, lru, fifo = [evaluate_trace_columnar(trace, config, name="crc",
+                                               context=context)
+                       for config in pressure_configs()]
+    dim = spec.dim
+    assert dim.loop_configs and dim.dual_configs
+    assert dim.config_writes > dim.loop_configs + dim.dual_configs
+    assert dim.loop_executions and dim.dual_executions and dim.flushes
+    assert lru.cache_evictions and fifo.cache_evictions
+
+
+#: li / addiu / j / addiu / li $v0, 10 / syscall: no conditional event,
+#: so every predictor timeline is empty.
+STRAIGHT_LINE = """
+__start:
+    li $t0, 7
+    addiu $t0, $t0, 1
+    j tail
+tail:
+    addiu $t1, $t0, 2
+    li $v0, 10
+    syscall
+"""
+
+
+@pytest.mark.parametrize("speculation", [False, True])
+def test_trace_without_conditional_events(speculation):
+    trace = run_program(assemble(STRAIGHT_LINE), collect_trace=True).trace
+    config = paper_system("C1", 16, speculation)
+    assert_same_metrics(evaluate_trace_columnar(trace, config),
+                        evaluate_trace(trace, config))
+
+
+def _jump_chain(blocks: int, trips: int) -> str:
+    """A loop whose body is ``blocks`` short blocks chained by ``j``."""
+    lines = ["__start:", f"    li $s0, {trips}", "loop:"]
+    for index in range(blocks):
+        lines += [f"b{index}:", "    addiu $t0, $t0, 1",
+                  "    addiu $t1, $t1, 3", f"    j b{index + 1}"]
+    lines += [f"b{blocks}:", "    addiu $s0, $s0, -1",
+              "    bne $s0, $zero, loop", "    li $v0, 10", "    syscall"]
+    return "\n".join(lines)
+
+
+def test_exit_codes_beyond_one_byte_stay_exact():
+    """Exit codes are packed one byte each only while they fit: a
+    configuration of more than 252 blocks keeps them in a list, and
+    its executions still match the event engine.  The cache holds the
+    whole chain, so those configurations hit."""
+    trace = run_program(assemble(_jump_chain(300, 12)),
+                        collect_trace=True).trace
+    config = custom_system(PAPER_SHAPES["ideal"],
+                           DimParams(max_blocks=400, speculation=True,
+                                     cache_slots=512))
+    context = ColumnarContext(trace, name="chain")
+    metrics = evaluate_trace_columnar(trace, config, context=context)
+    assert metrics == evaluate_trace(trace, config)
+    assert metrics.dim.array_instructions > 256 * metrics.dim.array_executions
+    assert metrics.dim.misspeculations
+    assert any(path.ncodes > 256 and isinstance(path.code_list, list)
+               for path in context._paths.values())
 
 
 def test_columnar_metrics_json_serialisable():
@@ -203,6 +288,48 @@ def test_columnar_counters_in_schema():
                              | set(PREDICTOR_COUNTERS))
     assert counters["rcache.hits"] == metrics.cache_hits
     assert "sweep.cells_columnar" not in SWEEP_COUNTERS
+
+
+def _liveness_cells():
+    """A small fixed set of cells on which every engine counter moves:
+    crc and rijndael_e under both dynamic control-flow kinds, plain
+    speculation and no speculation, plus one cell whose reconfiguration
+    is never overlapped (no paper system stalls)."""
+    def dim(config, **fields):
+        return dataclasses.replace(
+            config, dim=dataclasses.replace(config.dim, **fields))
+
+    systems = [dim(paper_system("C1", 4, True), dynflow_mode="both"),
+               dim(paper_system("C3", 16, True), dynflow_mode="loop"),
+               paper_system("C2", 16, True),
+               paper_system("C1", 16, False)]
+    cells = [(name, config) for name in ("crc", "rijndael_e")
+             for config in systems]
+    cells.append(("crc", dim(paper_system("C1", 64, False),
+                             reconfig_overlap=0)))
+    return cells
+
+
+def test_every_engine_counter_moves_on_both_replays():
+    """Every ``dim.*`` and ``dynflow.*`` counter is nonzero on at least
+    one cell, under the event replay and the columnar replay alike: a
+    counter that no engine increments reads 0 in every stream."""
+    traces = {name: run_workload(name).trace
+              for name in ("crc", "rijndael_e")}
+    live = {"event": set(), "columnar": set()}
+    for name, config in _liveness_cells():
+        trace = traces[name]
+        for engine, metrics in (
+                ("event", evaluate_trace(trace, config, name=name)),
+                ("columnar", evaluate_trace_columnar(trace, config,
+                                                     name=name))):
+            counters = dim_counters(metrics.dim)
+            counters.update(dynflow_counters(metrics.dim))
+            live[engine].update(key for key, value in counters.items()
+                                if value)
+    expected = set(DIM_COUNTERS) | set(DYNFLOW_COUNTERS)
+    assert live["event"] == expected, expected - live["event"]
+    assert live["columnar"] == expected, expected - live["columnar"]
 
 
 # ----------------------------------------------------------------------

@@ -108,8 +108,8 @@ PROGRAMS = {
 #: the DimStats fields both execution paths must agree on exactly.
 _DIM_FIELDS = (
     "translations", "array_executions", "array_instructions",
-    "misspeculations", "flushes", "config_writes", "array_cycles",
-    "array_line_cycles", "loop_executions", "loop_trips",
+    "misspeculations", "full_commits", "flushes", "config_writes",
+    "array_cycles", "array_line_cycles", "loop_executions", "loop_trips",
     "loop_configs", "loop_retired", "dual_executions", "dual_configs",
     "dual_squashed_instructions", "dual_retired",
 )
