@@ -74,6 +74,12 @@ class DimParams:
     dual_gate_cycles: int = 1
 
     def __post_init__(self) -> None:
+        if self.cache_slots < 1:
+            raise ValueError("cache_slots must be >= 1")
+        entries = self.predictor_entries
+        if entries < 1 or entries & (entries - 1):
+            raise ValueError("predictor_entries must be a positive power "
+                             "of two")
         if self.cache_policy not in CACHE_POLICIES:
             valid = ", ".join(CACHE_POLICIES)
             raise ValueError(

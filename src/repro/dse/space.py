@@ -58,9 +58,6 @@ DIM_AXES: Tuple[str, ...] = tuple(
 #: every axis name a space may declare.
 KNOWN_AXES: Tuple[str, ...] = SHAPE_AXES + DIM_AXES
 
-#: the shape fields carried verbatim in a serve wire spec.
-WIRE_SHAPE_FIELDS: Tuple[str, ...] = SHAPE_AXES
-
 #: axis names registered by :class:`ParameterSpace` extensions
 #: (namespace -> names); see :func:`register_axes`.
 _EXTENSION_AXES: Dict[str, Tuple[str, ...]] = {}
@@ -274,11 +271,12 @@ class ParameterSpace:
                   ) -> Dict[str, object]:
         """The candidate as a ``repro.serve`` protocol config object.
 
-        The inverse lives in
-        :func:`repro.serve.protocol.system_spec`; both sides are the
-        canonical :class:`~repro.system.config.SystemSpec` wire form,
-        so they build identically-named configurations by construction
-        (asserted by the differential tests in ``tests/test_dse.py``).
+        This is :meth:`SystemSpec.to_dict
+        <repro.system.config.SystemSpec.to_dict>`; the protocol parses
+        it back with :meth:`~repro.system.config.SystemSpec.from_dict`,
+        so both sides build identically-named configurations by
+        construction (asserted by the differential tests in
+        ``tests/test_dse.py``).
         """
         return self.spec_of(candidate, base_dim).to_dict()
 

@@ -36,18 +36,25 @@ Every job runs on the one production (block-compiled) simulator.  Old
 clients may still send ``"fast": bool``: it must be a boolean, and is
 then dropped, so it never splits a batch.
 
-A config object names either a Table 1 array (``"array"``) or — for
-design-space exploration clients (:mod:`repro.dse`) — an arbitrary
-geometry plus optional DIM policy overrides::
+A config object is the wire form of one
+:class:`~repro.system.config.SystemSpec` (its ``to_dict()``): it names
+either a Table 1 array (``"array"``) or — for design-space exploration
+clients (:mod:`repro.dse`) — an arbitrary geometry plus optional DIM
+policy overrides::
 
     {"shape": {"rows": 32, "alus_per_row": 8, "mults_per_row": 2,
                "ldsts_per_row": 4, ...},   # ArrayShape fields
      "slots": 64, "speculation": true,
      "dim": {"cache_policy": "lru", ...}}  # non-default DimParams extras
 
-``"array"`` and ``"shape"`` are mutually exclusive.  Adding the shape
-form is backward-compatible (old clients never send it), so the
-protocol version stays at 1.
+``"array"`` and ``"shape"`` are mutually exclusive.  The protocol has
+no system format of its own: :func:`validate_submission` parses each
+config with ``SystemSpec.from_dict``, so ``JobRequest.configs`` holds
+specs, and any value a spec refuses — a DIM value no engine can
+run included — is a ``bad_param`` error naming ``configs[i]`` (an array
+name outside Table 1 is ``unknown_array``).  Adding the shape form is
+backward-compatible (old clients never send it), so the protocol
+version stays at 1.
 
 Failures are *structured errors*::
 
@@ -60,16 +67,13 @@ dispatch on it without parsing prose.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cgra.shape import ArrayShape, default_immediate_slots
-from repro.dim.params import DimParams
 from repro.obs import SCHEMA_VERSION
-from repro.system.config import PAPER_SHAPES
+from repro.system.config import PAPER_CACHE_SLOTS, PAPER_SHAPES, SystemSpec
 from repro.workloads import workload_names
 
 #: bump when a request/response shape changes incompatibly.
@@ -136,37 +140,12 @@ class ProtocolError(Exception):
         return {"error": error, "protocol": PROTOCOL_VERSION}
 
 
-#: one system configuration, normalised: ``(first, slots, speculation)``
-#: where ``first`` is a Table 1 array name, or — for custom geometries —
-#: the nested tuple ``("shape", <ArrayShape field values in declaration
-#: order>, <sorted (DimParams extra, value) pairs>)``.  Keeping the
-#: 3-tuple arity means paper-array specs are unchanged on old clients
-#: and servers.
-ConfigSpec = Tuple[object, int, bool]
-
-#: ArrayShape field names, in declaration order — the layout of the
-#: nested shape tuple above and the key set of the wire's ``"shape"``
-#: object.
-SHAPE_FIELDS: Tuple[str, ...] = tuple(
-    f.name for f in dataclasses.fields(ArrayShape))
-
-#: the four fields a wire shape object must always carry.
-REQUIRED_SHAPE_FIELDS = ("rows", "alus_per_row", "mults_per_row",
-                         "ldsts_per_row")
-
-#: DimParams fields an explicit ``"dim"`` extras object may override
-#: (slots and speculation have their own top-level wire fields).
-DIM_EXTRA_FIELDS: Tuple[str, ...] = tuple(
-    f.name for f in dataclasses.fields(DimParams)
-    if f.name not in ("cache_slots", "speculation"))
-
-
 @dataclass(frozen=True)
 class JobRequest:
     """A validated, normalised job submission."""
 
     kind: str
-    configs: Tuple[ConfigSpec, ...] = ()
+    configs: Tuple[SystemSpec, ...] = ()
     names: Optional[Tuple[str, ...]] = None
     target: Optional[str] = None
     priority: int = 0
@@ -195,8 +174,7 @@ class JobRequest:
     def as_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
             "kind": self.kind,
-            "configs": [config_spec_dict(spec)
-                        for spec in self.configs],
+            "configs": [spec.to_dict() for spec in self.configs],
             "priority": self.priority,
             "timeout": self.timeout,
         }
@@ -216,138 +194,25 @@ def _require(condition: bool, code: str, message: str,
         raise ProtocolError(code, message, field_name)
 
 
-def _validate_shape(raw: object, field_name: str) -> Tuple[int, ...]:
-    """Check a wire shape object; return ArrayShape field values in
-    declaration order (immediate slots defaulted by convention)."""
-    _require(isinstance(raw, Mapping), "bad_param",
-             f"{field_name}.shape must be an object", field_name)
-    unknown = set(raw) - set(SHAPE_FIELDS)
-    _require(not unknown, "bad_param",
-             f"{field_name}.shape has unknown fields: "
-             f"{sorted(unknown)}", field_name)
-    missing = [name for name in REQUIRED_SHAPE_FIELDS if name not in raw]
-    _require(not missing, "bad_param",
-             f"{field_name}.shape is missing {', '.join(missing)}",
-             field_name)
-    values: Dict[str, int] = {}
-    for name in SHAPE_FIELDS:
-        if name not in raw:
-            continue
-        value = raw[name]
-        _require(isinstance(value, int) and not isinstance(value, bool)
-                 and value > 0, "bad_param",
-                 f"{field_name}.shape.{name} must be a positive "
-                 f"integer", field_name)
-        values[name] = value
-    shape = ArrayShape(**values) if "immediate_slots" in values else \
-        ArrayShape(**values, immediate_slots=default_immediate_slots(
-            values["rows"]))
-    return tuple(getattr(shape, name) for name in SHAPE_FIELDS)
-
-
-def _validate_dim_extras(raw: object, field_name: str
-                         ) -> Tuple[Tuple[str, object], ...]:
-    """Check a wire ``dim`` extras object; return sorted (name, value)
-    pairs, type-checked against the DimParams field defaults."""
-    _require(isinstance(raw, Mapping), "bad_param",
-             f"{field_name}.dim must be an object", field_name)
-    unknown = set(raw) - set(DIM_EXTRA_FIELDS)
-    _require(not unknown, "bad_param",
-             f"{field_name}.dim has unknown fields: {sorted(unknown)} "
-             f"(slots/speculation are top-level)", field_name)
-    defaults = DimParams()
-    extras: List[Tuple[str, object]] = []
-    for name in sorted(raw):
-        value = raw[name]
-        expected = type(getattr(defaults, name))
-        ok = isinstance(value, expected) and (
-            expected is not int or not isinstance(value, bool))
-        _require(ok, "bad_param",
-                 f"{field_name}.dim.{name} must be "
-                 f"{expected.__name__}", field_name)
-        extras.append((name, value))
-    return tuple(extras)
-
-
-def _validate_config(entry: object, index: int) -> ConfigSpec:
+def _validate_config(entry: object, index: int) -> SystemSpec:
+    """One wire config object as a :class:`SystemSpec`; any fault is a
+    structured error naming ``configs[index]``."""
     field_name = f"configs[{index}]"
-    _require(isinstance(entry, Mapping), "bad_param",
-             f"{field_name} must be an object", field_name)
-    _require(not ("array" in entry and "shape" in entry), "bad_param",
-             f"{field_name} names both an array and a shape; they are "
-             f"mutually exclusive", field_name)
-    slots = entry.get("slots", 64)
-    _require(isinstance(slots, int) and not isinstance(slots, bool)
-             and slots > 0, "bad_param",
-             f"{field_name}.slots must be a positive integer",
-             field_name)
-    speculation = entry.get("speculation", False)
-    _require(isinstance(speculation, bool), "bad_param",
-             f"{field_name}.speculation must be a boolean", field_name)
-
-    if "shape" in entry:
-        unknown = set(entry) - {"shape", "slots", "speculation", "dim"}
-        _require(not unknown, "bad_param",
-                 f"{field_name} has unknown fields: {sorted(unknown)}",
-                 field_name)
-        shape = _validate_shape(entry["shape"], field_name)
-        extras = _validate_dim_extras(entry.get("dim", {}), field_name)
-        return (("shape", shape, extras), slots, speculation)
-
-    array = entry.get("array", "C3")
-    _require(isinstance(array, str), "bad_param",
-             f"{field_name}.array must be a string", field_name)
-    if array not in PAPER_SHAPES:
-        valid = ", ".join(sorted(PAPER_SHAPES))
-        raise ProtocolError(
-            "unknown_array",
-            f"unknown array {array!r}: valid array names are {valid}",
-            field_name)
-    unknown = set(entry) - {"array", "slots", "speculation"}
-    _require(not unknown, "bad_param",
-             f"{field_name} has unknown fields: {sorted(unknown)} "
-             f"(dim extras require the shape form)", field_name)
-    return (array, slots, speculation)
+    try:
+        return SystemSpec.from_dict(entry)
+    except ValueError as exc:
+        array = entry.get("array") if isinstance(entry, Mapping) else None
+        code = ("unknown_array" if isinstance(array, str)
+                and array not in PAPER_SHAPES else "bad_param")
+        raise ProtocolError(code, f"{field_name}: {exc}",
+                            field_name) from None
 
 
-def config_spec_dict(spec: ConfigSpec) -> Dict[str, object]:
-    """A normalised :data:`ConfigSpec` back in its wire form."""
-    first, slots, speculation = spec
-    if isinstance(first, str):
-        return {"array": first, "slots": slots,
-                "speculation": speculation}
-    _, shape_values, extras = first
-    payload: Dict[str, object] = {
-        "shape": dict(zip(SHAPE_FIELDS, shape_values)),
-        "slots": slots,
-        "speculation": speculation,
-    }
-    if extras:
-        payload["dim"] = dict(extras)
-    return payload
-
-
-def system_spec(spec: ConfigSpec):
-    """The canonical :class:`~repro.system.config.SystemSpec` one
-    normalised wire spec denotes.
-
-    The single wire-to-system bridge: the scheduler's batch execution
-    routes every config through ``system_spec(spec).build()``, so the
-    wire form, the spec and the built configuration agree on the
-    canonical name — exactly the one the submitting
-    :class:`repro.dse.space.ParameterSpace` or
-    :class:`repro.mpsoc` catalog predicts.
-    """
-    from repro.system.config import SystemSpec
-
-    first, slots, speculation = spec
-    if isinstance(first, str):
-        return SystemSpec(array=first, slots=slots,
-                          speculation=speculation)
-    _, shape_values, extras = first
-    shape = ArrayShape(**dict(zip(SHAPE_FIELDS, shape_values)))
-    return SystemSpec(shape=shape, slots=slots, speculation=speculation,
-                      dim_extras=tuple(extras))
+def system_spec(spec: SystemSpec) -> SystemSpec:
+    """The identity: a validated config already is its
+    :class:`SystemSpec`.  Kept only because the benchmark's goldens
+    script (``perfbench/goldens.py``) still imports it."""
+    return spec
 
 
 def _validate_names(raw: object) -> Optional[Tuple[str, ...]]:
@@ -375,8 +240,8 @@ def validate_submission(payload: object) -> JobRequest:
     """Validate one submit body; raises :class:`ProtocolError`.
 
     The returned request is fully normalised: every config is a
-    ``(array, slots, speculation)`` triple, names are a tuple or None
-    (meaning the whole suite), and defaults are applied.
+    :class:`SystemSpec`, names are a tuple or None (meaning the whole
+    suite), and defaults are applied.
     """
     _require(isinstance(payload, Mapping), "bad_json",
              "request body must be a JSON object")
@@ -413,12 +278,12 @@ def validate_submission(payload: object) -> JobRequest:
         _require(target is None, "bad_param",
                  f"{kind} jobs take names, not a target", "target")
 
-    configs: Tuple[ConfigSpec, ...]
+    configs: Tuple[SystemSpec, ...]
     if raw_configs is None:
         if kind == "run":
-            configs = (("C3", 64, False),)
+            configs = (SystemSpec(array="C3"),)
         elif kind == "evaluate":
-            configs = (("C2", 64, True),)
+            configs = (SystemSpec(array="C2", speculation=True),)
         else:  # sweep defaults to the paper's Table 2 matrix
             configs = paper_matrix_specs()
     else:
@@ -443,17 +308,15 @@ def validate_submission(payload: object) -> JobRequest:
                       timeout=timeout)
 
 
-def paper_matrix_specs() -> Tuple[ConfigSpec, ...]:
-    """The Table 2 matrix as wire-level config specs (see
+def paper_matrix_specs() -> Tuple[SystemSpec, ...]:
+    """The Table 2 matrix as system specs (see
     :func:`repro.system.sweep.paper_matrix`)."""
-    from repro.system.config import PAPER_CACHE_SLOTS
-
-    specs: List[ConfigSpec] = [
-        (array, slots, spec)
-        for array in ("C1", "C2", "C3")
-        for spec in (False, True)
-        for slots in PAPER_CACHE_SLOTS]
-    specs += [("ideal", 64, spec) for spec in (False, True)]
+    specs = [SystemSpec(array=array, slots=slots, speculation=spec)
+             for array in ("C1", "C2", "C3")
+             for spec in (False, True)
+             for slots in PAPER_CACHE_SLOTS]
+    specs += [SystemSpec(array="ideal", speculation=spec)
+              for spec in (False, True)]
     return tuple(specs)
 
 

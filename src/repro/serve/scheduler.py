@@ -48,10 +48,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.obs import Telemetry
-from repro.serve.protocol import ConfigSpec, JobState
+from repro.serve.protocol import JobState
 from repro.serve.queue import Job, JobManager, ServeStats
 
 if TYPE_CHECKING:
+    from repro.system.config import SystemSpec
     from repro.system.sweep import RowStore
 
 #: a picklable description of one batch, consumed by :func:`run_batch`.
@@ -76,10 +77,8 @@ def _init_worker(cache_root: Optional[str]) -> None:
         os.environ["REPRO_CACHE_DIR"] = cache_root
 
 
-def _build_configs(specs: Sequence[ConfigSpec]):
-    from repro.serve.protocol import system_spec
-
-    return [system_spec(spec).build() for spec in specs]
+def _build_configs(specs: Sequence[SystemSpec]):
+    return [spec.build() for spec in specs]
 
 
 def run_batch(spec: BatchSpec) -> Dict[str, object]:

@@ -1,11 +1,14 @@
 """Persistent, content-addressed artifact cache for sweep evaluations.
 
-Three artifact kinds are stored, mirroring the three stages of a matrix
-sweep (see :mod:`repro.system.sweep`):
+Four artifact kinds are stored, mirroring the stages of a matrix sweep
+(see :mod:`repro.system.sweep`):
 
 - ``trace`` — the basic-block :class:`~repro.sim.trace.Trace` of one
   workload's functional run, pickled as is (block table + one packed
   ``array('I')`` event column);
+- ``coltrace`` — the columnar lowering's persisted predictor timelines
+  of one workload (:meth:`~repro.sim.coltrace.ColumnarTrace.to_payload`:
+  the timelines built so far and the event count they cover);
 - ``baseline`` — the standalone-MIPS :class:`SystemMetrics` of a trace
   under one timing model;
 - ``metrics`` — the accelerated :class:`SystemMetrics` of one

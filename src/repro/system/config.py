@@ -4,8 +4,10 @@
 :class:`SystemSpec` is one frozen, JSON-round-trippable value that names
 either a paper array or an arbitrary geometry (plus DIM policy
 overrides) and builds exactly one :class:`SystemConfig` with a canonical
-name.  The CLI, the serve protocol (``system_spec(wire).build()``), the
-DSE runners and the MPSoC scenario layer all route through it.
+name.  The CLI, the serve protocol (whose wire config objects are
+:meth:`SystemSpec.to_dict` dicts, parsed back by
+:meth:`SystemSpec.from_dict`), the DSE runners and the MPSoC scenario
+layer all route through it, and so share its checks.
 """
 
 from __future__ import annotations
@@ -141,6 +143,11 @@ SPEC_DIM_FIELDS: Tuple[str, ...] = tuple(
     if f.name not in ("cache_slots", "speculation"))
 
 
+def _positive_int(value: object) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value > 0)
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """The one canonical, JSON-round-trippable system description.
@@ -150,11 +157,12 @@ class SystemSpec:
     set.  ``slots``/``speculation`` are the reconfiguration-cache size
     and speculation switch; ``dim_extras`` carries any further
     :class:`~repro.dim.params.DimParams` overrides as sorted
-    ``(name, value)`` pairs (shape form only, mirroring the serve wire
-    protocol).  :meth:`build` produces the identically-named
-    :class:`SystemConfig` that :func:`paper_system` /
-    :func:`custom_system` always did, so specs, wire dicts and configs
-    agree on names by construction.
+    ``(name, value)`` pairs (shape form only).  Construction checks
+    every field, then builds :meth:`dim` so DimParams' own value checks
+    run too: every spec that exists can be built.  :meth:`build`
+    produces the identically-named :class:`SystemConfig` that
+    :func:`paper_system` / :func:`custom_system` always did, so specs,
+    wire dicts and configs agree on names by construction.
     """
 
     array: Optional[str] = None
@@ -167,28 +175,42 @@ class SystemSpec:
         if (self.array is None) == (self.shape is None):
             raise ValueError(
                 "a SystemSpec names exactly one of array= or shape=")
-        if self.array is not None and self.array not in PAPER_SHAPES:
-            valid = ", ".join(sorted(PAPER_SHAPES))
-            raise ValueError(f"unknown array {self.array!r}: valid "
-                             f"array names are {valid}")
-        if self.shape is not None and not isinstance(self.shape,
-                                                     ArrayShape):
-            raise ValueError("shape must be an ArrayShape")
-        if not (isinstance(self.slots, int)
-                and not isinstance(self.slots, bool) and self.slots > 0):
+        if self.array is not None:
+            if not isinstance(self.array, str):
+                raise ValueError("array must be a string")
+            if self.array not in PAPER_SHAPES:
+                valid = ", ".join(sorted(PAPER_SHAPES))
+                raise ValueError(f"unknown array {self.array!r}: valid "
+                                 f"array names are {valid}")
+        if self.shape is not None:
+            if not isinstance(self.shape, ArrayShape):
+                raise ValueError("shape must be an ArrayShape")
+            for name in SPEC_SHAPE_FIELDS:
+                if not _positive_int(getattr(self.shape, name)):
+                    raise ValueError(
+                        f"shape.{name} must be a positive integer")
+        if not _positive_int(self.slots):
             raise ValueError("slots must be a positive integer")
         if not isinstance(self.speculation, bool):
             raise ValueError("speculation must be a boolean")
         extras = tuple(sorted(self.dim_extras))
-        for name, _ in extras:
+        defaults = DimParams()
+        for name, value in extras:
             if name not in SPEC_DIM_FIELDS:
                 raise ValueError(
                     f"unknown dim extra {name!r}: valid extras are "
                     f"{', '.join(SPEC_DIM_FIELDS)} (slots/speculation "
                     f"are top-level fields)")
+            expected = type(getattr(defaults, name))
+            if not isinstance(value, expected) or (
+                    expected is int and isinstance(value, bool)):
+                raise ValueError(
+                    f"dim.{name} must be {expected.__name__}")
         if extras and self.array is not None:
             raise ValueError("dim extras require the shape form")
         object.__setattr__(self, "dim_extras", extras)
+        # DimParams' own value checks: every spec that exists builds
+        self.dim()
 
     # ------------------------------------------------------------------
     # Construction helpers.
@@ -254,8 +276,8 @@ class SystemSpec:
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "SystemSpec":
         """Parse the wire form; raises :class:`ValueError` on bad input
-        (the serve protocol wraps this with its structured-error
-        vocabulary)."""
+        (:mod:`repro.serve.protocol` adds only its structured-error
+        codes on top)."""
         if not isinstance(payload, Mapping):
             raise ValueError("a system spec must be a JSON object")
         unknown = set(payload) - {"array", "shape", "slots",
@@ -283,9 +305,10 @@ class SystemSpec:
                 raise ValueError(
                     f"shape is missing {', '.join(missing)}")
             values = dict(raw)
-            if "immediate_slots" not in values:
+            if "immediate_slots" not in values and _positive_int(
+                    values["rows"]):
                 values["immediate_slots"] = default_immediate_slots(
-                    int(values["rows"]))
+                    values["rows"])
             shape = ArrayShape(**values)
             extras = payload.get("dim", {})
             if not isinstance(extras, Mapping):

@@ -7,6 +7,7 @@ from repro.cgra.allocation import AllocationResult
 from repro.cgra.configuration import Configuration
 from repro.cgra.shape import ArrayShape
 from repro.dim import BimodalPredictor, ReconfigurationCache
+from repro.dim.params import DimParams
 
 SHAPE = ArrayShape(rows=4, alus_per_row=2, mults_per_row=1, ldsts_per_row=1)
 
@@ -154,6 +155,23 @@ def test_cache_validation():
         ReconfigurationCache(0)
     with pytest.raises(ValueError):
         ReconfigurationCache(4, "random")
+
+
+@pytest.mark.parametrize("bad", [
+    {"cache_slots": 0}, {"cache_slots": -16},
+    {"predictor_entries": 0}, {"predictor_entries": -512},
+    {"predictor_entries": 300}, {"predictor_entries": 3},
+])
+def test_dim_params_reject_what_no_engine_runs(bad):
+    """An empty cache or a predictor that is not a power of two fails
+    when the parameters are made, not later inside a replay."""
+    with pytest.raises(ValueError):
+        DimParams(**bad)
+
+
+def test_dim_params_accept_the_smallest_runnable_values():
+    params = DimParams(cache_slots=1, predictor_entries=1)
+    assert (params.cache_slots, params.predictor_entries) == (1, 1)
 
 
 @given(st.lists(st.integers(0, 15), min_size=1, max_size=200),

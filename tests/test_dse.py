@@ -53,7 +53,6 @@ from repro.serve import (
     start_http,
     validate_submission,
 )
-from repro.serve.protocol import system_spec
 from repro.sim.cpu import run_program
 from repro.sim.stats import TimingModel
 from repro.system.area import AreaParams, area_report
@@ -383,7 +382,7 @@ def test_wire_spec_round_trips_through_the_protocol():
         request = validate_submission({"kind": "sweep",
                                        "names": ["crc"],
                                        "configs": [spec]})
-        rebuilt = system_spec(request.configs[0]).build()
+        rebuilt = request.configs[0].build()
         local = space.config_of(candidate, base_dim=base)
         assert rebuilt.name == local.name
         assert rebuilt.shape == local.shape

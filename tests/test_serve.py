@@ -71,7 +71,8 @@ def test_validation_rejects_malformed_submissions():
 def test_validation_normalises_defaults():
     request = validate_submission({"kind": "evaluate",
                                    "names": ["crc"]})
-    assert request.configs == (("C2", 64, True),)
+    assert request.configs == (
+        api.SystemSpec(array="C2", slots=64, speculation=True),)
     assert request.names == ("crc",)
     request = validate_submission({"kind": "sweep"})
     assert len(request.configs) == 20  # the paper's Table 2 matrix
@@ -331,6 +332,33 @@ def test_retries_exhausted_fails_with_structured_error():
         assert status["error"]["code"] in ERROR_CODES
         assert "permanently broken" in status["error"]["message"]
         assert status["attempts"] == 2  # first try + one retry
+    finally:
+        svc.stop(drain=False)
+
+
+def test_unrunnable_dim_value_is_refused_and_poisons_no_batch():
+    """A DIM value neither engine can run is a structured error at the
+    door; the valid job it would have shared a batch with finishes
+    byte-identically to the offline call."""
+    svc = EvalService(workers=0, cache_root=None,
+                      batch_window=0.05).start()
+    try:
+        svc.pause()
+        good = svc.submit({"kind": "evaluate", "names": ["crc"],
+                           "configs": [CRC_C1]})
+        with pytest.raises(ProtocolError) as excinfo:
+            svc.submit({"kind": "sweep", "names": ["crc"], "configs": [{
+                "shape": {"rows": 16, "alus_per_row": 4,
+                          "mults_per_row": 2, "ldsts_per_row": 2},
+                "dim": {"cache_policy": "mru"}}]})
+        assert (excinfo.value.code, excinfo.value.field) == \
+            ("bad_param", "configs[0]")
+        svc.resume()
+        payload = svc.result(good["job_id"], wait=True, timeout=120)
+        offline = api.evaluate(
+            api.SystemSpec(array="C1", slots=16).build(), names=["crc"])
+        assert payload["result"]["suite_json"] == offline.to_json()
+        assert svc.status(good["job_id"])["attempts"] == 1
     finally:
         svc.stop(drain=False)
 

@@ -22,6 +22,7 @@ from repro.sim import cpu
 from repro.sim.trace import BasicBlock
 from repro.system import paper_system
 from repro.system.artifacts import ArtifactCache
+from repro.system.config import SystemSpec
 from repro.system.sweep import evaluate_matrix
 from repro.workloads import (
     Workload,
@@ -207,10 +208,11 @@ def test_serve_warm_batch_never_relowers(monkeypatch):
             "jobs": [{"id": job_id, "kind": "evaluate",
                       "configs": [config]}]})
 
-    cold = batch("a", ("C2", 64, True))["counters"]
+    cold = batch("a", SystemSpec(array="C2", slots=64,
+                                 speculation=True))["counters"]
     assert (counting.traced, counting.lowered) == (2, 2)
     assert cold["sweep.traces_simulated"] == 2
-    warm = batch("b", ("C3", 16, False))["counters"]
+    warm = batch("b", SystemSpec(array="C3", slots=16))["counters"]
     assert (counting.traced, counting.lowered) == (2, 2)
     assert warm["sweep.traces_simulated"] == 0
     assert warm["sweep.traces_in_memory"] == 2
