@@ -107,7 +107,9 @@ class PredictorTimeline:
         ``ColumnarTrace.branch_events``).  Counter indices are
         independent, so the updates are grouped by index with a stable
         sort, which keeps each group chronological, and each group's
-        counter is walked on its own.
+        counter is walked on its own slice of outcomes; the boundaries
+        are gathered from the group's positions where its class
+        changes, so no whole-trace Python list is built.
         """
         if entries & (entries - 1):
             raise ValueError("predictor entries must be a power of two")
@@ -123,18 +125,17 @@ class PredictorTimeline:
         starts = np.flatnonzero(
             np.r_[True, idx_sorted[1:] != idx_sorted[:-1]])
         ends = np.r_[starts[1:], n]
-        pos_sorted = np.asarray(positions, dtype=np.int64)[order].tolist()
-        tak_sorted = np.asarray(takens, dtype=np.int64)[order].tolist()
+        pos_sorted = np.asarray(positions, dtype=np.int64)[order]
+        tak_sorted = np.asarray(takens, dtype=np.int64)[order]
         bounds: Dict[int, List[int]] = {}
         classes: Dict[int, List[int]] = {}
         hits = 0
         for start, end in zip(starts.tolist(), ends.tolist()):
             counter = initial
             last_class = initial_class
-            blist = [0]
+            changes: List[int] = []
             clist = [initial_class]
-            for j in range(start, end):
-                taken = tak_sorted[j]
+            for j, taken in enumerate(tak_sorted[start:end].tolist()):
                 if (counter >= 2) == (taken == 1):
                     hits += 1
                 if taken:
@@ -149,11 +150,12 @@ class PredictorTimeline:
                 else:
                     klass = CLASS_NONE
                 if klass != last_class:
-                    blist.append(pos_sorted[j] + 1)
+                    changes.append(j)
                     clist.append(klass)
                     last_class = klass
             index = int(idx_sorted[start])
-            bounds[index] = blist
+            bounds[index] = [0] + (pos_sorted[start:end][changes]
+                                   + 1).tolist()
             classes[index] = clist
         return cls(entries, n, hits, bounds, classes, initial_class)
 

@@ -25,9 +25,11 @@ Two engines cover the configuration space:
 - **Tier A** (``speculation=False``): translations make *zero*
   predictor/provider probes, so each block has one one-block
   configuration and the replay vectorizes — the only sequential piece
-  is the FIFO/LRU occupancy simulation, and even that collapses to a
-  rank test when the working set fits the cache.  A block's hits are
-  its configuration's executions, exiting by the tail's outcome.
+  is the FIFO/LRU occupancy simulation, which collapses to a rank test
+  when the working set fits the cache and otherwise runs once per
+  (cacheable-block set, slots, policy), shared by every array shape
+  that caches the same blocks.  A block's hits are its configuration's
+  executions, exiting by the tail's outcome.
 - **Tier B** (speculation): the reconfiguration-cache state machine is
   genuinely sequential, but each iteration reduces to list lookups: a
   configuration's exit outcome at its ``r``-th occurrence (commit /
@@ -55,6 +57,8 @@ configurations.
 
 from __future__ import annotations
 
+from array import array
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cgra.configuration import Configuration
@@ -610,6 +614,7 @@ class ColumnarContext:
             else ColumnarTrace(trace)
         self._miss_tables: Dict[TimingModel, object] = {}
         self._nospec: Dict[Tuple, dict] = {}
+        self._residency: Dict[Tuple[bytes, int, str], Tuple] = {}
         self._timelines: Dict[Tuple, _TranslationTimeline] = {}
         self._templates: Dict[Tuple, Dict[Tuple, _Template]] = {}
         self._paths: Dict[Tuple, _Path] = {}
@@ -658,8 +663,10 @@ class ColumnarContext:
         Translation without speculation makes no predictor/provider
         probes, so each block has exactly one outcome per (shape,
         policy): a one-block configuration, or None when uncacheable.
-        Holds the configurations, their covered counts and cacheability
-        as columns, and their exit-code rows per timing model.
+        Holds the configurations (without their placement records,
+        which pricing never reads), their covered counts and
+        cacheability as columns, and their exit-code rows per timing
+        model.
         """
         key = (config.shape, policy_key(config.dim))
         tables = self._nospec.get(key)
@@ -672,6 +679,10 @@ class ColumnarContext:
             configs = [translator.translate(block)
                        if occurring[block.block_id] else None
                        for block in blocks]
+            configs = [None if translated is None else replace(
+                translated, result=replace(translated.result,
+                                           placements=()))
+                       for translated in configs]
             tables = {
                 "configs": configs,
                 "covered": np.array(
@@ -684,6 +695,55 @@ class ColumnarContext:
                 "rows": {}}
             self._nospec[key] = tables
         return tables
+
+    def residency(self, cacheable, slots: int, policy: str) -> Tuple:
+        """(hit mask, insertion positions, evictions) of the FIFO/LRU
+        residency walk of a no-speculation cache under capacity
+        pressure.
+
+        Without speculation a block's hit depends only on which blocks
+        can be cached, the cache size and the replacement policy — not
+        on the array shape — so the walk is memoized on exactly that
+        key and shared by every shape whose translations cache the same
+        blocks.  Only cacheable events enter the cache; a miss on the
+        last event translates nothing and so inserts nothing.
+        """
+        key = (cacheable.tobytes(), slots, policy)
+        walk = self._residency.get(key)
+        if walk is None:
+            import numpy as np
+
+            n = self.coltrace.n
+            last = n - 1
+            cacheable_list = cacheable.tolist()
+            hit = bytearray(n)
+            inserts = array("q")
+            evictions = 0
+            lru = policy == "lru"
+            # insertion-ordered residency, as in _replay_spec: the first
+            # key is the next victim; only LRU moves a hit block to the
+            # back.
+            occupancy: Dict[int, None] = {}
+            for position, b in enumerate(self.coltrace.ev_list):
+                if not cacheable_list[b]:
+                    continue
+                if b in occupancy:
+                    hit[position] = 1
+                    if lru:
+                        del occupancy[b]
+                        occupancy[b] = None
+                elif position < last:
+                    if len(occupancy) >= slots:
+                        del occupancy[next(iter(occupancy))]
+                        evictions += 1
+                    occupancy[b] = None
+                    inserts.append(position)
+            hit_mask = np.frombuffer(hit, dtype=bool)
+            positions = np.frombuffer(inserts, dtype=np.int64)
+            hit_mask.flags.writeable = False
+            positions.flags.writeable = False
+            walk = self._residency[key] = (hit_mask, positions, evictions)
+        return walk
 
     # ------------------------------------------------------------------
     # Tier B plumbing.
@@ -764,42 +824,15 @@ def _replay_nospec(context: ColumnarContext, config: SystemConfig,
         stats.translated_instructions = int(
             covered[ev[:n - 1]][insert_mask].sum())
     else:
-        # capacity pressure: simulate FIFO/LRU occupancy over cacheable
-        # events only (uncacheable blocks never enter the cache and are
-        # folded in vectorially below).
-        insertions = 0
-        translations = 0
-        translated_instructions = 0
-        covered_list = covered.tolist()
-        last = n - 1
-        positions = np.flatnonzero(event_cacheable)
-        bids = ev[positions].tolist()
-        hit_positions: List[int] = []
-        append_hit = hit_positions.append
-        # insertion-ordered residency, as in _replay_spec: the first key
-        # is the next victim; only LRU moves a hit block to the back.
-        lru = config.dim.cache_policy == "lru"
-        occupancy: Dict[int, None] = {}
-        for position, b in zip(positions.tolist(), bids):
-            if b in occupancy:
-                append_hit(position)
-                if lru:
-                    del occupancy[b]
-                    occupancy[b] = None
-            elif position < last:
-                translations += 1
-                translated_instructions += covered_list[b]
-                if len(occupancy) >= slots:
-                    del occupancy[next(iter(occupancy))]
-                    evictions += 1
-                occupancy[b] = None
-                insertions += 1
-        hit_mask = np.zeros(n, dtype=bool)
-        if hit_positions:
-            hit_mask[np.asarray(hit_positions, dtype=np.int64)] = True
-        translations += int(np.count_nonzero(~event_cacheable[:n - 1]))
-        stats.translations = translations
-        stats.translated_instructions = translated_instructions
+        # capacity pressure: the FIFO/LRU walk over cacheable events,
+        # shared by every shape caching the same blocks (uncacheable
+        # blocks never enter the cache and are folded in vectorially).
+        hit_mask, inserts, evictions = context.residency(
+            cacheable, slots, config.dim.cache_policy)
+        insertions = len(inserts)
+        stats.translations = insertions + int(
+            np.count_nonzero(~event_cacheable[:n - 1]))
+        stats.translated_instructions = int(covered[ev[inserts]].sum())
     stats.config_writes = insertions
 
     key2 = coltrace.key2

@@ -27,8 +27,9 @@ layers:
 
 A row's trace and context live as long as the caller keeps them.  A
 call without a :data:`RowStore` frees each row once its cells are
-folded, so memory peaks at the largest row; callers that replay the
-same rows batch after batch pass a store they own.
+folded, and tracing keeps no program, so memory peaks at the largest
+row; callers that replay the same rows batch after batch pass a store
+they own.
 
 All three layers are transparent: :func:`evaluate_matrix` output is
 byte-identical to looping the event-driven reference
@@ -572,7 +573,9 @@ def evaluate_matrix(configs: Sequence[SystemConfig],
     change numbers, only wall-clock.  ``jobs > 1`` fans workload rows
     across a process pool.  Without ``row_store`` the call is one-shot:
     each workload row (trace, columnar context) is freed once its cells
-    and baselines are folded, so memory peaks at the largest row.  A caller
+    and baselines are folded, and tracing keeps no program
+    (:func:`~repro.workloads.trace_workload`), so memory peaks at the
+    largest row.  A caller
     that evaluates the same workloads batch after batch passes one
     :data:`RowStore` it owns, and serial calls reuse its rows (pool
     workers neither read nor fill it).  Pass ``cache`` to persist and

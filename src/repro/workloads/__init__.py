@@ -27,7 +27,8 @@ digest, the way the paper's DIM runs precompiled binaries; a registered
 workload compiles (mini-C) or assembles (generated kernels).  Only that
 compile path imports the front end.  :func:`run_workload` additionally
 executes the program and caches the basic-block trace used by the
-benchmark harnesses.
+benchmark harnesses; :func:`trace_workload` traces without caching
+either the run or the program.
 """
 
 from __future__ import annotations
@@ -215,25 +216,30 @@ def load_workload(name: str) -> Program:
     A built-in reads its program image and raises
     :class:`~repro.workloads.images.ImageError` if the image is
     missing, malformed or stale; a registered workload compiles or
-    assembles its source.
+    assembles its source.  The cached program keeps its decode cache
+    and compiled block factories for the life of the process;
+    :func:`trace_workload` loads one that nothing keeps.
     """
     program = _PROGRAMS.get(name)
     if program is None:
-        workload = get_workload(name)
-        if name in _BUILTINS:
-            from repro.workloads.images import load_image
-
-            program = load_image(workload)
-        elif workload.kind == "asm":
-            from repro.asm import assemble
-
-            program = assemble(workload.source)
-        else:
-            from repro.minic import compile_to_program
-
-            program = compile_to_program(workload.source, source_name=name)
-        _PROGRAMS[name] = program
+        program = _PROGRAMS[name] = _load_program(name)
     return program
+
+
+def _load_program(name: str) -> Program:
+    """A fresh, uncached program for ``name`` (see :func:`load_workload`)."""
+    workload = get_workload(name)
+    if name in _BUILTINS:
+        from repro.workloads.images import load_image
+
+        return load_image(workload)
+    if workload.kind == "asm":
+        from repro.asm import assemble
+
+        return assemble(workload.source)
+    from repro.minic import compile_to_program
+
+    return compile_to_program(workload.source, source_name=name)
 
 
 def run_workload(name: str, collect_trace: bool = True,
@@ -250,23 +256,29 @@ def run_workload(name: str, collect_trace: bool = True,
     cached = _RUNS.get(name)
     if cached is not None:
         return cached
-    result = _run_checked(name, collect_trace)
+    result = _run_checked(name, load_workload(name), collect_trace)
     _RUNS[name] = result
     return result
 
 
 def trace_workload(name: str) -> Trace:
-    """Trace one workload on the plain MIPS core, without caching.
+    """Trace one workload on the plain MIPS core, keeping nothing.
 
-    For callers that own the trace's lifetime (a sweep row): nothing in
-    the process keeps the run, so the trace is freed with its last
-    reference.
+    For callers that own the trace's lifetime (a sweep row).  A program
+    a :func:`load_workload` caller already cached is reused; otherwise
+    the program is loaded outside the cache, so its decode cache and
+    compiled block factories die with the run and the trace is freed
+    with its last reference.
     """
-    return _run_checked(name, True).trace
+    program = _PROGRAMS.get(name)
+    if program is None:
+        program = _load_program(name)
+    return _run_checked(name, program, True).trace
 
 
-def _run_checked(name: str, collect_trace: bool) -> RunResult:
-    result = run_program(load_workload(name), collect_trace=collect_trace)
+def _run_checked(name: str, program: Program,
+                 collect_trace: bool) -> RunResult:
+    result = run_program(program, collect_trace=collect_trace)
     if result.exit_code != 0:
         raise RuntimeError(
             f"workload {name} exited with {result.exit_code}")

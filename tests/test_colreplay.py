@@ -19,6 +19,7 @@ from repro.asm import assemble
 from repro.cli import main
 from repro.dim.memo import TranslationMemo
 from repro.dim.params import DimParams
+from repro.dim.predictor import BimodalPredictor
 from repro.obs.schema import (
     DIM_COUNTERS,
     DYNFLOW_COUNTERS,
@@ -30,7 +31,11 @@ from repro.obs.schema import (
     metrics_counters,
 )
 from repro.sim import run_program
-from repro.sim.coltrace import COLTRACE_FORMAT, ColumnarTrace
+from repro.sim.coltrace import (
+    COLTRACE_FORMAT,
+    ColumnarTrace,
+    PredictorTimeline,
+)
 from repro.system.colreplay import (
     ColumnarContext,
     baseline_metrics_columnar,
@@ -237,6 +242,75 @@ def test_shared_context_prices_each_cells_stall_and_penalty(speculation):
             evaluate_trace_columnar(trace, config, name="crc",
                                     context=context),
             evaluate_trace(trace, config, name="crc"))
+
+
+# ----------------------------------------------------------------------
+# Tier A's residency walk, shared per cacheable set.
+# ----------------------------------------------------------------------
+def _nospec_pressure_cells():
+    """C1-C3 without speculation at two slot counts that both force
+    evictions on crc and susan_c, under FIFO and under LRU."""
+    return [custom_system(PAPER_SHAPES[array],
+                          DimParams(cache_slots=slots, cache_policy=policy))
+            for policy in ("fifo", "lru") for slots in (4, 8)
+            for array in ("C1", "C2", "C3")]
+
+
+@pytest.mark.parametrize("name", ["susan_c", "crc"])
+def test_nospec_residency_walk_is_shared_per_cacheable_set(name):
+    """One context replays every cell, forward and reversed: each cell
+    equals a fresh context's and the event engine's, and the context
+    walks residency once per (cacheable set, slots, policy)."""
+    trace = run_workload(name).trace
+    configs = _nospec_pressure_cells()
+    expected = []
+    for config in configs:
+        fresh = evaluate_trace_columnar(trace, config, name=name)
+        assert_same_metrics(fresh, evaluate_trace(trace, config, name=name))
+        assert fresh.cache_evictions
+        expected.append(dataclasses.asdict(fresh))
+    for order in (list(range(len(configs))),
+                  list(reversed(range(len(configs))))):
+        context = ColumnarContext(trace, name=name)
+        keys = set()
+        for index in order:
+            config = configs[index]
+            shared = evaluate_trace_columnar(trace, config, name=name,
+                                             context=context)
+            assert dataclasses.asdict(shared) == expected[index]
+            keys.add((context.nospec_tables(config)["cacheable"].tobytes(),
+                      config.dim.cache_slots, config.dim.cache_policy))
+        assert set(context._residency) == keys
+        assert len(keys) < len(configs)
+
+
+# ----------------------------------------------------------------------
+# The predictor timeline against the live predictor.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("entries", [16, 512])
+@pytest.mark.parametrize("name", ["crc", "sha", "susan_c", None])
+def test_predictor_timeline_matches_the_live_predictor(name, entries):
+    """Replaying ``BimodalPredictor.update`` over the trace's branch
+    events gives the timeline's totals, and right after every update
+    the timeline's class answers what the live counter says (``None``
+    is a trace with no conditional event)."""
+    trace = (run_workload(name).trace if name else
+             run_program(assemble(STRAIGHT_LINE), collect_trace=True).trace)
+    coltrace = ColumnarTrace(trace)
+    timeline = coltrace.timeline(entries)
+    predictor = BimodalPredictor(entries)
+    positions, pcs, takens = coltrace.branch_events()
+    assert (len(positions) == 0) == (name is None)
+    for position, pc, taken in zip(positions.tolist(), pcs.tolist(),
+                                   takens.tolist()):
+        predictor.update(pc, taken == 1)
+        assert timeline.saturated_direction(pc, position + 1) \
+            == predictor.saturated_direction(pc)
+    assert (timeline.updates, timeline.hits) == (predictor.updates,
+                                                 predictor.hits)
+    payload = pickle.loads(pickle.dumps(timeline.to_payload()))
+    assert PredictorTimeline.from_payload(payload).to_payload() \
+        == timeline.to_payload()
 
 
 # ----------------------------------------------------------------------

@@ -26,8 +26,10 @@ from repro.system.config import SystemSpec
 from repro.system.sweep import evaluate_matrix
 from repro.workloads import (
     Workload,
+    load_workload,
     register_workload,
     run_workload,
+    trace_workload,
     unregister_generated,
 )
 
@@ -140,11 +142,11 @@ def test_one_shot_row_is_freed_without_the_collector(monkeypatch):
 
 
 def test_one_shot_sweep_leaves_only_cached_placements_alive():
-    """After a one-shot sweep of every workload, with the program and
-    run caches cleared, the only decoded instructions still alive are
-    the keys of ``placement_record``'s bounded, value-keyed
-    ``lru_cache`` (plus a few module constants).  Run in a fresh
-    interpreter so no other test's programs are counted."""
+    """After a one-shot sweep of every workload, which keeps no program
+    (and with the run cache cleared), the only decoded instructions
+    still alive are the keys of ``placement_record``'s bounded,
+    value-keyed ``lru_cache`` (plus a few module constants).  Run in a
+    fresh interpreter so no other test's programs are counted."""
     script = (
         "import gc\n"
         "import repro.workloads as workloads\n"
@@ -153,7 +155,6 @@ def test_one_shot_sweep_leaves_only_cached_placements_alive():
         "from repro.system import paper_system\n"
         "from repro.system.sweep import evaluate_matrix\n"
         "evaluate_matrix([paper_system('C1', 16, False)], cache=None)\n"
-        "workloads._PROGRAMS.clear()\n"
         "workloads._RUNS.clear()\n"
         "gc.collect()\n"
         "live = sum(type(o) is Instruction for o in gc.get_objects())\n"
@@ -165,6 +166,25 @@ def test_one_shot_sweep_leaves_only_cached_placements_alive():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_trace_workload_leaves_the_program_cache_as_it_found_it(
+        monkeypatch):
+    """An absent program is loaded outside the cache, so it dies with
+    the run; a cached one is reused — the very object, whose block
+    factories the run compiles."""
+    import repro.workloads as workloads
+
+    monkeypatch.setattr(workloads, "_PROGRAMS", {})
+    uncached = trace_workload("crc")
+    assert workloads._PROGRAMS == {}
+    program = load_workload("crc")
+    assert not program.fastpath_cache
+    cached = trace_workload("crc")
+    assert workloads._PROGRAMS == {"crc": program}
+    assert workloads._PROGRAMS["crc"] is program
+    assert program.fastpath_cache
+    assert cached.events == uncached.events
 
 
 class _Counting:
