@@ -6,8 +6,9 @@ Not a paper experiment — this bench guards the columnar replay engine
 
 - every cell must be *bit-identical* across all three replay paths —
   per-cell event-driven :func:`evaluate_trace`, memoized event replay
-  (:func:`evaluate_trace` with one shared ``TranslationMemo`` per
-  workload), and the vectorised columnar engine;
+  (:func:`evaluate_trace` through one of the test oracle's
+  ``TranslationMemo`` per workload), and the vectorised columnar
+  engine;
 - the columnar engine must be at least 10x faster than per-cell
   event-driven replay (it is also ~5x faster than the memoized event
   path; both comparisons are recorded).
@@ -24,10 +25,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.dim.memo import TranslationMemo
 from repro.system import paper_system
 from repro.system.colreplay import ColumnarContext, evaluate_trace_columnar
 from repro.system.traceeval import evaluate_trace
+from tests.oracle import TranslationMemo, evaluate_memoized
 
 #: 3 arrays x {no-spec, spec} x {16, 64} slots = 12 configurations.
 CONFIGS = [paper_system(array, slots, spec)
@@ -62,15 +63,15 @@ def test_columnar_bit_identical_and_10x(traces, capsys):
     event_seconds = time.perf_counter() - start
 
     # 2. memoized event replay: all configurations of a workload share
-    #    one probe-validated TranslationMemo (the event engine's own
+    #    one probe-validated TranslationMemo (the test oracle's
     #    sharing layer; sweeps share a ColumnarContext instead).
     start = time.perf_counter()
     memo_cells = {}
     for name, trace in traces.items():
         memo = TranslationMemo()
         for index, config in enumerate(CONFIGS):
-            memo_cells[(name, index)] = evaluate_trace(
-                trace, config, name=name, memo=memo)
+            memo_cells[(name, index)] = evaluate_memoized(
+                trace, config, memo, name=name)
     event_memo_seconds = time.perf_counter() - start
 
     # 3. columnar replay: one lowering + one shared ColumnarContext per

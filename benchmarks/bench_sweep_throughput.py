@@ -23,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.dim.memo import TranslationMemo
 from repro.system import paper_system
 from repro.system.artifacts import ArtifactCache
 from repro.system.energy import EnergyParams
@@ -31,6 +30,7 @@ from repro.system.sweep import MatrixResult, evaluate_matrix
 from repro.system.traceeval import baseline_metrics, evaluate_trace
 from repro.workloads import collect_runs, workload_names
 from repro.workloads.suite import SuiteResult, result_from_metrics
+from tests.oracle import TranslationMemo, evaluate_memoized
 
 #: 3 arrays x {no-spec, spec} x {16, 64} slots = 12 configurations.
 CONFIGS = [paper_system(array, slots, spec)
@@ -62,18 +62,21 @@ def warm_runs():
 def event_suites(runs, memoized):
     """The event-engine reference: one :func:`evaluate_trace` per cell,
     per-configuration suites in the matrix's order.  ``memoized``
-    shares one ``TranslationMemo`` per workload across configurations
-    (the event engine's own sharing layer)."""
+    shares one of the test oracle's ``TranslationMemo`` per workload
+    across configurations."""
     memos = {name: TranslationMemo() for name in runs}
     suites = []
     for config in CONFIGS:
         results = []
         for name, run in runs.items():
-            memo = memos[name] if memoized else None
+            if memoized:
+                metrics = evaluate_memoized(run.trace, config,
+                                            memos[name], name=name)
+            else:
+                metrics = evaluate_trace(run.trace, config, name=name)
             results.append(result_from_metrics(
                 name, config, baseline_metrics(run.trace, config.timing),
-                evaluate_trace(run.trace, config, name=name, memo=memo),
-                EnergyParams()))
+                metrics, EnergyParams()))
         suites.append(SuiteResult(config.name, results))
     return MatrixResult(names=list(runs), suites=suites)
 

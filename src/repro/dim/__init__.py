@@ -16,8 +16,12 @@ at the algorithmic level:
   (translate on first sight, execute from cache afterwards, extend
   configurations when counters saturate, flush on repeated
   mis-speculation).
-- :mod:`repro.dim.memo` — probe-validated memoization of translations,
-  shared across the engines of a design-space sweep.
+
+Nothing here memoizes translations across systems: the hardware has
+none.  The probe log a translation can record (see
+:meth:`~repro.dim.translator.Translator.translate`) is what the
+columnar engine's translation timeline and the test oracle's memo
+(``tests/oracle.py``) revalidate reused translations against.
 """
 
 from repro.dim.params import DimParams
@@ -25,12 +29,6 @@ from repro.dim.predictor import BimodalPredictor
 from repro.dim.rcache import ReconfigurationCache
 from repro.dim.translator import Translator
 from repro.dim.engine import DimEngine, DimStats
-from repro._lazy import lazy_dir, lazy_exports
-
-#: the memo serves only the event oracle; it loads on first use.
-_EXPORTS = {"TranslationMemo": "repro.dim.memo"}
-__getattr__ = lazy_exports(globals(), _EXPORTS)
-__dir__ = lazy_dir(globals(), _EXPORTS)
 
 __all__ = [
     "DimParams",
@@ -39,5 +37,4 @@ __all__ = [
     "Translator",
     "DimEngine",
     "DimStats",
-    "TranslationMemo",
 ]

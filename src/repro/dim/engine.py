@@ -13,7 +13,7 @@ in cycle-exact agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.cgra.configuration import ConfigBlock, Configuration
 from repro.cgra.shape import ArrayShape
@@ -21,9 +21,6 @@ from repro.dim.params import DimParams
 from repro.dim.predictor import BimodalPredictor
 from repro.dim.rcache import ReconfigurationCache
 from repro.dim.translator import BlockProvider, Translator
-
-if TYPE_CHECKING:
-    from repro.dim.memo import TranslationMemo
 from repro.isa.opcodes import InstrClass
 from repro.obs import NULL_TELEMETRY
 from repro.sim.trace import BasicBlock
@@ -79,9 +76,7 @@ class DimEngine:
     """Predictor + cache + translator with the paper's run-time policies."""
 
     def __init__(self, shape: ArrayShape, params: DimParams,
-                 block_provider: BlockProvider,
-                 translation_memo: Optional["TranslationMemo"] = None,
-                 telemetry=None):
+                 block_provider: BlockProvider, telemetry=None):
         self.shape = shape
         self.params = params
         #: telemetry sink shared with the cache and predictor; the
@@ -95,16 +90,7 @@ class DimEngine:
                                           telemetry=self.telemetry)
         self.translator = Translator(shape, params, self.predictor,
                                      block_provider)
-        #: optional cross-engine translation cache (see repro.dim.memo);
-        #: results are identical with or without it.
-        self.translation_memo = translation_memo
         self.stats = DimStats()
-
-    def _translate(self, block: BasicBlock) -> Optional[Configuration]:
-        memo = self.translation_memo
-        if memo is None:
-            return self.translator.translate(block)
-        return memo.translate(self.translator, block)
 
     # ------------------------------------------------------------------
     # Block-start path.
@@ -135,7 +121,7 @@ class DimEngine:
         if tel.enabled:
             tel.emit("translation.started",
                      pc=config.blocks[0].block.start_pc, reason="extend")
-        new = self._translate(config.blocks[0].block)
+        new = self.translator.translate(config.blocks[0].block)
         self.stats.translations += 1
         if new is not None \
                 and new.covered_instructions > config.covered_instructions:
@@ -170,7 +156,7 @@ class DimEngine:
         if tel.enabled:
             tel.emit("translation.started", pc=block.start_pc,
                      reason="retire")
-        config = self._translate(block)
+        config = self.translator.translate(block)
         self.stats.translations += 1
         if config is not None:
             self.stats.translated_instructions += \

@@ -112,9 +112,8 @@ class DimParams:
 
 #: DimParams fields that influence translation.  Cache geometry/policy,
 #: mis-speculation handling and predictor sizing deliberately excluded:
-#: systems differing only in those share one translation partition (of
-#: :class:`~repro.dim.memo.TranslationMemo` and of the columnar
-#: engine).  The
+#: systems differing only in those share one translation partition of
+#: the columnar engine (and of the test oracle's memo).  The
 #: dynflow knobs are included because they change both the walk (mode,
 #: loop bounds) and the built configuration's cost fields (gate and
 #: exit-check cycles are baked into the template).

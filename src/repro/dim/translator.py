@@ -56,11 +56,11 @@ from repro.sim.trace import BasicBlock
 #: successor lookup: start PC -> block, or None when not yet discovered.
 BlockProvider = Callable[[int], Optional[BasicBlock]]
 
-#: probe-log record kinds (see :mod:`repro.dim.memo`).  A translation's
-#: outcome is a pure function of its first block, the array shape, the
-#: policy knobs, and the answers the walk receives from the predictor
-#: and the block provider; recording those answers makes the result
-#: memoizable across engines.
+#: probe-log record kinds (see :meth:`Translator.translate`).  A
+#: translation's outcome is a pure function of its first block, the
+#: array shape, the policy knobs, and the answers the walk receives from
+#: the predictor and the block provider; recording those answers makes
+#: the result memoizable across engines.
 PROBE_DIRECTION = 0
 PROBE_SUCCESSOR = 1
 
@@ -134,8 +134,8 @@ class Translator:
         covered (the paper does not cache configurations of three or
         fewer instructions).  When ``probe_log`` is given, every
         predictor/provider query and its answer is appended to it, which
-        is what lets :class:`repro.dim.memo.TranslationMemo` revalidate
-        and reuse the result.
+        is what lets the columnar engine's translation timeline
+        (:mod:`repro.system.colreplay`) revalidate and reuse the result.
         """
         params = self.params
         alloc = Allocator(self.shape)

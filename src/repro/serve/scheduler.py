@@ -212,6 +212,10 @@ class BatchScheduler:
         if self._inflight:
             await asyncio.gather(*self._inflight,
                                  return_exceptions=True)
+        self.release_pool()
+
+    def release_pool(self) -> None:
+        """Shut the executor down without waiting for running batches."""
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
@@ -264,12 +268,10 @@ class BatchScheduler:
         try:
             payload = await loop.run_in_executor(
                 self._pool, self.runner, spec)
-        except (asyncio.CancelledError, GeneratorExit):
-            # cancellation, or the loop died under us (crash-stop
-            # kill() closes it with this dispatch still pending and
-            # GeneratorExit arrives at collection time): the batch is
-            # orphaned — do NOT run retry bookkeeping, there is no
-            # loop left to run it on.
+        except asyncio.CancelledError:
+            # a stop, or a crash-stop kill() reaping its loop: the batch
+            # is orphaned — do NOT run retry bookkeeping, which would
+            # requeue work the service has given up.
             raise
         except BaseException as exc:  # worker crash or poisoned batch
             self.stats.exec_seconds += loop.time() - start

@@ -87,6 +87,15 @@ class EvalService:
         try:
             loop.run_forever()
         finally:
+            # a crash-stop leaves the claim loop and in-flight dispatches
+            # pending: cancel and reap them (a cancelled dispatch records
+            # nothing), then drop the pool without waiting for its work.
+            pending = asyncio.all_tasks(loop)
+            for task in pending:
+                task.cancel()
+            loop.run_until_complete(
+                asyncio.gather(*pending, return_exceptions=True))
+            self.scheduler.release_pool()
             loop.close()
 
     def stop(self, drain: bool = True,
@@ -114,7 +123,9 @@ class EvalService:
         serving — so a fleet coordinator's heartbeat sees the worker go
         dark immediately instead of after in-flight work unwinds.  Any
         batch still running on the executor is orphaned: its result is
-        never recorded and never observable.  Used by failover tests.
+        never recorded and never observable.  The loop's tasks are
+        cancelled and reaped before it closes, so none is left pending.
+        Used by failover tests.
         """
         if self._stopped or self._loop is None:
             return

@@ -345,7 +345,8 @@ class _Template:
 class _TranslationTimeline:
     """Probe-validated translation results along the replay timeline.
 
-    The columnar analogue of :class:`repro.dim.memo.TranslationMemo`: a
+    The columnar analogue of the translation memo the test oracle
+    (``tests/oracle.py``) runs the event replay with: a
     translation at event boundaries ``(t_pred, t_seen)`` is a pure
     function of the start block plus the probe answers.  Each start
     block has a *probe universe* (every PC any of its translations
@@ -600,8 +601,7 @@ class ColumnarContext:
     Owns the lowered trace, the per-timing cost tables, the per-(shape,
     policy) translation timelines and templates, and the path tables
     every template of one block chain shares whatever its shape or
-    policy; one context per workload replaces the per-workload
-    :class:`TranslationMemo` of the event path.
+    policy.
     ``alloc_hits``/``alloc_misses`` accumulate the translation reuse
     counters for sweep instrumentation.
     """

@@ -4,8 +4,7 @@
 coupled simulator all report for one (workload, system) pair, and
 :class:`CoupledRunResult` the outcome of one run on the accelerated
 system.  They live on their own so a single ``repro run`` can build
-both without loading the coupled simulator, the sweep engine or the
-translation memo.
+both without loading the coupled simulator or the sweep engine.
 """
 
 from __future__ import annotations

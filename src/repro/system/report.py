@@ -101,7 +101,7 @@ def build_report(program: Program,
     plain = run_program(program, collect_trace=True, timing=config.timing,
                         telemetry=telemetry)
     base = SystemMetrics.from_stats("mips", plain.stats)
-    metrics, engine = _replay(plain.trace, config, "", None, telemetry)
+    metrics, engine = _replay(plain.trace, config, "", telemetry)
     profile = block_profile(plain.trace)
     coverage = blocks_for_coverage(profile, fractions=(0.8,))
     breakdown = energy_of(metrics, energy_params)

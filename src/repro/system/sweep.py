@@ -226,7 +226,7 @@ def _obtain_trace(name: str, cache: Optional[ArtifactCache],
     start = time.perf_counter()
     try:
         cached_run = _RUNS.get(name)
-        if cached_run is not None and cached_run.trace is not None:
+        if cached_run is not None:
             inst.traces_in_memory += 1
             return cached_run.trace
         if cache is not None:

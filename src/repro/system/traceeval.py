@@ -9,7 +9,9 @@ simulator — the test suite asserts this.  It is the single-run engine:
 :func:`repro.api.run` (``repro run`` and serve ``"run"`` jobs) executes
 the program once, traced, and computes the accelerated metrics here.
 It is also the event-by-event reference the columnar engine
-(:mod:`repro.system.colreplay`) is tested against.  With a
+(:mod:`repro.system.colreplay`) is tested against; the test oracle
+(``tests/oracle.py``) memoizes its translations from the outside, so
+the replay itself models only the DIM hardware.  With a
 ``telemetry`` sink it emits the per-event engine stream and folds the
 engine counters an observed sweep reads off its columnar metrics.
 
@@ -188,25 +190,20 @@ def _run_dual(engine: DimEngine, cfg: Configuration, events,
 
 def evaluate_trace(trace: Trace, config: SystemConfig,
                    name: str = "",
-                   memo=None,
                    telemetry=None) -> SystemMetrics:
     """Replay a trace through a DIM system; returns its metrics.
 
     The replay mirrors :class:`repro.system.coupled.CoupledSimulator`
     decision for decision: same lookup points, same translation and
     extension triggers, same speculation resolution and flush policy.
-    ``memo``, an optional :class:`~repro.dim.memo.TranslationMemo`,
-    shares translation work with other evaluations of the same trace;
-    it never changes the returned metrics.  (It is left unannotated so
-    the annotations resolve at runtime while a single run, which passes
-    none, never imports the memo.)  ``telemetry`` optionally injects a
-    :class:`repro.obs.Telemetry` sink; telemetry is purely
-    observational, so metrics are identical with or without it.
+    ``telemetry`` optionally injects a :class:`repro.obs.Telemetry`
+    sink; telemetry is purely observational, so metrics are identical
+    with or without it.
     """
-    return _replay(trace, config, name, memo, telemetry)[0]
+    return _replay(trace, config, name, telemetry)[0]
 
 
-def _replay(trace: Trace, config: SystemConfig, name: str, memo,
+def _replay(trace: Trace, config: SystemConfig, name: str,
             telemetry) -> Tuple[SystemMetrics, DimEngine]:
     """:func:`evaluate_trace`'s metrics, and the engine that replayed
     the trace (:mod:`repro.system.report` renders its cache)."""
@@ -219,7 +216,7 @@ def _replay(trace: Trace, config: SystemConfig, name: str, memo,
         return table.get_by_pc(pc)
 
     engine = DimEngine(config.shape, config.dim, provider,
-                       translation_memo=memo, telemetry=telemetry)
+                       telemetry=telemetry)
     #: whole blocks run on the core, by event code
     normal: Dict[int, int] = {}
     exits: Exits = {}

@@ -31,9 +31,6 @@ from repro.traffic.schedule import ScheduledRequest, TrafficSpec, \
 #: serve/fleet error codes that mean "load was shed", not "job failed".
 SHED_CODES = frozenset({"queue_full", "fleet_saturated", "shutting_down"})
 
-#: job states that end a request (mirrors serve.protocol.JobState).
-_TERMINAL = frozenset({"done", "failed", "cancelled", "timeout"})
-
 
 @dataclass
 class TrafficStats:
@@ -224,6 +221,8 @@ def replay_traffic(client, spec: TrafficSpec,
     protocol).  ``config`` is the system configuration each evaluate job
     carries; defaults to the paper's C2/64/speculative array.
     """
+    from repro.serve.protocol import JobState
+
     schedule = build_schedule(spec, names)
     config = config or {"array": "C2", "slots": 64, "speculation": True}
     stats = stats if stats is not None else TrafficStats()
@@ -266,14 +265,14 @@ def replay_traffic(client, spec: TrafficSpec,
         with state.lock:
             for job_id, request in list(state.pending.items()):
                 job_state = states.get(job_id)
-                if job_state in _TERMINAL:
+                if job_state in JobState.TERMINAL:
                     del state.pending[job_id]
                     state.settled += 1
                     latency = observed - (state.start + request.at)
-                    if job_state == "done":
+                    if job_state == JobState.DONE:
                         stats.requests_completed += 1
                         latencies.append(latency)
-                    elif job_state == "timeout":
+                    elif job_state == JobState.TIMEOUT:
                         stats.requests_timed_out += 1
                     else:
                         stats.requests_failed += 1

@@ -242,21 +242,20 @@ def _load_program(name: str) -> Program:
     return compile_to_program(workload.source, source_name=name)
 
 
-def run_workload(name: str, collect_trace: bool = True,
-                 fast: bool = True) -> RunResult:
+def run_workload(name: str, fast: bool = True) -> RunResult:
     """Execute (with caching) one workload on the plain MIPS core.
 
-    The cached result carries the basic-block trace every benchmark
-    harness replays; runs are cached because tracing a workload is the
-    expensive step of the evaluation.  Runs are block-compiled
-    (:mod:`repro.sim.fastpath`); ``fast`` is accepted for old callers
-    and ignored.
+    The cached result always carries the basic-block trace every
+    benchmark harness replays; runs are cached because tracing a
+    workload is the expensive step of the evaluation.  Runs are
+    block-compiled (:mod:`repro.sim.fastpath`); ``fast`` is accepted
+    for old callers and ignored.
     """
     del fast
     cached = _RUNS.get(name)
     if cached is not None:
         return cached
-    result = _run_checked(name, load_workload(name), collect_trace)
+    result = _run_checked(name, load_workload(name))
     _RUNS[name] = result
     return result
 
@@ -273,12 +272,12 @@ def trace_workload(name: str) -> Trace:
     program = _PROGRAMS.get(name)
     if program is None:
         program = _load_program(name)
-    return _run_checked(name, program, True).trace
+    return _run_checked(name, program).trace
 
 
-def _run_checked(name: str, program: Program,
-                 collect_trace: bool) -> RunResult:
-    result = run_program(program, collect_trace=collect_trace)
+def _run_checked(name: str, program: Program) -> RunResult:
+    """A traced run of ``program``; raises unless it exits cleanly."""
+    result = run_program(program, collect_trace=True)
     if result.exit_code != 0:
         raise RuntimeError(
             f"workload {name} exited with {result.exit_code}")

@@ -1,5 +1,6 @@
 """The command-line interface."""
 
+import ast
 import json
 import os
 import subprocess
@@ -177,13 +178,12 @@ def test_cli_start_up_and_single_run_never_load_numpy():
 
 
 #: what a single ``repro run`` must not load: the other subcommands,
-#: the sweep engine, its artifact store, the translation memo, the
-#: coupled simulator it replays instead of, and (telemetry off) the
-#: counter collectors.
+#: the sweep engine, its artifact store, the coupled simulator it
+#: replays instead of, and (telemetry off) the counter collectors.
 _NOT_ON_RUN_PATH = ("repro.commands",
                     "repro.system.colreplay", "repro.system.sweep",
                     "repro.sim.coltrace", "repro.system.artifacts",
-                    "repro.dim.memo", "repro.system.coupled",
+                    "repro.system.coupled",
                     "repro.obs.schema", "pickle",
                     # a built-in runs from its program image: no front end
                     "repro.asm.assembler", "repro.minic",
@@ -222,18 +222,26 @@ def test_cli_start_up_and_single_run_load_only_the_run_path():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_sweep_import_leaves_the_translation_memo_unloaded():
-    """The columnar sweep partitions translations by
-    ``repro.dim.params.policy_key``: only the event engine's memo loads
-    ``repro.dim.memo``."""
-    script = ("import sys\n"
-              "import repro.system.sweep\n"
-              "assert 'repro.dim.memo' not in sys.modules\n")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(__file__).parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+def _imported_modules(tree: ast.AST):
+    """Every absolute module name an ``import`` or ``from`` names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
+
+
+def test_no_product_module_imports_the_tests():
+    """The event oracle and its translation memo live in ``tests``; the
+    product must run without them."""
+    src = Path(__file__).parent.parent / "src"
+    offenders = sorted(
+        f"{path.relative_to(src)}: {module}"
+        for path in src.rglob("*.py")
+        for module in _imported_modules(ast.parse(path.read_text(),
+                                                  str(path)))
+        if module == "tests" or module.startswith("tests."))
+    assert not offenders
 
 
 def test_lazy_facades_resolve_every_exported_name():

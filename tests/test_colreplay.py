@@ -17,7 +17,6 @@ import pytest
 
 from repro.asm import assemble
 from repro.cli import main
-from repro.dim.memo import TranslationMemo
 from repro.dim.params import DimParams
 from repro.dim.predictor import BimodalPredictor
 from repro.obs.schema import (
@@ -44,7 +43,7 @@ from repro.system.colreplay import (
 from repro.system.config import PAPER_SHAPES, custom_system, paper_system
 from repro.system.traceeval import baseline_metrics, evaluate_trace
 from repro.workloads import run_workload, workload_names
-from tests.oracle import event_matrix
+from tests.oracle import TranslationMemo, evaluate_memoized, event_matrix
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -99,7 +98,7 @@ def test_columnar_matches_event_engine(name):
     memo = TranslationMemo()
     seen_timings = set()
     for config in grid_configs():
-        event = evaluate_trace(trace, config, name=name, memo=memo)
+        event = evaluate_memoized(trace, config, memo, name=name)
         columnar = evaluate_trace_columnar(trace, config, name=name,
                                            context=context)
         assert_same_metrics(columnar, event)

@@ -24,7 +24,6 @@ from pathlib import Path
 import pytest
 
 from repro.cgra.shape import ArrayShape, default_immediate_slots
-from repro.dim.memo import TranslationMemo
 from repro.dim.params import DimParams
 from repro.dse import (
     Axis,
@@ -57,8 +56,9 @@ from repro.sim.cpu import run_program
 from repro.sim.stats import TimingModel
 from repro.system.area import AreaParams, area_report
 from repro.system.config import SystemConfig
-from repro.system.traceeval import baseline_metrics, evaluate_trace
+from repro.system.traceeval import baseline_metrics
 from repro.workloads import load_workload
+from tests.oracle import TranslationMemo, evaluate_memoized
 
 SMOKE_SPACE = Path(__file__).parent.parent / "examples" \
     / "dse_smoke_space.json"
@@ -346,7 +346,7 @@ def _legacy_search_shapes(traces, shapes, area_budget_gates=None,
                               name=f"{shape.rows}r{shape.alus_per_row}a")
         product = 1.0
         for name, trace in traces.items():
-            metrics = evaluate_trace(trace, config, memo=memos[name])
+            metrics = evaluate_memoized(trace, config, memos[name])
             product *= baselines[name].cycles / metrics.cycles
         geomean = product ** (1.0 / len(traces))
         rows.append((shape, gates, geomean, geomean / (gates / 1e6)))

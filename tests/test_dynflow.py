@@ -30,7 +30,6 @@ from repro.asm import assemble
 from repro.cgra.shape import ArrayShape
 from repro.corpus import CorpusKnobs, generate_corpus, register_corpus
 from repro.dim import BimodalPredictor, DimParams, Translator
-from repro.dim.memo import TranslationMemo
 from repro.dim.params import DYNFLOW_MODES
 from repro.minic import compile_to_program
 from repro.obs import EVENT_TYPES, Telemetry, engine_counters
@@ -39,7 +38,7 @@ from repro.sim import Simulator, run_program
 from repro.system import evaluate_trace, paper_system
 from repro.system.colreplay import ColumnarContext, evaluate_trace_columnar
 from repro.system.coupled import run_coupled
-from tests.oracle import event_matrix
+from tests.oracle import TranslationMemo, evaluate_memoized, event_matrix
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -395,8 +394,8 @@ def test_columnar_matches_event_engine_per_mode(plain_runs, name):
                  paper_system("C3", 64, True)):
         for mode in MODES:
             config = with_mode(base, mode)
-            event = evaluate_trace(plain.trace, config, name=name,
-                                   memo=memo)
+            event = evaluate_memoized(plain.trace, config, memo,
+                                      name=name)
             columnar = evaluate_trace_columnar(plain.trace, config,
                                                name=name,
                                                context=context)

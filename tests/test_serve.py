@@ -12,6 +12,7 @@ Four families of guarantees:
    the offline :mod:`repro.api` calls for the same inputs.
 """
 
+import asyncio
 import json
 import time
 
@@ -472,6 +473,48 @@ def test_cancel_running_job_discards_result():
         assert svc.stats.jobs_cancelled == 1
     finally:
         svc.stop(drain=False)
+
+
+def test_kill_reaps_every_task_and_records_no_result():
+    import gc
+    import threading
+
+    release = threading.Event()
+
+    def gated(spec):
+        release.wait(10)
+        return _stub_runner(spec)
+
+    svc = EvalService(workers=0, batch_window=0.0,
+                      runner=gated).start()
+    loop = svc._loop
+    reported = []
+    loop.set_exception_handler(
+        lambda _loop, context: reported.append(context["message"]))
+    try:
+        job_id = svc.submit({"kind": "evaluate", "names": ["crc"],
+                             "configs": [CRC_C1]})["job_id"]
+        deadline = time.monotonic() + 5
+        while (svc.status(job_id)["state"] != JobState.RUNNING
+               and time.monotonic() < deadline):
+            time.sleep(0.005)
+        assert svc.status(job_id)["state"] == JobState.RUNNING
+        job = svc.manager.jobs[job_id]
+        pool = svc.scheduler._pool
+        svc.kill()
+    finally:
+        release.set()
+    assert loop.is_closed()
+    assert not asyncio.all_tasks(loop)
+    # once the orphaned batch ends nothing else holds a task, so one
+    # left pending would be destroyed, and reported, right here
+    pool.shutdown(wait=True)
+    del svc
+    gc.collect()
+    assert not [message for message in reported
+                if "destroyed but it is pending" in message]
+    assert job.result is None
+    assert job.state == JobState.RUNNING
 
 
 # ----------------------------------------------------------------------

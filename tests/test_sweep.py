@@ -13,7 +13,6 @@ import typing
 import pytest
 
 from repro.cli import main
-from repro.dim.memo import TranslationMemo
 from repro.dim.params import policy_key
 from repro.system import paper_system
 from repro.system.artifacts import ArtifactCache
@@ -27,7 +26,7 @@ from repro.system.sweep import (
 from repro.system.traceeval import baseline_metrics, evaluate_trace
 from repro.workloads import run_workload
 from repro.workloads.suite import evaluate_suite
-from tests.oracle import event_matrix
+from tests.oracle import TranslationMemo, evaluate_memoized, event_matrix
 
 WORKLOADS = ("crc", "sha", "quicksort")
 
@@ -191,10 +190,9 @@ def test_replay_matrix_keeps_unregistered_rows_out_of_the_store(
 def test_memo_shares_translations_across_slot_variants():
     trace = run_workload("crc").trace
     memo = TranslationMemo()
-    first = evaluate_trace(trace, paper_system("C2", 16, True), memo=memo)
+    first = evaluate_memoized(trace, paper_system("C2", 16, True), memo)
     misses_after_first = memo.misses
-    second = evaluate_trace(trace, paper_system("C2", 256, True),
-                            memo=memo)
+    second = evaluate_memoized(trace, paper_system("C2", 256, True), memo)
     # the slot-count change shares the memo partition entirely
     assert memo.misses == misses_after_first
     assert memo.hits > 0

@@ -227,7 +227,7 @@ def test_reprocess_exits_match_the_coupled_oracle():
     config = paper_system("C1", 16, True)
     _assert_run_matches_the_coupled_oracle(program, config)
     trace = run_program(program, collect_trace=True).trace
-    _, engine = traceeval._replay(trace, config, "", None, None)
+    _, engine = traceeval._replay(trace, config, "", None)
     cached = [engine.cache.peek(block.start_pc)
               for block in trace.table.blocks]
     assert any(cfg is not None and cfg.blocks[-1].covered == 0
