@@ -127,8 +127,6 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro._lazy import lazy_dir, lazy_exports
-
 if TYPE_CHECKING:
     from repro.asm.program import Program
     from repro.obs import Telemetry
@@ -141,11 +139,6 @@ _SPEC_VALUES = {"off": (False,), "on": (True,), "both": (False, True)}
 COMMANDS = ("run", "workloads", "inspect", "characterize", "report",
             "suite", "sweep", "explore", "mpsoc", "serve", "fleet",
             "cache", "submit", "jobs", "corpus", "traffic", "disasm")
-
-#: helpers that moved to :mod:`repro.commands`, still importable here
-_MOVED = {"_subset_names": "repro.commands"}
-__getattr__ = lazy_exports(globals(), _MOVED)
-__dir__ = lazy_dir(globals(), _MOVED)
 
 
 def _load_target(target: str) -> Program:

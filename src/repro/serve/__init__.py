@@ -4,8 +4,8 @@ Every ``repro run``/``evaluate``/``sweep`` invocation used to be a cold
 process that rebuilt traces, columnar contexts and caches it would immediately
 throw away.  This package keeps them alive behind a long-lived service:
 
-- :mod:`repro.serve.queue` — an asyncio job manager: bounded priority
-  queue, per-job deadlines, cancellation, retry-with-backoff.
+- :mod:`repro.serve.queue` — the job manager, under one lock: bounded
+  priority queue, per-job deadlines, cancellation, retry-with-backoff.
 - :mod:`repro.serve.scheduler` — the batch coalescer: pending jobs that
   share a workload fingerprint are served by **one** matrix replay
   (one trace + one columnar context per workload), on warm workers

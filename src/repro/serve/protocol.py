@@ -158,9 +158,9 @@ class JobRequest:
 
         ``evaluate``/``sweep`` jobs replay the same workload traces
         whenever their names agree — their configurations may differ
-        freely, that is exactly what the matrix replay shares.  ``run``
-        jobs re-execute the coupled system, so they only share the
-        plain-run cache of one target.
+        freely, that is exactly what the matrix replay shares.  A
+        ``run`` job is a traced plain run plus an event replay of its
+        target (:func:`repro.api.run`), keyed by the target alone.
         """
         if self.kind == "run":
             identity = ("run", self.target)

@@ -1,4 +1,4 @@
-"""The asyncio job manager: a bounded, prioritised, deadline-aware queue.
+"""The job manager: a bounded, prioritised, deadline-aware queue.
 
 One :class:`JobManager` owns every job's lifecycle.  Submissions enter a
 bounded priority queue (higher ``priority`` first, FIFO within a
@@ -14,23 +14,34 @@ mid-replay.  Cancellation works the same way — pending jobs cancel
 immediately, running jobs have their result discarded on completion.
 
 Worker failures (a crashed process, a poisoned batch) are retried with
-exponential backoff up to ``max_retries`` times per job; beyond that
-the job fails with a structured ``worker_failure`` error.
+exponential backoff up to ``max_retries`` times per job: the job goes
+straight back into the queue with a not-before time that
+:meth:`JobManager.claim_batch` honours, so a backoff holds no thread or
+timer.  Beyond the retries the job fails with a structured
+``worker_failure`` error.
 
-All methods are coroutines and must run on the manager's event loop;
-:class:`repro.serve.server.EvalService` provides the thread-safe
-bridges the HTTP handlers use.
+One :class:`threading.Condition`, :attr:`JobManager.lock`, guards the
+jobs, the queue and the :class:`ServeStats`; every method takes it, and
+blocking calls (:meth:`~JobManager.claim_batch`,
+:meth:`~JobManager.wait_job`, :meth:`~JobManager.wait_drained`) wait on
+it.  The lock is re-entrant, so the scheduler and the service hold it
+across a manager call and the telemetry that call feeds.
 """
 
 from __future__ import annotations
 
-import asyncio
-import heapq
 import itertools
-from dataclasses import dataclass, field
+import threading
+import time
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.serve.protocol import JobRequest, JobState, ProtocolError
+
+#: the status error code of a job that ended in each non-done state.
+_STATE_ERRORS = {JobState.CANCELLED: "job_cancelled",
+                 JobState.TIMEOUT: "job_timeout",
+                 JobState.FAILED: "worker_failure"}
 
 
 @dataclass
@@ -91,13 +102,14 @@ class Job:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     deadline: Optional[float] = None
+    #: a retried job is not claimed before this (monotonic) time.
+    not_before: float = 0.0
     attempts: int = 0
     cancel_requested: bool = False
     result: Optional[Dict[str, object]] = None
     error: Optional[Dict[str, object]] = None
     #: width of the batch this job last ran in (observability only).
     batch_width: int = 0
-    waiters: List[asyncio.Event] = field(default_factory=list)
 
     def status(self) -> Dict[str, object]:
         """The wire-level status object (JSON scalars only)."""
@@ -114,14 +126,9 @@ class Job:
             payload["error"] = dict(self.error)
         return payload
 
-    def _wake(self) -> None:
-        for event in self.waiters:
-            event.set()
-        self.waiters.clear()
-
 
 class JobManager:
-    """Bounded asyncio queue of jobs with priorities and deadlines."""
+    """Bounded queue of jobs with priorities and deadlines."""
 
     def __init__(self, capacity: int = 256, max_retries: int = 2,
                  backoff_base: float = 0.05, stats: Optional[ServeStats]
@@ -133,24 +140,13 @@ class JobManager:
         self.backoff_base = backoff_base
         self.stats = stats if stats is not None else ServeStats()
         self.jobs: Dict[str, Job] = {}
-        self._heap: List[tuple] = []  # (-priority, seq, job_id)
-        self._cond: Optional[asyncio.Condition] = None
+        #: every pending job, by id; a job is here iff it is pending.
+        self._queue: Dict[str, Job] = {}
+        self.lock = threading.Condition()
         self._seq = itertools.count(1)
         self._paused = False
         self._accepting = True
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-
-    # ------------------------------------------------------------------
-    # Loop plumbing.
-    # ------------------------------------------------------------------
-    def bind(self) -> None:
-        """Attach to the running event loop (call once, from the loop)."""
-        self._loop = asyncio.get_running_loop()
-        self._cond = asyncio.Condition()
-
-    def _now(self) -> float:
-        assert self._loop is not None, "JobManager.bind() not called"
-        return self._loop.time()
+        self._closed = False
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -158,13 +154,14 @@ class JobManager:
     @property
     def depth(self) -> int:
         """Pending jobs currently queued."""
-        return len(self._heap)
+        return len(self._queue)
 
     @property
     def active(self) -> int:
         """Jobs not yet in a terminal state (pending + running)."""
-        return sum(1 for job in self.jobs.values()
-                   if job.state not in JobState.TERMINAL)
+        with self.lock:
+            return sum(1 for job in self.jobs.values()
+                       if job.state not in JobState.TERMINAL)
 
     @property
     def paused(self) -> bool:
@@ -180,50 +177,48 @@ class JobManager:
     # ------------------------------------------------------------------
     # Submission and cancellation.
     # ------------------------------------------------------------------
-    async def submit(self, request: JobRequest) -> Job:
-        if not self._accepting:
-            self.stats.jobs_rejected += 1
-            raise ProtocolError("shutting_down",
-                                "service is draining; submission "
-                                "rejected", http_status=503)
-        if self.depth >= self.capacity:
-            self.stats.jobs_rejected += 1
-            raise ProtocolError(
-                "queue_full",
-                f"queue is full ({self.capacity} pending jobs)",
-                http_status=429)
-        seq = next(self._seq)
-        job = Job(id=f"j{seq:06d}", request=request, seq=seq,
-                  submitted_at=self._now())
-        if request.timeout is not None:
-            job.deadline = job.submitted_at + request.timeout
-        self.jobs[job.id] = job
-        self._push(job)
-        self.stats.jobs_submitted += 1
-        self.stats.max_queue_depth = max(self.stats.max_queue_depth,
-                                         self.depth)
-        async with self._cond:
-            self._cond.notify_all()
-        return job
+    def submit(self, request: JobRequest) -> Job:
+        with self.lock:
+            if not self._accepting:
+                self.stats.jobs_rejected += 1
+                raise ProtocolError("shutting_down",
+                                    "service is draining; submission "
+                                    "rejected", http_status=503)
+            if len(self._queue) >= self.capacity:
+                self.stats.jobs_rejected += 1
+                raise ProtocolError(
+                    "queue_full",
+                    f"queue is full ({self.capacity} pending jobs)",
+                    http_status=429)
+            seq = next(self._seq)
+            job = Job(id=f"j{seq:06d}", request=request, seq=seq,
+                      submitted_at=time.monotonic())
+            if request.timeout is not None:
+                job.deadline = job.submitted_at + request.timeout
+            self.jobs[job.id] = job
+            self._queue[job.id] = job
+            self.stats.jobs_submitted += 1
+            self.stats.max_queue_depth = max(self.stats.max_queue_depth,
+                                             len(self._queue))
+            self.lock.notify_all()
+            return job
 
-    async def cancel(self, job_id: str) -> Job:
-        job = self.job(job_id)
-        if job.state == JobState.PENDING:
-            self._heap = [entry for entry in self._heap
-                          if entry[2] != job.id]
-            heapq.heapify(self._heap)
-            self._finalize(job, JobState.CANCELLED,
-                           error={"code": "job_cancelled",
-                                  "message": "cancelled while pending"})
-        elif job.state == JobState.RUNNING:
-            # cooperative: the batch result will be discarded on return
-            job.cancel_requested = True
-        return job
+    def cancel(self, job_id: str) -> Job:
+        with self.lock:
+            job = self.job(job_id)
+            if job.state == JobState.PENDING:
+                del self._queue[job.id]
+                self._finalize(job, JobState.CANCELLED,
+                               "cancelled while pending")
+            elif job.state == JobState.RUNNING:
+                # cooperative: the batch result is discarded on return
+                job.cancel_requested = True
+            return job
 
     # ------------------------------------------------------------------
     # Scheduler side: claiming, finishing, retrying.
     # ------------------------------------------------------------------
-    async def claim_batch(self, window: float = 0.0) -> List[Job]:
+    def claim_batch(self, window: float = 0.0) -> Optional[List[Job]]:
         """The next batch: the best pending job plus every pending job
         sharing its fingerprint (claimed in submission order).
 
@@ -231,158 +226,146 @@ class JobManager:
         paused.  ``window`` optionally sleeps once after the first job
         becomes available so near-simultaneous submissions coalesce.
         Deadline-expired pending jobs are finalised (``timeout``) and
-        never returned.
+        never returned, so the batch may be empty; ``None`` means the
+        manager was closed.
         """
-        async with self._cond:
-            while True:
-                if not self._paused:
-                    self._expire_pending()
-                    if self._heap:
-                        break
-                await self._cond.wait()
+        with self.lock:
+            while self._paused or not self._ready(now := time.monotonic()):
+                if self._closed:
+                    return None
+                # wake when the first backoff ends, if a job is in one
+                self.lock.wait(None if self._paused else min(
+                    (job.not_before - now for job in self._queue.values()),
+                    default=None))
         if window > 0:
-            await asyncio.sleep(window)
-            async with self._cond:
-                self._expire_pending()
-                if not self._heap:
-                    return []
-        lead = self._pop()
-        fingerprint = lead.request.fingerprint
-        batch = [lead]
-        batch.extend(self._pop_matching(fingerprint))
-        batch.sort(key=lambda job: job.seq)
-        now = self._now()
-        for job in batch:
-            job.state = JobState.RUNNING
-            job.started_at = now
-            job.attempts += 1
-            job.batch_width = len(batch)
-            self.stats.queue_seconds += now - job.submitted_at
-        self.stats.batches += 1
-        self.stats.batched_jobs += len(batch)
-        self.stats.max_batch_width = max(self.stats.max_batch_width,
-                                         len(batch))
-        return batch
+            time.sleep(window)
+        with self.lock:
+            if self._closed:
+                return None
+            now = time.monotonic()
+            ready = self._ready(now)
+            if not ready:
+                return []
+            lead = min(ready, key=lambda job: (-job.request.priority,
+                                               job.seq))
+            batch = sorted((job for job in ready if job.request.fingerprint
+                            == lead.request.fingerprint),
+                           key=lambda job: job.seq)
+            for job in batch:
+                del self._queue[job.id]
+                job.state = JobState.RUNNING
+                job.started_at = now
+                job.attempts += 1
+                job.batch_width = len(batch)
+                self.stats.queue_seconds += now - job.submitted_at
+            self.stats.batches += 1
+            self.stats.batched_jobs += len(batch)
+            self.stats.max_batch_width = max(self.stats.max_batch_width,
+                                             len(batch))
+            return batch
 
     def finish(self, job: Job, result: Dict[str, object]) -> None:
         """Record a computed result, honouring cancel/deadline flags."""
-        if job.cancel_requested:
-            self._finalize(job, JobState.CANCELLED,
-                           error={"code": "job_cancelled",
-                                  "message": "cancelled while running"})
-        elif job.deadline is not None and self._now() > job.deadline:
-            self._finalize(job, JobState.TIMEOUT,
-                           error={"code": "job_timeout",
-                                  "message": "deadline expired during "
-                                             "execution"})
-        else:
-            job.result = result
-            self._finalize(job, JobState.DONE)
+        with self.lock:
+            if job.cancel_requested:
+                self._finalize(job, JobState.CANCELLED,
+                               "cancelled while running")
+            elif (job.deadline is not None
+                  and time.monotonic() > job.deadline):
+                self._finalize(job, JobState.TIMEOUT,
+                               "deadline expired during execution")
+            else:
+                job.result = result
+                self._finalize(job, JobState.DONE)
 
     def fail(self, job: Job, message: str) -> None:
-        self._finalize(job, JobState.FAILED,
-                       error={"code": "worker_failure",
-                              "message": message,
-                              "attempts": job.attempts})
+        with self.lock:
+            self._finalize(job, JobState.FAILED, message,
+                           attempts=job.attempts)
 
-    async def retry_later(self, job: Job) -> bool:
-        """Requeue ``job`` after backoff; False once retries exhausted."""
-        if job.attempts > self.max_retries:
-            return False
-        if job.cancel_requested:
-            self._finalize(job, JobState.CANCELLED,
-                           error={"code": "job_cancelled",
-                                  "message": "cancelled while running"})
+    def retry_later(self, job: Job) -> bool:
+        """Requeue ``job`` behind its backoff; False once retries are
+        exhausted."""
+        with self.lock:
+            if job.attempts > self.max_retries:
+                return False
+            if job.cancel_requested:
+                self._finalize(job, JobState.CANCELLED,
+                               "cancelled while running")
+                return True
+            self.stats.retries += 1
+            job.state = JobState.PENDING
+            job.not_before = (time.monotonic() + self.backoff_base
+                              * 2 ** (job.attempts - 1))
+            self._queue[job.id] = job
+            self.lock.notify_all()
             return True
-        self.stats.retries += 1
-        delay = self.backoff_base * (2 ** (job.attempts - 1))
-        asyncio.get_running_loop().create_task(
-            self._requeue_after(job, delay))
-        return True
-
-    async def _requeue_after(self, job: Job, delay: float) -> None:
-        await asyncio.sleep(delay)
-        job.state = JobState.PENDING
-        self._push(job)
-        async with self._cond:
-            self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # Draining.
     # ------------------------------------------------------------------
     def stop_accepting(self) -> None:
-        self._accepting = False
+        with self.lock:
+            self._accepting = False
 
-    async def pause(self) -> None:
-        self._paused = True
+    def close(self) -> None:
+        """Refuse submissions for good, end :meth:`claim_batch` and wake
+        every waiter."""
+        with self.lock:
+            self._accepting = False
+            self._closed = True
+            self.lock.notify_all()
 
-    async def resume(self) -> None:
-        self._paused = False
-        async with self._cond:
-            self._cond.notify_all()
+    def pause(self) -> None:
+        with self.lock:
+            self._paused = True
 
-    async def wait_drained(self, poll: float = 0.01) -> None:
-        """Return once every submitted job reached a terminal state."""
-        while self.active:
-            await asyncio.sleep(poll)
+    def resume(self) -> None:
+        with self.lock:
+            self._paused = False
+            self.lock.notify_all()
 
-    async def wait_job(self, job: Job) -> Job:
-        """Block until ``job`` reaches a terminal state."""
-        if job.state in JobState.TERMINAL:
+    def wait_drained(self, timeout: Optional[float] = None) -> bool:
+        """Block until every submitted job reached a terminal state (or
+        the manager closed); False if ``timeout`` ran out first."""
+        with self.lock:
+            return self.lock.wait_for(
+                lambda: self._closed or not self.active, timeout)
+
+    def wait_job(self, job: Job, timeout: Optional[float] = None) -> Job:
+        """Block until ``job`` reaches a terminal state, the manager
+        closes or ``timeout`` runs out."""
+        with self.lock:
+            self.lock.wait_for(lambda: self._closed
+                               or job.state in JobState.TERMINAL,
+                               timeout)
             return job
-        event = asyncio.Event()
-        job.waiters.append(event)
-        if job.state in JobState.TERMINAL:  # finalized before append
-            return job
-        await event.wait()
-        return job
 
     # ------------------------------------------------------------------
-    # Internals.
+    # Internals (called with the lock held).
     # ------------------------------------------------------------------
-    def _push(self, job: Job) -> None:
-        heapq.heappush(self._heap,
-                       (-job.request.priority, job.seq, job.id))
+    def _ready(self, now: float) -> List[Job]:
+        """Pending jobs past their backoff, after timing out every
+        pending job whose deadline expired."""
+        ready = []
+        for job in list(self._queue.values()):
+            if job.deadline is not None and now > job.deadline:
+                del self._queue[job.id]
+                self._finalize(job, JobState.TIMEOUT,
+                               "deadline expired while queued")
+            elif job.not_before <= now:
+                ready.append(job)
+        return ready
 
-    def _pop(self) -> Job:
-        _, _, job_id = heapq.heappop(self._heap)
-        return self.jobs[job_id]
-
-    def _pop_matching(self, fingerprint: str) -> List[Job]:
-        matched, kept = [], []
-        for entry in self._heap:
-            job = self.jobs[entry[2]]
-            if job.request.fingerprint == fingerprint:
-                matched.append(job)
-            else:
-                kept.append(entry)
-        if matched:
-            self._heap = kept
-            heapq.heapify(self._heap)
-        return matched
-
-    def _expire_pending(self) -> None:
-        now = self._now()
-        expired = [entry for entry in self._heap
-                   if (job := self.jobs[entry[2]]).deadline is not None
-                   and now > job.deadline]
-        if not expired:
-            return
-        keep = [entry for entry in self._heap if entry not in expired]
-        self._heap = keep
-        heapq.heapify(self._heap)
-        for entry in expired:
-            job = self.jobs[entry[2]]
-            self._finalize(job, JobState.TIMEOUT,
-                           error={"code": "job_timeout",
-                                  "message": "deadline expired while "
-                                             "queued"})
-
-    def _finalize(self, job: Job, state: str,
-                  error: Optional[Dict[str, object]] = None) -> None:
+    def _finalize(self, job: Job, state: str, message: str = "",
+                  **details: object) -> None:
+        """End ``job`` in ``state``; any state but ``done`` carries a
+        status error with ``message``."""
         job.state = state
-        job.error = error
-        job.finished_at = self._now()
+        if state != JobState.DONE:
+            job.error = {"code": _STATE_ERRORS[state], "message": message,
+                         **details}
+        job.finished_at = time.monotonic()
         self.stats.observe_latency(job.finished_at - job.submitted_at)
         if state == JobState.DONE:
             self.stats.jobs_completed += 1
@@ -392,4 +375,4 @@ class JobManager:
             self.stats.jobs_cancelled += 1
         elif state == JobState.TIMEOUT:
             self.stats.jobs_timed_out += 1
-        job._wake()
+        self.lock.notify_all()

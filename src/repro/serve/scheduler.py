@@ -30,6 +30,12 @@ Execution happens on *warm workers*:
   pins the same resolved artifact-cache directory (``REPRO_CACHE_DIR``)
   so disk artifacts are shared between workers and across restarts.
 
+One daemon claim thread blocks in :meth:`JobManager.claim_batch` and
+hands each batch to the executor with ``submit``; the future's
+done-callback records the outcome.  Both take the manager's lock for
+every change to job state, :class:`ServeStats` and telemetry, so the
+service has one lock and no event loop.
+
 A batch that raises (worker crash, poisoned input) is retried per job
 with exponential backoff via :meth:`JobManager.retry_later`; a broken
 process pool is rebuilt before the retry lands.  Everything the
@@ -40,9 +46,10 @@ latency, retry counts, worker cache hit-rates — flows through the
 
 from __future__ import annotations
 
-import asyncio
 import os
-from concurrent.futures import (BrokenExecutor, Executor,
+import threading
+import time
+from concurrent.futures import (BrokenExecutor, Executor, Future,
                                 ProcessPoolExecutor, ThreadPoolExecutor)
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
@@ -150,7 +157,7 @@ def run_batch(spec: BatchSpec) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# Scheduler (runs on the service event loop).
+# Scheduler (a claim thread plus the executor's done-callbacks).
 # ----------------------------------------------------------------------
 class BatchScheduler:
     """Claims batches from the queue and runs them on warm workers."""
@@ -174,8 +181,11 @@ class BatchScheduler:
         self.batch_window = batch_window
         self.runner = runner
         self._pool: Optional[Executor] = None
-        self._task: Optional[asyncio.Task] = None
-        self._inflight: set = set()
+        self._thread: Optional[threading.Thread] = None
+        #: batches handed to the executor and not yet recorded.
+        self._inflight = 0
+        #: set by :meth:`stop`: a batch ending later records nothing.
+        self._orphaned = False
 
     @property
     def stats(self) -> ServeStats:
@@ -185,9 +195,12 @@ class BatchScheduler:
     # Lifecycle.
     # ------------------------------------------------------------------
     def start(self) -> None:
+        assert self._thread is None, "scheduler already started"
         self._pool = self._make_pool()
-        self._task = asyncio.get_running_loop().create_task(
-            self._claim_loop())
+        self._thread = threading.Thread(target=self._claim_loop,
+                                        name="repro-serve-claim",
+                                        daemon=True)
+        self._thread.start()
 
     def _make_pool(self) -> Executor:
         if self.workers > 0:
@@ -196,46 +209,37 @@ class BatchScheduler:
                 initargs=(self.cache_root,))
         # in-process mode MUST be a single thread: concurrent batches
         # would race on the replay engine's shared per-workload caches
-        # (see the module docstring).  Never hand batches to the
-        # loop's default multi-thread executor.
+        # (see the module docstring).
         return ThreadPoolExecutor(max_workers=1,
                                   thread_name_prefix="repro-batch")
 
-    async def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
-        if self._inflight:
-            await asyncio.gather(*self._inflight,
-                                 return_exceptions=True)
-        self.release_pool()
+    def stop(self, wait: bool = True, timeout: float = 60.0) -> None:
+        """Stop claiming and shut the executor down.
 
-    def release_pool(self) -> None:
-        """Shut the executor down without waiting for running batches."""
+        With ``wait``, batches already handed to the executor finish
+        and record their results first.  A batch still running after
+        that (every one, without ``wait``) is orphaned: its result is
+        never recorded.
+        """
+        lock = self.manager.lock
+        self.manager.close()
+        if self._thread is not None:
+            self._thread.join(timeout)
+        with lock:
+            idle = wait and lock.wait_for(lambda: not self._inflight,
+                                          timeout)
+            self._orphaned = True
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    async def wait_idle(self, poll: float = 0.01) -> None:
-        while self._inflight or self.manager.depth:
-            await asyncio.sleep(poll)
+            self._pool.shutdown(wait=idle, cancel_futures=True)
 
     # ------------------------------------------------------------------
-    # The claim/dispatch loop.
+    # The claim thread and the batch callbacks.
     # ------------------------------------------------------------------
-    async def _claim_loop(self) -> None:
-        while True:
-            batch = await self.manager.claim_batch(self.batch_window)
-            if not batch:
-                continue
-            task = asyncio.get_running_loop().create_task(
-                self._dispatch(batch))
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
+    def _claim_loop(self) -> None:
+        while (batch := self.manager.claim_batch(self.batch_window)) \
+                is not None:
+            if batch:
+                self._dispatch(batch)
 
     def _batch_spec(self, batch: List[Job]) -> BatchSpec:
         lead = batch[0].request
@@ -255,52 +259,61 @@ class BatchScheduler:
                              if lead.names is not None else None)
         return spec
 
-    async def _dispatch(self, batch: List[Job]) -> None:
-        loop = asyncio.get_running_loop()
+    def _dispatch(self, batch: List[Job]) -> None:
         spec = self._batch_spec(batch)
-        fingerprint = batch[0].request.fingerprint
-        if self.telemetry.enabled:
-            self.telemetry.emit("serve.batch_dispatched",
-                                fingerprint=fingerprint,
-                                width=len(batch),
-                                queue_depth=self.manager.depth)
-        start = loop.time()
+        with self.manager.lock:
+            self._inflight += 1
+            if self.telemetry.enabled:
+                self.telemetry.emit(
+                    "serve.batch_dispatched",
+                    fingerprint=batch[0].request.fingerprint,
+                    width=len(batch), queue_depth=self.manager.depth)
+        start = time.monotonic()
         try:
-            payload = await loop.run_in_executor(
-                self._pool, self.runner, spec)
-        except asyncio.CancelledError:
-            # a stop, or a crash-stop kill() reaping its loop: the batch
-            # is orphaned — do NOT run retry bookkeeping, which would
-            # requeue work the service has given up.
-            raise
-        except BaseException as exc:  # worker crash or poisoned batch
-            self.stats.exec_seconds += loop.time() - start
-            if isinstance(exc, BrokenExecutor) and self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = self._make_pool()
+            future = self._pool.submit(self.runner, spec)
+        except BrokenExecutor:
+            # a pool process died under an earlier batch (which is being
+            # retried): rebuild the pool before this batch runs.
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = self._make_pool()
+            future = self._pool.submit(self.runner, spec)
+        future.add_done_callback(
+            lambda done: self._record(batch, start, done))
+
+    def _record(self, batch: List[Job], start: float,
+                future: Future) -> None:
+        """Fold a finished batch into its jobs: results, or a retry
+        with backoff per job when the batch raised."""
+        with self.manager.lock:
+            self._inflight -= 1
+            self.manager.lock.notify_all()
+            if self._orphaned:
+                return
+            self.stats.exec_seconds += time.monotonic() - start
+            exc = future.exception()
+            if exc is not None:  # worker crash or poisoned batch
+                for job in batch:
+                    if not self.manager.retry_later(job):
+                        self.manager.fail(
+                            job, f"{type(exc).__name__}: {exc}")
+                    if job.state in JobState.TERMINAL:
+                        self._emit_finished(job)
+                    elif self.telemetry.enabled:
+                        self.telemetry.emit("serve.job_retried",
+                                            job_id=job.id,
+                                            attempts=job.attempts)
+                return
+            payload = future.result()
+            results = payload.get("results", {})
+            self.telemetry.count_many(payload.get("counters", {}))
             for job in batch:
-                retried = await self.manager.retry_later(job)
-                if not retried:
-                    self.manager.fail(
-                        job, f"{type(exc).__name__}: {exc}")
-                if job.state in JobState.TERMINAL:
-                    self._emit_finished(job)
-                elif self.telemetry.enabled:
-                    self.telemetry.emit("serve.job_retried",
-                                        job_id=job.id,
-                                        attempts=job.attempts)
-            return
-        self.stats.exec_seconds += loop.time() - start
-        results = payload.get("results", {})
-        self.telemetry.count_many(payload.get("counters", {}))
-        for job in batch:
-            result = results.get(job.id)
-            if result is None:
-                self.manager.fail(job, "worker returned no result "
-                                       "for this job")
-            else:
-                self.manager.finish(job, result)
-            self._emit_finished(job)
+                result = results.get(job.id)
+                if result is None:
+                    self.manager.fail(job, "worker returned no result "
+                                           "for this job")
+                else:
+                    self.manager.finish(job, result)
+                self._emit_finished(job)
 
     def _emit_finished(self, job: Job) -> None:
         if not self.telemetry.enabled:

@@ -163,8 +163,8 @@ def event_matrix(configs: Sequence[SystemConfig],
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.cli import (_activate_corpus, _build_configs,
-                           _subset_names, build_parser)
+    from repro.cli import _activate_corpus, _build_configs, build_parser
+    from repro.commands import _subset_names
 
     args = build_parser().parse_args(["sweep", *(argv or sys.argv[1:])])
     corpus_names = _activate_corpus(args.corpus)

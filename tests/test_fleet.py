@@ -349,7 +349,7 @@ def test_worker_killed_mid_batch_redispatches_byte_identically():
         # in-flight (gated) batch, and for that whole window the
         # victim keeps answering the coordinator's polls over the
         # pooled keep-alive connection, so it never looks dead.
-        # kill() is the SIGKILL analogue: the bridge drops instantly
+        # kill() is the SIGKILL analogue: every route fails at once
         # and the gated batch is orphaned, never to deliver a result.
         victim_server.shutdown()
         victim_server.server_close()

@@ -12,9 +12,13 @@ Four families of guarantees:
    the offline :mod:`repro.api` calls for the same inputs.
 """
 
-import asyncio
+import http.client
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -447,6 +451,44 @@ def test_inprocess_batches_never_run_concurrently():
     assert max_running == 1
 
 
+def test_concurrent_submitters_lose_no_update():
+    """Eight submitting threads on the one lock, with a shortened
+    switch interval: every job is counted, batched and finished once."""
+    import threading
+
+    ids = []
+
+    def submitter(name):
+        for _ in range(25):
+            ids.append(svc.submit({"kind": "evaluate", "names": [name],
+                                   "configs": [CRC_C1]})["job_id"])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    svc = EvalService(workers=0, batch_window=0.0, capacity=1024,
+                      runner=_stub_runner).start()
+    try:
+        threads = [threading.Thread(target=submitter, args=(name,))
+                   for name in ("crc", "sha", "bitcount", "quicksort") * 2]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        assert svc.manager.wait_drained(30)
+    finally:
+        sys.setswitchinterval(interval)
+        svc.stop(drain=False)
+    stats = svc.stats
+    assert len(set(ids)) == 200
+    assert stats.jobs_submitted == stats.jobs_completed == 200
+    assert stats.batched_jobs == 200
+    assert sum(getattr(stats, name) for name in vars(stats)
+               if name.startswith("latency_")) == 200
+    assert all(job.state == JobState.DONE
+               for job in svc.manager.jobs.values())
+
+
 def test_cancel_running_job_discards_result():
     import threading
 
@@ -476,7 +518,6 @@ def test_cancel_running_job_discards_result():
 
 
 def test_kill_reaps_every_task_and_records_no_result():
-    import gc
     import threading
 
     release = threading.Event()
@@ -485,12 +526,9 @@ def test_kill_reaps_every_task_and_records_no_result():
         release.wait(10)
         return _stub_runner(spec)
 
+    before = set(threading.enumerate())
     svc = EvalService(workers=0, batch_window=0.0,
                       runner=gated).start()
-    loop = svc._loop
-    reported = []
-    loop.set_exception_handler(
-        lambda _loop, context: reported.append(context["message"]))
     try:
         job_id = svc.submit({"kind": "evaluate", "names": ["crc"],
                              "configs": [CRC_C1]})["job_id"]
@@ -500,21 +538,123 @@ def test_kill_reaps_every_task_and_records_no_result():
             time.sleep(0.005)
         assert svc.status(job_id)["state"] == JobState.RUNNING
         job = svc.manager.jobs[job_id]
-        pool = svc.scheduler._pool
         svc.kill()
     finally:
         release.set()
-    assert loop.is_closed()
-    assert not asyncio.all_tasks(loop)
-    # once the orphaned batch ends nothing else holds a task, so one
-    # left pending would be destroyed, and reported, right here
-    pool.shutdown(wait=True)
-    del svc
-    gc.collect()
-    assert not [message for message in reported
-                if "destroyed but it is pending" in message]
+    # the orphaned batch ends, and every thread the service started
+    # (claim thread, batch executor) exits without recording it
+    deadline = time.monotonic() + 10
+    while (set(threading.enumerate()) - before
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    assert not set(threading.enumerate()) - before
     assert job.result is None
     assert job.state == JobState.RUNNING
+
+
+def test_killed_service_answers_no_route():
+    """After kill() every route fails, over a keep-alive connection
+    opened before the kill too; a cleanly stopped service still
+    answers metrics()."""
+    svc = EvalService(workers=0, batch_window=0.0,
+                      runner=_stub_runner).start()
+    server, _ = start_http(svc)
+    client = ServeClient("http://%s:%s" % server.server_address[:2],
+                         timeout=10.0)
+    try:
+        job_id = client.submit("evaluate", configs=[CRC_C1],
+                               names=["crc"])["job_id"]
+        assert client.healthz()["ok"]
+        svc.kill()
+        for route in (client.healthz, client.metrics, client.events_jsonl,
+                      client.jobs, lambda: client.status(job_id)):
+            with pytest.raises((ServeError, http.client.HTTPException,
+                                OSError)):
+                route()
+    finally:
+        server.shutdown()
+        server.server_close()
+
+    stopped = EvalService(workers=0, runner=_stub_runner).start()
+    stopped.stop()
+    assert stopped.metrics()["counters"]["serve.jobs_submitted"] == 0
+
+
+def test_timeout_during_coalescing_window():
+    """A deadline shorter than the batch window expires at the claim's
+    second check: the job times out and its batch never runs."""
+    calls = []
+
+    def recording(spec):
+        calls.append(spec)
+        return _stub_runner(spec)
+
+    svc = EvalService(workers=0, batch_window=0.2,
+                      runner=recording).start()
+    try:
+        job = svc.submit({"kind": "evaluate", "names": ["crc"],
+                          "configs": [CRC_C1], "timeout": 0.05})
+        with pytest.raises(ProtocolError) as excinfo:
+            svc.result(job["job_id"], wait=True, timeout=10)
+        assert excinfo.value.code == "job_timeout"
+        assert svc.status(job["job_id"])["state"] == JobState.TIMEOUT
+    finally:
+        svc.stop(drain=False)
+    assert calls == []
+
+
+def test_import_serve_loads_no_asyncio():
+    script = ("import sys\n"
+              "import repro.serve\n"
+              "assert 'asyncio' not in sys.modules\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+# ----------------------------------------------------------------------
+# The process-pool path (workers >= 1).
+# ----------------------------------------------------------------------
+def _exit_on_first_attempt(spec):
+    """A batch runner whose pool process dies the first time it runs;
+    the marker file lives in the batch's cache directory."""
+    marker = Path(spec["cache_root"]) / "crashed-once"
+    if not marker.exists():
+        marker.touch()
+        os._exit(1)
+    return _stub_runner(spec)
+
+
+def test_process_pool_evaluate_byte_identical():
+    svc = EvalService(workers=1, cache_root=None,
+                      batch_window=0.0).start()
+    try:
+        job = svc.submit({"kind": "evaluate", "names": ["crc"],
+                          "configs": [CRC_C2]})
+        payload = svc.result(job["job_id"], wait=True, timeout=300)
+    finally:
+        svc.stop(drain=False)
+    offline = api.evaluate(
+        api.SystemSpec(array="C2", slots=64, speculation=True).build(),
+        names=["crc"])
+    assert payload["result"]["suite_json"] == offline.to_json()
+
+
+def test_process_pool_rebuilt_after_a_worker_dies(tmp_path):
+    svc = EvalService(workers=1, cache_root=tmp_path, batch_window=0.0,
+                      backoff_base=0.01,
+                      runner=_exit_on_first_attempt).start()
+    try:
+        job = svc.submit({"kind": "evaluate", "names": ["crc"],
+                          "configs": [CRC_C1]})
+        payload = svc.result(job["job_id"], wait=True, timeout=120)
+        assert payload["result"]["stub"] is True
+        assert svc.status(job["job_id"])["attempts"] == 2
+        assert svc.metrics()["counters"]["serve.retries"] == 1
+    finally:
+        svc.stop(drain=False)
 
 
 # ----------------------------------------------------------------------
