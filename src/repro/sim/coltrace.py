@@ -2,11 +2,11 @@
 
 A :class:`~repro.sim.trace.Trace` is one packed ``array('I')`` of
 ``block_id << 1 | taken`` event codes; an engine that walks it in
-Python pays one interpreter step per event.  This module views that
-column *once* as numpy arrays — per-event block id and branch outcome,
-per-block occurrence tables — plus the one piece of derived history
-that makes whole-sweep vectorization possible: the **bimodal-predictor
-timeline**.
+Python pays one interpreter step per event.  This module lowers that
+column *once* into narrow columns read by numpy and Python alike —
+per-event block id, outcome and rank, per-block occurrence tables —
+plus the one piece of derived history that makes whole-sweep
+vectorization possible: the **bimodal-predictor timeline**.
 
 The timeline exists because the predictor's update sequence is
 configuration-independent.  Every consumed trace event whose block ends
@@ -56,6 +56,10 @@ CLASS_TAKEN = 1
 #: an "end of trace" sentinel larger than any event boundary.
 NO_BOUND = 1 << 62
 
+#: the most events a lowered trace holds: half the int32 range of its
+#: columns, so a position plus a configuration's depth cannot overflow.
+MAX_EVENTS = 1 << 30
+
 
 def _class_of(counter: int) -> int:
     if counter == 3:
@@ -72,8 +76,11 @@ class PredictorTimeline:
     at which the *saturation class* (taken / not-taken / unsaturated)
     changes; a query "what would ``saturated_direction(pc)`` return
     after the updates of events ``< t``" is one bisect.  Oscillation
-    between the two weak states never appends a boundary, so the lists
+    between the two weak states never appends a boundary, so the runs
     stay short even for noisy branches.
+
+    An index's run is its boundaries (ascending from 0) as ``array('q')``
+    and the class from each on as ``array('b')``, the payload's form.
 
     ``updates`` and ``hits`` are the whole-trace totals of
     :class:`~repro.dim.predictor.BimodalPredictor` — identical for
@@ -82,11 +89,11 @@ class PredictorTimeline:
     """
 
     __slots__ = ("entries", "updates", "hits", "_mask", "_initial_class",
-                 "_bounds", "_classes", "_np_cache")
+                 "_bounds", "_classes")
 
     def __init__(self, entries: int, updates: int, hits: int,
-                 bounds: Dict[int, List[int]],
-                 classes: Dict[int, List[int]],
+                 bounds: Dict[int, array],
+                 classes: Dict[int, array],
                  initial_class: int = CLASS_NONE):
         self.entries = entries
         self.updates = updates
@@ -95,7 +102,6 @@ class PredictorTimeline:
         self._initial_class = initial_class
         self._bounds = bounds
         self._classes = classes
-        self._np_cache: Dict[int, Tuple[object, object]] = {}
 
     @classmethod
     def build(cls, positions, pcs, takens, entries: int,
@@ -104,7 +110,7 @@ class PredictorTimeline:
 
         ``positions``/``pcs``/``takens`` are integer numpy arrays over
         every conditional-branch event of the trace, in order (see
-        ``ColumnarTrace.branch_events``).  Counter indices are
+        :meth:`ColumnarTrace.branch_events`).  Counter indices are
         independent, so the updates are grouped by index with a stable
         sort, which keeps each group chronological, and each group's
         counter is walked on its own slice of outcomes; the boundaries
@@ -127,8 +133,8 @@ class PredictorTimeline:
         ends = np.r_[starts[1:], n]
         pos_sorted = np.asarray(positions, dtype=np.int64)[order]
         tak_sorted = np.asarray(takens, dtype=np.int64)[order]
-        bounds: Dict[int, List[int]] = {}
-        classes: Dict[int, List[int]] = {}
+        bounds: Dict[int, array] = {}
+        classes: Dict[int, array] = {}
         hits = 0
         for start, end in zip(starts.tolist(), ends.tolist()):
             counter = initial
@@ -154,9 +160,9 @@ class PredictorTimeline:
                     clist.append(klass)
                     last_class = klass
             index = int(idx_sorted[start])
-            bounds[index] = [0] + (pos_sorted[start:end][changes]
-                                   + 1).tolist()
-            classes[index] = clist
+            blist = bounds[index] = array("q", [0])
+            blist.frombytes((pos_sorted[start:end][changes] + 1).tobytes())
+            classes[index] = array("b", clist)
         return cls(entries, n, hits, bounds, classes, initial_class)
 
     # ------------------------------------------------------------------
@@ -191,19 +197,16 @@ class PredictorTimeline:
         import numpy as np
 
         index_key = (pc >> 2) & self._mask
-        cached = self._np_cache.get(index_key)
-        if cached is None:
-            blist = self._bounds.get(index_key)
-            if blist is None:
-                return np.full(len(ts), self._initial_class, dtype=np.int8)
-            cached = (np.asarray(blist, dtype=np.int64),
-                      np.asarray(self._classes[index_key], dtype=np.int8))
-            self._np_cache[index_key] = cached
-        np_bounds, np_classes = cached
+        blist = self._bounds.get(index_key)
+        if blist is None:
+            return np.full(len(ts), self._initial_class, dtype=np.int8)
+        np_bounds = np.frombuffer(blist, dtype=np.int64)
+        np_classes = np.frombuffer(self._classes[index_key], dtype=np.int8)
         return np_classes[np.searchsorted(np_bounds, ts, side="right") - 1]
 
     # ------------------------------------------------------------------
-    # Artifact payload (numpy-free, picklable).
+    # Artifact payload (numpy-free, picklable): the arrays themselves,
+    # which are never mutated once built.
     # ------------------------------------------------------------------
     def to_payload(self) -> dict:
         return {
@@ -211,35 +214,39 @@ class PredictorTimeline:
             "updates": self.updates,
             "hits": self.hits,
             "initial_class": self._initial_class,
-            "bounds": {k: array("q", v) for k, v in self._bounds.items()},
-            "classes": {k: array("b", v)
-                        for k, v in self._classes.items()},
+            "bounds": dict(self._bounds),
+            "classes": dict(self._classes),
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PredictorTimeline":
         return cls(payload["entries"], payload["updates"], payload["hits"],
-                   {k: list(v) for k, v in payload["bounds"].items()},
-                   {k: list(v) for k, v in payload["classes"].items()},
+                   dict(payload["bounds"]), dict(payload["classes"]),
                    payload["initial_class"])
 
 
 class ColumnarTrace:
     """One trace lowered to flat arrays (requires numpy).
 
-    Array fields (``n`` events, ``nblocks`` table entries):
+    Each event column is kept once, at its narrowest type, in a buffer
+    the Python walkers index; numpy reads it through a read-only
+    ``np.frombuffer`` view (``n`` events, ``nblocks`` table entries):
 
-    - ``key2`` (int64[n]) — the packed event codes ``2*block + taken``,
-      straight from ``Trace.events`` (also the row key of the cost
-      tables);
-    - ``ev`` / ``tk`` (int64[n]) — per-event block id (``key2 >> 1``)
-      and terminator outcome (``key2 & 1``);
-    - ``rank`` (int64[n]) — occurrence index of each event within its
-      block (event ``i`` is the ``rank[i]``-th execution of ``ev[i]``);
-    - ``occ[b]`` (int64 array) — ascending event positions of block ``b``;
+    - ``ev_buf`` (``array('i')``) / ``ev`` (int32[n]) — block id of
+      each event;
+    - ``tk_buf`` (``bytes``) / ``tk`` (uint8[n]) — its terminator
+      outcome (a cost-table row ``2*block + taken`` is formed from the
+      two where needed, never stored);
+    - ``rank_buf`` (``array('i')``) / ``rank`` (int32[n]) — event ``i``
+      is the ``rank[i]``-th execution of ``ev[i]``;
+    - ``occ[b]`` (int32) — ascending event positions of block ``b``;
     - ``first_occ`` (int64[nblocks]) — first event position, ``n`` when
       the block never occurs;
-    - ``blk_is_cond`` / ``blk_branch_pc`` — per-block structural columns.
+    - ``blk_is_cond`` (bool) / ``blk_branch_pc`` (int64) — per-block
+      structural columns.
+
+    The int32 columns cap a trace at :data:`MAX_EVENTS` (2**30) events;
+    a longer one raises ``ValueError``.
 
     Predictor timelines are built lazily per table size and cached,
     each by one grouped pass over the conditional events
@@ -254,39 +261,35 @@ class ColumnarTrace:
         self.trace = trace
         self.table = trace.table
         n = len(trace.events)
+        if n > MAX_EVENTS:
+            raise ValueError(f"a trace of {n} events is too long for "
+                             f"int32 columns (max {MAX_EVENTS})")
         self.n = n
         blocks = trace.table.blocks
         self.nblocks = len(blocks)
-        self.key2 = np.frombuffer(trace.events,
-                                  dtype=np.uint32).astype(np.int64)
-        self.ev = self.key2 >> 1
-        self.tk = self.key2 & 1
-        self.ev_list = self.ev.tolist()
-        self.tk_list = self.tk.tolist()
+        codes = np.frombuffer(trace.events, dtype=np.uint32)
+        self.ev_buf = array("i", [0]) * n
+        self.ev = np.frombuffer(self.ev_buf, dtype=np.int32)
+        self.ev[:] = codes >> 1
+        self.tk_buf = (codes & 1).astype(np.uint8).tobytes()
+        self.tk = np.frombuffer(self.tk_buf, dtype=np.uint8)
 
-        order = np.argsort(self.ev, kind="stable")
+        order = np.argsort(self.ev, kind="stable").astype(np.int32)
         sorted_ev = self.ev[order]
-        if n:
-            starts = np.flatnonzero(
-                np.r_[True, sorted_ev[1:] != sorted_ev[:-1]])
-            lengths = np.diff(np.r_[starts, n])
-            within = np.arange(n, dtype=np.int64) \
-                - np.repeat(starts, lengths)
-        else:
-            starts = np.zeros(0, dtype=np.int64)
-            lengths = starts
-            within = starts
-        self.rank = np.empty(n, dtype=np.int64)
+        # one run per block in ``order``; an empty trace has none.
+        starts = np.flatnonzero(
+            np.r_[n > 0, sorted_ev[1:] != sorted_ev[:-1]])
+        lengths = np.diff(np.r_[starts, n])
+        within = np.arange(n) - np.repeat(starts, lengths)
+        self.rank_buf = array("i", [0]) * n
+        self.rank = np.frombuffer(self.rank_buf, dtype=np.int32)
         self.rank[order] = within
-        self.rank_list = self.rank.tolist()
+        for shared in (self.ev, self.rank, order):  # read by every cell
+            shared.flags.writeable = False
 
-        self.occ: List[object] = [None] * self.nblocks
-        empty = np.zeros(0, dtype=np.int64)
+        self.occ: List[object] = [order[:0]] * self.nblocks
         for start, length in zip(starts.tolist(), lengths.tolist()):
             self.occ[int(sorted_ev[start])] = order[start:start + length]
-        for block_id in range(self.nblocks):
-            if self.occ[block_id] is None:
-                self.occ[block_id] = empty
         self.first_occ = np.fromiter(
             (positions[0] if len(positions) else n
              for positions in self.occ), dtype=np.int64,
@@ -310,22 +313,19 @@ class ColumnarTrace:
             if known is None or first < known:
                 self.first_event_by_pc[block.start_pc] = first
 
-        self._branch_events: Optional[Tuple[object, object, object]] = None
         self._timelines: Dict[int, PredictorTimeline] = {}
 
     def branch_events(self) -> Tuple[object, object, object]:
         """(positions, branch PCs, outcomes) of every conditional event
-        — the config-independent predictor update sequence — as int64
-        numpy arrays."""
-        cached = self._branch_events
-        if cached is None:
-            import numpy as np
+        — the config-independent predictor update sequence — as int32,
+        int64 and uint8 numpy arrays, derived afresh: only a timeline
+        build reads them, once per table size."""
+        import numpy as np
 
-            positions = np.flatnonzero(self.blk_is_cond[self.ev])
-            cached = (positions, self.blk_branch_pc[self.ev[positions]],
-                      self.tk[positions])
-            self._branch_events = cached
-        return cached
+        positions = np.flatnonzero(self.blk_is_cond[self.ev]).astype(
+            np.int32)
+        return (positions, self.blk_branch_pc[self.ev[positions]],
+                self.tk[positions])
 
     def timeline(self, entries: int) -> PredictorTimeline:
         """The (cached) predictor timeline for one table size."""

@@ -248,7 +248,7 @@ class _Path:
         demand rather than eagerly per rank (an eager walk would be
         quadratic in the trip count across overlapping occurrences).
         """
-        tk = self._coltrace.tk_list
+        tk = self._coltrace.tk_buf
         last = self._coltrace.n - 1
         K = self.K
         back_bit = self.back_expected_bit
@@ -650,7 +650,7 @@ class ColumnarContext:
         import numpy as np
 
         coltrace = self.coltrace
-        counts = np.bincount(coltrace.key2,
+        counts = np.bincount(2 * coltrace.ev + coltrace.tk,
                              minlength=2 * coltrace.nblocks)
         return (counts @ self.miss_table(timing)).tolist()
 
@@ -717,14 +717,14 @@ class ColumnarContext:
             last = n - 1
             cacheable_list = cacheable.tolist()
             hit = bytearray(n)
-            inserts = array("q")
+            inserts = array("i")
             evictions = 0
             lru = policy == "lru"
             # insertion-ordered residency, as in _replay_spec: the first
             # key is the next victim; only LRU moves a hit block to the
             # back.
             occupancy: Dict[int, None] = {}
-            for position, b in enumerate(self.coltrace.ev_list):
+            for position, b in enumerate(self.coltrace.ev_buf):
                 if not cacheable_list[b]:
                     continue
                 if b in occupancy:
@@ -739,7 +739,7 @@ class ColumnarContext:
                     occupancy[b] = None
                     inserts.append(position)
             hit_mask = np.frombuffer(hit, dtype=bool)
-            positions = np.frombuffer(inserts, dtype=np.int64)
+            positions = np.frombuffer(inserts, dtype=np.int32)
             hit_mask.flags.writeable = False
             positions.flags.writeable = False
             walk = self._residency[key] = (hit_mask, positions, evictions)
@@ -835,7 +835,7 @@ def _replay_nospec(context: ColumnarContext, config: SystemConfig,
         stats.translated_instructions = int(covered[ev[inserts]].sum())
     stats.config_writes = insertions
 
-    key2 = coltrace.key2
+    key2 = 2 * ev + coltrace.tk
     nrows = 2 * coltrace.nblocks
     totals = (np.bincount(key2[~hit_mask], minlength=nrows)
               @ context.miss_table(config.timing)).tolist()
@@ -888,8 +888,8 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
     translate_at = translation.translate_at
     blocks = coltrace.table.blocks
 
-    ev = coltrace.ev_list
-    rank = coltrace.rank_list
+    ev = coltrace.ev_buf
+    rank = coltrace.rank_buf
     n = coltrace.n
     last = n - 1
     slots = params.cache_slots
@@ -908,7 +908,7 @@ def _replay_spec(context: ColumnarContext, config: SystemConfig,
     translated_instructions = 0
     writes = [0, 0, 0]  # configuration writes per kindcode
     loop_retired = dual_retired = 0
-    tk = coltrace.tk_list
+    tk = coltrace.tk_buf
     class_at = timeline.class_at
 
     def fresh_entry(template: _Template) -> list:

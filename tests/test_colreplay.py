@@ -12,6 +12,8 @@ API and the ``repro sweep`` CLI) must match the event-engine oracle of
 import dataclasses
 import json
 import pickle
+import types
+from array import array
 
 import pytest
 
@@ -31,7 +33,10 @@ from repro.obs.schema import (
 )
 from repro.sim import run_program
 from repro.sim.coltrace import (
+    CLASS_NONE,
     COLTRACE_FORMAT,
+    MAX_EVENTS,
+    NO_BOUND,
     ColumnarTrace,
     PredictorTimeline,
 )
@@ -292,7 +297,13 @@ def test_predictor_timeline_matches_the_live_predictor(name, entries):
     """Replaying ``BimodalPredictor.update`` over the trace's branch
     events gives the timeline's totals, and right after every update
     the timeline's class answers what the live counter says (``None``
-    is a trace with no conditional event)."""
+    is a trace with no conditional event).  The timeline, and one
+    rebuilt from its payload, hold each counter index's run as
+    ``array('q')`` boundaries and ``array('b')`` classes, and on both
+    ``class_at``, ``class_span`` and ``class_for_many`` agree at every
+    boundary and just before it."""
+    import numpy as np
+
     trace = (run_workload(name).trace if name else
              run_program(assemble(STRAIGHT_LINE), collect_trace=True).trace)
     coltrace = ColumnarTrace(trace)
@@ -308,8 +319,81 @@ def test_predictor_timeline_matches_the_live_predictor(name, entries):
     assert (timeline.updates, timeline.hits) == (predictor.updates,
                                                  predictor.hits)
     payload = pickle.loads(pickle.dumps(timeline.to_payload()))
-    assert PredictorTimeline.from_payload(payload).to_payload() \
-        == timeline.to_payload()
+    restored = PredictorTimeline.from_payload(payload)
+    assert restored.to_payload() == timeline.to_payload()
+
+    assert "_np_cache" not in PredictorTimeline.__slots__
+    for each in (timeline, restored):
+        assert each._bounds.keys() == each._classes.keys()
+        for index, bounds in each._bounds.items():
+            classes = each._classes[index]
+            assert isinstance(bounds, array) and bounds.typecode == "q"
+            assert isinstance(classes, array) and classes.typecode == "b"
+            assert len(bounds) == len(classes) and bounds[0] == 0
+            pc = index << 2
+            ts = sorted(set(bounds) | {t - 1 for t in bounds[1:]})
+            many = each.class_for_many(
+                pc, np.array(ts, dtype=np.int32)).tolist()
+            for t, klass in zip(ts, many):
+                span = each.class_span(pc, t)
+                assert each.class_at(pc, t) == span[0] == klass
+                assert span[1] <= t < span[2]
+        # an index no conditional branch maps to keeps its initial
+        # class everywhere.
+        unused = next(index for index in range(entries)
+                      if index not in each._bounds) << 2
+        assert each.class_span(unused, 7) == (CLASS_NONE, 0, NO_BOUND)
+        assert each.class_for_many(unused, np.arange(3)).tolist() \
+            == [CLASS_NONE] * 3
+
+
+def test_lowered_trace_keeps_each_event_column_once_and_narrow():
+    """The lowering holds no whole-trace Python list, keeps each event
+    column once (int32 block ids and ranks, uint8 outcomes, read-only
+    numpy views of the buffers the Python walkers index), and lowering
+    susan_c plus building its 16- and 512-entry timelines retains at
+    most 4 MB (the lowering that kept int64 columns beside Python
+    lists of them retained 16 MB)."""
+    import tracemalloc
+
+    import numpy as np
+
+    trace = run_workload("susan_c").trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        coltrace = ColumnarTrace(trace)
+        coltrace.timeline(16)
+        coltrace.timeline(512)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n = coltrace.n
+    assert n > 100_000
+    assert [key for key, value in vars(coltrace).items()
+            if isinstance(value, list) and len(value) > coltrace.nblocks] \
+        == []
+    for column, buffer, dtype in ((coltrace.ev, coltrace.ev_buf, np.int32),
+                                  (coltrace.tk, coltrace.tk_buf, np.uint8),
+                                  (coltrace.rank, coltrace.rank_buf,
+                                   np.int32)):
+        assert column.dtype == dtype and len(column) == n
+        assert len(buffer) == n and np.shares_memory(
+            column, np.frombuffer(buffer, dtype=dtype))
+        assert not column.flags.writeable
+    assert {positions.dtype for positions in coltrace.occ} == {
+        np.dtype(np.int32)}
+    assert coltrace.branch_events()[0].dtype == np.int32
+    assert retained <= 4_000_000, retained
+
+
+def test_lowering_refuses_a_trace_beyond_int32_positions():
+    class TooLong:
+        def __len__(self):
+            return MAX_EVENTS + 1
+
+    with pytest.raises(ValueError, match="int32"):
+        ColumnarTrace(types.SimpleNamespace(table=None, events=TooLong()))
 
 
 # ----------------------------------------------------------------------

@@ -108,9 +108,11 @@ def service():
     host, port = server.server_address[:2]
     client = ServeClient(f"http://{host}:{port}", timeout=120.0)
     yield svc, client
+    client.close()
     if not svc._stopped:
         svc.stop(drain=False)
     server.shutdown()
+    server.server_close()
 
 
 def test_lifecycle_submit_poll_result(service):
@@ -660,12 +662,14 @@ def test_process_pool_rebuilt_after_a_worker_dies(tmp_path):
 # ----------------------------------------------------------------------
 # Transport: the client keeps its HTTP connection alive across calls.
 # ----------------------------------------------------------------------
+@pytest.mark.filterwarnings("error::ResourceWarning",
+                            "error::pytest.PytestUnraisableExceptionWarning")
 def test_client_reuses_one_connection_across_requests():
     svc = EvalService(workers=0, batch_window=0.0,
                       runner=_stub_runner).start()
     server, _ = start_http(svc)
+    client = ServeClient("http://%s:%s" % server.server_address[:2])
     try:
-        client = ServeClient("http://%s:%s" % server.server_address[:2])
         job_ids = []
         for _ in range(5):
             job = client.submit("evaluate", configs=[CRC_C1],
@@ -680,10 +684,14 @@ def test_client_reuses_one_connection_across_requests():
         assert stats["connections_opened"] == 1
         assert stats["stale_retries"] == 0
     finally:
+        client.close()
         svc.stop(drain=False)
         server.shutdown()
+        server.server_close()
 
 
+@pytest.mark.filterwarnings("error::ResourceWarning",
+                            "error::pytest.PytestUnraisableExceptionWarning")
 def test_client_survives_a_stale_pooled_connection():
     """A pooled socket that dies while idle (server timed it out or
     restarted between calls) is retried transparently once, on a fresh
@@ -691,8 +699,8 @@ def test_client_survives_a_stale_pooled_connection():
     svc = EvalService(workers=0, batch_window=0.0,
                       runner=_stub_runner).start()
     server, _ = start_http(svc)
+    client = ServeClient("http://%s:%s" % server.server_address[:2])
     try:
-        client = ServeClient("http://%s:%s" % server.server_address[:2])
         assert client.healthz()["ok"]  # connection now idles in pool
         conn = client._pool.acquire()
         assert conn.sock is not None  # the same live connection
@@ -702,5 +710,7 @@ def test_client_survives_a_stale_pooled_connection():
         assert client.transport_stats["stale_retries"] == 1
         assert client.transport_stats["connections_opened"] == 2
     finally:
+        client.close()
         svc.stop(drain=False)
         server.shutdown()
+        server.server_close()
